@@ -13,7 +13,13 @@ import os
 import sys
 
 from .fields import FieldError
-from .polyring import ParseError, RingError, load_ring_file, parse_polynomial
+from .polyring import (
+    ParseError,
+    RingError,
+    TruncationError,
+    load_ring_file,
+    parse_polynomial,
+)
 from .koszul import (
     CycleError,
     build_koszul,
@@ -355,7 +361,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, RingError, FieldError, CycleError, OSError, ValueError) as exc:
+    except (ParseError, RingError, FieldError, CycleError, TruncationError, OSError,
+            ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

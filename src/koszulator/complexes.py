@@ -9,21 +9,19 @@ matrix there.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 from .linalg import rank
 from .polyring import GradedQuotientRing, Polynomial
 
 
-def thread_count() -> int:
-    env = os.environ.get("KOSZULATOR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
+def collect(terms, ring) -> dict:
+    """Sum (key, Polynomial) terms by key; normal forms, zeros dropped."""
+    out = {}
+    for key, p in terms:
+        out[key] = out[key] + p if key in out else p
+    return {
+        key: q for key, q in ((key, ring.normal_form(p)) for key, p in out.items())
+        if not q.is_zero()
+    }
 
 
 class ComplexError(ValueError):
@@ -43,12 +41,6 @@ class FreeModule:
     def rank(self) -> int:
         return len(self.gens)
 
-    def twists(self):
-        return [t for _, t in self.gens]
-
-    def labels(self):
-        return [lab for lab, _ in self.gens]
-
     def strand_dim(self, d: int) -> int:
         return sum(self.ring.dim_quotient(d - t) for _, t in self.gens if d - t >= 0)
 
@@ -61,9 +53,6 @@ class FreeModule:
     @classmethod
     def zero(cls, ring):
         return cls(ring, [])
-
-    def direct_sum(self, other: "FreeModule") -> "FreeModule":
-        return FreeModule(self.ring, self.gens + other.gens)
 
 
 class GradedMap:
@@ -98,14 +87,18 @@ class GradedMap:
         return cls(source, target)
 
     @classmethod
-    def from_rows(cls, source, target, rows):
-        """rows[i][j] are ring elements (target-indexed rows)."""
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, p in enumerate(row):
-                if not p.is_zero():
-                    entries[(i, j)] = p
-        return cls(source, target, entries)
+    def from_columns(cls, source, target, column):
+        """Map whose column at the source gen labelled lab is
+        collect(column(lab)), its terms keyed by target labels.  The entries
+        are taken as given, without the constructor's degree check."""
+        row = {lab: r for r, (lab, _) in enumerate(target.gens)}
+        out = cls(source, target)
+        out.entries = {
+            (row[key], j): p
+            for j, (lab, _) in enumerate(source.gens)
+            for key, p in collect(column(lab), source.ring).items()
+        }
+        return out
 
     @classmethod
     def identity(cls, module):
@@ -122,29 +115,31 @@ class GradedMap:
     def is_zero(self) -> bool:
         return not self.entries
 
+    def apply(self, elem: dict) -> dict:
+        """Image of {source label: Polynomial} as {target label: Polynomial}."""
+        col = {lab: j for j, (lab, _) in enumerate(self.source.gens)}
+        tgt = self.target.gens
+        return collect(
+            ((tgt[r][0], q * p)
+             for lab, p in elem.items()
+             for r, q in self.column(col[lab]).items()),
+            self.source.ring,
+        )
+
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self after other (self.source must be other.target)."""
         if other.target.gens != self.source.gens:
             raise ComplexError("composition shape mismatch")
-        ring = self.source.ring
-        acc = {}
         cols = {}
         for (i, j), p in self.entries.items():
             cols.setdefault(j, []).append((i, p))
-        for (k, j), q in other.entries.items():
-            for i, p in cols.get(k, ()):
-                prod = p * q
-                if (i, j) in acc:
-                    acc[(i, j)] = acc[(i, j)] + prod
-                else:
-                    acc[(i, j)] = prod
-        entries = {}
-        for key, p in acc.items():
-            p = ring.normal_form(p)
-            if not p.is_zero():
-                entries[key] = p
         out = GradedMap(other.source, self.target)
-        out.entries = entries
+        out.entries = collect(
+            (((i, j), p * q)
+             for (k, j), q in other.entries.items()
+             for i, p in cols.get(k, ())),
+            self.source.ring,
+        )
         return out
 
     def __add__(self, other):
@@ -261,27 +256,6 @@ class ChainComplex:
             diffs[i + s] = nd
         return ChainComplex(self.ring, modules, diffs, check=False)
 
-    def direct_sum_power(self, copies: int, label_fn) -> "ChainComplex":
-        """C^{⊕copies}; label_fn(copy, label) relabels each summand's gens."""
-        modules = {}
-        for i, m in self.modules.items():
-            gens = []
-            for copy in range(copies):
-                gens.extend((label_fn(copy, lab), t) for lab, t in m.gens)
-            modules[i] = FreeModule(self.ring, gens)
-        diffs = {}
-        for i, dmap in self.differentials.items():
-            src, tgt = modules[i], modules.get(i - 1) or FreeModule.zero(self.ring)
-            sr, tr = dmap.source.rank, dmap.target.rank
-            entries = {}
-            for copy in range(copies):
-                for (r, c), p in dmap.entries.items():
-                    entries[(copy * tr + r, copy * sr + c)] = p
-            nd = GradedMap(src, tgt)
-            nd.entries = entries
-            diffs[i] = nd
-        return ChainComplex(self.ring, modules, diffs, check=False)
-
     # -- homology ---------------------------------------------------------------
     def strand_homology_dim(self, i: int, d: int) -> int:
         dim = self.module(i).strand_dim(d)
@@ -292,11 +266,12 @@ class ChainComplex:
         return dim - r_in - r_out
 
     def homology_table(self, max_i: int, max_d: int):
-        """{(i, d): dim H_i(C)_d} over 0..max_i, 0..max_d, computed in parallel."""
-        keys = [(i, d) for i in range(max_i + 1) for d in range(max_d + 1)]
-        with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-            dims = pool.map(lambda k: self.strand_homology_dim(*k), keys)
-        return dict(zip(keys, dims))
+        """{(i, d): dim H_i(C)_d} over 0..max_i, 0..max_d."""
+        return {
+            (i, d): self.strand_homology_dim(i, d)
+            for i in range(max_i + 1)
+            for d in range(max_d + 1)
+        }
 
 
 def _strand_rank(dmap: GradedMap, d: int) -> int:
@@ -335,17 +310,6 @@ class ChainMap:
             if lhs != rhs:
                 bad.append(i)
         return bad
-
-
-def compose_check(f: ChainMap, g: ChainMap) -> bool:
-    """True when the composite f∘g vanishes in every homological degree."""
-    if g.target is not f.source and g.target.modules != f.source.modules:
-        raise ComplexError("compose_check shape mismatch")
-    degs = set(f.components) | set(g.components)
-    for i in degs:
-        if not f.component(i).compose(g.component(i)).is_zero():
-            return False
-    return True
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:

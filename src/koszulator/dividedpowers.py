@@ -9,8 +9,10 @@ exponent at coefficient 1.
 
 from __future__ import annotations
 
+import itertools
 
-from .koszul import CycleBasis, KoszulComplex, subsets, wedge_sign
+from .complexes import collect
+from .koszul import CycleBasis, KoszulComplex, subsets, wedge_cycle
 from .zetamaps import tuples, zeta_component_entries
 
 
@@ -47,39 +49,25 @@ def contract(exps, i: int):
     return tuple(out)
 
 
+def mu_terms(Z: CycleBasis, m, S):
+    """Terms ((v_i*·m, T), p) of Σ_i (z_i ∧ e_S) ⊗ (v_i*·m)."""
+    for i in range(1, len(m) + 1):
+        m2 = contract(m, i)
+        if m2 is not None:
+            for T, p in wedge_cycle(Z.cycles[i - 1], S):
+                yield (m2, T), p
+
+
 def mu_component_entries(K: KoszulComplex, Z: CycleBasis, k: int, u: int):
     """Entries of μ_u^k keyed ((m',T),(m,S)) over divided monomials: the
     image of e_S in copy m is Σ_i z_i ∧ e_S in copy v_i*·m."""
-    ring = K.ring
-    c = ring.codepth
-    n = K.n
-    out = {}
-    for m in divided_monomials(c, k + 1):
-        for i in range(1, c + 1):
-            m2 = contract(m, i)
-            if m2 is None:
-                continue
-            z = Z.cycles[i - 1]
-            for S in subsets(n, u - 1):
-                for idx in range(1, n + 1):
-                    p = z[idx - 1]
-                    if p.is_zero():
-                        continue
-                    sign, T = wedge_sign(idx, S)
-                    if sign == 0:
-                        continue
-                    key = ((m2, T), (m, S))
-                    term = p if sign == 1 else -p
-                    if key in out:
-                        out[key] = out[key] + term
-                    else:
-                        out[key] = term
-    return {k_: p for k_, p in out.items() if not p.is_zero()}
-
-
-def build_mu(K: KoszulComplex, Z: CycleBasis, k: int):
-    """All components of μ^k, keyed by homological wedge size u."""
-    return {u: mu_component_entries(K, Z, k, u) for u in range(1, K.n + 1)}
+    return collect(
+        (((tl, (m, S)), p)
+         for m in divided_monomials(K.ring.codepth, k + 1)
+         for S in subsets(K.n, u - 1)
+         for tl, p in mu_terms(Z, m, S)),
+        K.ring,
+    )
 
 
 def verify_mu_equals_zeta(K: KoszulComplex, Z: CycleBasis, k_range) -> dict:
@@ -107,17 +95,14 @@ def verify_mu_square_zero(K: KoszulComplex, Z: CycleBasis, k: int) -> bool:
     for u in range(2, K.n + 1):
         inner = mu_component_entries(K, Z, k + 1, u - 1)
         outer = mu_component_entries(K, Z, k, u)
-        acc = {}
-        for (mid, src), p in inner.items():
-            for (tgt, mid2), q in outer.items():
-                if mid2 != mid:
-                    continue
-                key = (tgt, src)
-                term = q * p
-                acc[key] = acc[key] + term if key in acc else term
-        for p in acc.values():
-            if not ring.normal_form(p).is_zero():
-                return False
+        if collect(
+            (((tgt, src), q * p)
+             for (mid, src), p in inner.items()
+             for (tgt, mid2), q in outer.items()
+             if mid2 == mid),
+            ring,
+        ):
+            return False
     return True
 
 
@@ -129,37 +114,12 @@ def acyclic_closure_square_zero(K: KoszulComplex, Z: CycleBasis, max_k: int = 3)
 
     def diff(elem):
         # elem: {(exps, S): Polynomial}
-        out = {}
-
-        def add(key, p):
-            out[key] = out[key] + p if key in out else p
-
-        for (m, S), p in elem.items():
-            for t, s in enumerate(S):
-                rest = S[:t] + S[t + 1:]
-                term = p * ring.variable(s - 1)
-                if t % 2:
-                    term = -term
-                add((m, rest), term)
-            for i in range(1, c + 1):
-                m2 = contract(m, i)
-                if m2 is None:
-                    continue
-                z = Z.cycles[i - 1]
-                for idx in range(1, K.n + 1):
-                    q = z[idx - 1]
-                    if q.is_zero():
-                        continue
-                    sign, T = wedge_sign(idx, S)
-                    if sign == 0:
-                        continue
-                    term = p * q if sign == 1 else -(p * q)
-                    add((m2, T), term)
-        return {
-            key: q
-            for key, q in ((key, ring.normal_form(p)) for key, p in out.items())
-            if not q.is_zero()
-        }
+        return collect(
+            ((key, p * q)
+             for label, p in elem.items()
+             for key, q in itertools.chain(K.column(label), mu_terms(Z, *label))),
+            ring,
+        )
 
     one = ring.one()
     for k in range(max_k + 1):

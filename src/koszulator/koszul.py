@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .complexes import ChainComplex, FreeModule, GradedMap
+from .complexes import ChainComplex, FreeModule, GradedMap, collect
 from .linalg import nullspace, rank, reduce_against, rref
 from .polyring import GradedQuotientRing, Polynomial
 
@@ -34,6 +34,23 @@ def wedge_sign(i: int, S):
     return (-1) ** below, merged
 
 
+def koszul_boundary(S, ring):
+    """Terms (S∖s_t, (−1)^t x_{s_t}) of ∂e_S, t counted from 0."""
+    for t, s in enumerate(S):
+        x = ring.variable(s - 1)
+        yield S[:t] + S[t + 1:], -x if t % 2 else x
+
+
+def wedge_cycle(z, S):
+    """Terms (T, ±z_i) of z ∧ e_S for a 1-cycle z given by its n coordinates."""
+    for i, p in enumerate(z, 1):
+        if p.is_zero():
+            continue
+        sign, T = wedge_sign(i, S)
+        if sign:
+            yield T, p if sign == 1 else -p
+
+
 def merge_wedge(S, T):
     """Sign and result of e_S ∧ e_T; (0, None) on a repeated index."""
     sign = 1
@@ -53,63 +70,41 @@ class KoszulComplex:
     def __init__(self, ring: GradedQuotientRing):
         self.ring = ring
         self.n = ring.nvars
-        modules = {}
-        for i in range(self.n + 1):
-            modules[i] = FreeModule(ring, [(((), S), i) for S in subsets(self.n, i)])
-        diffs = {}
-        for i in range(1, self.n + 1):
-            src, tgt = modules[i], modules[i - 1]
-            tgt_index = {S: r for r, ((_, S), _) in enumerate(tgt.gens)}
-            entries = {}
-            for col, ((_, S), _) in enumerate(src.gens):
-                for t, s in enumerate(S):
-                    rest = S[:t] + S[t + 1:]
-                    coeff = ring.variable(s - 1)
-                    if t % 2:
-                        coeff = -coeff
-                    entries[(tgt_index[rest], col)] = coeff
-            diffs[i] = GradedMap(src, tgt, entries)
+        modules = {
+            i: FreeModule(ring, [(((), S), i) for S in subsets(self.n, i)])
+            for i in range(self.n + 1)
+        }
+        diffs = {
+            i: GradedMap.from_columns(modules[i], modules[i - 1], self.column)
+            for i in range(1, self.n + 1)
+        }
         self.complex = ChainComplex(ring, modules, diffs)
 
-    def differential_rows(self, i: int):
-        """Dense matrix of ∂_i as nested lists of polynomials."""
-        d = self.complex.differential(i)
-        return [
-            [d.entry(r, c) for c in range(d.source.rank)]
-            for r in range(d.target.rank)
-        ]
+    def column(self, label):
+        """Terms ((w, S∖s_t), ±x_{s_t}) of ∂ on the generator labelled (w, S)
+        of any sum of copies of K indexed by w."""
+        w, S = label
+        return (((w, rest), x) for rest, x in koszul_boundary(S, self.ring))
 
     # -- elements -------------------------------------------------------------
     def wedge(self, a: dict, b: dict) -> dict:
         """Wedge product of elements given as {subset: Polynomial}."""
-        ring = self.ring
-        out = {}
-        for S, p in a.items():
-            for T, q in b.items():
-                sign, merged = merge_wedge(S, T)
-                if sign == 0:
-                    continue
-                term = p * q if sign == 1 else -(p * q)
-                if merged in out:
-                    out[merged] = out[merged] + term
-                else:
-                    out[merged] = term
-        return {S: q for S, q in ((S, ring.normal_form(p)) for S, p in out.items()) if not q.is_zero()}
+
+        def terms():
+            for S, p in a.items():
+                for T, q in b.items():
+                    sign, merged = merge_wedge(S, T)
+                    if sign:
+                        yield merged, p * q if sign == 1 else -(p * q)
+
+        return collect(terms(), self.ring)
 
     def apply_differential(self, elem: dict) -> dict:
-        ring = self.ring
-        out = {}
-        for S, p in elem.items():
-            for t, s in enumerate(S):
-                rest = S[:t] + S[t + 1:]
-                term = p * ring.variable(s - 1)
-                if t % 2:
-                    term = -term
-                if rest in out:
-                    out[rest] = out[rest] + term
-                else:
-                    out[rest] = term
-        return {S: q for S, q in ((S, ring.normal_form(p)) for S, p in out.items()) if not q.is_zero()}
+        return collect(
+            ((rest, p * x) for S, p in elem.items()
+             for rest, x in koszul_boundary(S, self.ring)),
+            self.ring,
+        )
 
 
 class CycleBasis:

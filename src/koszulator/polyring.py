@@ -9,8 +9,6 @@ surviving (non-pivot) monomials are the standard basis of that degree.
 
 from __future__ import annotations
 
-import math
-import threading
 from fractions import Fraction
 
 from .fields import FieldError, field_from_spec
@@ -317,8 +315,7 @@ class _DegreeData:
 class GradedQuotientRing:
     """Q = k[x1..xn] / I for a homogeneous ideal I, handled degree by degree.
 
-    The degree cache is filled lazily up to the truncation bound and is safe
-    for concurrent reads.
+    The degree cache is filled lazily up to the truncation bound.
     """
 
     def __init__(self, var_names, generators, field, truncation: int = 16):
@@ -340,7 +337,6 @@ class GradedQuotientRing:
                 raise RingError("ideal generators must have degree >= 2")
             self.generators.append(g)
         self._cache: dict[int, _DegreeData] = {}
-        self._lock = threading.Lock()
 
     @property
     def codepth(self) -> int:
@@ -367,15 +363,9 @@ class GradedQuotientRing:
                 f"degree {d} beyond truncation bound {self.truncation}"
             )
         data = self._cache.get(d)
-        if data is not None:
-            return data
-        with self._lock:
-            data = self._cache.get(d)
-            if data is not None:
-                return data
-            data = self._build_degree(d)
-            self._cache[d] = data
-            return data
+        if data is None:
+            data = self._cache[d] = self._build_degree(d)
+        return data
 
     def _build_degree(self, d: int) -> _DegreeData:
         f = self.field
@@ -401,10 +391,6 @@ class GradedQuotientRing:
     def dim_quotient(self, d: int) -> int:
         """dim_k (Q/I)_d."""
         return len(self._degree_data(d).standard)
-
-    def dim_poly(self, d: int) -> int:
-        """dim_k Q_d = C(n-1+d, d)."""
-        return math.comb(self.nvars - 1 + d, d)
 
     def degree_piece_basis(self, d: int):
         """Standard monomial basis of (Q/I)_d, graded-lex descending."""

@@ -61,17 +61,6 @@ class Block:
         self.target_group = target_group
         self.source_group = source_group
 
-    def as_dict(self):
-        return {
-            "row0": self.row0,
-            "col0": self.col0,
-            "nrows": self.nrows,
-            "ncols": self.ncols,
-            "style": self.style,
-            "target": list(self.target_group),
-            "source": list(self.source_group),
-        }
-
 
 class BlockLayout:
     def __init__(self, nrows, ncols, row_groups, col_groups, blocks):
@@ -83,19 +72,6 @@ class BlockLayout:
 
     def styles_used(self):
         return sorted({b.style for b in self.blocks if b.style != "zero"})
-
-    def style_grid(self):
-        """Cell style per (row group, col group), for golden comparisons."""
-        return [
-            [self._cell(rt, ct).style for ct, _, _ in self.col_groups]
-            for rt, _, _ in self.row_groups
-        ]
-
-    def _cell(self, rt, ct):
-        for b in self.blocks:
-            if b.target_group == rt and b.source_group == ct:
-                return b
-        raise KeyError((rt, ct))
 
     def tiles_exactly(self) -> bool:
         """Blocks tile the full shape with no gap or overlap."""
@@ -155,12 +131,6 @@ def render_blocks(gmap: GradedMap) -> BlockLayout:
                 style = "other"
             blocks.append(Block(r0, c0, rn, cn, style, rt, ct))
     return BlockLayout(gmap.target.rank, gmap.source.rank, row_groups, col_groups, blocks)
-
-
-def classify_parity(layout: BlockLayout):
-    """Non-zero styles in the layout; even differentials use {koszul even,
-    zeta odd}, odd ones the complement."""
-    return set(layout.styles_used())
 
 
 def render_text(layout: BlockLayout) -> str:

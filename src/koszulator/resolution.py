@@ -16,13 +16,13 @@ value, since the differential removes each distinct tuple value once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
-from .complexes import ChainComplex, FreeModule, GradedMap, thread_count
+from .complexes import ChainComplex, FreeModule, GradedMap, collect
 from .koszul import CycleBasis, KoszulComplex, merge_wedge, subsets
-from .zetamaps import tuples
+from .zetamaps import tuples, zeta_terms
 
 
 class ResolutionF:
@@ -49,88 +49,16 @@ class ResolutionF:
                     for S in subsets(n, wedge):
                         gens.append(((w, S), wedge + extra[w]))
             modules[i] = FreeModule(ring, gens)
-        diffs = {}
-        for i in range(1, i_max + 1):
-            src, tgt = modules[i], modules[i - 1]
-            tgt_index = {lab: r for r, (lab, _) in enumerate(tgt.gens)}
-            entries = {}
-            for col, ((w, S), _) in enumerate(src.gens):
-                j = len(w)
-                # Koszul block: same tuple, wedge differential
-                for t, s in enumerate(S):
-                    rest = S[:t] + S[t + 1:]
-                    key = (w, rest)
-                    if key in tgt_index:
-                        coeff = ring.variable(s - 1)
-                        if t % 2:
-                            coeff = -coeff
-                        entries[(tgt_index[key], col)] = coeff
-                # zeta block: drop one distinct tuple value
-                if j:
-                    seen = set()
-                    for pos in range(j):
-                        val = w[pos]
-                        if val in seen:
-                            continue
-                        seen.add(val)
-                        v = w[:pos] + w[pos + 1:]
-                        z = Z.cycles[val - 1]
-                        for idx in range(1, n + 1):
-                            p = z[idx - 1]
-                            if p.is_zero():
-                                continue
-                            sign, T = _wedge_insert(idx, S)
-                            if sign == 0:
-                                continue
-                            key = (v, T)
-                            if key not in tgt_index:
-                                continue
-                            term = p if sign == 1 else -p
-                            tkey = (tgt_index[key], col)
-                            if tkey in entries:
-                                entries[tkey] = entries[tkey] + term
-                            else:
-                                entries[tkey] = term
-            dmap = GradedMap(src, tgt)
-            dmap.entries = {
-                k_: v for k_, v in ((k_, ring.normal_form(p)) for k_, p in entries.items())
-                if not v.is_zero()
-            }
-            diffs[i] = dmap
-        self.complex = ChainComplex(ring, modules, diffs)
 
-    # -- element algebra --------------------------------------------------------
-    def label_index(self, i: int):
-        return {lab: r for r, (lab, _) in enumerate(self.complex.module(i).gens)}
+        def column(label):
+            yield from K.column(label)
+            yield from zeta_terms(Z, *label)
 
-    def differential_element(self, i: int, elem: dict) -> dict:
-        """Apply ∂_i to {label: Polynomial} supported in F_i."""
-        ring = self.K.ring
-        d = self.complex.differential(i)
-        src_index = self.label_index(i)
-        tgt_labels = [lab for lab, _ in d.target.gens]
-        out = {}
-        for lab, p in elem.items():
-            col = src_index[lab]
-            for r, q in d.column(col).items():
-                key = tgt_labels[r]
-                term = q * p
-                if key in out:
-                    out[key] = out[key] + term
-                else:
-                    out[key] = term
-        return {
-            lab: q
-            for lab, q in ((lab, ring.normal_form(p)) for lab, p in out.items())
-            if not q.is_zero()
+        diffs = {
+            i: GradedMap.from_columns(modules[i], modules[i - 1], column)
+            for i in range(1, i_max + 1)
         }
-
-
-def _wedge_insert(i: int, S):
-    if i in S:
-        return 0, None
-    below = sum(1 for s in S if s < i)
-    return (-1) ** below, tuple(sorted(S + (i,)))
+        self.complex = ChainComplex(ring, modules, diffs)
 
 
 def assemble_f(K: KoszulComplex, Z: CycleBasis, i_max: int) -> ResolutionF:
@@ -170,10 +98,12 @@ def verify_minimal_and_exact(F: ResolutionF, max_d: int) -> dict:
         if not F.complex.differential(i - 1).compose(F.complex.differential(i)).is_zero():
             complexok = False
     checks.append({"check": "differential squares to zero", "pass": complexok})
-    keys = [(i, d) for i in range(1, F.i_max) for d in range(max_d + 1)]
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        dims = list(pool.map(lambda k_: F.complex.strand_homology_dim(*k_), keys))
-    bad = [k_ for k_, v in zip(keys, dims) if v != 0]
+    bad = [
+        (i, d)
+        for i in range(1, F.i_max)
+        for d in range(max_d + 1)
+        if F.complex.strand_homology_dim(i, d) != 0
+    ]
     checks.append(
         {
             "check": f"exact in homological degrees 1..{F.i_max - 1}, internal degrees ≤ {max_d}",
@@ -282,23 +212,15 @@ def dg_product_basis(a, b):
 
 def dg_product_elements(F: ResolutionF, x: dict, y: dict) -> dict:
     """Bilinear extension of the basis product to {label: Polynomial}."""
-    ring = F.K.ring
-    out = {}
-    for la, p in x.items():
-        for lb, q in y.items():
-            coeff, lab = dg_product_basis(la, lb)
-            if coeff == 0:
-                continue
-            term = (p * q).scale(coeff)
-            if lab in out:
-                out[lab] = out[lab] + term
-            else:
-                out[lab] = term
-    return {
-        lab: q
-        for lab, q in ((lab, ring.normal_form(p)) for lab, p in out.items())
-        if not q.is_zero()
-    }
+
+    def terms():
+        for la, p in x.items():
+            for lb, q in y.items():
+                coeff, lab = dg_product_basis(la, lb)
+                if coeff:
+                    yield lab, (p * q).scale(coeff)
+
+    return collect(terms(), F.K.ring)
 
 
 def hom_degree(label) -> int:
@@ -310,28 +232,23 @@ def verify_leibniz(F: ResolutionF, pairs) -> dict:
     """∂(ab) = ∂(a)b + (−1)^{|a|} a ∂(b) on the given basis-label pairs."""
     ring = F.K.ring
     one = ring.one()
+    d = F.complex.differential
     failures = []
     for a, b in pairs:
         i, i2 = hom_degree(a), hom_degree(b)
         if i + i2 > F.i_max:
             raise ValueError("pair beyond resolution range")
-        ab = dg_product_elements(F, {a: one}, {b: one})
-        lhs = F.differential_element(i + i2, ab) if ab else {}
-        da = F.differential_element(i, {a: one}) if i else {}
-        db = F.differential_element(i2, {b: one}) if i2 else {}
-        rhs = dg_product_elements(F, da, {b: one})
+        lhs = d(i + i2).apply(dg_product_elements(F, {a: one}, {b: one}))
+        da = d(i).apply({a: one})
+        db = d(i2).apply({b: one})
         adb = dg_product_elements(F, {a: one}, db)
-        for lab, p in adb.items():
-            term = p if i % 2 == 0 else -p
-            if lab in rhs:
-                rhs[lab] = rhs[lab] + term
-            else:
-                rhs[lab] = term
-        rhs = {
-            lab: q
-            for lab, q in ((lab, ring.normal_form(p)) for lab, p in rhs.items())
-            if not q.is_zero()
-        }
+        rhs = collect(
+            itertools.chain(
+                dg_product_elements(F, da, {b: one}).items(),
+                ((lab, p if i % 2 == 0 else -p) for lab, p in adb.items()),
+            ),
+            ring,
+        )
         if lhs != rhs:
             failures.append((a, b))
     return {"check": "graded Leibniz rule", "pass": not failures, "witnesses": failures}

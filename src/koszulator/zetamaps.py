@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .complexes import ChainComplex, ChainMap, FreeModule, GradedMap
-from .koszul import CycleBasis, KoszulComplex, subsets, wedge_sign
+from .complexes import ChainComplex, ChainMap, FreeModule, GradedMap, collect
+from .koszul import CycleBasis, KoszulComplex, subsets, wedge_cycle
 from .linalg import mat_vec, rank
 
 
@@ -64,53 +64,39 @@ def tuple_unrank(c: int, k: int, r: int):
 def koszul_tuple_sum(K: KoszulComplex, Z: CycleBasis, k: int) -> ChainComplex:
     """K^{⊕ tuples(c,k)} with gens ((w, S), |S| + Σ deg z_{w_t})."""
     ring = K.ring
-    c = ring.codepth
-    tups = tuples(c, k)
+    tups = tuples(ring.codepth, k)
     extra = {w: sum(Z.degrees[t - 1] for t in w) for w in tups}
-    modules = {}
-    for i in range(K.n + 1):
-        gens = []
-        for w in tups:
-            gens.extend(((w, S), len(S) + extra[w]) for S in subsets(K.n, i))
-        modules[i] = FreeModule(ring, gens)
-    diffs = {}
-    for i in range(1, K.n + 1):
-        base = K.complex.differential(i)
-        sr, tr = base.source.rank, base.target.rank
-        entries = {}
-        for copy in range(len(tups)):
-            for (r, cc), p in base.entries.items():
-                entries[(copy * tr + r, copy * sr + cc)] = p
-        diffs[i] = GradedMap(modules[i], modules[i - 1], entries)
+    modules = {
+        i: FreeModule(ring, [((w, S), i + extra[w]) for w in tups for S in subsets(K.n, i)])
+        for i in range(K.n + 1)
+    }
+    diffs = {
+        i: GradedMap.from_columns(modules[i], modules[i - 1], K.column)
+        for i in range(1, K.n + 1)
+    }
     return ChainComplex(ring, modules, diffs, check=False)
+
+
+def zeta_terms(Z: CycleBasis, w, S):
+    """Terms ((v, T), p) of ζ on the generator (w, S): for each distinct value
+    j of w, drop one j from w and wedge z_j into e_S."""
+    for pos, j in enumerate(w):
+        if j not in w[:pos]:
+            v = w[:pos] + w[pos + 1:]
+            for T, p in wedge_cycle(Z.cycles[j - 1], S):
+                yield (v, T), p
 
 
 def zeta_component_entries(K: KoszulComplex, Z: CycleBasis, k: int, u: int):
     """Entries of ζ_u^k keyed ((v,T), (w,S)): coefficient of target gen (v,T)
     in the image of source gen (w,S) with |S| = u−1, |T| = u."""
-    ring = K.ring
-    c = ring.codepth
-    n = K.n
-    out = {}
-    for v in tuples(c, k):
-        for j in range(1, c + 1):
-            w = tuple(sorted(v + (j,)))
-            z = Z.cycles[j - 1]
-            for S in subsets(n, u - 1):
-                for idx in range(1, n + 1):
-                    p = z[idx - 1]
-                    if p.is_zero():
-                        continue
-                    sign, T = wedge_sign(idx, S)
-                    if sign == 0:
-                        continue
-                    key = ((v, T), (w, S))
-                    term = p if sign == 1 else -p
-                    if key in out:
-                        out[key] = out[key] + term
-                    else:
-                        out[key] = term
-    return {k_: p for k_, p in out.items() if not p.is_zero()}
+    return collect(
+        (((tl, (w, S)), p)
+         for w in tuples(K.ring.codepth, k + 1)
+         for S in subsets(K.n, u - 1)
+         for tl, p in zeta_terms(Z, w, S)),
+        K.ring,
+    )
 
 
 class ZetaMap:
@@ -123,16 +109,13 @@ class ZetaMap:
         self.c = K.ring.codepth
         self.target = koszul_tuple_sum(K, Z, k)
         self.source = koszul_tuple_sum(K, Z, k + 1).shift(1)
-        components = {}
-        for u in range(1, K.n + 1):
-            src = self.source.module(u)
-            tgt = self.target.module(u)
-            src_index = {lab: col for col, (lab, _) in enumerate(src.gens)}
-            tgt_index = {lab: row for row, (lab, _) in enumerate(tgt.gens)}
-            entries = {}
-            for (tl, sl), p in zeta_component_entries(K, Z, k, u).items():
-                entries[(tgt_index[tl], src_index[sl])] = p
-            components[u] = GradedMap(src, tgt, entries)
+        components = {
+            u: GradedMap.from_columns(
+                self.source.module(u), self.target.module(u),
+                lambda label: zeta_terms(Z, *label),
+            )
+            for u in range(1, K.n + 1)
+        }
         self.chain_map = ChainMap(self.source, self.target, components, check=check)
 
     def component(self, u: int) -> GradedMap:

@@ -103,6 +103,24 @@ def test_resolve_deterministic_output(ring3_file, tmp_path):
         assert p.read_bytes() == (dirs[1] / p.name).read_bytes()
 
 
+def test_resolve_beyond_truncation_exits_2(ring3_file, capsys):
+    assert main(["resolve", "--ring", ring3_file, "--imax", "4", "--verify-all",
+                 "--max-d", "20"]) == 2
+    assert "input error: degree 17 beyond truncation bound 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prime,code", [(3037000493, 0), (4294967311, 2)])
+def test_resolve_near_the_prime_bound(tmp_path, capsys, prime, code):
+    path = tmp_path / "big.ring"
+    path.write_text(RING3.replace("32003", str(prime)))
+    assert main(["resolve", "--ring", str(path), "--imax", "4", "--verify-all"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "minimality and exactness: pass" in out
+    else:
+        assert "input error" in err and "too large" in err
+
+
 def test_divided_command(ring3_file, capsys):
     assert main(["divided", "--ring", ring3_file, "--k", "2",
                  "--compare-zeta"]) == 0

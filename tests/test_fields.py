@@ -39,6 +39,13 @@ def test_prime_field_rejects_composite():
         PrimeField(6)
 
 
+def test_prime_field_bounds_p_for_int64_elimination():
+    # 3037000493 is the largest prime with (p-1)^2 < 2^63
+    assert PrimeField(3037000493).p == 3037000493
+    with pytest.raises(FieldError, match="too large"):
+        PrimeField(4294967311)
+
+
 def test_rational_field():
     f = RationalField()
     a = f.of(Fraction(2, 3))

@@ -1,7 +1,6 @@
 import pytest
 
 from koszulator.render import (
-    classify_parity,
     export_map_json,
     import_map_json,
     render_blocks,
@@ -48,7 +47,7 @@ def test_even_odd_style_pattern(F6s):
     odd = {"koszul1", "koszul3", "zeta2"}
     for F in F6s.values():
         for i in range(1, 7):
-            styles = classify_parity(render_blocks(F.complex.differential(i)))
+            styles = set(render_blocks(F.complex.differential(i)).styles_used())
             assert styles <= (even if i % 2 == 0 else odd)
 
 
