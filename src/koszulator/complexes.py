@@ -198,23 +198,21 @@ class GradedMap:
                 off += size
         nrows = off
         ncols = sum(len(b[2]) for b in src_blocks)
-        cols = []
+        by_col = {}
+        for (i, j), p in self.entries.items():
+            if i in tgt_offsets:
+                by_col.setdefault(j, []).append((i, p))
+        rows = [[f.zero()] * ncols for _ in range(nrows)]
+        col = 0
         for j, t, monos in src_blocks:
-            col_entries = self.column(j)
             for m in monos:
-                col = [f.zero()] * nrows
-                for i, p in col_entries.items():
-                    if i not in tgt_offsets:
-                        continue
-                    shifted = p.mul_monomial(m)
-                    vec = ring.nf_coeff_vector(shifted, tgt_sizes[i])
+                for i, p in by_col.get(j, ()):
                     o = tgt_offsets[i]
+                    vec = ring.nf_coeff_vector(p.mul_monomial(m), tgt_sizes[i])
                     for r, c in enumerate(vec):
                         if not f.is_zero(c):
-                            col[o + r] = f.add(col[o + r], c)
-                cols.append(col)
-        # transpose columns into rows
-        rows = [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
+                            rows[o + r][col] = f.add(rows[o + r][col], c)
+                col += 1
         return rows, nrows, ncols
 
 
@@ -226,6 +224,10 @@ class ChainComplex:
         self.ring = ring
         self.modules = dict(modules)
         self.differentials = dict(differentials)
+        # (i, d) -> strand matrix of ∂_i kept by strand(), and its rank;
+        # a complex is never changed once built, so neither goes stale
+        self._strands = {}
+        self._ranks = {}
         if check:
             for i, dmap in self.differentials.items():
                 prev = self.differentials.get(i - 1)
@@ -257,13 +259,26 @@ class ChainComplex:
         return ChainComplex(self.ring, modules, diffs, check=False)
 
     # -- homology ---------------------------------------------------------------
+    def strand(self, i: int, d: int):
+        """Strand matrix of ∂_i at internal degree d, built once and kept."""
+        key = (i, d)
+        if key not in self._strands:
+            self._strands[key] = self.differential(i).strand_matrix(d)
+        return self._strands[key]
+
+    def strand_rank(self, i: int, d: int) -> int:
+        """Rank of ∂_i at internal degree d, computed once.  A matrix kept
+        by strand() is reused; any other is dropped after its rank."""
+        key = (i, d)
+        if key not in self._ranks:
+            self._ranks[key] = _strand_rank(self.differential(i), d, self._strands.get(key))
+        return self._ranks[key]
+
     def strand_homology_dim(self, i: int, d: int) -> int:
         dim = self.module(i).strand_dim(d)
         if dim == 0:
             return 0
-        r_in = _strand_rank(self.differential(i + 1), d)
-        r_out = _strand_rank(self.differential(i), d)
-        return dim - r_in - r_out
+        return dim - self.strand_rank(i + 1, d) - self.strand_rank(i, d)
 
     def homology_table(self, max_i: int, max_d: int):
         """{(i, d): dim H_i(C)_d} over 0..max_i, 0..max_d."""
@@ -274,8 +289,8 @@ class ChainComplex:
         }
 
 
-def _strand_rank(dmap: GradedMap, d: int) -> int:
-    rows, nrows, ncols = dmap.strand_matrix(d)
+def _strand_rank(dmap: GradedMap, d: int, strand=None) -> int:
+    rows, nrows, ncols = strand or dmap.strand_matrix(d)
     if nrows == 0 or ncols == 0:
         return 0
     return rank(rows, dmap.source.ring.field)

@@ -1,65 +1,73 @@
 """Exact dense linear algebra over a coefficient field.
 
 Matrices are lists of rows (lists of field scalars).  Prime-field
-computations run on numpy int64 arrays; rational ones use Fractions.
-Everything is deterministic: pivots are always the first nonzero column.
+computations run on numpy int64 arrays, numpy being imported only there;
+rational ones use Fractions.  Everything is deterministic: pivots are
+always the first nonzero column.
 """
 
 from __future__ import annotations
 
-import numpy as np
 
+def _eliminate_mod_p(rows, p: int, reduced: bool):
+    """Row-reduce rows mod p; returns (int64 array, pivot columns).  Each
+    pivot only updates the rows below it that are nonzero in its column,
+    from that column on; `reduced` then clears the entries above each
+    pivot, last pivot first."""
+    import numpy as np
 
-def _to_array(rows, p: int) -> np.ndarray:
-    return np.array(rows, dtype=np.int64) % p
-
-
-def _rref_mod_p(a: np.ndarray, p: int):
-    a = a % p
+    a = np.array(rows, dtype=np.int64) % p
     m, n = a.shape
     pivots = []
-    r = 0
     for c in range(n):
-        if r >= m:
+        r = len(pivots)
+        if r == m:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = r + np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
+        i = nz[0]
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a -= np.outer(col, a[r])
-        a %= p
+            a[[r, i], c:] = a[[i, r], c:]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        below = nz[1:]  # row i now holds the old row r, zero in column c
+        if below.size:
+            a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
         pivots.append(c)
-        r += 1
-    return a[:r], pivots
+    for r in range(len(pivots) - 1, 0, -1) if reduced else ():
+        c = pivots[r]
+        above = np.flatnonzero(a[:r, c])
+        if above.size:
+            a[above, c:] = (a[above, c:] - np.outer(a[above, c], a[r, c:])) % p
+    return a, pivots
 
 
-def _rref_frac(rows):
+def _eliminate_frac(rows, reduced: bool):
+    """Row-reduce Fraction rows, skipping zero entries; returns (rows,
+    pivot columns).  `reduced` clears each pivot column above the pivot
+    too (Gauss-Jordan)."""
     a = [list(row) for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
+    m, n = len(a), len(a[0])
     pivots = []
-    r = 0
     for c in range(n):
-        if r >= m:
+        r = len(pivots)
+        if r == m:
             break
-        i = next((k for k in range(r, m) if a[k][c] != 0), None)
+        i = next((k for k in range(r, m) if a[k][c]), None)
         if i is None:
             continue
         a[r], a[i] = a[i], a[r]
         inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for k in range(m):
-            if k != r and a[k][c] != 0:
-                f = a[k][c]
-                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
+        row = a[r] = [x * inv if x else x for x in a[r]]
+        support = [j for j in range(c, n) if row[j]]
+        for k in range(0 if reduced else r + 1, m):
+            f = a[k][c]
+            if f and k != r:
+                other = a[k]
+                for j in support:
+                    other[j] -= f * row[j]
         pivots.append(c)
-        r += 1
-    return a[:r], pivots
+    return a, pivots
 
 
 def rref(rows, field):
@@ -67,13 +75,19 @@ def rref(rows, field):
     if not rows or not rows[0]:
         return [], []
     if field.is_prime:
-        red, piv = _rref_mod_p(_to_array(rows, field.p), field.p)
-        return [[int(x) for x in row] for row in red], piv
-    return _rref_frac(rows)
+        a, piv = _eliminate_mod_p(rows, field.p, True)
+        return a[: len(piv)].tolist(), piv
+    a, piv = _eliminate_frac(rows, True)
+    return a[: len(piv)], piv
 
 
 def rank(rows, field) -> int:
-    return len(rref(rows, field)[1])
+    """Rank from the forward pass alone."""
+    if not rows or not rows[0]:
+        return 0
+    if field.is_prime:
+        return len(_eliminate_mod_p(rows, field.p, False)[1])
+    return len(_eliminate_frac(rows, False)[1])
 
 
 def nullspace(rows, field, ncols: int):
@@ -122,11 +136,12 @@ def in_span(vectors, vec, field) -> bool:
 
 
 def mat_vec(rows, vec, field):
+    support = [(j, b) for j, b in enumerate(vec) if not field.is_zero(b)]
     out = []
     for row in rows:
         s = field.zero()
-        for a, b in zip(row, vec):
-            if not field.is_zero(a) and not field.is_zero(b):
-                s = field.add(s, field.mul(a, b))
+        for j, b in support:
+            if not field.is_zero(row[j]):
+                s = field.add(s, field.mul(row[j], b))
         out.append(s)
     return out

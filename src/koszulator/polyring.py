@@ -300,16 +300,23 @@ def parse_polynomial(text: str, var_names, field) -> Polynomial:
 
 
 class _DegreeData:
-    __slots__ = ("monomials", "index", "pivot_rows", "pivot_cols", "standard", "standard_index")
+    """Degree-d monomials, the standard ones among them, and the normal-form
+    table: nf[k] lists (standard index, coefficient) for NF(monomials[k])."""
 
-    def __init__(self, monomials, pivot_rows, pivot_cols):
-        self.monomials = monomials
+    __slots__ = ("index", "standard", "nf")
+
+    def __init__(self, monomials, red_rows, pivot_cols, field):
         self.index = {m: i for i, m in enumerate(monomials)}
-        self.pivot_rows = pivot_rows
-        self.pivot_cols = pivot_cols
         piv = set(pivot_cols)
-        self.standard = [m for i, m in enumerate(monomials) if i not in piv]
-        self.standard_index = {m: i for i, m in enumerate(self.standard)}
+        std = [k for k in range(len(monomials)) if k not in piv]
+        self.standard = [monomials[k] for k in std]
+        # a standard monomial is its own NF; an RREF row is zero on every
+        # other pivot column, so its pivot monomial is -(row on std columns)
+        self.nf = [None] * len(monomials)
+        for s, k in enumerate(std):
+            self.nf[k] = ((s, field.one()),)
+        for row, c in zip(red_rows, pivot_cols):
+            self.nf[c] = tuple((s, field.neg(row[k])) for s, k in enumerate(std) if row[k])
 
 
 class GradedQuotientRing:
@@ -386,7 +393,7 @@ class GradedQuotientRing:
         from .linalg import rref
 
         red, piv = rref(rows, f) if rows else ([], [])
-        return _DegreeData(monomials, red, piv)
+        return _DegreeData(monomials, red, piv, f)
 
     def dim_quotient(self, d: int) -> int:
         """dim_k (Q/I)_d."""
@@ -396,31 +403,28 @@ class GradedQuotientRing:
         """Standard monomial basis of (Q/I)_d, graded-lex descending."""
         return list(self._degree_data(d).standard)
 
-    def _reduce_vector(self, vec, data: _DegreeData):
+    def _nf_vector(self, poly: Polynomial, data: _DegreeData):
+        """NF(poly) over the standard basis, summed off the normal-form table."""
         f = self.field
-        v = list(vec)
-        for row, c in zip(data.pivot_rows, data.pivot_cols):
-            p = v[c]
-            if not f.is_zero(p):
-                v = [f.sub(x, f.mul(p, y)) for x, y in zip(v, row)]
-        return v
+        vec = [f.zero()] * len(data.standard)
+        for m, c in poly.terms.items():
+            k = data.index.get(m)
+            if k is None:
+                raise RingError("normal form needs a homogeneous input")
+            for s, a in data.nf[k]:
+                vec[s] = f.add(vec[s], f.mul(c, a))
+        return vec
 
     def normal_form_homogeneous(self, poly: Polynomial, d=None) -> Polynomial:
         if poly.is_zero():
             return poly
-        if d is None:
-            d = poly.degree()
-        if not poly.is_homogeneous(d):
-            raise RingError("normal form needs a homogeneous input")
-        data = self._degree_data(d)
-        f = self.field
-        vec = [f.zero()] * len(data.monomials)
-        for m, c in poly.terms.items():
-            vec[data.index[m]] = c
-        vec = self._reduce_vector(vec, data)
-        return Polynomial(
-            self.nvars, f, {m: c for m, c in zip(data.monomials, vec) if not f.is_zero(c)}
-        )
+        data = self._degree_data(poly.degree() if d is None else d)
+        out = Polynomial(self.nvars, self.field)
+        out.terms = {
+            m: c for m, c in zip(data.standard, self._nf_vector(poly, data))
+            if not self.field.is_zero(c)
+        }
+        return out
 
     def normal_form(self, poly: Polynomial) -> Polynomial:
         """Normal form of any polynomial, reducing each homogeneous part."""
@@ -431,15 +435,7 @@ class GradedQuotientRing:
 
     def nf_coeff_vector(self, poly: Polynomial, d: int):
         """Coefficients of the degree-d normal form over the standard basis."""
-        data = self._degree_data(d)
-        f = self.field
-        vec = [f.zero()] * len(data.monomials)
-        for m, c in poly.terms.items():
-            if monomial_degree(m) != d:
-                raise RingError("nf_coeff_vector needs a homogeneous degree-d input")
-            vec[data.index[m]] = c
-        vec = self._reduce_vector(vec, data)
-        return [vec[data.index[m]] for m in data.standard]
+        return self._nf_vector(poly, self._degree_data(d))
 
     def hilbert_coefficients(self, up_to: int):
         """dim_k (Q/I)_d for d = 0..up_to (inclusive)."""

@@ -1,5 +1,6 @@
 import pytest
 
+from koszulator.complexes import GradedMap
 from koszulator.fields import RationalField
 from koszulator.polyring import ring_from_strings
 from koszulator.koszul import build_koszul, cycles_from_generators
@@ -55,3 +56,19 @@ def tower2(ex2):
 @pytest.fixture(scope="session")
 def tower3(ex3):
     return build_tower(ex3.K, ex3.Z, 3)
+
+
+@pytest.fixture
+def strand_builds(monkeypatch):
+    """(id(map), d) of every strand matrix built while the test runs; the
+    maps are kept alive so that their ids stay distinct."""
+    built, maps = [], []
+    original = GradedMap.strand_matrix
+
+    def counting(self, d):
+        maps.append(self)
+        built.append((id(self), d))
+        return original(self, d)
+
+    monkeypatch.setattr(GradedMap, "strand_matrix", counting)
+    return built

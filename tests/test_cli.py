@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -165,3 +168,42 @@ def test_inhomogeneous_generator_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.ring"
     path.write_text("field rational\nvars x,y\ngen x^2+y\n")
     assert main(["cycles", "--ring", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["resolve", "--imax", "6", "--betti"],
+    ["tower", "--levels", "2"],
+    ["zeta", "--k", "1"],
+], ids=["resolve", "tower", "zeta"])
+def test_non_complete_intersection_exits_2(tmp_path, capsys, command):
+    # (x^2, xy) is not a CI: its Hilbert series is not the CI prediction
+    path = tmp_path / "nonci.ring"
+    path.write_text("field rational\nvars x,y,z\ngen x^2\ngen x*y\n")
+    assert main([command[0], "--ring", str(path)] + command[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "input error: not a complete intersection" in err
+
+
+def test_verify_all_quintic_passes(tmp_path, capsys):
+    # the level-2 clauses need degrees up to 5+5+2*5 = 20, above the
+    # default truncation bound 16, which verify-all raises to reach them
+    path = tmp_path / "quintic.ring"
+    path.write_text("field prime 32003\nvars x,y,z\ngen x^5\ngen y^5+z^5\n")
+    assert main(["verify-all", "--ring", str(path), "--imax", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "homology clauses at level 2: pass" in out
+    assert "overall: pass" in out
+
+
+def test_verify_all_builds_each_strand_matrix_once(ring3_file, strand_builds, capsys):
+    assert main(["verify-all", "--ring", ring3_file, "--imax", "6"]) == 0
+    assert strand_builds and len(strand_builds) == len(set(strand_builds))
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, koszulator.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

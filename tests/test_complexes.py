@@ -10,7 +10,8 @@ from koszulator.complexes import (
 )
 from koszulator.fields import RationalField
 from koszulator.polyring import parse_polynomial, ring_from_strings
-from koszulator.koszul import build_koszul
+from koszulator.koszul import build_koszul, cycles_from_generators
+from koszulator.resolution import assemble_f, verify_minimal_and_exact
 
 VARS = ["x", "y", "z"]
 
@@ -105,3 +106,11 @@ def test_homology_table_of_koszul(ring):
     # total homology dims are binomial(codepth, i): 1, 2, 1, 0
     totals = [sum(table[(i, d)] for d in range(6)) for i in range(4)]
     assert totals == [1, 2, 1, 0]
+
+
+def test_exactness_builds_each_strand_matrix_once(ring, strand_builds):
+    K = build_koszul(ring)
+    F = assemble_f(K, cycles_from_generators(K), 6)
+    strand_builds.clear()
+    assert verify_minimal_and_exact(F, 8)["pass"]
+    assert strand_builds and len(strand_builds) == len(set(strand_builds))

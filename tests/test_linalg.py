@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,3 +47,62 @@ def test_rational_rref_exact():
     assert piv == [0, 1]
     assert red[0] == [Fraction(1), Fraction(0)]
     assert red[1] == [Fraction(0), Fraction(1)]
+
+
+def gauss_jordan(rows, field):
+    """Reference RREF: plain Gauss-Jordan on the whole matrix."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        i = next((k for k in range(r, len(a)) if not field.is_zero(a[k][c])), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = field.inv(a[r][c])
+        a[r] = [field.mul(x, inv) for x in a[r]]
+        for k in range(len(a)):
+            if k != r:
+                f = a[k][c]
+                a[k] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[k], a[r])]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+def random_matrix(rng, field, m, n, r, zero_cols):
+    """m x n product of random m x r and r x n factors (rank at most r),
+    with the columns in zero_cols cleared."""
+    def entry():
+        if field.is_prime:
+            return field.of(rng.randrange(field.p))
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    left = [[entry() for _ in range(r)] for _ in range(m)]
+    right = [[entry() for _ in range(n)] for _ in range(r)]
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(n):
+            s = field.zero()
+            if j not in zero_cols:
+                for k in range(r):
+                    s = field.add(s, field.mul(left[i][k], right[k][j]))
+            row.append(s)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "field", [RationalField(), PrimeField(32003), PrimeField(3037000493)],
+    ids=["Q", "F32003", "F3037000493"],
+)
+@pytest.mark.parametrize("m,n,r", [(12, 5, 5), (5, 12, 5), (9, 9, 4), (8, 10, 0), (1, 7, 1)],
+                         ids=["tall", "wide", "deficient", "zero", "one-row"])
+def test_rref_and_rank_match_gauss_jordan(field, m, n, r):
+    rng = random.Random(f"{field!r}-{m}-{n}-{r}")
+    for trial in range(5):
+        zero_cols = set(rng.sample(range(n), trial % 3))
+        rows = random_matrix(rng, field, m, n, r, zero_cols)
+        red, piv = rref(rows, field)
+        assert (red, piv) == gauss_jordan(rows, field)
+        assert rank(rows, field) == len(piv) <= r

@@ -1,8 +1,10 @@
 import pytest
 
 from koszulator.fields import PrimeField, RationalField
+from koszulator.linalg import reduce_against, rref
 from koszulator.polyring import (
     ParseError,
+    Polynomial,
     RingError,
     monomials_of_degree,
     parse_polynomial,
@@ -95,3 +97,55 @@ def test_prime_field_ring_agrees_with_rational():
     ring_q = ring_from_strings(VARS, ["x^2+y^2", "x*z", "z^2+x*y"], Q)
     assert ring_p.hilbert_coefficients(10) == ring_q.hilbert_coefficients(10)
     assert ring_p.codepth == ring_q.codepth == 3
+
+
+# the generic 4-variable ring of the benchmark (generic_ci_ring(1))
+GENERIC4 = (
+    ["x", "y", "z", "w"],
+    [
+        "15789*x^2 + 28014*x*y + 30558*x*z + 25859*x*w + 19194*y^2 + 24841*y*z"
+        " + 23056*y*w + 13545*z^2 + 17514*z*w + 18165*w^2",
+        "20016*x^2 + 27922*x*y + 8116*x*z + 28479*x*w + 16090*y^2 + 20735*y*z"
+        " + 145*y*w + 25618*z^2 + 23857*z*w + 9371*w^2",
+        "30054*x^2 + 9689*x*y + 31881*x*z + 26738*x*w + 31944*y^2 + 16510*y*z"
+        " + 41*y*w + 29653*z^2 + 15418*z*w + 30233*w^2",
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "names,gens,field",
+    [
+        (VARS, ["x^2", "y^2+z^2"], Q),
+        (VARS, ["x^2+y^2", "x*z", "z^2+x*y"], Q),
+        (VARS, ["x^2", "y^2+z^2"], PrimeField()),
+        (VARS, ["x^2+y^2", "x*z", "z^2+x*y"], PrimeField()),
+        (*GENERIC4, PrimeField()),
+    ],
+    ids=["golden2-q", "golden3-q", "golden2-p", "golden3-p", "generic4-p"],
+)
+def test_normal_form_table_matches_rref_reduction(names, gens, field):
+    """NF of every monomial of degree <= 8, read off the table, equals its
+    reduction against the RREF of the ideal's degree piece."""
+    ring = ring_from_strings(names, gens, field)
+    n = len(names)
+    for d in range(9):
+        monos = monomials_of_degree(n, d)
+        col = {m: k for k, m in enumerate(monos)}
+        rows = []
+        for g in ring.generators:
+            for m in monomials_of_degree(n, d - g.degree()) if d >= g.degree() else []:
+                row = [field.zero()] * len(monos)
+                for gm, c in g.mul_monomial(m).terms.items():
+                    row[col[gm]] = c
+                rows.append(row)
+        red, piv = rref(rows, field)
+        for k, m in enumerate(monos):
+            unit = [field.one() if j == k else field.zero() for j in range(len(monos))]
+            residual = reduce_against(unit, red, piv, field)
+            expected = {monos[j]: c for j, c in enumerate(residual) if not field.is_zero(c)}
+            nf = ring.normal_form(Polynomial(n, field, {m: field.one()}))
+            assert nf.terms == expected
+            assert ring.nf_coeff_vector(Polynomial(n, field, {m: field.one()}), d) == [
+                residual[col[s]] for s in ring.degree_piece_basis(d)
+            ]
