@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -123,6 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     ring = load_ring_file(args.ring)
+    _raise_truncation(ring, _default_max_d(ring, 1))  # the certificate's window
     K = build_koszul(ring)
     z_path = getattr(args, "z", None)
     if z_path:
@@ -191,10 +193,23 @@ def _cmd_zeta(args) -> int:
 
 
 def _default_max_d(ring, k: int) -> int:
-    """Σ deg g_t + k·max deg g_t, raising the ring's truncation bound (a cap
-    on its degree cache) to reach it."""
+    """Σ deg g_t + k·max deg g_t: the degree window of the level-k checks."""
     degs = [g.degree() for g in ring.generators]
-    max_d = sum(degs) + max(1, k) * max(degs)
+    return sum(degs) + max(1, k) * max(degs)
+
+
+# the degree pieces of the ideal are row-reduced densely, so a window is not
+# raised past a degree with more monomials than this (5 variables, degree 16)
+MAX_WINDOW_MONOMIALS = 4845
+
+
+def _raise_truncation(ring, max_d: int) -> int:
+    """Raise the ring's truncation bound (a cap on its degree cache) to reach
+    max_d; returns max_d."""
+    count = math.comb(max_d + ring.nvars - 1, ring.nvars - 1)
+    if max_d > ring.truncation and count > MAX_WINDOW_MONOMIALS:
+        raise RingError(f"degree window {max_d} has {count} monomials in its "
+                        f"top degree, more than {MAX_WINDOW_MONOMIALS}")
     ring.truncation = max(ring.truncation, max_d)
     return max_d
 
@@ -211,7 +226,9 @@ def _cmd_tower(args) -> int:
     report = {"levels": args.levels, "checks": []}
     ok = True
     for k in range(1, args.levels + 1):
-        max_d = args.max_d if args.max_d is not None else _default_max_d(ring, k)
+        max_d = args.max_d
+        if max_d is None:
+            max_d = _raise_truncation(ring, _default_max_d(ring, k))
         res = verify_homology_theorem(tower, k, max_d)
         report["checks"].append({"level": k, **res})
         print(f"homology clauses at level {k}: {'pass' if res['pass'] else 'FAIL'}")
@@ -305,13 +322,14 @@ def _cmd_verify_all(args) -> int:
         ok &= record(f"homology sequence exact (k={k})",
                      verify_exact_sequence(c, k, ring.field))
     tower = build_tower(K, Z, 2)
-    max_d = args.max_d if args.max_d is not None else _default_max_d(ring, 2)
-    # run first: it keeps the strand matrices the homology clauses reuse
-    splitting = verify_splitting(tower, 1, 2 + ring.nvars, max_d)
+    max_d = args.max_d
+    if max_d is None:
+        max_d = _raise_truncation(ring, _default_max_d(ring, 2))
     for k in (1, 2):
         ok &= record(f"homology clauses at level {k}",
                      verify_homology_theorem(tower, k, max_d))
-    ok &= record("inclusion vanishes in homology (k=1)", splitting)
+    ok &= record("inclusion vanishes in homology (k=1)",
+                 verify_splitting(tower, 1, 2 + ring.nvars, max_d))
     F = assemble_f(K, Z, args.imax)
     ok &= record("resolution minimal and exact",
                  verify_minimal_and_exact(F, min(16, ring.truncation)))

@@ -224,9 +224,8 @@ class ChainComplex:
         self.ring = ring
         self.modules = dict(modules)
         self.differentials = dict(differentials)
-        # (i, d) -> strand matrix of ∂_i kept by strand(), and its rank;
-        # a complex is never changed once built, so neither goes stale
-        self._strands = {}
+        # (i, d) -> rank of ∂_i at internal degree d; a complex is never
+        # changed once built, so the memo cannot go stale
         self._ranks = {}
         if check:
             for i, dmap in self.differentials.items():
@@ -259,19 +258,11 @@ class ChainComplex:
         return ChainComplex(self.ring, modules, diffs, check=False)
 
     # -- homology ---------------------------------------------------------------
-    def strand(self, i: int, d: int):
-        """Strand matrix of ∂_i at internal degree d, built once and kept."""
-        key = (i, d)
-        if key not in self._strands:
-            self._strands[key] = self.differential(i).strand_matrix(d)
-        return self._strands[key]
-
     def strand_rank(self, i: int, d: int) -> int:
-        """Rank of ∂_i at internal degree d, computed once.  A matrix kept
-        by strand() is reused; any other is dropped after its rank."""
+        """Rank of ∂_i at internal degree d, computed once."""
         key = (i, d)
         if key not in self._ranks:
-            self._ranks[key] = _strand_rank(self.differential(i), d, self._strands.get(key))
+            self._ranks[key] = _strand_rank(self.differential(i), d)
         return self._ranks[key]
 
     def strand_homology_dim(self, i: int, d: int) -> int:
@@ -289,8 +280,8 @@ class ChainComplex:
         }
 
 
-def _strand_rank(dmap: GradedMap, d: int, strand=None) -> int:
-    rows, nrows, ncols = strand or dmap.strand_matrix(d)
+def _strand_rank(dmap: GradedMap, d: int) -> int:
+    rows, nrows, ncols = dmap.strand_matrix(d)
     if nrows == 0 or ncols == 0:
         return 0
     return rank(rows, dmap.source.ring.field)

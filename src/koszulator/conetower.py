@@ -127,14 +127,14 @@ def _homology_cycle_images_vanish(f: ChainMap, i: int, d: int) -> bool:
     dim = src.module(i).strand_dim(d)
     if dim == 0:
         return True
-    rows, nr, nc = src.strand(i, d)
+    rows, nr, nc = src.differential(i).strand_matrix(d)
     cycles = nullspace(rows, field, nc) if nc else []
     if not cycles:
         return True
     frows, fnr, fnc = f.component(i).strand_matrix(d)
     if fnr == 0:
         return True
-    brows, bnr, bnc = tgt.strand(i + 1, d)
+    brows, bnr, bnc = tgt.differential(i + 1).strand_matrix(d)
     stack = [[brows[r][cc] for r in range(bnr)] for cc in range(bnc)]
     stack += [mat_vec(frows, v, field) for v in cycles]
     return rank(stack, field) == tgt.strand_rank(i + 1, d)
@@ -152,10 +152,10 @@ def verify_splitting(tower: ConeTower, k: int, max_i: int, max_d: int) -> dict:
         for d in range(max_d + 1)
         if (i, d) != (0, 0) and not _homology_cycle_images_vanish(f, i, d)
     ]
-    corner_iso = (  # images first: they keep a strand the dimensions reuse
-        not _homology_cycle_images_vanish(f, 0, 0)
-        and tower.level(k).strand_homology_dim(0, 0) == 1
+    corner_iso = (
+        tower.level(k).strand_homology_dim(0, 0) == 1
         and tower.level(k + 1).strand_homology_dim(0, 0) == 1
+        and not _homology_cycle_images_vanish(f, 0, 0)
     )
     return {
         "check": f"H(f^{k}) = 0 on strands i ≤ {max_i}, d ≤ {max_d}",

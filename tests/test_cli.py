@@ -196,14 +196,33 @@ def test_verify_all_quintic_passes(tmp_path, capsys):
     assert "overall: pass" in out
 
 
-def test_verify_all_builds_each_strand_matrix_once(ring3_file, strand_builds, capsys):
-    assert main(["verify-all", "--ring", ring3_file, "--imax", "6"]) == 0
-    assert strand_builds and len(strand_builds) == len(set(strand_builds))
-
-
 def test_cli_import_leaves_numpy_out():
     code = "import sys, koszulator.cli; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("vars_,gens", [
+    ("x,y,z", ["x^6", "y^6", "z^6"]),
+    ("x,y", ["x^9", "y^9"]),
+], ids=["x6y6z6", "x9y9"])
+def test_resolve_ci_beyond_default_truncation(tmp_path, capsys, vars_, gens):
+    # the top class H_c(K) lies in degree Σ deg > 16, the default truncation
+    # bound, which loading raises so that the certificate window reaches it
+    path = tmp_path / "high.ring"
+    path.write_text(f"field rational\nvars {vars_}\n" + "".join(f"gen {g}\n" for g in gens))
+    assert main(["resolve", "--ring", str(path), "--imax", "3", "--betti"]) == 0
+    assert "betti:" in capsys.readouterr().out
+
+
+def test_window_beyond_monomial_limit_exits_2(tmp_path, capsys):
+    # six degree-10 generators in 6 variables: the certificate window is
+    # degree 70, whose piece has about 1.7e7 monomials
+    path = tmp_path / "huge.ring"
+    path.write_text("field rational\nvars a,b,c,d,e,f\n"
+                    + "".join(f"gen {v}^10\n" for v in "abcdef"))
+    assert main(["resolve", "--ring", str(path), "--imax", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "input error: degree window 70 has 17259390 monomials" in err
