@@ -198,8 +198,9 @@ def _default_max_d(ring, k: int) -> int:
     return sum(degs) + max(1, k) * max(degs)
 
 
-# the degree pieces of the ideal are row-reduced densely, so a window is not
-# raised past a degree with more monomials than this (5 variables, degree 16)
+# every degree's normal-form table, monomial index and strand columns
+# enumerate all of its monomials, so a window is not raised past a degree
+# with more monomials than this (5 variables, degree 16)
 MAX_WINDOW_MONOMIALS = 4845
 
 

@@ -2,9 +2,11 @@
 
 A monomial is a tuple of exponents; polynomials map monomials to nonzero
 field scalars.  A GradedQuotientRing holds per-degree normal-form data for
-Q/I computed by linear algebra on the degree strands of the ideal: row
-reduction always eliminates the graded-lex largest monomial, and the
-surviving (non-pivot) monomials are the standard basis of that degree.
+Q/I: the standard monomials of each degree (those that are not the
+graded-lex leading monomial of an element of the ideal) and the normal form
+of every monomial over them.  Degree d is built from degrees d-1 and d-2 by
+a small elimination on the monomials that have a standard parent, never in
+the ideal's whole degree piece.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import FieldError, field_from_spec
+from .linalg import rref
 
 
 class ParseError(ValueError):
@@ -36,10 +39,17 @@ def monomial_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _shift(mono, j: int, k: int):
+    """mono times x_j^k (k may be negative)."""
+    return mono[:j] + (mono[j] + k,) + mono[j + 1:]
+
+
 def monomials_of_degree(nvars: int, d: int):
     """All degree-d monomials in graded-lex descending order (x1 largest)."""
     if nvars == 0:
         return [()] if d == 0 else []
+    if nvars == 1:
+        return [(d,)]
     out = []
     for head in range(d, -1, -1):
         for tail in monomials_of_degree(nvars - 1, d - head):
@@ -301,28 +311,25 @@ def parse_polynomial(text: str, var_names, field) -> Polynomial:
 
 class _DegreeData:
     """Degree-d monomials, the standard ones among them, and the normal-form
-    table: nf[k] lists (standard index, coefficient) for NF(monomials[k])."""
+    table: nf[k] lists (standard index, coefficient) for NF(monomials[k]).
+
+    A monomial is standard when it is not the graded-lex leading monomial of
+    any element of I_d; the standard monomials of degree d are a basis of
+    (Q/I)_d, listed graded-lex descending like `monomials_of_degree`."""
 
     __slots__ = ("index", "standard", "nf")
 
-    def __init__(self, monomials, red_rows, pivot_cols, field):
+    def __init__(self, monomials, standard, nf):
         self.index = {m: i for i, m in enumerate(monomials)}
-        piv = set(pivot_cols)
-        std = [k for k in range(len(monomials)) if k not in piv]
-        self.standard = [monomials[k] for k in std]
-        # a standard monomial is its own NF; an RREF row is zero on every
-        # other pivot column, so its pivot monomial is -(row on std columns)
-        self.nf = [None] * len(monomials)
-        for s, k in enumerate(std):
-            self.nf[k] = ((s, field.one()),)
-        for row, c in zip(red_rows, pivot_cols):
-            self.nf[c] = tuple((s, field.neg(row[k])) for s, k in enumerate(std) if row[k])
+        self.standard = standard
+        self.nf = nf
 
 
 class GradedQuotientRing:
     """Q = k[x1..xn] / I for a homogeneous ideal I, handled degree by degree.
 
-    The degree cache is filled lazily up to the truncation bound.
+    The degree cache is filled lazily, from the bottom up, to the truncation
+    bound: each degree is built from the two below it (see `_build_degree`).
     """
 
     def __init__(self, var_names, generators, field, truncation: int = 16):
@@ -343,7 +350,8 @@ class GradedQuotientRing:
             if g.degree() < 2:
                 raise RingError("ideal generators must have degree >= 2")
             self.generators.append(g)
-        self._cache: dict[int, _DegreeData] = {}
+        one = ((0, field.one()),)
+        self._degrees = [_DegreeData([(0,) * self.nvars], [(0,) * self.nvars], [one])]
 
     @property
     def codepth(self) -> int:
@@ -369,31 +377,101 @@ class GradedQuotientRing:
             raise TruncationError(
                 f"degree {d} beyond truncation bound {self.truncation}"
             )
-        data = self._cache.get(d)
-        if data is None:
-            data = self._cache[d] = self._build_degree(d)
-        return data
+        while len(self._degrees) <= d:
+            self._degrees.append(self._build_degree(len(self._degrees)))
+        return self._degrees[d]
 
     def _build_degree(self, d: int) -> _DegreeData:
-        f = self.field
-        monomials = monomials_of_degree(self.nvars, d)
-        ncols = len(monomials)
-        index = {m: i for i, m in enumerate(monomials)}
-        rows = []
-        for g in self.generators:
-            dg = g.degree()
-            if dg > d:
-                continue
-            for m in monomials_of_degree(self.nvars, d - dg):
-                row = [f.zero()] * ncols
-                for gm, c in g.terms.items():
-                    row[index[monomial_mul(gm, m)]] = c
-                rows.append(row)
-        # eliminate with pivots on the first (graded-lex largest) columns
-        from .linalg import rref
+        """Degree d (>= 1) from the cached degrees d-1 and d-2.
 
+        A monomial m of degree d is x_j times each parent m/x_j, so
+        m = x_j NF(m/x_j) in Q/I, a combination of border monomials: those
+        with a standard parent.  Every standard monomial of degree d is on
+        the border, because a divisor of a standard monomial is standard.
+
+        The Koszul complex on the variables is exact in homological degree 1,
+        so with V = (Q/I)_1 = k^n, multiplication gives
+
+            (Q/I)_d = (V ⊗ (Q/I)_{d-1}) / (C_d + G_d),
+
+        where C_d holds x_i ⊗ NF(x_j s) - x_j ⊗ NF(x_i s) for each standard
+        monomial s of degree d-2 and i < j, and G_d one lift of each
+        generator of degree d, each monomial m taken to x_j ⊗ NF(m/x_j).
+        Sending x_j ⊗ t to x_j t maps V ⊗ (Q/I)_{d-1} onto the span of the
+        border, with kernel spanned by the relations of C_d whose two parents
+        x_i s, x_j s are standard, so the images of C_d and G_d span the
+        part of I_d on the border.  One RREF of them, with the border as
+        columns in graded-lex descending order, leaves the standard
+        monomials as the free columns and gives the NF of every other border
+        monomial as -(its row on them).
+        """
+        f = self.field
+        n = self.nvars
+        low = self._degrees[d - 1]
+        standard_low = set(low.standard)
+
+        def reduce_parents(*terms):
+            """sum c x_j NF(m/x_j) over the (c, m, j) given, on the border."""
+            acc = {}  # summed with + and *, brought back into the field once
+            for c, m, j in terms:
+                for s, a in low.nf[low.index[_shift(m, j, -1)]]:
+                    b = _shift(low.standard[s], j, 1)
+                    acc[b] = acc.get(b, 0) + c * a
+            return {b: f.of(a) for b, a in acc.items() if not f.is_zero(a)}
+
+        def first_var(m):
+            return next(j for j, e in enumerate(m) if e)
+
+        relations = []
+        for s in self._degrees[d - 2].standard if d >= 2 else ():
+            for i in range(n):
+                for j in range(i + 1, n):
+                    m = _shift(_shift(s, i, 1), j, 1)
+                    relations.append(reduce_parents((1, m, i), (-1, m, j)))
+        for g in self.generators:
+            if g.degree() == d:
+                relations.append(reduce_parents(
+                    *((c, m, first_var(m)) for m, c in g.terms.items())))
+
+        border = sorted({_shift(t, j, 1) for t in low.standard for j in range(n)},
+                        reverse=True)
+        column = {b: k for k, b in enumerate(border)}
+        rows = []
+        for rel in relations:
+            if rel:
+                row = [f.zero()] * len(border)
+                for b, c in rel.items():
+                    row[column[b]] = c
+                rows.append(row)
         red, piv = rref(rows, f) if rows else ([], [])
-        return _DegreeData(monomials, red, piv, f)
+
+        pivot_rows = dict(zip(piv, red))
+        free = [k for k in range(len(border)) if k not in pivot_rows]
+        # only a candidate, a monomial whose every parent is standard, can be
+        # standard; a free non-candidate would mean missing relations
+        standard = [border[k] for k in free
+                    if all(_shift(border[k], j, -1) in standard_low
+                           for j in range(n) if border[k][j])]
+        if len(standard) != len(free):
+            raise ArithmeticError(
+                f"degree {d}: {len(standard)} standard monomials, but the "
+                f"quotient (V ⊗ R_{d - 1}) / (C_{d} + G_{d}) has dimension {len(free)}"
+            )
+        nf = {b: ((s, f.one()),) for s, b in enumerate(standard)}
+        for k, row in pivot_rows.items():
+            nf[border[k]] = tuple((s, f.neg(row[c])) for s, c in enumerate(free) if row[c])
+        # off the border: m = x_j NF(m/x_j) = sum c_s x_j s, each x_j s on it
+        monomials = monomials_of_degree(n, d)
+        for m in monomials:
+            if m not in nf:
+                j = first_var(m)
+                acc = {}
+                for s, c in low.nf[low.index[_shift(m, j, -1)]]:
+                    for t, a in nf[_shift(low.standard[s], j, 1)]:
+                        acc[t] = acc.get(t, 0) + c * a
+                nf[m] = tuple((t, f.of(a)) for t, a in sorted(acc.items())
+                              if not f.is_zero(a))
+        return _DegreeData(monomials, standard, [nf[m] for m in monomials])
 
     def dim_quotient(self, d: int) -> int:
         """dim_k (Q/I)_d."""
@@ -487,6 +565,8 @@ def load_ring_file(path, truncation: int = 16) -> GradedQuotientRing:
         raise RingError("missing 'field' line")
     if var_names is None:
         raise RingError("missing 'vars' line")
+    if not gen_texts:
+        raise RingError("missing 'gen' lines: the ideal needs at least one generator")
     gens = []
     for lineno, text in gen_texts:
         try:

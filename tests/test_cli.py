@@ -164,6 +164,15 @@ def test_missing_ring_file_exits_2(capsys):
     assert main(["cycles", "--ring", "/nonexistent.ring"]) == 2
 
 
+def test_ring_without_generators_exits_2(tmp_path, capsys):
+    path = tmp_path / "nogen.ring"
+    path.write_text("field rational\nvars x,y\n")
+    assert main(["cycles", "--ring", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: missing 'gen' lines: the ideal needs at least one generator\n"
+
+
 def test_inhomogeneous_generator_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.ring"
     path.write_text("field rational\nvars x,y\ngen x^2+y\n")

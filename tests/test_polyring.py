@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from koszulator.fields import PrimeField, RationalField
@@ -149,3 +151,83 @@ def test_normal_form_table_matches_rref_reduction(names, gens, field):
             assert ring.nf_coeff_vector(Polynomial(n, field, {m: field.one()}), d) == [
                 residual[col[s]] for s in ring.degree_piece_basis(d)
             ]
+
+
+def _macaulay_table(ring, d):
+    """(standard, nf) of degree d from the RREF of the dense Macaulay matrix
+    of I_d: the pivots eliminate the graded-lex largest monomials, and the
+    NF of a pivot monomial is -(its row on the non-pivot columns)."""
+    f, n = ring.field, ring.nvars
+    monos = monomials_of_degree(n, d)
+    col = {m: k for k, m in enumerate(monos)}
+    rows = []
+    for g in ring.generators:
+        for m in monomials_of_degree(n, d - g.degree()) if d >= g.degree() else []:
+            row = [f.zero()] * len(monos)
+            for gm, c in g.mul_monomial(m).terms.items():
+                row[col[gm]] = c
+            rows.append(row)
+    red, piv = rref(rows, f) if rows else ([], [])
+    pivots = set(piv)
+    std = [k for k in range(len(monos)) if k not in pivots]
+    nf = [None] * len(monos)
+    for s, k in enumerate(std):
+        nf[k] = ((s, f.one()),)
+    for row, c in zip(red, piv):
+        nf[c] = tuple((s, f.neg(row[k])) for s, k in enumerate(std) if row[k])
+    return [monos[k] for k in std], nf
+
+
+def _random_ring(seed):
+    """A seeded ring in 2 or 3 variables with 1 to 4 sparse generators of
+    degree 2 to 4, not always a complete intersection."""
+    rnd = random.Random(seed)
+    n = rnd.choice([2, 3])
+    field = Q if seed % 2 else PrimeField()
+    gens = []
+    for _ in range(rnd.randint(1, 4)):
+        monos = monomials_of_degree(n, rnd.randint(2, 4))
+        terms = {m: rnd.randint(-3, 3) for m in rnd.sample(monos, rnd.randint(1, 3))}
+        if any(terms.values()):
+            gens.append(Polynomial(n, field, terms).to_string(VARS[:n]))
+    return VARS[:n], gens, field
+
+
+# (id, variables, generators, top degree): the reference RREF of the 4-variable
+# degree pieces over Q takes about 3 s up to degree 16, so those stop at 12
+ORACLE_RINGS = [
+    ("golden2", VARS, ["x^2", "y^2+z^2"], 16),
+    ("golden3", VARS, ["x^2+y^2", "x*z", "z^2+x*y"], 16),
+    ("quintic", VARS, ["x^5", "y^5+z^5"], 16),
+    ("not-ci", VARS, ["x^2", "x*y"], 16),
+    ("late-gen", VARS, ["x^2", "y^3", "z^5"], 16),
+    ("one-var", ["x"], ["x^3"], 16),
+    ("artinian", VARS, ["x^2", "y^2", "z^2"], 16),
+    ("4var", ["x", "y", "z", "w"], ["x^2+y*z", "z^2+w^2", "x*w"], 12),
+]
+
+
+@pytest.mark.parametrize(
+    "names,gens,field,top",
+    [pytest.param(names, gens, fld, top, id=f"{key}-{fid}")
+     for key, names, gens, top in ORACLE_RINGS
+     for fid, fld in (("q", Q), ("p", PrimeField()))]
+    + [pytest.param(*GENERIC4, PrimeField(), 12, id="generic4-p")]
+    + [pytest.param(*_random_ring(seed), 16, id=f"random{seed}") for seed in range(6)],
+)
+def test_degree_tables_match_macaulay_rref(names, gens, field, top):
+    """Each degree built from the two below it has the standard monomials and
+    normal-form table that row-reducing the ideal's whole degree piece gives."""
+    ring = ring_from_strings(names, gens, field)
+    for d in range(top + 1):
+        data = ring._degree_data(d)
+        standard, nf = _macaulay_table(ring, d)
+        assert data.standard == standard, d
+        assert data.nf == nf, d
+
+
+def test_one_variable_ring_builds_thousands_of_degrees():
+    # each degree of Q[x]/(x^1500) has one monomial, so a window of thousands
+    # is allowed; the degrees are built in a loop, not by recursion
+    ring = ring_from_strings(["x"], ["x^1500"], Q, truncation=2500)
+    assert ring.hilbert_coefficients(2500) == [1] * 1500 + [0] * 1001
