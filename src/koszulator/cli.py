@@ -14,20 +14,17 @@ import math
 import os
 import sys
 
-from .fields import FieldError
 from .polyring import (
-    ParseError,
     RingError,
-    TruncationError,
     load_ring_file,
     parse_polynomial,
 )
 from .koszul import (
-    CycleError,
     build_koszul,
     certify_complete_intersection,
     cycles_from_generators,
     cycles_from_user,
+    degree_window,
 )
 from .zetamaps import (
     build_zeta,
@@ -61,6 +58,25 @@ from .render import (
 )
 
 
+DEFAULT_MAX_D = 16  # resolve's --max-d and verify-all's exactness window; never refused
+
+# each degree's normal-form table and monomial index enumerate all of its
+# monomials, so no window above DEFAULT_MAX_D may reach a degree with more
+# monomials than this (5 variables, degree 16)
+MAX_WINDOW_MONOMIALS = 4845
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports "invalid int value" as for type=int
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="koszulator",
@@ -78,36 +94,36 @@ def _build_parser() -> argparse.ArgumentParser:
                    "line, comma-separated coordinate polynomials)")
 
     p = ring_arg(sub.add_parser("zeta", help="print the zeta matrices"))
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(0), required=True)
     p.add_argument("--homology-level", action="store_true",
                    help="print the induced integer matrices on Koszul homology")
     p.add_argument("--out", choices=["json", "text"], default="text")
     p.add_argument("--z", help="cycle override file")
 
     p = ring_arg(sub.add_parser("tower", help="build the mapping-cone tower"))
-    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--levels", type=_int_at_least(0), required=True)
     p.add_argument("--verify", action="store_true",
                    help="verify the homology clauses at every level")
-    p.add_argument("--max-d", type=int, default=None,
+    p.add_argument("--max-d", type=_int_at_least(0), default=None,
                    help="internal degree bound for homology checks")
 
     p = ring_arg(sub.add_parser("resolve", help="assemble the minimal free resolution"))
-    p.add_argument("--imax", type=int, required=True)
+    p.add_argument("--imax", type=_int_at_least(1), required=True)
     p.add_argument("--verify-all", action="store_true",
                    help="verify minimality and strand exactness")
     p.add_argument("--betti", action="store_true", help="print the Betti table")
-    p.add_argument("--max-d", type=int, default=16)
+    p.add_argument("--max-d", type=_int_at_least(0), default=DEFAULT_MAX_D)
     p.add_argument("--out", help="output directory for matrices and report")
     p.add_argument("--z", help="cycle override file")
 
     p = ring_arg(sub.add_parser("divided", help="divided-power translation checks"))
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(0), required=True)
     p.add_argument("--compare-zeta", action="store_true",
                    help="compare mu to zeta under the tuple bijection")
 
     p = ring_arg(sub.add_parser("verify-all", help="run the full verification suite"))
-    p.add_argument("--imax", type=int, default=8)
-    p.add_argument("--max-d", type=int, default=None)
+    p.add_argument("--imax", type=_int_at_least(1), default=8)
+    p.add_argument("--max-d", type=_int_at_least(0), default=None)
     p.add_argument("--out", help="output directory for the report")
 
     p = ring_arg(sub.add_parser("export-map", help="export one differential or zeta map"))
@@ -116,15 +132,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, required=True,
                    help="homological degree (resolution/koszul) or component u (zeta)")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p.add_argument("--imax", type=int, default=8)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--imax", type=_int_at_least(1), default=8)
+    p.add_argument("--k", type=_int_at_least(0), default=0)
     p.add_argument("--z", help="cycle override file")
     return parser
 
 
 def _load(args):
     ring = load_ring_file(args.ring)
-    _raise_truncation(ring, _default_max_d(ring, 1))  # the certificate's window
+    _window(ring, degree_window(ring, 1))  # the certificate's window
     K = build_koszul(ring)
     z_path = getattr(args, "z", None)
     if z_path:
@@ -192,31 +208,20 @@ def _cmd_zeta(args) -> int:
     return 0
 
 
-def _default_max_d(ring, k: int) -> int:
-    """Σ deg g_t + k·max deg g_t: the degree window of the level-k checks."""
-    degs = [g.degree() for g in ring.generators]
-    return sum(degs) + max(1, k) * max(degs)
-
-
-# every degree's normal-form table, monomial index and strand columns
-# enumerate all of its monomials, so a window is not raised past a degree
-# with more monomials than this (5 variables, degree 16)
-MAX_WINDOW_MONOMIALS = 4845
-
-
-def _raise_truncation(ring, max_d: int) -> int:
-    """Raise the ring's truncation bound (a cap on its degree cache) to reach
-    max_d; returns max_d."""
+def _window(ring, max_d: int) -> int:
+    """Check the internal-degree window max_d against the monomial limit;
+    returns max_d."""
     count = math.comb(max_d + ring.nvars - 1, ring.nvars - 1)
-    if max_d > ring.truncation and count > MAX_WINDOW_MONOMIALS:
+    if max_d > DEFAULT_MAX_D and count > MAX_WINDOW_MONOMIALS:
         raise RingError(f"degree window {max_d} has {count} monomials in its "
                         f"top degree, more than {MAX_WINDOW_MONOMIALS}")
-    ring.truncation = max(ring.truncation, max_d)
     return max_d
 
 
 def _cmd_tower(args) -> int:
     ring, K, Z, _ = _load(args)
+    windows = [_window(ring, degree_window(ring, k) if args.max_d is None else args.max_d)
+               for k in range(1, args.levels + 1)] if args.verify else []
     tower = build_tower(K, Z, args.levels)
     for j in range(args.levels + 1):
         level = tower.level(j)
@@ -224,14 +229,9 @@ def _cmd_tower(args) -> int:
         print(f"M^{j} ranks: {ranks}")
     if not args.verify:
         return 0
-    report = {"levels": args.levels, "checks": []}
     ok = True
-    for k in range(1, args.levels + 1):
-        max_d = args.max_d
-        if max_d is None:
-            max_d = _raise_truncation(ring, _default_max_d(ring, k))
+    for k, max_d in enumerate(windows, start=1):
         res = verify_homology_theorem(tower, k, max_d)
-        report["checks"].append({"level": k, **res})
         print(f"homology clauses at level {k}: {'pass' if res['pass'] else 'FAIL'}")
         ok = ok and res["pass"]
     return 0 if ok else 1
@@ -258,6 +258,7 @@ def _resolution_outputs(ring, F, out_dir) -> None:
 
 def _cmd_resolve(args) -> int:
     ring, K, Z, _ = _load(args)
+    _window(ring, args.max_d)
     F = assemble_f(K, Z, args.imax)
     betti = betti_numbers(F)
     expected = poincare_coefficients(ring.nvars, ring.codepth, args.imax)
@@ -301,6 +302,7 @@ def _cmd_divided(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     ring, K, Z, cert = _load(args)
+    max_d = _window(ring, degree_window(ring, 2) if args.max_d is None else args.max_d)
     c = ring.codepth
     report = {"ring": args.ring, "checks": {}}
 
@@ -323,9 +325,6 @@ def _cmd_verify_all(args) -> int:
         ok &= record(f"homology sequence exact (k={k})",
                      verify_exact_sequence(c, k, ring.field))
     tower = build_tower(K, Z, 2)
-    max_d = args.max_d
-    if max_d is None:
-        max_d = _raise_truncation(ring, _default_max_d(ring, 2))
     for k in (1, 2):
         ok &= record(f"homology clauses at level {k}",
                      verify_homology_theorem(tower, k, max_d))
@@ -333,7 +332,7 @@ def _cmd_verify_all(args) -> int:
                  verify_splitting(tower, 1, 2 + ring.nvars, max_d))
     F = assemble_f(K, Z, args.imax)
     ok &= record("resolution minimal and exact",
-                 verify_minimal_and_exact(F, min(16, ring.truncation)))
+                 verify_minimal_and_exact(F, DEFAULT_MAX_D))
     betti_ok = betti_numbers(F) == poincare_coefficients(ring.nvars, c, args.imax)
     ok &= record("betti numbers match series", betti_ok)
     pairs = [
@@ -356,11 +355,12 @@ def _cmd_verify_all(args) -> int:
 
 def _cmd_export_map(args) -> int:
     ring, K, Z, _ = _load(args)
+    top = args.imax if args.complex == "resolution" else K.n
+    if not 1 <= args.index <= top:
+        raise RingError(f"index {args.index} outside 1..{top}")
     if args.complex == "koszul":
         gmap = K.complex.differential(args.index)
     elif args.complex == "resolution":
-        if not 1 <= args.index <= args.imax:
-            raise RingError(f"index {args.index} outside 1..{args.imax}")
         gmap = assemble_f(K, Z, args.imax).complex.differential(args.index)
     else:
         gmap = build_zeta(K, Z, args.k).component(args.index)
@@ -388,8 +388,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, RingError, FieldError, CycleError, TruncationError, OSError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every input error class is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -230,9 +230,10 @@ def cycles_by_echelon(K: KoszulComplex) -> CycleBasis:
     c = ring.codepth
     found = []
     degrees = []
+    top = max(g.degree() for g in ring.generators)  # H_1(K) = I/mI lives here
     d = 1
     while len(found) < c:
-        if d > ring.truncation:
+        if d > top:
             raise CycleError("ran out of degrees while extracting cycles")
         d1 = K.complex.differential(1)
         rows, nr, nc = d1.strand_matrix(d)
@@ -288,15 +289,19 @@ def homology_dims(K: KoszulComplex, max_d: int):
     ]
 
 
+def degree_window(ring: GradedQuotientRing, k: int) -> int:
+    """Σ deg g_t + max(1, k)·max deg g_t: the internal-degree window of the
+    level-k checks; k = 1 is the certificate's, as H_c(K) lies in degree Σ deg."""
+    degs = [g.degree() for g in ring.generators]
+    return sum(degs) + max(1, k) * max(degs)
+
+
 def certify_complete_intersection(K: KoszulComplex, Z: CycleBasis = None) -> dict:
     """Check that H(K) is the exterior algebra on c degree-one classes."""
     ring = K.ring
     c = ring.codepth
     checks = []
-    # H_c(K) lies in degree Σ deg: the ring's truncation bound must reach this
-    bound = sum(g.degree() for g in ring.generators) + max(
-        g.degree() for g in ring.generators
-    )
+    bound = degree_window(ring, 1)  # reaches H_c(K), which lies in degree Σ deg
     dims = homology_dims(K, bound)
     for i in range(K.n + 1):
         expected = math.comb(c, i)

@@ -6,7 +6,8 @@ Q/I: the standard monomials of each degree (those that are not the
 graded-lex leading monomial of an element of the ideal) and the normal form
 of every monomial over them.  Degree d is built from degrees d-1 and d-2 by
 a small elimination on the monomials that have a standard parent, never in
-the ideal's whole degree piece.
+the ideal's whole degree piece.  The degree cache has no cap: it grows as
+far as a computation asks, and the CLI bounds the windows it is asked for.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ class ParseError(ValueError):
 
 class RingError(ValueError):
     pass
-
-
-class TruncationError(RuntimeError):
-    """Raised when a computation needs a degree beyond the truncation bound."""
 
 
 def monomial_degree(mono) -> int:
@@ -328,17 +325,17 @@ class _DegreeData:
 class GradedQuotientRing:
     """Q = k[x1..xn] / I for a homogeneous ideal I, handled degree by degree.
 
-    The degree cache is filled lazily, from the bottom up, to the truncation
-    bound: each degree is built from the two below it (see `_build_degree`).
+    The degree cache is filled lazily, from the bottom up, as far as a
+    computation asks: each degree is built from the two below it (see
+    `_build_degree`).
     """
 
-    def __init__(self, var_names, generators, field, truncation: int = 16):
+    def __init__(self, var_names, generators, field):
         self.var_names = list(var_names)
         self.nvars = len(self.var_names)
         if len(set(self.var_names)) != self.nvars or self.nvars == 0:
             raise RingError("variable names must be distinct and non-empty")
         self.field = field
-        self.truncation = truncation
         self.generators = []
         for g in generators:
             if g.is_zero():
@@ -373,10 +370,6 @@ class GradedQuotientRing:
     def _degree_data(self, d: int) -> _DegreeData:
         if d < 0:
             raise ValueError("negative degree")
-        if d > self.truncation:
-            raise TruncationError(
-                f"degree {d} beyond truncation bound {self.truncation}"
-            )
         while len(self._degrees) <= d:
             self._degrees.append(self._build_degree(len(self._degrees)))
         return self._degrees[d]
@@ -541,7 +534,7 @@ class GradedQuotientRing:
         return out
 
 
-def load_ring_file(path, truncation: int = 16) -> GradedQuotientRing:
+def load_ring_file(path) -> GradedQuotientRing:
     """Read the ring input format: 'field ...', 'vars a,b,c', 'gen <poly>' lines."""
     field = None
     var_names = None
@@ -573,9 +566,9 @@ def load_ring_file(path, truncation: int = 16) -> GradedQuotientRing:
             gens.append(parse_polynomial(text, var_names, field))
         except ParseError as exc:
             raise RingError(f"line {lineno}: {exc}") from exc
-    return GradedQuotientRing(var_names, gens, field, truncation=truncation)
+    return GradedQuotientRing(var_names, gens, field)
 
 
-def ring_from_strings(var_names, gen_texts, field, truncation: int = 16):
+def ring_from_strings(var_names, gen_texts, field):
     gens = [parse_polynomial(t, var_names, field) for t in gen_texts]
-    return GradedQuotientRing(var_names, gens, field, truncation=truncation)
+    return GradedQuotientRing(var_names, gens, field)

@@ -106,10 +106,47 @@ def test_resolve_deterministic_output(ring3_file, tmp_path):
         assert p.read_bytes() == (dirs[1] / p.name).read_bytes()
 
 
-def test_resolve_beyond_truncation_exits_2(ring3_file, capsys):
+def test_resolve_explicit_window_above_16(ring3_file, tmp_path, capsys):
+    # a window above the default 16 but under the monomial limit runs in full
+    out_dir = tmp_path / "out"
     assert main(["resolve", "--ring", ring3_file, "--imax", "4", "--verify-all",
-                 "--max-d", "20"]) == 2
-    assert "input error: degree 17 beyond truncation bound 16" in capsys.readouterr().err
+                 "--max-d", "20", "--out", str(out_dir)]) == 0
+    assert "minimality and exactness: pass" in capsys.readouterr().out
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    checks = report["minimal_and_exact"]["checks"]
+    assert any("internal degrees ≤ 20" in ch["check"] for ch in checks)
+
+
+def test_resolve_window_beyond_monomial_limit_exits_2(ring3_file, capsys):
+    assert main(["resolve", "--ring", ring3_file, "--imax", "4", "--verify-all",
+                 "--max-d", "200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "input error: degree window 200 has 20301 monomials" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--imax", "4", "--verify-all", "--max-d", "-1"],
+    ["tower", "--levels", "1", "--verify", "--max-d", "-1"],
+    ["verify-all", "--max-d", "-1"],
+    ["resolve", "--imax", "0", "--verify-all"],
+    ["verify-all", "--imax", "0"],
+    ["resolve", "--imax", "-1", "--betti"],
+    ["zeta", "--k", "-1"],
+    ["divided", "--k", "-1"],
+    ["tower", "--levels", "-1"],
+    ["export-map", "--complex", "koszul", "--index", "9"],
+    ["export-map", "--complex", "zeta", "--index", "0"],
+])
+def test_out_of_range_argument_exits_2(ring3_file, capsys, argv):
+    try:
+        code = main([argv[0], "--ring", ring3_file] + argv[1:])
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err
 
 
 @pytest.mark.parametrize("prime,code", [(3037000493, 0), (4294967311, 2)])
@@ -196,7 +233,7 @@ def test_non_complete_intersection_exits_2(tmp_path, capsys, command):
 
 def test_verify_all_quintic_passes(tmp_path, capsys):
     # the level-2 clauses need degrees up to 5+5+2*5 = 20, above the
-    # default truncation bound 16, which verify-all raises to reach them
+    # default window 16 of an explicit --max-d
     path = tmp_path / "quintic.ring"
     path.write_text("field prime 32003\nvars x,y,z\ngen x^5\ngen y^5+z^5\n")
     assert main(["verify-all", "--ring", str(path), "--imax", "4"]) == 0
@@ -218,8 +255,8 @@ def test_cli_import_leaves_numpy_out():
     ("x,y", ["x^9", "y^9"]),
 ], ids=["x6y6z6", "x9y9"])
 def test_resolve_ci_beyond_default_truncation(tmp_path, capsys, vars_, gens):
-    # the top class H_c(K) lies in degree Σ deg > 16, the default truncation
-    # bound, which loading raises so that the certificate window reaches it
+    # the top class H_c(K) lies in degree Σ deg > 16, so the certificate
+    # window Σ deg + max deg reaches above the default window 16
     path = tmp_path / "high.ring"
     path.write_text(f"field rational\nvars {vars_}\n" + "".join(f"gen {g}\n" for g in gens))
     assert main(["resolve", "--ring", str(path), "--imax", "3", "--betti"]) == 0

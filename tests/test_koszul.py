@@ -98,6 +98,14 @@ def test_certification_rejects_non_complete_intersection():
     assert not certify_complete_intersection(K)["certified"]
 
 
+def test_echelon_extraction_stops_after_top_generator_degree():
+    # (x^2, y^2, x^2+y^2) has 3 generators but H_1(K) = I/mI has dimension 2,
+    # all of it in degree 2
+    ring = ring_from_strings(VARS, ["x^2", "y^2", "x^2+y^2"], Q)
+    with pytest.raises(CycleError, match="ran out of degrees"):
+        cycles_by_echelon(build_koszul(ring))
+
+
 def test_user_cycles_validated(ex2):
     ring = ex2.ring
     good = [

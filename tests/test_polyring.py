@@ -3,6 +3,7 @@ import random
 import pytest
 
 from koszulator.fields import PrimeField, RationalField
+from koszulator.koszul import build_koszul, certify_complete_intersection, cycles_from_generators
 from koszulator.linalg import reduce_against, rref
 from koszulator.polyring import (
     ParseError,
@@ -229,5 +230,19 @@ def test_degree_tables_match_macaulay_rref(names, gens, field, top):
 def test_one_variable_ring_builds_thousands_of_degrees():
     # each degree of Q[x]/(x^1500) has one monomial, so a window of thousands
     # is allowed; the degrees are built in a loop, not by recursion
-    ring = ring_from_strings(["x"], ["x^1500"], Q, truncation=2500)
+    ring = ring_from_strings(["x"], ["x^1500"], Q)
     assert ring.hilbert_coefficients(2500) == [1] * 1500 + [0] * 1001
+
+
+def test_degree_cache_grows_as_far_as_asked():
+    # no cap on the degrees a ring builds: the Hilbert function of a CI
+    # matches its prediction far above 16
+    ring = ring_from_strings(VARS, ["x^2", "y^2+z^2"], Q)
+    assert ring.hilbert_coefficients(40) == ring.ci_hilbert_coefficients(40)
+
+
+def test_certificate_reaches_top_class_without_cli():
+    # H_2(K) of (x^9, y^9) lies in degree 18; its window is 27
+    ring = ring_from_strings(["x", "y"], ["x^9", "y^9"], Q)
+    K = build_koszul(ring)
+    assert certify_complete_intersection(K, cycles_from_generators(K))["certified"]
