@@ -125,16 +125,6 @@ def reduce_against(vec, red_rows, pivots, field):
     return v
 
 
-def in_span(vectors, vec, field) -> bool:
-    """Is vec in the row span of vectors?"""
-    if all(field.is_zero(x) for x in vec):
-        return True
-    if not vectors:
-        return False
-    base = rank(vectors, field)
-    return rank(list(vectors) + [list(vec)], field) == base
-
-
 def mat_vec(rows, vec, field):
     support = [(j, b) for j, b in enumerate(vec) if not field.is_zero(b)]
     out = []

@@ -1,4 +1,5 @@
 from koszulator.conetower import (
+    ConeTower,
     level_rank_prediction,
     verify_homology_theorem,
     verify_splitting,
@@ -46,6 +47,23 @@ def test_inclusion_vanishes_in_homology(tower2):
     res = verify_splitting(tower2, 0, 4, 6)
     assert res["pass"]
     assert res["degree_zero_iso"]
+
+
+def test_splitting_fails_when_inclusion_is_identity(ex2):
+    # negative control: the identity K → K induces the identity on H(K),
+    # so it vanishes nowhere that H(K) ≠ 0 and the check must name those strands
+    K = ex2.K.complex
+    fake = ConeTower(ex2.K, ex2.Z, [K, K])
+    res = verify_splitting(fake, 0, 4, 6)
+    assert not res["pass"]
+    assert res["degree_zero_iso"]
+    expected = [
+        (i, d)
+        for i in range(5)
+        for d in range(7)
+        if (i, d) != (0, 0) and K.strand_homology_dim(i, d) != 0
+    ]
+    assert res["witnesses"] == expected == [(1, 2), (2, 4)]
 
 
 def test_stabilization(tower2, tower3):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from koszulator.fields import PrimeField, RationalField
-from koszulator.linalg import in_span, mat_vec, nullspace, rank, rref
+from koszulator.linalg import mat_vec, nullspace, rank, rref
 
 FIELDS = [PrimeField(), RationalField()]
 
@@ -31,13 +31,6 @@ def test_nullspace_of_empty_matrix():
     f = RationalField()
     basis = nullspace([], f, 3)
     assert len(basis) == 3
-
-
-def test_in_span():
-    f = RationalField()
-    vecs = [[f.of(1), f.of(0)], [f.of(1), f.of(1)]]
-    assert in_span(vecs, [f.of(3), f.of(2)], f)
-    assert not in_span([vecs[0]], [f.of(0), f.of(1)], f)
 
 
 def test_rational_rref_exact():
