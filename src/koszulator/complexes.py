@@ -10,7 +10,7 @@ matrix there.
 from __future__ import annotations
 
 from .linalg import rank
-from .polyring import GradedQuotientRing, Polynomial
+from .polyring import GradedQuotientRing, Polynomial, monomial_mul
 
 
 def collect(terms, ring) -> dict:
@@ -179,41 +179,43 @@ class GradedMap:
 
     # -- strand matrices -------------------------------------------------------
     def strand_matrix(self, d: int):
-        """Field matrix of this map on internal degree d, rows = target strand
-        basis, cols = source strand basis (gen order, then standard monomials)."""
+        """This map on internal degree d as (rows, nrows, ncols): rows are the
+        target strand basis, columns the source strand basis (gen order, then
+        standard monomials), and each row is a {column: scalar} dict of its
+        nonzero entries.  An entry c·μ sends a source monomial m to c·NF(μm),
+        read off the ring's normal-form table; sums are reduced into the
+        field once, at the end."""
         ring = self.source.ring
-        f = ring.field
-        src_blocks = []  # (gen index, twist, monomial list)
-        for j, (_, t) in enumerate(self.source.gens):
-            if d - t >= 0:
-                src_blocks.append((j, t, ring.degree_piece_basis(d - t)))
-        tgt_offsets = {}
-        tgt_sizes = {}
-        off = 0
+        p = ring.field.p
+        targets = {}  # target gen -> (row offset, degree-(d - twist) nf table)
+        nrows = 0
         for i, (_, t) in enumerate(self.target.gens):
             if d - t >= 0:
-                size = ring.dim_quotient(d - t)
-                tgt_offsets[i] = off
-                tgt_sizes[i] = d - t
-                off += size
-        nrows = off
-        ncols = sum(len(b[2]) for b in src_blocks)
+                targets[i] = (nrows, *ring.nf_table(d - t))
+                nrows += ring.dim_quotient(d - t)
         by_col = {}
-        for (i, j), p in self.entries.items():
-            if i in tgt_offsets:
-                by_col.setdefault(j, []).append((i, p))
-        rows = [[f.zero()] * ncols for _ in range(nrows)]
+        for (i, j), poly in self.entries.items():
+            if i in targets:
+                by_col.setdefault(j, []).append((*targets[i], poly.terms.items()))
+        rows = [{} for _ in range(nrows)]
         col = 0
-        for j, t, monos in src_blocks:
-            for m in monos:
-                for i, p in by_col.get(j, ()):
-                    o = tgt_offsets[i]
-                    vec = ring.nf_coeff_vector(p.mul_monomial(m), tgt_sizes[i])
-                    for r, c in enumerate(vec):
-                        if not f.is_zero(c):
-                            rows[o + r][col] = f.add(rows[o + r][col], c)
+        for j, (_, t) in enumerate(self.source.gens):
+            if d - t < 0:
+                continue
+            entries = by_col.get(j, ())
+            for m in ring.degree_piece_basis(d - t):
+                for off, index, nf, terms in entries:
+                    for mu, c in terms:
+                        for s, a in nf[index[monomial_mul(mu, m)]]:
+                            row = rows[off + s]
+                            row[col] = row.get(col, 0) + c * a
                 col += 1
-        return rows, nrows, ncols
+        for k, row in enumerate(rows):
+            if p:
+                rows[k] = {c: x % p for c, x in row.items() if x % p}
+            else:
+                rows[k] = {c: x for c, x in row.items() if x}
+        return rows, nrows, col
 
 
 class ChainComplex:

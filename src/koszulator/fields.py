@@ -33,7 +33,9 @@ class PrimeField:
     is_prime = True
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        # elimination mod p runs in int64 and forms products of two residues
+        # the dense elimination of large prime-field strands (linalg) runs in
+        # numpy int64 and forms products of two residues; the sparse one uses
+        # Python ints and needs no bound
         if (p - 1) ** 2 >= 2**63:
             raise FieldError(f"prime {p} too large: (p-1)^2 must be below 2^63")
         if not _is_prime(p):

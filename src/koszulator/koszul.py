@@ -12,7 +12,7 @@ import itertools
 import math
 
 from .complexes import ChainComplex, FreeModule, GradedMap, collect
-from .linalg import nullspace, rank, reduce_against, rref
+from .linalg import nullspace, rank, reduce_against, rref, transpose
 from .polyring import GradedQuotientRing, Polynomial
 
 
@@ -217,8 +217,7 @@ def _independent_mod_boundaries(K: KoszulComplex, elems, u: int, d: int) -> bool
     """Do the degree-d elements of K_u have independent classes modulo the
     boundaries ∂K_{u+1}?"""
     rows, nr, nc = K.complex.differential(u + 1).strand_matrix(d)
-    stack = [[rows[r][cc] for r in range(nr)] for cc in range(nc)]
-    stack += [_strand_coordinates(K, e, u, d) for e in elems]
+    stack = transpose(rows, nc) + [_strand_coordinates(K, e, u, d) for e in elems]
     return rank(stack, K.ring.field) == K.complex.strand_rank(u + 1, d) + len(elems)
 
 
@@ -244,8 +243,7 @@ def cycles_by_echelon(K: KoszulComplex) -> CycleBasis:
         if kernel:
             d2 = K.complex.differential(2)
             brows, bnr, bnc = d2.strand_matrix(d)
-            boundary_vecs = [[brows[r][cc] for r in range(bnr)] for cc in range(bnc)]
-            red, piv = rref(boundary_vecs, f)
+            red, piv = rref(transpose(brows, bnc), f, bnr)
             fresh = []
             for v in kernel:
                 v = reduce_against(v, red, piv, f)

@@ -474,6 +474,13 @@ class GradedQuotientRing:
         """Standard monomial basis of (Q/I)_d, graded-lex descending."""
         return list(self._degree_data(d).standard)
 
+    def nf_table(self, d: int):
+        """(index, nf) of degree d: index[m] is the position of a degree-d
+        monomial m, and nf[index[m]] lists (standard index, coefficient)
+        pairs of NF(m) over `degree_piece_basis(d)`."""
+        data = self._degree_data(d)
+        return data.index, data.nf
+
     def _nf_vector(self, poly: Polynomial, data: _DegreeData):
         """NF(poly) over the standard basis, summed off the normal-form table."""
         f = self.field
@@ -545,8 +552,12 @@ def load_ring_file(path) -> GradedQuotientRing:
             if not line or line.startswith("#"):
                 continue
             if line.startswith("field "):
+                if field is not None:
+                    raise RingError(f"line {lineno}: repeated 'field' line")
                 field = field_from_spec(line[len("field "):].strip())
             elif line.startswith("vars "):
+                if var_names is not None:
+                    raise RingError(f"line {lineno}: repeated 'vars' line")
                 var_names = [v.strip() for v in line[len("vars "):].split(",")]
                 if any(not v for v in var_names):
                     raise RingError(f"line {lineno}: empty variable name")

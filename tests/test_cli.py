@@ -197,6 +197,19 @@ def test_malformed_ring_file_exits_2(tmp_path, capsys):
     assert "input error" in err and "position" in err
 
 
+@pytest.mark.parametrize("text,line", [
+    ("field rational\nvars x,y\ngen x^2\nfield prime 5\ngen y^2\n", "line 4: repeated 'field' line"),
+    ("field rational\nvars x,y\n# swap\nvars y,x\ngen x^2\ngen y^3\n", "line 4: repeated 'vars' line"),
+], ids=["field", "vars"])
+def test_repeated_directive_exits_2(tmp_path, capsys, text, line):
+    path = tmp_path / "twice.ring"
+    path.write_text(text)
+    assert main(["cycles", "--ring", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"input error: {line}" in err
+
+
 def test_missing_ring_file_exits_2(capsys):
     assert main(["cycles", "--ring", "/nonexistent.ring"]) == 2
 
@@ -242,12 +255,21 @@ def test_verify_all_quintic_passes(tmp_path, capsys):
     assert "overall: pass" in out
 
 
-def test_cli_import_leaves_numpy_out():
-    code = "import sys, koszulator.cli; print('numpy' in sys.modules)"
+def test_cli_import_leaves_numpy_out(ring3_file, tmp_path):
+    snippets = [
+        "import sys, koszulator.cli; print('numpy' in sys.modules)",
+        # the golden codepth-3 strands over F_32003 are small and sparse, so
+        # the whole suite runs without the dense elimination
+        "import sys, io, contextlib, koszulator.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['verify-all', '--ring', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(rc, 'numpy' in sys.modules)",
+    ]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    outs = [subprocess.run([sys.executable, "-c", code, ring3_file, str(tmp_path / "va")],
+                           env=env, check=True, capture_output=True, text=True).stdout.strip()
+            for code in snippets]
+    assert outs == ["False", "0 False"]
 
 
 @pytest.mark.parametrize("vars_,gens", [

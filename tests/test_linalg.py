@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from koszulator.fields import PrimeField, RationalField
-from koszulator.linalg import mat_vec, nullspace, rank, rref
+from koszulator.linalg import DENSE_FROM, mat_vec, nullspace, rank, rref
 
 FIELDS = [PrimeField(), RationalField()]
 
@@ -99,3 +99,52 @@ def test_rref_and_rank_match_gauss_jordan(field, m, n, r):
         red, piv = rref(rows, field)
         assert (red, piv) == gauss_jordan(rows, field)
         assert rank(rows, field) == len(piv) <= r
+
+
+def sparse_matrix(rng, field, m, n, density, independent):
+    """m x n matrix whose entries are nonzero with probability `density`;
+    rows past the first `independent` are combinations of two earlier rows."""
+    def entry():
+        if field.is_prime:
+            return rng.randrange(1, field.p)
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+
+    rows = [[entry() if rng.random() < density else field.zero() for _ in range(n)]
+            for _ in range(independent)]
+    for _ in range(m - independent):
+        a, b = rng.sample(rows[:independent], 2)
+        s, t = entry(), entry()
+        rows.append([field.add(field.mul(s, x), field.mul(t, y)) for x, y in zip(a, b)])
+    return rows
+
+
+FIELDS3 = [RationalField(), PrimeField(32003), PrimeField(3037000493)]
+SPARSE_CASES = [
+    (field, m, n, density, independent)
+    for field in FIELDS3
+    for m, n, independent in ((30, 12, 30), (12, 30, 12), (20, 20, 8))
+    for density in (0.01, 0.1, 0.4)
+] + [
+    # prime-field matrices on each side of the dense-selection rule
+    (field, 60, 60, density, 60)
+    for field in FIELDS3[1:]
+    for density in (0.01, 0.4)
+]
+
+
+@pytest.mark.parametrize("field,m,n,density,independent", SPARSE_CASES,
+                         ids=[f"{f!r}-{m}x{n}-r{k}-{d}" for f, m, n, d, k in SPARSE_CASES])
+def test_sparse_rref_and_rank_match_gauss_jordan(field, m, n, density, independent):
+    rng = random.Random(f"{field!r}-{m}-{n}-{density}-{independent}")
+    rows = sparse_matrix(rng, field, m, n, density, independent)
+    red, piv = rref(rows, field)
+    assert (red, piv) == gauss_jordan(rows, field)
+    assert rank(rows, field) == len(piv) <= independent
+    # the {column: scalar} form of the same matrix gives the same answers
+    sparse = [{j: x for j, x in enumerate(row) if not field.is_zero(x)} for row in rows]
+    assert rref(sparse, field, n) == (red, piv)
+    assert rank(sparse, field) == len(piv)
+    if m == 60:
+        nnz = sum(map(len, sparse))
+        dense = nnz >= DENSE_FROM[0] and nnz >= DENSE_FROM[1] * m * n
+        assert dense == (density == 0.4)
