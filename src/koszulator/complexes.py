@@ -9,8 +9,16 @@ matrix there.
 
 from __future__ import annotations
 
-from .linalg import rank
+import functools
+
+from .fields import FieldError, PrimeField
+from .linalg import rank, sparse_rank
 from .polyring import GradedQuotientRing, Polynomial, monomial_mul
+
+# The prime of the exactness certificate over ℚ.  It can mislead only by
+# dividing a denominator (then it is rejected) or a nonzero minor (then a
+# rank drops and the exact ranks are taken); a large p makes both rare.
+MODULAR_PRIME = 2**31 - 1
 
 
 def collect(terms, ring) -> dict:
@@ -60,15 +68,17 @@ class GradedMap:
 
     entries[(i, j)] is the coefficient of target gen i in the image of
     source gen j; absent keys are zero.  Entry degrees must match the twist
-    difference so the map is degree zero on the graded modules.
+    difference so the map is degree zero on the graded modules.  `reduced`
+    keeps the entries' terms reduced into another field, by field.
     """
 
-    __slots__ = ("source", "target", "entries")
+    __slots__ = ("source", "target", "entries", "reduced")
 
     def __init__(self, source: FreeModule, target: FreeModule, entries=None):
         self.source = source
         self.target = target
         self.entries = {}
+        self.reduced = {}
         ring = source.ring
         if entries:
             for (i, j), p in entries.items():
@@ -178,25 +188,39 @@ class GradedMap:
         return all(p.degree() >= 1 for p in self.entries.values())
 
     # -- strand matrices -------------------------------------------------------
-    def strand_matrix(self, d: int):
+    def strand_matrix(self, d: int, field=None):
         """This map on internal degree d as (rows, nrows, ncols): rows are the
         target strand basis, columns the source strand basis (gen order, then
         standard monomials), and each row is a {column: scalar} dict of its
         nonzero entries.  An entry c·μ sends a source monomial m to c·NF(μm),
         read off the ring's normal-form table; sums are reduced into the
-        field once, at the end."""
+        field once, at the end.  The field is the ring's own, or a prime
+        field that a ℚ map is reduced into: the normal-form tables and this
+        map's coefficients are then reduced mod p once each, and a
+        denominator divisible by p raises FieldError."""
         ring = self.source.ring
-        p = ring.field.p
+        field = field or ring.field
+        if field == ring.field:
+            terms = ((key, poly.terms.items()) for key, poly in self.entries.items())
+        else:
+            if field not in self.reduced:
+                shared = {}  # few distinct entries (±x_j, cycle terms): reduce each once
+                for poly in self.entries.values():
+                    if poly not in shared:
+                        shared[poly] = tuple((mu, field.of(c)) for mu, c in poly.terms.items())
+                self.reduced[field] = {key: shared[poly] for key, poly in self.entries.items()}
+            terms = self.reduced[field].items()
+        p = field.p
         targets = {}  # target gen -> (row offset, degree-(d - twist) nf table)
         nrows = 0
         for i, (_, t) in enumerate(self.target.gens):
             if d - t >= 0:
-                targets[i] = (nrows, *ring.nf_table(d - t))
+                targets[i] = (nrows, *ring.nf_table(d - t, field))
                 nrows += ring.dim_quotient(d - t)
         by_col = {}
-        for (i, j), poly in self.entries.items():
+        for (i, j), items in terms:
             if i in targets:
-                by_col.setdefault(j, []).append((*targets[i], poly.terms.items()))
+                by_col.setdefault(j, []).append((*targets[i], items))
         rows = [{} for _ in range(nrows)]
         col = 0
         for j, (_, t) in enumerate(self.source.gens):
@@ -204,8 +228,8 @@ class GradedMap:
                 continue
             entries = by_col.get(j, ())
             for m in ring.degree_piece_basis(d - t):
-                for off, index, nf, terms in entries:
-                    for mu, c in terms:
+                for off, index, nf, items in entries:
+                    for mu, c in items:
                         for s, a in nf[index[monomial_mul(mu, m)]]:
                             row = rows[off + s]
                             row[col] = row.get(col, 0) + c * a
@@ -229,11 +253,25 @@ class ChainComplex:
         # (i, d) -> rank of ∂_i at internal degree d; a complex is never
         # changed once built, so the memo cannot go stale
         self._ranks = {}
+        # (i, d) -> that rank mod MODULAR_PRIME, taken only over ℚ; None once
+        # the prime divides a denominator
+        self._modular_ranks = {}
+        self._square_defect = None
         if check:
-            for i, dmap in self.differentials.items():
-                prev = self.differentials.get(i - 1)
-                if prev is not None and not prev.compose(dmap).is_zero():
-                    raise ComplexError(f"differential does not square to zero at {i}")
+            bad = self.square_defect()
+            if bad:
+                raise ComplexError(f"differential does not square to zero at {bad[0]}")
+
+    def square_defect(self):
+        """Homological degrees i where ∂_{i-1}∂_i ≠ 0, composed once: by the
+        constructor when it checks, else on the first call."""
+        if self._square_defect is None:
+            self._square_defect = [
+                i for i, dmap in sorted(self.differentials.items())
+                if i - 1 in self.differentials
+                and not self.differentials[i - 1].compose(dmap).is_zero()
+            ]
+        return self._square_defect
 
     def module(self, i) -> FreeModule:
         m = self.modules.get(i)
@@ -273,6 +311,39 @@ class ChainComplex:
             return 0
         return dim - self.strand_rank(i + 1, d) - self.strand_rank(i, d)
 
+    def vanishing_homology_dim(self, i: int, d: int) -> int:
+        """strand_homology_dim(i, d), for a strand whose homology should be 0.
+
+        Over ℚ both ranks are first taken mod MODULAR_PRIME.  A strand
+        matrix with no denominator divisible by p has rank_p ≤ rank_ℚ, and
+        H ≥ 0 where ∂² = 0, so dim = r_p(i+1) + r_p(i) proves H_i(C)_d = 0
+        and makes both ranks exact (the modular argument of Wang 1981 and
+        Monagan 2004).  A prime dividing a denominator, or H ≠ 0 mod p,
+        falls back to the exact ranks, so the value never differs."""
+        dim = self.module(i).strand_dim(d)
+        if dim and not self.ring.field.is_prime and i + 1 not in self.square_defect():
+            ranks = [self._rank_lower_bound(j, d) for j in (i + 1, i)]
+            if None not in ranks and sum(ranks) == dim:
+                self._ranks[(i + 1, d)], self._ranks[(i, d)] = ranks
+                return 0
+        return self.strand_homology_dim(i, d)
+
+    def _rank_lower_bound(self, i: int, d: int):
+        """The rank of ∂_i at degree d over ℚ if known, else its rank mod
+        MODULAR_PRIME, a lower bound; None once the prime is rejected."""
+        if (i, d) in self._ranks:
+            return self._ranks[(i, d)]
+        if self._modular_ranks is None:
+            return None
+        if (i, d) not in self._modular_ranks:
+            try:
+                self._modular_ranks[(i, d)] = _strand_rank(
+                    self.differential(i), d, _prime_field(MODULAR_PRIME))
+            except FieldError:
+                self._modular_ranks = None
+                return None
+        return self._modular_ranks[(i, d)]
+
     def homology_table(self, max_i: int, max_d: int):
         """{(i, d): dim H_i(C)_d} over 0..max_i, 0..max_d."""
         return {
@@ -282,11 +353,22 @@ class ChainComplex:
         }
 
 
-def _strand_rank(dmap: GradedMap, d: int) -> int:
-    rows, nrows, ncols = dmap.strand_matrix(d)
+@functools.cache
+def _prime_field(p: int) -> PrimeField:
+    """One field per prime: its primality check runs some 46 000 trial
+    divisions for a prime near 2^31."""
+    return PrimeField(p)
+
+
+def _strand_rank(dmap: GradedMap, d: int, field=None) -> int:
+    """Rank of dmap at degree d, over the ring's field or, mod p, over
+    `field` (see `GradedMap.strand_matrix`)."""
+    rows, nrows, ncols = dmap.strand_matrix(d, field)
     if nrows == 0 or ncols == 0:
         return 0
-    return rank(rows, dmap.source.ring.field)
+    if field is None:
+        return rank(rows, dmap.source.ring.field)
+    return sparse_rank(rows, field)
 
 
 class ChainMap:

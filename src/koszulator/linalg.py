@@ -170,6 +170,13 @@ def rank(rows, field) -> int:
         return 0
     if _goes_dense(rows, field, ncols):
         return len(_eliminate_mod_p(rows, field.p, ncols, False)[1])
+    return sparse_rank(rows, field)
+
+
+def sparse_rank(rows, field) -> int:
+    """Rank of {column: scalar} rows by the sparse elimination, whatever
+    their size and density: a ℚ ring's strands ranked modulo a prime never
+    load numpy."""
     return len(_eliminate(rows, field, False))
 
 

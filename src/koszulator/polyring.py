@@ -312,14 +312,16 @@ class _DegreeData:
 
     A monomial is standard when it is not the graded-lex leading monomial of
     any element of I_d; the standard monomials of degree d are a basis of
-    (Q/I)_d, listed graded-lex descending like `monomials_of_degree`."""
+    (Q/I)_d, listed graded-lex descending like `monomials_of_degree`.
+    `reduced` keeps the table reduced into another field, by field."""
 
-    __slots__ = ("index", "standard", "nf")
+    __slots__ = ("index", "standard", "nf", "reduced")
 
     def __init__(self, monomials, standard, nf):
         self.index = {m: i for i, m in enumerate(monomials)}
         self.standard = standard
         self.nf = nf
+        self.reduced = {}
 
 
 class GradedQuotientRing:
@@ -474,12 +476,23 @@ class GradedQuotientRing:
         """Standard monomial basis of (Q/I)_d, graded-lex descending."""
         return list(self._degree_data(d).standard)
 
-    def nf_table(self, d: int):
+    def nf_table(self, d: int, field=None):
         """(index, nf) of degree d: index[m] is the position of a degree-d
         monomial m, and nf[index[m]] lists (standard index, coefficient)
-        pairs of NF(m) over `degree_piece_basis(d)`."""
+        pairs of NF(m) over `degree_piece_basis(d)`.  Over a prime `field`
+        other than the ring's own, the coefficients of a ℚ table are reduced
+        mod p, once per degree; a denominator divisible by p raises
+        FieldError."""
         data = self._degree_data(d)
-        return data.index, data.nf
+        if field is None or field == self.field:
+            return data.index, data.nf
+        if field not in data.reduced:
+            shared = {}  # a table repeats few distinct rows: reduce each once
+            for row in data.nf:
+                if row not in shared:
+                    shared[row] = tuple((s, field.of(a)) for s, a in row)
+            data.reduced[field] = [shared[row] for row in data.nf]
+        return data.index, data.reduced[field]
 
     def _nf_vector(self, poly: Polynomial, data: _DegreeData):
         """NF(poly) over the standard basis, summed off the normal-form table."""

@@ -60,15 +60,16 @@ def tower3(ex3):
 
 @pytest.fixture
 def strand_builds(monkeypatch):
-    """(id(map), d) of every strand matrix built while the test runs; the
-    maps are kept alive so that their ids stay distinct."""
+    """(id(map), d, field) of every strand matrix built while the test runs,
+    over the ring's own field or reduced mod p; the maps are kept alive so
+    that their ids stay distinct."""
     built, maps = [], []
     original = GradedMap.strand_matrix
 
-    def counting(self, d):
+    def counting(self, d, field=None):
         maps.append(self)
-        built.append((id(self), d))
-        return original(self, d)
+        built.append((id(self), d, field or self.source.ring.field))
+        return original(self, d, field)
 
     monkeypatch.setattr(GradedMap, "strand_matrix", counting)
     return built

@@ -256,20 +256,24 @@ def test_verify_all_quintic_passes(tmp_path, capsys):
 
 
 def test_cli_import_leaves_numpy_out(ring3_file, tmp_path):
-    snippets = [
-        "import sys, koszulator.cli; print('numpy' in sys.modules)",
+    run = ("import sys, io, contextlib, koszulator.cli as cli\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    rc = cli.main(sys.argv[1:])\n"
+           "print(rc, 'numpy' in sys.modules)")
+    quintic = os.path.join(os.path.dirname(__file__), "..", "bench", "rings", "quintic2-q.ring")
+    runs = [
+        ["-c", "import sys, koszulator.cli; print('numpy' in sys.modules)"],
         # the golden codepth-3 strands over F_32003 are small and sparse, so
         # the whole suite runs without the dense elimination
-        "import sys, io, contextlib, koszulator.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = cli.main(['verify-all', '--ring', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(rc, 'numpy' in sys.modules)",
+        ["-c", run, "verify-all", "--ring", ring3_file, "--out", str(tmp_path / "va")],
+        # a ℚ ring's exactness certificate ranks its strands mod p sparsely
+        ["-c", run, "resolve", "--ring", quintic, "--imax", "6", "--verify-all", "--betti"],
     ]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    outs = [subprocess.run([sys.executable, "-c", code, ring3_file, str(tmp_path / "va")],
-                           env=env, check=True, capture_output=True, text=True).stdout.strip()
-            for code in snippets]
-    assert outs == ["False", "0 False"]
+    outs = [subprocess.run([sys.executable, *argv], env=env, check=True,
+                           capture_output=True, text=True).stdout.strip()
+            for argv in runs]
+    assert outs == ["False", "0 False", "0 False"]
 
 
 @pytest.mark.parametrize("vars_,gens", [

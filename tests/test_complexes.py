@@ -1,5 +1,6 @@
 import pytest
 
+from koszulator import complexes
 from koszulator.complexes import (
     ChainComplex,
     ChainMap,
@@ -64,6 +65,20 @@ def test_chain_complex_enforces_square_zero(ring):
     }
     with pytest.raises(ComplexError):
         ChainComplex(ring, mods, bad)
+
+
+def test_vanishing_homology_needs_square_zero(ring, monkeypatch):
+    # ∂_1∂_2 = 5 ≠ 0: mod 5 the strand looks exact, but over ℚ both ranks
+    # are 1 and the rank formula gives -1
+    monkeypatch.setattr(complexes, "MODULAR_PRIME", 5)
+    mods = {i: FreeModule(ring, [(f"g{i}", 0)]) for i in range(3)}
+    diffs = {
+        1: GradedMap(mods[1], mods[0], {(0, 0): P(ring, "1")}),
+        2: GradedMap(mods[2], mods[1], {(0, 0): P(ring, "5")}),
+    }
+    C = ChainComplex(ring, mods, diffs, check=False)
+    assert C.square_defect() == [2]
+    assert C.vanishing_homology_dim(1, 0) == -1
 
 
 def test_shift_negates_differential(ring):

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
+from koszulator import complexes
+from koszulator.fields import PrimeField, RationalField
+from koszulator.koszul import build_koszul, cycles_from_generators
+from koszulator.polyring import ring_from_strings
 from koszulator.resolution import (
+    assemble_f,
     basis_labels,
     betti_numbers,
     dg_product_basis,
@@ -46,6 +51,71 @@ def test_generator_twists(F2):
 
 def test_minimal_and_exact_small(F2):
     assert verify_minimal_and_exact(F2, 8)["pass"]
+
+
+def _fresh_f(gens, i_max=6):
+    """F over ℚ[x,y,z]/(gens) with empty rank memos."""
+    ring = ring_from_strings(["x", "y", "z"], gens, RationalField())
+    K = build_koszul(ring)
+    return assemble_f(K, cycles_from_generators(K), i_max)
+
+
+@pytest.fixture
+def modular_primes(monkeypatch):
+    """The prime of every strand rank the exactness certificate takes."""
+    primes = []
+    original = complexes.sparse_rank
+
+    def counting(rows, field):
+        primes.append(field.p)
+        return original(rows, field)
+
+    monkeypatch.setattr(complexes, "sparse_rank", counting)
+    return primes
+
+
+def test_exactness_certified_mod_p(strand_builds):
+    # on the golden ℚ ring every exactness strand is proved by ranks mod p;
+    # only H_0 in degree 0, which is k and not zero, takes Fraction ranks
+    F = _fresh_f(["x^2", "y^2+z^2"])
+    strand_builds.clear()
+    assert verify_minimal_and_exact(F, 8)["pass"]
+    fields = {field for _, _, field in strand_builds}
+    assert fields == {RationalField(), PrimeField(complexes.MODULAR_PRIME)}
+    assert {d for _, d, field in strand_builds if field == RationalField()} == {0}
+
+
+def test_prime_dividing_a_denominator_is_rejected(monkeypatch, modular_primes):
+    gens = ["x^2", "y^2+1/7*z^2"]
+    expected = verify_minimal_and_exact(_fresh_f(gens), 8)
+    assert expected["pass"] and 7 not in modular_primes
+    monkeypatch.setattr(complexes, "MODULAR_PRIME", 7)
+    assert verify_minimal_and_exact(_fresh_f(gens), 8) == expected
+    assert 7 not in modular_primes  # no rank mod 7 was taken, let alone trusted
+
+
+def test_unlucky_prime_falls_back(monkeypatch, modular_primes, strand_builds):
+    # (x^2, xy) is no complete intersection, so mod 5 some ranks of F drop
+    gens = ["x^2", "x*y+5*y^2"]
+    expected = verify_minimal_and_exact(_fresh_f(gens), 8)
+    monkeypatch.setattr(complexes, "MODULAR_PRIME", 5)
+    F = _fresh_f(gens)
+    strand_builds.clear()
+    assert verify_minimal_and_exact(F, 8) == expected
+    assert expected["pass"] and 5 in modular_primes
+    assert any(d and field == RationalField() for _, d, field in strand_builds)
+
+
+def test_tampered_differential_fails_with_exact_witnesses():
+    # ∂_3 = 0 keeps ∂² = 0 but leaves homology at i = 2 and 3
+    F, G = _fresh_f(["x^2", "y^2+z^2"]), _fresh_f(["x^2", "y^2+z^2"])
+    for H in (F, G):
+        H.complex.differential(3).entries.clear()
+    res = verify_minimal_and_exact(F, 8)
+    exact = [(i, d) for i in range(1, G.i_max) for d in range(9)
+             if G.complex.strand_homology_dim(i, d) != 0]
+    assert not res["pass"] and exact
+    assert res["checks"][2]["witnesses"] == exact
 
 
 def test_cross_construction(F2, F3, tower2, tower3):
