@@ -218,6 +218,12 @@ def _window(ring, max_d: int) -> int:
     return max_d
 
 
+def _exactness_imax(imax: int) -> None:
+    """Exactness is checked at 1 ≤ i < i_max: refuse the empty range."""
+    if imax < 2:
+        raise ValueError(f"--imax {imax}: exactness at 1 ≤ i < i_max needs i_max ≥ 2")
+
+
 def _cmd_tower(args) -> int:
     ring, K, Z, _ = _load(args)
     windows = [_window(ring, degree_window(ring, k) if args.max_d is None else args.max_d)
@@ -257,6 +263,8 @@ def _resolution_outputs(ring, F, out_dir) -> None:
 
 
 def _cmd_resolve(args) -> int:
+    if args.verify_all:
+        _exactness_imax(args.imax)
     ring, K, Z, _ = _load(args)
     _window(ring, args.max_d)
     F = assemble_f(K, Z, args.imax)
@@ -301,6 +309,7 @@ def _cmd_divided(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    _exactness_imax(args.imax)
     ring, K, Z, cert = _load(args)
     max_d = _window(ring, degree_window(ring, 2) if args.max_d is None else args.max_d)
     c = ring.codepth

@@ -4,16 +4,19 @@ Everything downstream (Koszul complexes, cones, the resolution) is built out
 of these pieces.  Homology is computed strand by strand: a generator with
 twist a contributes the standard monomials of (Q/I)_{d-a} to the internal
 degree d strand, and each matrix of ring elements becomes an honest field
-matrix there.
+matrix there, assembled from the ring's multiplication blocks.  Once R's
+degrees settle the same blocks recur in the same layout, so strand ranks are
+memoised per ring under a key that fixes the matrix exactly.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
 
 from .fields import FieldError, PrimeField
 from .linalg import rank, sparse_rank
-from .polyring import GradedQuotientRing, Polynomial, monomial_mul
+from .polyring import GradedQuotientRing, Polynomial
 
 # The prime of the exactness certificate over ℚ.  It can mislead only by
 # dividing a denominator (then it is rejected) or a nonzero minor (then a
@@ -49,8 +52,12 @@ class FreeModule:
     def rank(self) -> int:
         return len(self.gens)
 
+    def strand_dims(self, d: int):
+        """dim (Q/I)_{d - twist} of each generator, 0 below degree 0."""
+        return tuple(self.ring.dim_quotient(d - t) if d >= t else 0 for _, t in self.gens)
+
     def strand_dim(self, d: int) -> int:
-        return sum(self.ring.dim_quotient(d - t) for _, t in self.gens if d - t >= 0)
+        return sum(self.strand_dims(d))
 
     def __eq__(self, other):
         return isinstance(other, FreeModule) and self.gens == other.gens
@@ -68,17 +75,20 @@ class GradedMap:
 
     entries[(i, j)] is the coefficient of target gen i in the image of
     source gen j; absent keys are zero.  Entry degrees must match the twist
-    difference so the map is degree zero on the graded modules.  `reduced`
-    keeps the entries' terms reduced into another field, by field.
+    difference so the map is degree zero on the graded modules.  `_layout`
+    keeps the entries grouped by polynomial, and `_checked` the fields its
+    coefficients were reduced into (`_entry_polys`); a map is never changed
+    once its strands are taken.
     """
 
-    __slots__ = ("source", "target", "entries", "reduced")
+    __slots__ = ("source", "target", "entries", "_layout", "_checked")
 
     def __init__(self, source: FreeModule, target: FreeModule, entries=None):
         self.source = source
         self.target = target
         self.entries = {}
-        self.reduced = {}
+        self._layout = None
+        self._checked = set()
         ring = source.ring
         if entries:
             for (i, j), p in entries.items():
@@ -188,58 +198,66 @@ class GradedMap:
         return all(p.degree() >= 1 for p in self.entries.values())
 
     # -- strand matrices -------------------------------------------------------
+    def _entry_polys(self, field):
+        """(distinct entry polynomials, the sorted entry positions (i, j),
+        the index of each position's polynomial), worked out once.  Over a
+        prime field that a ℚ map is reduced into, every coefficient of the
+        map is reduced first, once per field, so a denominator divisible by
+        p raises FieldError before any block is built, whichever strand is
+        asked for."""
+        if self._layout is None:
+            positions = tuple(sorted(self.entries))
+            index = {}
+            kinds = tuple(index.setdefault(self.entries[key], len(index))
+                          for key in positions)
+            self._layout = (list(index), positions, kinds)
+        if field != self.source.ring.field and field not in self._checked:
+            for p in self._layout[0]:
+                for c in p.terms.values():
+                    field.of(c)
+            self._checked.add(field)
+        return self._layout
+
+    def _strand_blocks(self, d: int, field):
+        """(target dims, source dims, [(i, j, (block id, block))]) of the
+        degree-d strand: the generators' `strand_dims`, and the ring's
+        multiplication block of each entry whose strand is not empty."""
+        ring = self.source.ring
+        polys, positions, kinds = self._entry_polys(field)
+        tdims, sdims = self.target.strand_dims(d), self.source.strand_dims(d)
+        blocks = {}
+        placed = []
+        for (i, j), k in zip(positions, kinds):
+            if tdims[i] and sdims[j]:
+                e = d - self.source.gens[j][1]
+                if (k, e) not in blocks:
+                    blocks[(k, e)] = ring.mul_block(polys[k], e, field)
+                placed.append((i, j, blocks[(k, e)]))
+        return tdims, sdims, placed
+
     def strand_matrix(self, d: int, field=None):
         """This map on internal degree d as (rows, nrows, ncols): rows are the
         target strand basis, columns the source strand basis (gen order, then
         standard monomials), and each row is a {column: scalar} dict of its
-        nonzero entries.  An entry c·μ sends a source monomial m to c·NF(μm),
-        read off the ring's normal-form table; sums are reduced into the
-        field once, at the end.  The field is the ring's own, or a prime
-        field that a ℚ map is reduced into: the normal-form tables and this
-        map's coefficients are then reduced mod p once each, and a
-        denominator divisible by p raises FieldError."""
-        ring = self.source.ring
-        field = field or ring.field
-        if field == ring.field:
-            terms = ((key, poly.terms.items()) for key, poly in self.entries.items())
-        else:
-            if field not in self.reduced:
-                shared = {}  # few distinct entries (±x_j, cycle terms): reduce each once
-                for poly in self.entries.values():
-                    if poly not in shared:
-                        shared[poly] = tuple((mu, field.of(c)) for mu, c in poly.terms.items())
-                self.reduced[field] = {key: shared[poly] for key, poly in self.entries.items()}
-            terms = self.reduced[field].items()
-        p = field.p
-        targets = {}  # target gen -> (row offset, degree-(d - twist) nf table)
-        nrows = 0
-        for i, (_, t) in enumerate(self.target.gens):
-            if d - t >= 0:
-                targets[i] = (nrows, *ring.nf_table(d - t, field))
-                nrows += ring.dim_quotient(d - t)
+        nonzero entries.  Entry (i, j) places its multiplication block
+        (`GradedQuotientRing.mul_block`) at the offsets of target gen i and
+        source gen j; no two entries overlap, so nothing is summed here.
+        The field is the ring's own, or a prime field that a ℚ map is
+        reduced into; a denominator divisible by p raises FieldError."""
+        tdims, sdims, placed = self._strand_blocks(d, field or self.source.ring.field)
+        row_at = list(accumulate(tdims, initial=0))
+        col_at = list(accumulate(sdims, initial=0))
         by_col = {}
-        for (i, j), items in terms:
-            if i in targets:
-                by_col.setdefault(j, []).append((*targets[i], items))
-        rows = [{} for _ in range(nrows)]
-        col = 0
-        for j, (_, t) in enumerate(self.source.gens):
-            if d - t < 0:
-                continue
-            entries = by_col.get(j, ())
-            for m in ring.degree_piece_basis(d - t):
-                for off, index, nf, items in entries:
-                    for mu, c in items:
-                        for s, a in nf[index[monomial_mul(mu, m)]]:
-                            row = rows[off + s]
-                            row[col] = row.get(col, 0) + c * a
-                col += 1
-        for k, row in enumerate(rows):
-            if p:
-                rows[k] = {c: x % p for c, x in row.items() if x % p}
-            else:
-                rows[k] = {c: x for c, x in row.items() if x}
-        return rows, nrows, col
+        for i, j, (_, block) in placed:
+            by_col.setdefault(j, []).append((row_at[i], block))
+        rows = [{} for _ in range(row_at[-1])]
+        for j in sorted(by_col):
+            for k in range(sdims[j]):
+                col = col_at[j] + k
+                for off, block in by_col[j]:
+                    for s, a in block[k]:
+                        rows[off + s][col] = a
+        return rows, row_at[-1], col_at[-1]
 
 
 class ChainComplex:
@@ -362,13 +380,22 @@ def _prime_field(p: int) -> PrimeField:
 
 def _strand_rank(dmap: GradedMap, d: int, field=None) -> int:
     """Rank of dmap at degree d, over the ring's field or, mod p, over
-    `field` (see `GradedMap.strand_matrix`)."""
-    rows, nrows, ncols = dmap.strand_matrix(d, field)
-    if nrows == 0 or ncols == 0:
-        return 0
-    if field is None:
-        return rank(rows, dmap.source.ring.field)
-    return sparse_rank(rows, field)
+    `field` (see `GradedMap.strand_matrix`).  The ring's `rank_memo` is
+    keyed by the field, the map's sorted entry positions, the strand dims
+    (which fix the entries placed, in that order) and their block ids.
+    These fix the matrix exactly: an equal strand, of any map over the
+    ring, is built and ranked once."""
+    ring = dmap.source.ring
+    field = field or ring.field
+    tdims, sdims, placed = dmap._strand_blocks(d, field)
+    positions = dmap._entry_polys(field)[1]
+    key = (field, positions, tdims, sdims, tuple(b for _, _, (b, _) in placed))
+    memo = ring.rank_memo
+    if key not in memo:
+        rows, nrows, ncols = dmap.strand_matrix(d, field)
+        rank_of = rank if field == ring.field else sparse_rank
+        memo[key] = rank_of(rows, field) if nrows and ncols else 0
+    return memo[key]
 
 
 class ChainMap:

@@ -8,6 +8,8 @@ of every monomial over them.  Degree d is built from degrees d-1 and d-2 by
 a small elimination on the monomials that have a standard parent, never in
 the ideal's whole degree piece.  The degree cache has no cap: it grows as
 far as a computation asks, and the CLI bounds the windows it is asked for.
+Multiplication by a polynomial from one degree to another is read off these
+tables as a cached block, the unit that strand matrices are assembled from.
 """
 
 from __future__ import annotations
@@ -312,16 +314,14 @@ class _DegreeData:
 
     A monomial is standard when it is not the graded-lex leading monomial of
     any element of I_d; the standard monomials of degree d are a basis of
-    (Q/I)_d, listed graded-lex descending like `monomials_of_degree`.
-    `reduced` keeps the table reduced into another field, by field."""
+    (Q/I)_d, listed graded-lex descending like `monomials_of_degree`."""
 
-    __slots__ = ("index", "standard", "nf", "reduced")
+    __slots__ = ("index", "standard", "nf")
 
     def __init__(self, monomials, standard, nf):
         self.index = {m: i for i, m in enumerate(monomials)}
         self.standard = standard
         self.nf = nf
-        self.reduced = {}
 
 
 class GradedQuotientRing:
@@ -351,6 +351,17 @@ class GradedQuotientRing:
             self.generators.append(g)
         one = ((0, field.one()),)
         self._degrees = [_DegreeData([(0,) * self.nvars], [(0,) * self.nvars], [one])]
+        # normal-form rows and block rows repeat few distinct values: each is
+        # stored once per field (over two fields, Fraction(1) == 1 would
+        # alias a ℚ row and an 𝔽_p row)
+        self._rows = {field: {one: one}}
+        # (poly, e, field) -> (id, block) of `mul_block`, and (field, block)
+        # -> (id, block), which gives equal blocks one id and one copy
+        self._blocks = {}
+        self._block_ids = {}
+        # strand ranks by a key that fixes the strand matrix exactly, shared
+        # by every complex over this ring (see `complexes._strand_rank`)
+        self.rank_memo = {}
 
     @property
     def codepth(self) -> int:
@@ -466,7 +477,9 @@ class GradedQuotientRing:
                         acc[t] = acc.get(t, 0) + c * a
                 nf[m] = tuple((t, f.of(a)) for t, a in sorted(acc.items())
                               if not f.is_zero(a))
-        return _DegreeData(monomials, standard, [nf[m] for m in monomials])
+        rows = self._rows[f]
+        return _DegreeData(monomials, standard,
+                           [rows.setdefault(nf[m], nf[m]) for m in monomials])
 
     def dim_quotient(self, d: int) -> int:
         """dim_k (Q/I)_d."""
@@ -476,23 +489,32 @@ class GradedQuotientRing:
         """Standard monomial basis of (Q/I)_d, graded-lex descending."""
         return list(self._degree_data(d).standard)
 
-    def nf_table(self, d: int, field=None):
-        """(index, nf) of degree d: index[m] is the position of a degree-d
-        monomial m, and nf[index[m]] lists (standard index, coefficient)
-        pairs of NF(m) over `degree_piece_basis(d)`.  Over a prime `field`
-        other than the ring's own, the coefficients of a ℚ table are reduced
-        mod p, once per degree; a denominator divisible by p raises
-        FieldError."""
-        data = self._degree_data(d)
-        if field is None or field == self.field:
-            return data.index, data.nf
-        if field not in data.reduced:
-            shared = {}  # a table repeats few distinct rows: reduce each once
-            for row in data.nf:
-                if row not in shared:
-                    shared[row] = tuple((s, field.of(a)) for s, a in row)
-            data.reduced[field] = [shared[row] for row in data.nf]
-        return data.index, data.reduced[field]
+    def mul_block(self, poly: Polynomial, e: int, field):
+        """(id, block) of multiplication by `poly` from degree e: block[k]
+        lists the (standard index, scalar) pairs of NF(poly·m_k) for the
+        k-th standard monomial m_k of degree e.  The pairs are summed and
+        brought into `field` once: the ring's own, or a prime field that a
+        ℚ ring is reduced into, where a denominator divisible by p raises
+        FieldError.  Blocks are cached, and equal blocks over one field
+        share one id; the field is part of that key, as Fraction(1) == 1."""
+        key = (poly, e, field)
+        if key not in self._blocks:
+            src = self._degree_data(e)
+            tgt = self._degree_data(e + poly.degree())
+            rows = self._rows.setdefault(field, {})
+            block = []
+            for m in src.standard:
+                acc = {}
+                for mu, c in poly.terms.items():
+                    for s, a in tgt.nf[tgt.index[monomial_mul(mu, m)]]:
+                        acc[s] = acc.get(s, 0) + c * a
+                row = ((s, field.of(a)) for s, a in sorted(acc.items()))
+                row = tuple((s, a) for s, a in row if a)
+                block.append(rows.setdefault(row, row))
+            block = tuple(block)
+            ids = self._block_ids
+            self._blocks[key] = ids.setdefault((field, block), (len(ids), block))
+        return self._blocks[key]
 
     def _nf_vector(self, poly: Polynomial, data: _DegreeData):
         """NF(poly) over the standard basis, summed off the normal-form table."""

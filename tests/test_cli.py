@@ -149,6 +149,23 @@ def test_out_of_range_argument_exits_2(ring3_file, capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--imax", "1", "--verify-all"],
+    ["verify-all", "--imax", "1"],
+])
+def test_exactness_over_an_empty_range_exits_2(ring2_file, capsys, argv):
+    # exactness is checked at 1 <= i < i_max: i_max = 1 would pass vacuously
+    assert main([argv[0], "--ring", ring2_file] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "input error: --imax 1: exactness at 1 ≤ i < i_max needs i_max ≥ 2" in err
+
+
+def test_resolve_imax_1_without_verification(ring2_file, capsys):
+    assert main(["resolve", "--ring", ring2_file, "--imax", "1", "--betti"]) == 0
+    assert "betti:    1    3" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("prime,code", [(3037000493, 0), (4294967311, 2)])
 def test_resolve_near_the_prime_bound(tmp_path, capsys, prime, code):
     path = tmp_path / "big.ring"

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from koszulator import complexes
+from koszulator import complexes, linalg
 from koszulator.complexes import (
     ChainComplex,
     ChainMap,
@@ -9,7 +11,7 @@ from koszulator.complexes import (
     GradedMap,
     mapping_cone,
 )
-from koszulator.fields import RationalField
+from koszulator.fields import PrimeField, RationalField
 from koszulator.polyring import parse_polynomial, ring_from_strings
 from koszulator.koszul import build_koszul, cycles_from_generators
 from koszulator.resolution import assemble_f, verify_minimal_and_exact
@@ -129,3 +131,71 @@ def test_exactness_builds_each_strand_matrix_once(ring, strand_builds):
     strand_builds.clear()
     assert verify_minimal_and_exact(F, 8)["pass"]
     assert strand_builds and len(strand_builds) == len(set(strand_builds))
+
+
+def _oracle_rank(gmap, d, field=None):
+    """Rank of the strand matrix itself, with no memo."""
+    rows, nrows, ncols = gmap.strand_matrix(d, field)
+    if not nrows or not ncols:
+        return 0
+    return linalg.rank(rows, field or gmap.source.ring.field)
+
+
+def test_repeated_strands_are_ranked_once(monkeypatch):
+    # R = k[x,y,z]/(x^2, y^2) has Hilbert function 1, 3, 4, 4, ...: from some
+    # degree on, every strand of F repeats the one below it entry for entry
+    fp = PrimeField(32003)
+    ring = ring_from_strings(VARS, ["x^2", "y^2"], fp)
+    K = build_koszul(ring)
+    F = assemble_f(K, cycles_from_generators(K), 5)
+    calls = []
+    original = complexes.rank
+
+    def counting(rows, field):
+        calls.append(len(rows))
+        return original(rows, field)
+
+    monkeypatch.setattr(complexes, "rank", counting)
+    assert verify_minimal_and_exact(F, 14)["pass"]
+    C = F.complex
+    nonempty = [(i, d) for i, d in C._ranks
+                if C.module(i).strand_dim(d) and C.module(i - 1).strand_dim(d)]
+    assert 0 < len(calls) < len(nonempty)
+    for (i, d), r in C._ranks.items():
+        assert r == _oracle_rank(C.differential(i), d)
+
+
+def test_rank_memo_keeps_equal_dims_with_different_blocks_apart():
+    # over k[x,y]/(x^2), x and y : R(-1) -> R have 2 x 2 strands at d >= 2,
+    # of ranks 1 (x kills x y^(d-2)) and 2
+    ring = ring_from_strings(["x", "y"], ["x^2"], RationalField())
+    src = FreeModule(ring, [("a", 1)])
+    tgt = FreeModule(ring, [("b", 0)])
+    ranks = {}
+    for name in ("x", "y"):
+        mul = GradedMap(src, tgt, {(0, 0): parse_polynomial(name, ["x", "y"], ring.field)})
+        C = ChainComplex(ring, {0: tgt, 1: src}, {1: mul})
+        ranks[name] = [C.strand_rank(1, d) for d in range(2, 7)]
+        assert ranks[name] == [_oracle_rank(mul, d) for d in range(2, 7)]
+    assert ranks == {"x": [1] * 5, "y": [2] * 5}
+
+
+@pytest.mark.parametrize("exact_first", [True, False])
+def test_rank_memo_keeps_fields_apart(exact_first):
+    # a block over ℚ and its reduction mod p can hold equal scalars
+    # (Fraction(1) == 1): neither may stand in for the other
+    ring = ring_from_strings(VARS, ["x^2", "y^2+z^2"], RationalField())
+    K = build_koszul(ring)
+    F = assemble_f(K, cycles_from_generators(K), 4)
+    fp = complexes._prime_field(complexes.MODULAR_PRIME)
+    strands = [(F.complex.differential(i), d) for i in range(1, 5) for d in range(7)]
+    order = [None, fp] if exact_first else [fp, None]
+    ranks = {field: [complexes._strand_rank(g, d, field) for g, d in strands]
+             for field in order}
+    assert ranks[None] == ranks[fp]
+    assert ranks[None] == [_oracle_rank(g, d) for g, d in strands]
+    for g, d in strands:
+        rows, _, _ = g.strand_matrix(d, fp)
+        assert all(type(a) is int for row in rows for a in row.values())
+        rows, _, _ = g.strand_matrix(d)
+        assert all(type(a) is Fraction for row in rows for a in row.values())
