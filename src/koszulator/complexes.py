@@ -26,11 +26,11 @@ MODULAR_PRIME = 2**31 - 1
 
 def collect(terms, ring) -> dict:
     """Sum (key, Polynomial) terms by key; normal forms, zeros dropped."""
-    out = {}
+    by_key = {}
     for key, p in terms:
-        out[key] = out[key] + p if key in out else p
+        by_key.setdefault(key, []).append(p)
     return {
-        key: q for key, q in ((key, ring.normal_form(p)) for key, p in out.items())
+        key: q for key, q in ((key, ring.normal_form(*ps)) for key, ps in by_key.items())
         if not q.is_zero()
     }
 
@@ -168,7 +168,7 @@ class GradedMap:
         entries = dict(self.entries)
         ring = self.source.ring
         for key, p in other.entries.items():
-            s = ring.normal_form(entries.get(key, ring.zero()) + p)
+            s = ring.normal_form(entries.get(key, ring.zero()), p)
             if s.is_zero():
                 entries.pop(key, None)
             else:

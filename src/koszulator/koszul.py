@@ -132,14 +132,13 @@ def cycles_from_generators(K: KoszulComplex) -> CycleBasis:
     cycles = []
     degrees = []
     for g in ring.generators:
-        z = [ring.zero() for _ in range(n)]
+        z = [[] for _ in range(n)]
         for m, c in g.terms.items():
             i = max(idx for idx, e in enumerate(m) if e > 0)
             reduced = list(m)
             reduced[i] -= 1
-            z[i] = z[i] + Polynomial(n, ring.field, {tuple(reduced): c})
-        z = [ring.normal_form(p) for p in z]
-        cycles.append(z)
+            z[i].append(Polynomial(n, ring.field, {tuple(reduced): c}))
+        cycles.append([ring.normal_form(*ps) for ps in z])
         degrees.append(g.degree())
     basis = CycleBasis(K, cycles, degrees)
     validate_cycles(basis)
@@ -191,6 +190,8 @@ def validate_cycles(Z: CycleBasis):
     if len(Z.cycles) != ring.codepth:
         raise CycleError(f"expected {ring.codepth} cycles, got {len(Z.cycles)}")
     for j, (z, d) in enumerate(zip(Z.cycles, Z.degrees), 1):
+        if len(z) != ring.nvars:
+            raise CycleError(f"z_{j} has {len(z)} coordinates, expected {ring.nvars}")
         for p in z:
             if p.is_zero():
                 continue

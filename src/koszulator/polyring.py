@@ -8,8 +8,10 @@ of every monomial over them.  Degree d is built from degrees d-1 and d-2 by
 a small elimination on the monomials that have a standard parent, never in
 the ideal's whole degree piece.  The degree cache has no cap: it grows as
 far as a computation asks, and the CLI bounds the windows it is asked for.
-Multiplication by a polynomial from one degree to another is read off these
-tables as a cached block, the unit that strand matrices are assembled from.
+Every normal form is one sparse sum off these tables (`_nf_sum`): that of
+a sum of ring elements, and each row of the cached block of multiplication
+by a polynomial from one degree to another, the unit that strand matrices
+are assembled from.
 """
 
 from __future__ import annotations
@@ -150,13 +152,6 @@ class Polynomial:
         if d is None:
             return len(degs) <= 1
         return degs <= {d}
-
-    def homogeneous_components(self):
-        """Dict degree -> homogeneous part."""
-        comps = {}
-        for m, c in self.terms.items():
-            comps.setdefault(monomial_degree(m), {})[m] = c
-        return {d: Polynomial(self.nvars, self.field, t) for d, t in sorted(comps.items())}
 
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, self.field.zero())
@@ -416,12 +411,17 @@ class GradedQuotientRing:
         low = self._degrees[d - 1]
         standard_low = set(low.standard)
 
+        border = sorted({_shift(t, j, 1) for t in low.standard for j in range(n)},
+                        reverse=True)
+        column = {b: k for k, b in enumerate(border)}
+
         def reduce_parents(*terms):
-            """sum c x_j NF(m/x_j) over the (c, m, j) given, on the border."""
+            """sum c x_j NF(m/x_j) over the (c, m, j) given, as a {column:
+            scalar} row on the border."""
             acc = {}  # summed with + and *, brought back into the field once
             for c, m, j in terms:
                 for s, a in low.nf[low.index[_shift(m, j, -1)]]:
-                    b = _shift(low.standard[s], j, 1)
+                    b = column[_shift(low.standard[s], j, 1)]
                     acc[b] = acc.get(b, 0) + c * a
             return {b: f.of(a) for b, a in acc.items() if not f.is_zero(a)}
 
@@ -438,18 +438,8 @@ class GradedQuotientRing:
             if g.degree() == d:
                 relations.append(reduce_parents(
                     *((c, m, first_var(m)) for m, c in g.terms.items())))
-
-        border = sorted({_shift(t, j, 1) for t in low.standard for j in range(n)},
-                        reverse=True)
-        column = {b: k for k, b in enumerate(border)}
-        rows = []
-        for rel in relations:
-            if rel:
-                row = [f.zero()] * len(border)
-                for b, c in rel.items():
-                    row[column[b]] = c
-                rows.append(row)
-        red, piv = rref(rows, f) if rows else ([], [])
+        rows = [rel for rel in relations if rel]
+        red, piv = rref(rows, f, len(border)) if rows else ([], [])
 
         pivot_rows = dict(zip(piv, red))
         free = [k for k in range(len(border)) if k not in pivot_rows]
@@ -499,15 +489,12 @@ class GradedQuotientRing:
         share one id; the field is part of that key, as Fraction(1) == 1."""
         key = (poly, e, field)
         if key not in self._blocks:
-            src = self._degree_data(e)
-            tgt = self._degree_data(e + poly.degree())
+            d = e + poly.degree()
             rows = self._rows.setdefault(field, {})
             block = []
-            for m in src.standard:
-                acc = {}
-                for mu, c in poly.terms.items():
-                    for s, a in tgt.nf[tgt.index[monomial_mul(mu, m)]]:
-                        acc[s] = acc.get(s, 0) + c * a
+            for m in self._degree_data(e).standard:
+                acc = self._nf_sum(
+                    ((monomial_mul(mu, m), c) for mu, c in poly.terms.items()), d)
                 row = ((s, field.of(a)) for s, a in sorted(acc.items()))
                 row = tuple((s, a) for s, a in row if a)
                 block.append(rows.setdefault(row, row))
@@ -516,39 +503,44 @@ class GradedQuotientRing:
             self._blocks[key] = ids.setdefault((field, block), (len(ids), block))
         return self._blocks[key]
 
-    def _nf_vector(self, poly: Polynomial, data: _DegreeData):
-        """NF(poly) over the standard basis, summed off the normal-form table."""
-        f = self.field
-        vec = [f.zero()] * len(data.standard)
-        for m, c in poly.terms.items():
+    def _nf_sum(self, terms, d: int) -> dict:
+        """Σ c·NF(m) over the (m, c) pairs given, each m of degree d, as
+        {standard index: coefficient}.  The sum is taken with + and *, and
+        each caller brings it into its own field once."""
+        data = self._degree_data(d)
+        acc = {}
+        for m, c in terms:
             k = data.index.get(m)
             if k is None:
                 raise RingError("normal form needs a homogeneous input")
             for s, a in data.nf[k]:
-                vec[s] = f.add(vec[s], f.mul(c, a))
-        return vec
+                acc[s] = acc.get(s, 0) + c * a
+        return acc
 
-    def normal_form_homogeneous(self, poly: Polynomial, d=None) -> Polynomial:
-        if poly.is_zero():
-            return poly
-        data = self._degree_data(poly.degree() if d is None else d)
-        out = Polynomial(self.nvars, self.field)
-        out.terms = {
-            m: c for m, c in zip(data.standard, self._nf_vector(poly, data))
-            if not self.field.is_zero(c)
-        }
-        return out
-
-    def normal_form(self, poly: Polynomial) -> Polynomial:
-        """Normal form of any polynomial, reducing each homogeneous part."""
-        out = self.zero()
-        for _, comp in poly.homogeneous_components().items():
-            out = out + self.normal_form_homogeneous(comp)
+    def normal_form(self, *polys: Polynomial) -> Polynomial:
+        """Normal form of the sum of `polys`, of any degrees: one sum off the
+        normal-form table per degree."""
+        f = self.field
+        by_degree = {}
+        for p in polys:
+            for m, c in p.terms.items():
+                by_degree.setdefault(monomial_degree(m), []).append((m, c))
+        out = Polynomial(self.nvars, f)
+        for d, terms in by_degree.items():
+            standard = self._degree_data(d).standard
+            for s, a in self._nf_sum(terms, d).items():
+                a = f.of(a)
+                if not f.is_zero(a):
+                    out.terms[standard[s]] = a
         return out
 
     def nf_coeff_vector(self, poly: Polynomial, d: int):
         """Coefficients of the degree-d normal form over the standard basis."""
-        return self._nf_vector(poly, self._degree_data(d))
+        f = self.field
+        vec = [f.zero()] * self.dim_quotient(d)
+        for s, a in self._nf_sum(poly.terms.items(), d).items():
+            vec[s] = f.of(a)
+        return vec
 
     def hilbert_coefficients(self, up_to: int):
         """dim_k (Q/I)_d for d = 0..up_to (inclusive)."""

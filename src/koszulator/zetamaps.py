@@ -197,7 +197,8 @@ def sequence_matrix(c: int, k: int, u: int):
     return homology_zeta_matrix(c, k - u + 1, u)
 
 
-def _int_rank(matrix, field) -> int:
+def int_rank(matrix, field) -> int:
+    """Rank over `field` of a dense integer matrix, such as a [ζ] matrix."""
     if not matrix or not matrix[0]:
         return 0
     rows = [[field.of(x) for x in row] for row in matrix]
@@ -209,7 +210,7 @@ def verify_exact_sequence(c: int, k: int, field) -> dict:
     A_c^{⊕C(k,c−1)} → 0."""
     dims = [math.comb(c, u) * tuple_count(c, k + 1 - u) for u in range(c + 1)]
     mats = {u: sequence_matrix(c, k, u) for u in range(1, c + 1)}
-    ranks = {u: _int_rank(mats[u], field) for u in range(1, c + 1)}
+    ranks = {u: int_rank(mats[u], field) for u in range(1, c + 1)}
     checks = []
     checks.append(
         {

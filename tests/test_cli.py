@@ -48,8 +48,10 @@ def test_cycles_with_override_file(ring2_file, tmp_path, capsys):
     z.write_text("x, 0, 0\n0, y, z\n")
     assert main(["cycles", "--ring", ring2_file, "--z", str(z)]) == 0
     bad = tmp_path / "bad.txt"
-    bad.write_text("x, 0, 0\n0, y, 0\n")
-    assert main(["cycles", "--ring", ring2_file, "--z", str(bad)]) == 2
+    # not a cycle; a row longer than the variables; a row shorter
+    for text in ("x, 0, 0\n0, y, 0\n", "x, 0, 0, y\n0, y, z\n", "x\n0, y, z\n"):
+        bad.write_text(text)
+        assert main(["cycles", "--ring", ring2_file, "--z", str(bad)]) == 2
 
 
 def test_zeta_command_json(ring2_file, capsys):

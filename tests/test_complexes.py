@@ -9,6 +9,7 @@ from koszulator.complexes import (
     ComplexError,
     FreeModule,
     GradedMap,
+    collect,
     mapping_cone,
 )
 from koszulator.fields import PrimeField, RationalField
@@ -47,6 +48,13 @@ def test_graded_map_compose_and_minimality(ring):
     assert f.is_minimal()
     one = GradedMap(b, b, {(0, 0): P(ring, "1")})
     assert not one.is_minimal()
+
+
+def test_collect_drops_cancelled_keys_and_normalises_the_rest(ring):
+    terms = [("a", "x*y"), ("b", "y^2"), ("a", "-x*y"), ("c", "x^2"),
+             ("b", "z^2 + x*z"), ("d", "y^2")]
+    out = collect(((key, P(ring, t)) for key, t in terms), ring)
+    assert out == {"b": P(ring, "x*z"), "d": P(ring, "-z^2")}
 
 
 def test_strand_matrix_shape(ring):

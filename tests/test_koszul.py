@@ -117,6 +117,9 @@ def test_user_cycles_validated(ex2):
     bad = [good[0], [parse_polynomial(t, VARS, Q) for t in ("0", "y", "0")]]
     with pytest.raises(CycleError):
         cycles_from_user(ex2.K, bad)
+    for z1 in (good[0][:1], good[0] + [parse_polynomial("y", VARS, Q)]):
+        with pytest.raises(CycleError, match="coordinates"):
+            cycles_from_user(ex2.K, [z1, good[1]])
 
 
 def test_wedge_and_differential_consistency(ex2):

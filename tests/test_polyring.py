@@ -56,9 +56,6 @@ def test_parse_unknown_variable():
 
 def test_polynomial_homogeneous_components():
     p = P("x^2 + y + z^3")
-    comps = p.homogeneous_components()
-    assert sorted(comps) == [1, 2, 3]
-    assert comps[2] == P("x^2")
     assert not p.is_homogeneous()
     assert P("x*y + z^2").is_homogeneous(2)
 
@@ -78,6 +75,23 @@ def test_normal_form_pinned_representatives():
     assert ring.normal_form(P("y^2")) == P("-z^2")
     assert ring.normal_form(P("x^2")).is_zero()
     assert ring.normal_form(P("x^3 + x*y")) == P("x*y")
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField()], ids=["Q", "Fp"])
+def test_normal_form_of_a_sum_of_mixed_degree_arguments(field):
+    # x^3 cancels across the arguments and y^2 + z^2 lies in the ideal
+    ring = ring_from_strings(VARS, ["x^2", "y^2+z^2"], field)
+    args = [parse_polynomial(t, VARS, field) for t in ("x^3 + y^2", "z^2 - x^3", "x*y")]
+    assert ring.normal_form(*args) == parse_polynomial("x*y", VARS, field)
+    assert ring.normal_form(*args) == ring.normal_form(args[0] + args[1] + args[2])
+    assert ring.normal_form().is_zero()
+
+
+def test_nf_coeff_vector_needs_the_given_degree():
+    ring = ring_from_strings(VARS, ["x^2", "y^2+z^2"], Q)
+    assert ring.nf_coeff_vector(P("y^2 + x*z"), 2) == [0, 1, 0, -1]
+    with pytest.raises(RingError, match="homogeneous"):
+        ring.nf_coeff_vector(P("x*y + z"), 2)
 
 
 def test_dim_quotient_matches_hand_count():
