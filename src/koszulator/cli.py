@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -60,10 +59,8 @@ from .render import (
 
 DEFAULT_MAX_D = 16  # resolve's --max-d and verify-all's exactness window; never refused
 
-# each degree's normal-form table and monomial index enumerate all of its
-# monomials, so no window above DEFAULT_MAX_D may reach a degree with more
-# monomials than this (5 variables, degree 16)
-MAX_WINDOW_MONOMIALS = 4845
+# no window may reach a degree where dim R_d exceeds this (see _window)
+MAX_QUOTIENT_DIM = 5000
 
 
 def _int_at_least(low: int):
@@ -140,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     ring = load_ring_file(args.ring)
-    _window(ring, degree_window(ring, 1))  # the certificate's window
+    _window(ring, degree_window(ring, 1), certified=False)  # the certificate's window
     K = build_koszul(ring)
     z_path = getattr(args, "z", None)
     if z_path:
@@ -208,13 +205,25 @@ def _cmd_zeta(args) -> int:
     return 0
 
 
-def _window(ring, max_d: int) -> int:
-    """Check the internal-degree window max_d against the monomial limit;
-    returns max_d."""
-    count = math.comb(max_d + ring.nvars - 1, ring.nvars - 1)
-    if max_d > DEFAULT_MAX_D and count > MAX_WINDOW_MONOMIALS:
-        raise RingError(f"degree window {max_d} has {count} monomials in its "
-                        f"top degree, more than {MAX_WINDOW_MONOMIALS}")
+def _window(ring, max_d: int, certified: bool = True) -> int:
+    """Check the internal-degree window max_d; returns max_d.  Above
+    DEFAULT_MAX_D, max_d may not pass max(the limit, Σ deg), past which the
+    CI prediction of dim R_d is constant or more than d, nor may that
+    prediction pass the limit.  It is exact for a CI, so on a ring not yet
+    `certified` the degrees are built in turn and each must match it."""
+    top = max(MAX_QUOTIENT_DIM, sum(g.degree() for g in ring.generators))
+    if max_d > top:
+        raise RingError(f"degree window {max_d} is above {top}, the largest accepted: "
+                        f"max({MAX_QUOTIENT_DIM}, the sum of the generator degrees)")
+    dims = ring.ci_hilbert_coefficients(max_d) if max_d > DEFAULT_MAX_D else []
+    for d, dim in enumerate(dims):
+        if dim > MAX_QUOTIENT_DIM:
+            raise RingError(f"degree window {max_d} reaches degree {d}, where dim R_{d} "
+                            f"is predicted to be {dim}, more than {MAX_QUOTIENT_DIM}")
+    for d, dim in enumerate([] if certified else dims):
+        if ring.dim_quotient(d) != dim:
+            raise RingError(f"not a complete intersection: dim R_{d} is "
+                            f"{ring.dim_quotient(d)}, not the predicted {dim}")
     return max_d
 
 
@@ -266,7 +275,8 @@ def _cmd_resolve(args) -> int:
     if args.verify_all:
         _exactness_imax(args.imax)
     ring, K, Z, _ = _load(args)
-    _window(ring, args.max_d)
+    if args.verify_all:
+        _window(ring, args.max_d)
     F = assemble_f(K, Z, args.imax)
     betti = betti_numbers(F)
     expected = poincare_coefficients(ring.nvars, ring.codepth, args.imax)

@@ -11,17 +11,16 @@ memoised per ring under a key that fixes the matrix exactly.
 
 from __future__ import annotations
 
-import functools
 from itertools import accumulate
 
 from .fields import FieldError, PrimeField
 from .linalg import rank, sparse_rank
 from .polyring import GradedQuotientRing, Polynomial
 
-# The prime of the exactness certificate over ℚ.  It can mislead only by
-# dividing a denominator (then it is rejected) or a nonzero minor (then a
+# The prime field of the exactness certificate over ℚ.  It can mislead only
+# by dividing a denominator (then it is rejected) or a nonzero minor (then a
 # rank drops and the exact ranks are taken); a large p makes both rare.
-MODULAR_PRIME = 2**31 - 1
+MODULAR_FIELD = PrimeField(2**31 - 1)
 
 
 def collect(terms, ring) -> dict:
@@ -271,7 +270,7 @@ class ChainComplex:
         # (i, d) -> rank of ∂_i at internal degree d; a complex is never
         # changed once built, so the memo cannot go stale
         self._ranks = {}
-        # (i, d) -> that rank mod MODULAR_PRIME, taken only over ℚ; None once
+        # (i, d) -> that rank in MODULAR_FIELD, taken only over ℚ; None once
         # the prime divides a denominator
         self._modular_ranks = {}
         self._square_defect = None
@@ -332,7 +331,7 @@ class ChainComplex:
     def vanishing_homology_dim(self, i: int, d: int) -> int:
         """strand_homology_dim(i, d), for a strand whose homology should be 0.
 
-        Over ℚ both ranks are first taken mod MODULAR_PRIME.  A strand
+        Over ℚ both ranks are first taken in MODULAR_FIELD = 𝔽_p.  A strand
         matrix with no denominator divisible by p has rank_p ≤ rank_ℚ, and
         H ≥ 0 where ∂² = 0, so dim = r_p(i+1) + r_p(i) proves H_i(C)_d = 0
         and makes both ranks exact (the modular argument of Wang 1981 and
@@ -347,8 +346,8 @@ class ChainComplex:
         return self.strand_homology_dim(i, d)
 
     def _rank_lower_bound(self, i: int, d: int):
-        """The rank of ∂_i at degree d over ℚ if known, else its rank mod
-        MODULAR_PRIME, a lower bound; None once the prime is rejected."""
+        """The rank of ∂_i at degree d over ℚ if known, else its rank in
+        MODULAR_FIELD, a lower bound; None once the prime is rejected."""
         if (i, d) in self._ranks:
             return self._ranks[(i, d)]
         if self._modular_ranks is None:
@@ -356,7 +355,7 @@ class ChainComplex:
         if (i, d) not in self._modular_ranks:
             try:
                 self._modular_ranks[(i, d)] = _strand_rank(
-                    self.differential(i), d, _prime_field(MODULAR_PRIME))
+                    self.differential(i), d, MODULAR_FIELD)
             except FieldError:
                 self._modular_ranks = None
                 return None
@@ -369,13 +368,6 @@ class ChainComplex:
             for i in range(max_i + 1)
             for d in range(max_d + 1)
         }
-
-
-@functools.cache
-def _prime_field(p: int) -> PrimeField:
-    """One field per prime: its primality check runs some 46 000 trial
-    divisions for a prime near 2^31."""
-    return PrimeField(p)
 
 
 def _strand_rank(dmap: GradedMap, d: int, field=None) -> int:

@@ -3,11 +3,12 @@
 A monomial is a tuple of exponents; polynomials map monomials to nonzero
 field scalars.  A GradedQuotientRing holds per-degree normal-form data for
 Q/I: the standard monomials of each degree (those that are not the
-graded-lex leading monomial of an element of the ideal) and the normal form
-of every monomial over them.  Degree d is built from degrees d-1 and d-2 by
-a small elimination on the monomials that have a standard parent, never in
-the ideal's whole degree piece.  The degree cache has no cap: it grows as
-far as a computation asks, and the CLI bounds the windows it is asked for.
+graded-lex leading monomial of an element of the ideal) and normal forms
+over them.  Degree d is built from degrees d-1 and d-2 by a small
+elimination on the border, the monomials that have a standard parent; any
+other normal form is computed from its parent on first use.  The degree
+cache has no cap: it grows as far as a computation asks, and the CLI bounds
+the windows it is asked for.
 Every normal form is one sparse sum off these tables (`_nf_sum`): that of
 a sum of ring elements, and each row of the cached block of multiplication
 by a polynomial from one degree to another, the unit that strand matrices
@@ -17,6 +18,7 @@ are assembled from.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .fields import FieldError, field_from_spec
 from .linalg import rref
@@ -45,17 +47,8 @@ def _shift(mono, j: int, k: int):
     return mono[:j] + (mono[j] + k,) + mono[j + 1:]
 
 
-def monomials_of_degree(nvars: int, d: int):
-    """All degree-d monomials in graded-lex descending order (x1 largest)."""
-    if nvars == 0:
-        return [()] if d == 0 else []
-    if nvars == 1:
-        return [(d,)]
-    out = []
-    for head in range(d, -1, -1):
-        for tail in monomials_of_degree(nvars - 1, d - head):
-            out.append((head,) + tail)
-    return out
+def _first_var(mono) -> int:
+    return next(j for j, e in enumerate(mono) if e)
 
 
 class Polynomial:
@@ -304,17 +297,15 @@ def parse_polynomial(text: str, var_names, field) -> Polynomial:
 
 
 class _DegreeData:
-    """Degree-d monomials, the standard ones among them, and the normal-form
-    table: nf[k] lists (standard index, coefficient) for NF(monomials[k]).
+    """Degree d of Q/I: `standard` lists the monomials that are not the
+    graded-lex leading monomial of any element of I_d, a basis of (Q/I)_d,
+    graded-lex descending (x1 largest); `nf` maps a monomial m to NF(m) as
+    (standard index, coefficient) pairs, for the border from the build and
+    for any other m once `GradedQuotientRing._nf_row` is asked for it."""
 
-    A monomial is standard when it is not the graded-lex leading monomial of
-    any element of I_d; the standard monomials of degree d are a basis of
-    (Q/I)_d, listed graded-lex descending like `monomials_of_degree`."""
+    __slots__ = ("standard", "nf")
 
-    __slots__ = ("index", "standard", "nf")
-
-    def __init__(self, monomials, standard, nf):
-        self.index = {m: i for i, m in enumerate(monomials)}
+    def __init__(self, standard, nf):
         self.standard = standard
         self.nf = nf
 
@@ -345,7 +336,7 @@ class GradedQuotientRing:
                 raise RingError("ideal generators must have degree >= 2")
             self.generators.append(g)
         one = ((0, field.one()),)
-        self._degrees = [_DegreeData([(0,) * self.nvars], [(0,) * self.nvars], [one])]
+        self._degrees = [_DegreeData([(0,) * self.nvars], {(0,) * self.nvars: one})]
         # normal-form rows and block rows repeat few distinct values: each is
         # stored once per field (over two fields, Fraction(1) == 1 would
         # alias a ℚ row and an 𝔽_p row)
@@ -404,7 +395,8 @@ class GradedQuotientRing:
         part of I_d on the border.  One RREF of them, with the border as
         columns in graded-lex descending order, leaves the standard
         monomials as the free columns and gives the NF of every other border
-        monomial as -(its row on them).
+        monomial as -(its row on them).  Only the border is stored here;
+        `_nf_row` computes any other NF from it on first use.
         """
         f = self.field
         n = self.nvars
@@ -420,13 +412,10 @@ class GradedQuotientRing:
             scalar} row on the border."""
             acc = {}  # summed with + and *, brought back into the field once
             for c, m, j in terms:
-                for s, a in low.nf[low.index[_shift(m, j, -1)]]:
+                for s, a in self._nf_row(_shift(m, j, -1), d - 1):
                     b = column[_shift(low.standard[s], j, 1)]
                     acc[b] = acc.get(b, 0) + c * a
             return {b: f.of(a) for b, a in acc.items() if not f.is_zero(a)}
-
-        def first_var(m):
-            return next(j for j, e in enumerate(m) if e)
 
         relations = []
         for s in self._degrees[d - 2].standard if d >= 2 else ():
@@ -437,7 +426,7 @@ class GradedQuotientRing:
         for g in self.generators:
             if g.degree() == d:
                 relations.append(reduce_parents(
-                    *((c, m, first_var(m)) for m, c in g.terms.items())))
+                    *((c, m, _first_var(m)) for m, c in g.terms.items())))
         rows = [rel for rel in relations if rel]
         red, piv = rref(rows, f, len(border)) if rows else ([], [])
 
@@ -456,20 +445,38 @@ class GradedQuotientRing:
         nf = {b: ((s, f.one()),) for s, b in enumerate(standard)}
         for k, row in pivot_rows.items():
             nf[border[k]] = tuple((s, f.neg(row[c])) for s, c in enumerate(free) if row[c])
-        # off the border: m = x_j NF(m/x_j) = sum c_s x_j s, each x_j s on it
-        monomials = monomials_of_degree(n, d)
-        for m in monomials:
-            if m not in nf:
-                j = first_var(m)
-                acc = {}
-                for s, c in low.nf[low.index[_shift(m, j, -1)]]:
-                    for t, a in nf[_shift(low.standard[s], j, 1)]:
-                        acc[t] = acc.get(t, 0) + c * a
-                nf[m] = tuple((t, f.of(a)) for t, a in sorted(acc.items())
-                              if not f.is_zero(a))
         rows = self._rows[f]
-        return _DegreeData(monomials, standard,
-                           [rows.setdefault(nf[m], nf[m]) for m in monomials])
+        return _DegreeData(standard, {m: rows.setdefault(r, r) for m, r in nf.items()})
+
+    def _nf_row(self, m, d: int):
+        """NF(m) of a degree-d monomial as (standard index, coefficient)
+        pairs.  Off the border NF(m) = x_j NF(m/x_j) = Σ c_s NF(x_j s), j
+        the first variable of m and each x_j s on the border: a loop walks
+        down to the nearest stored parent and stores each row it computes."""
+        data = self._degree_data(d)
+        row = data.nf.get(m)
+        if row is not None:
+            return row
+        if monomial_degree(m) != d:
+            raise RingError("normal form needs a homogeneous input")
+        if not data.standard:  # (Q/I)_d = 0, and so is every degree above
+            return ()
+        chain = []
+        while row is None:
+            j = _first_var(m)
+            chain.append((m, d, j))
+            m, d = _shift(m, j, -1), d - 1
+            row = self._degrees[d].nf.get(m)
+        f, rows = self.field, self._rows[self.field]
+        for m, d, j in reversed(chain):
+            standard, nf = self._degrees[d - 1].standard, self._degrees[d].nf
+            acc = {}
+            for s, c in row:
+                for t, a in nf[_shift(standard[s], j, 1)]:
+                    acc[t] = acc.get(t, 0) + c * a
+            row = tuple((t, f.of(a)) for t, a in sorted(acc.items()) if not f.is_zero(a))
+            row = nf[m] = rows.setdefault(row, row)
+        return row
 
     def dim_quotient(self, d: int) -> int:
         """dim_k (Q/I)_d."""
@@ -507,13 +514,9 @@ class GradedQuotientRing:
         """Σ c·NF(m) over the (m, c) pairs given, each m of degree d, as
         {standard index: coefficient}.  The sum is taken with + and *, and
         each caller brings it into its own field once."""
-        data = self._degree_data(d)
         acc = {}
         for m, c in terms:
-            k = data.index.get(m)
-            if k is None:
-                raise RingError("normal form needs a homogeneous input")
-            for s, a in data.nf[k]:
+            for s, a in self._nf_row(m, d):
                 acc[s] = acc.get(s, 0) + c * a
         return acc
 
@@ -549,22 +552,12 @@ class GradedQuotientRing:
     def ci_hilbert_coefficients(self, up_to: int):
         """Series coefficients of prod(1-t^{d_t}) / (1-t)^n, the complete
         intersection prediction for the Hilbert series."""
-        num = [1]
-        for g in self.generators:
+        out = [1] + [0] * up_to
+        for g in self.generators:  # times 1 - t^deg g
             dg = g.degree()
-            new = [0] * (len(num) + dg)
-            for i, c in enumerate(num):
-                new[i] += c
-                new[i + dg] -= c
-            num = new
-        num = num[: up_to + 1] + [0] * max(0, up_to + 1 - len(num))
-        # divide by (1-t)^n: n successive partial-sum passes
-        out = list(num)
-        for _ in range(self.nvars):
-            acc = 0
-            for i in range(up_to + 1):
-                acc += out[i]
-                out[i] = acc
+            out = [c - (out[i - dg] if i >= dg else 0) for i, c in enumerate(out)]
+        for _ in range(self.nvars):  # divided by 1 - t: partial sums
+            out = list(accumulate(out))
         return out
 
 

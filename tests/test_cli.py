@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from koszulator.cli import main
+from koszulator.cli import _window, main
+from koszulator.polyring import RingError, load_ring_file
 
 RING2 = """field rational
 vars x,y,z
@@ -109,7 +110,7 @@ def test_resolve_deterministic_output(ring3_file, tmp_path):
 
 
 def test_resolve_explicit_window_above_16(ring3_file, tmp_path, capsys):
-    # a window above the default 16 but under the monomial limit runs in full
+    # a window above the default 16 runs in full
     out_dir = tmp_path / "out"
     assert main(["resolve", "--ring", ring3_file, "--imax", "4", "--verify-all",
                  "--max-d", "20", "--out", str(out_dir)]) == 0
@@ -119,12 +120,15 @@ def test_resolve_explicit_window_above_16(ring3_file, tmp_path, capsys):
     assert any("internal degrees ≤ 20" in ch["check"] for ch in checks)
 
 
-def test_resolve_window_beyond_monomial_limit_exits_2(ring3_file, capsys):
+def test_resolve_artinian_window_of_200_runs(ring3_file, tmp_path, capsys):
+    # R = 0 above degree 3, so the quotient limit refuses no window
+    out_dir = tmp_path / "out"
     assert main(["resolve", "--ring", ring3_file, "--imax", "4", "--verify-all",
-                 "--max-d", "200"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "input error: degree window 200 has 20301 monomials" in err
+                 "--max-d", "200", "--out", str(out_dir)]) == 0
+    assert "minimality and exactness: pass" in capsys.readouterr().out
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    checks = report["minimal_and_exact"]["checks"]
+    assert any("internal degrees ≤ 200" in ch["check"] and ch["pass"] for ch in checks)
 
 
 @pytest.mark.parametrize("argv", [
@@ -308,12 +312,70 @@ def test_resolve_ci_beyond_default_truncation(tmp_path, capsys, vars_, gens):
     assert "betti:" in capsys.readouterr().out
 
 
-def test_window_beyond_monomial_limit_exits_2(tmp_path, capsys):
+def test_window_beyond_quotient_limit_exits_2(tmp_path, capsys):
     # six degree-10 generators in 6 variables: the certificate window is
-    # degree 70, whose piece has about 1.7e7 monomials
+    # degree 70, and R_12 already has dimension 6062
     path = tmp_path / "huge.ring"
     path.write_text("field rational\nvars a,b,c,d,e,f\n"
                     + "".join(f"gen {v}^10\n" for v in "abcdef"))
     assert main(["resolve", "--ring", str(path), "--imax", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "input error: degree window 70 has 17259390 monomials" in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("input error: degree window 70 reaches degree 12, where dim R_12 "
+            "is predicted to be 6062, more than 5000") in err
+
+
+def test_cycles_on_six_cubes(tmp_path, capsys):
+    # dim R = 729 in all, but degree 21 of the certificate window has 65780
+    # monomials: only the border of each degree is built
+    path = tmp_path / "cubes.ring"
+    path.write_text("field prime 32003\nvars a,b,c,d,e,f\n"
+                    + "".join(f"gen {v}^3\n" for v in "abcdef"))
+    assert main(["cycles", "--ring", str(path)]) == 0
+    assert "complete intersection certificate: pass" in capsys.readouterr().out
+
+
+def test_default_window_on_a_six_variable_hypersurface(tmp_path, capsys):
+    # dim R_14 = 5440 on ℚ[a..f]/(a²), but a window ≤ 16 is never refused,
+    # and plain resolve uses no window at all
+    path = tmp_path / "hyp.ring"
+    path.write_text("field rational\nvars a,b,c,d,e,f\ngen a^2\n")
+    assert main(["resolve", "--ring", str(path), "--imax", "4", "--betti"]) == 0
+    assert "betti:" in capsys.readouterr().out
+    ring = load_ring_file(str(path))
+    assert _window(ring, 16) == 16
+    assert len(ring._degrees) == 1  # decided without building a degree
+
+
+def test_ring_leaving_the_prediction_exits_2(tmp_path, capsys):
+    # (a³, a²b, …, a²f) = a²·(a, …, f) is no CI: its prediction stays below
+    # 141 over the certificate window 21, but the true dim R_21 is about
+    # 23 000, so the degrees are built in turn and checked against it
+    path = tmp_path / "notci.ring"
+    path.write_text("field rational\nvars a,b,c,d,e,f\ngen a^3\n"
+                    + "".join(f"gen a^2*{v}\n" for v in "bcdef"))
+    assert main(["cycles", "--ring", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("input error: not a complete intersection: dim R_4 is 105, "
+            "not the predicted 90") in err
+    ring = load_ring_file(str(path))
+    with pytest.raises(RingError):
+        _window(ring, 21, certified=False)
+    assert len(ring._degrees) == 5  # nothing above degree 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--imax", "4", "--verify-all"],
+    ["verify-all"],
+    ["tower", "--levels", "1", "--verify"],
+], ids=["resolve", "verify-all", "tower"])
+def test_window_above_the_largest_exits_2(ring3_file, capsys, argv):
+    # an Artinian ring passes the quotient limit at every degree, but the
+    # checks walk each degree of a window: none above max(5000, Σ deg) runs
+    assert main([argv[0], "--ring", ring3_file, *argv[1:], "--max-d", "1000000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("input error: degree window 1000000000 is above 5000, the largest "
+            "accepted: max(5000, the sum of the generator degrees)") in err
+    assert main([argv[0], "--ring", ring3_file, *argv[1:], "--max-d", "5000"]) == 0

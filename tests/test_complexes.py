@@ -80,7 +80,7 @@ def test_chain_complex_enforces_square_zero(ring):
 def test_vanishing_homology_needs_square_zero(ring, monkeypatch):
     # ∂_1∂_2 = 5 ≠ 0: mod 5 the strand looks exact, but over ℚ both ranks
     # are 1 and the rank formula gives -1
-    monkeypatch.setattr(complexes, "MODULAR_PRIME", 5)
+    monkeypatch.setattr(complexes, "MODULAR_FIELD", PrimeField(5))
     mods = {i: FreeModule(ring, [(f"g{i}", 0)]) for i in range(3)}
     diffs = {
         1: GradedMap(mods[1], mods[0], {(0, 0): P(ring, "1")}),
@@ -195,7 +195,7 @@ def test_rank_memo_keeps_fields_apart(exact_first):
     ring = ring_from_strings(VARS, ["x^2", "y^2+z^2"], RationalField())
     K = build_koszul(ring)
     F = assemble_f(K, cycles_from_generators(K), 4)
-    fp = complexes._prime_field(complexes.MODULAR_PRIME)
+    fp = complexes.MODULAR_FIELD
     strands = [(F.complex.differential(i), d) for i in range(1, 5) for d in range(7)]
     order = [None, fp] if exact_first else [fp, None]
     ranks = {field: [complexes._strand_rank(g, d, field) for g, d in strands]

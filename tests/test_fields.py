@@ -6,6 +6,7 @@ from koszulator.fields import (
     FieldError,
     PrimeField,
     RationalField,
+    _is_prime,
     field_from_spec,
 )
 
@@ -37,6 +38,16 @@ def test_prime_field_symmetric_printing():
 def test_prime_field_rejects_composite():
     with pytest.raises(FieldError):
         PrimeField(6)
+
+
+def test_primality_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+    assert [n for n in range(10**5) if _is_prime(n)] == \
+        [n for n in range(10**5) if trial(n)]
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not _is_prime(3215031751)
+    assert _is_prime(2**31 - 1) and _is_prime(3037000493)
 
 
 def test_prime_field_bounds_p_for_int64_elimination():

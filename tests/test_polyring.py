@@ -9,7 +9,6 @@ from koszulator.polyring import (
     ParseError,
     Polynomial,
     RingError,
-    monomials_of_degree,
     parse_polynomial,
     ring_from_strings,
 )
@@ -22,11 +21,20 @@ def P(text):
     return parse_polynomial(text, VARS, Q)
 
 
+def monomials_of_degree(nvars, d):
+    """All degree-d monomials in graded-lex descending order (x1 largest)."""
+    if nvars == 1:
+        return [(d,)]
+    return [(head,) + tail for head in range(d, -1, -1)
+            for tail in monomials_of_degree(nvars - 1, d - head)]
+
+
 def test_monomial_order_graded_lex_descending():
-    # degree-2 monomials in x > y > z: x², xy, xz, y², yz, z²
-    assert monomials_of_degree(3, 2) == [
-        (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
-    ]
+    # degree-2 monomials in x > y > z: x², xy, xz, y², yz, z²; with no
+    # generator of degree 2 all are standard, in the same order
+    order = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    assert monomials_of_degree(3, 2) == order
+    assert ring_from_strings(VARS, ["x^3"], Q).degree_piece_basis(2) == order
 
 
 def test_parse_round_trip():
@@ -231,14 +239,29 @@ ORACLE_RINGS = [
     + [pytest.param(*_random_ring(seed), 16, id=f"random{seed}") for seed in range(6)],
 )
 def test_degree_tables_match_macaulay_rref(names, gens, field, top):
-    """Each degree built from the two below it has the standard monomials and
-    normal-form table that row-reducing the ideal's whole degree piece gives."""
+    """Each degree built from the two below it has the standard monomials,
+    and every monomial the normal form, that row-reducing the ideal's whole
+    degree piece gives."""
     ring = ring_from_strings(names, gens, field)
     for d in range(top + 1):
-        data = ring._degree_data(d)
         standard, nf = _macaulay_table(ring, d)
-        assert data.standard == standard, d
-        assert data.nf == nf, d
+        assert ring.degree_piece_basis(d) == standard, d
+        monos = monomials_of_degree(ring.nvars, d)
+        assert [ring._nf_row(m, d) for m in monos] == nf, d
+
+
+def test_nf_lookup_walks_a_long_chain_without_recursion():
+    # every x^k with k >= 3 is off the border of Q[x,y]/(x^2 - y^2), where
+    # x^k = x^(k-2) y^2, so NF(x^2500) comes from a chain 2500 degrees deep
+    ring = ring_from_strings(["x", "y"], ["x^2 - y^2"], Q)
+    assert ring.normal_form(Polynomial(2, Q, {(2500, 0): 1})) == \
+        Polynomial(2, Q, {(0, 2500): 1})
+
+
+def test_degree_table_stores_the_border_only():
+    ring = ring_from_strings(*GENERIC4, PrimeField())
+    ring.hilbert_coefficients(16)
+    assert len(ring._degree_data(16).nf) < len(monomials_of_degree(4, 16)) == 969
 
 
 def test_one_variable_ring_builds_thousands_of_degrees():

@@ -81,7 +81,7 @@ def test_exactness_certified_mod_p(strand_builds):
     strand_builds.clear()
     assert verify_minimal_and_exact(F, 8)["pass"]
     fields = {field for _, _, field in strand_builds}
-    assert fields == {RationalField(), PrimeField(complexes.MODULAR_PRIME)}
+    assert fields == {RationalField(), complexes.MODULAR_FIELD}
     assert {d for _, d, field in strand_builds if field == RationalField()} == {0}
 
 
@@ -89,7 +89,7 @@ def test_prime_dividing_a_denominator_is_rejected(monkeypatch, modular_primes):
     gens = ["x^2", "y^2+1/7*z^2"]
     expected = verify_minimal_and_exact(_fresh_f(gens), 8)
     assert expected["pass"] and 7 not in modular_primes
-    monkeypatch.setattr(complexes, "MODULAR_PRIME", 7)
+    monkeypatch.setattr(complexes, "MODULAR_FIELD", PrimeField(7))
     assert verify_minimal_and_exact(_fresh_f(gens), 8) == expected
     assert 7 not in modular_primes  # no rank mod 7 was taken, let alone trusted
 
@@ -98,7 +98,7 @@ def test_unlucky_prime_falls_back(monkeypatch, modular_primes, strand_builds):
     # (x^2, xy) is no complete intersection, so mod 5 some ranks of F drop
     gens = ["x^2", "x*y+5*y^2"]
     expected = verify_minimal_and_exact(_fresh_f(gens), 8)
-    monkeypatch.setattr(complexes, "MODULAR_PRIME", 5)
+    monkeypatch.setattr(complexes, "MODULAR_FIELD", PrimeField(5))
     F = _fresh_f(gens)
     strand_builds.clear()
     assert verify_minimal_and_exact(F, 8) == expected
