@@ -1,8 +1,10 @@
 """Exact coefficient fields: prime fields F_p and the rationals.
 
-Scalars are plain Python values (ints in [0, p) for a prime field,
-`fractions.Fraction` for the rationals), kept in canonical form so that
-equality is structural.  A Field object bundles the arithmetic.
+Scalars are plain Python values, kept in canonical form so that equality
+is structural: ints in [0, p) for a prime field; for the rationals an int
+when integral and a reduced `fractions.Fraction` only when not, a form that
+Python's mixed int/Fraction arithmetic, equality and hashing agree with.
+A Field object bundles the arithmetic.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ class PrimeField:
 
     def of(self, value) -> int:
         """Canonical element from an int, Fraction, or field element."""
+        if type(value) is int:
+            return value % self.p
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:
@@ -98,13 +102,17 @@ class PrimeField:
 
 
 class RationalField:
-    """Q with elements stored as reduced Fractions."""
+    """Q with elements stored as ints when integral, else as reduced
+    Fractions: integral entries, the common case, never build a Fraction."""
 
     is_prime = False
     p = 0
 
-    def of(self, value) -> Fraction:
-        return Fraction(value)
+    def of(self, value):
+        if type(value) is int:
+            return value
+        value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
 
     def add(self, a, b):
         return a + b
@@ -121,13 +129,15 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        if a == 1 or a == -1:
+            return int(a)
+        return self.of(1 / Fraction(a))
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def is_zero(self, a) -> bool:
         return a == 0

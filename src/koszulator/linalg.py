@@ -158,7 +158,7 @@ def rref(rows, field, ncols: int | None = None):
     for c in piv:
         dense = [field.zero()] * ncols
         for j, x in pivots[c].items():
-            dense[j] = x
+            dense[j] = field.of(x)  # over ℚ, elimination can leave Fraction(n, 1)
         out.append(dense)
     return out, piv
 

@@ -83,18 +83,13 @@ class Polynomial:
         return cls(nvars, field, {tuple(e): field.one()})
 
     # -- arithmetic -----------------------------------------------------------
+    # sums and products are taken with + and *, and each coefficient is
+    # brought into the field once, by the constructor
     def __add__(self, other):
         terms = dict(self.terms)
-        f = self.field
         for m, c in other.terms.items():
-            s = f.add(terms.get(m, f.zero()), c)
-            if f.is_zero(s):
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        out = Polynomial(self.nvars, f)
-        out.terms = terms
-        return out
+            terms[m] = terms.get(m, 0) + c
+        return Polynomial(self.nvars, self.field, terms)
 
     def __neg__(self):
         out = Polynomial(self.nvars, self.field)
@@ -105,27 +100,16 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        f = self.field
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = monomial_mul(m1, m2)
-                s = f.add(terms.get(m, f.zero()), f.mul(c1, c2))
-                if f.is_zero(s):
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        out = Polynomial(self.nvars, f)
-        out.terms = terms
-        return out
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return Polynomial(self.nvars, self.field, terms)
 
     def scale(self, c):
-        f = self.field
-        c = f.of(c)
-        out = Polynomial(self.nvars, f)
-        if not f.is_zero(c):
-            out.terms = {m: f.mul(v, c) for m, v in self.terms.items()}
-        return out
+        c = self.field.of(c)
+        return Polynomial(self.nvars, self.field, {m: v * c for m, v in self.terms.items()})
 
     def mul_monomial(self, mono):
         out = Polynomial(self.nvars, self.field)
@@ -338,8 +322,8 @@ class GradedQuotientRing:
         one = ((0, field.one()),)
         self._degrees = [_DegreeData([(0,) * self.nvars], {(0,) * self.nvars: one})]
         # normal-form rows and block rows repeat few distinct values: each is
-        # stored once per field (over two fields, Fraction(1) == 1 would
-        # alias a ℚ row and an 𝔽_p row)
+        # stored once per field (1 is the int 1 over ℚ and 𝔽_p alike, so
+        # only the field tells a ℚ row from an equal 𝔽_p one)
         self._rows = {field: {one: one}}
         # (poly, e, field) -> (id, block) of `mul_block`, and (field, block)
         # -> (id, block), which gives equal blocks one id and one copy
@@ -493,7 +477,8 @@ class GradedQuotientRing:
         brought into `field` once: the ring's own, or a prime field that a
         ℚ ring is reduced into, where a denominator divisible by p raises
         FieldError.  Blocks are cached, and equal blocks over one field
-        share one id; the field is part of that key, as Fraction(1) == 1."""
+        share one id; the field is part of that key, as 1 is the int 1 over
+        ℚ and 𝔽_p alike, and an integer matrix can have another rank mod p."""
         key = (poly, e, field)
         if key not in self._blocks:
             d = e + poly.degree()

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from koszulator import complexes, linalg
@@ -190,20 +188,31 @@ def test_rank_memo_keeps_equal_dims_with_different_blocks_apart():
 
 @pytest.mark.parametrize("exact_first", [True, False])
 def test_rank_memo_keeps_fields_apart(exact_first):
-    # a block over ℚ and its reduction mod p can hold equal scalars
-    # (Fraction(1) == 1): neither may stand in for the other
-    ring = ring_from_strings(VARS, ["x^2", "y^2+z^2"], RationalField())
+    # an integral ℚ block and its reduction mod p hold ints alike, and differ
+    # only where a coefficient is negative (-1 over ℚ, p - 1 mod p): neither
+    # may stand in for the other
+    gens = ["x^2", "y^2-z^2"]
+    ring = ring_from_strings(VARS, gens, RationalField())
     K = build_koszul(ring)
     F = assemble_f(K, cycles_from_generators(K), 4)
     fp = complexes.MODULAR_FIELD
-    strands = [(F.complex.differential(i), d) for i in range(1, 5) for d in range(7)]
+    strands = [(i, d) for i in range(1, 5) for d in range(7)]
     order = [None, fp] if exact_first else [fp, None]
-    ranks = {field: [complexes._strand_rank(g, d, field) for g, d in strands]
+    ranks = {field: [complexes._strand_rank(F.complex.differential(i), d, field)
+                     for i, d in strands]
              for field in order}
     assert ranks[None] == ranks[fp]
-    assert ranks[None] == [_oracle_rank(g, d) for g, d in strands]
-    for g, d in strands:
-        rows, _, _ = g.strand_matrix(d, fp)
-        assert all(type(a) is int for row in rows for a in row.values())
+    assert ranks[None] == [_oracle_rank(F.complex.differential(i), d) for i, d in strands]
+    # the same strands over a fresh ℚ ring that never saw the prime
+    fresh = ring_from_strings(VARS, gens, RationalField())
+    K2 = build_koszul(fresh)
+    F2 = assemble_f(K2, cycles_from_generators(K2), 4)
+    negatives = 0
+    for i, d in strands:
+        g = F.complex.differential(i)
         rows, _, _ = g.strand_matrix(d)
-        assert all(type(a) is Fraction for row in rows for a in row.values())
+        assert rows == F2.complex.differential(i).strand_matrix(d)[0]
+        negatives += sum(a < 0 for row in rows for a in row.values())
+        mod_rows, _, _ = g.strand_matrix(d, fp)
+        assert mod_rows == [{j: fp.of(a) for j, a in row.items()} for row in rows]
+    assert negatives  # the ℚ and 𝔽_p strands do differ

@@ -74,3 +74,23 @@ def test_field_from_spec():
         field_from_spec("prime 4")
     with pytest.raises(FieldError):
         field_from_spec("galois 9")
+
+
+def test_rational_field_keeps_integral_scalars_as_ints():
+    # integral rationals are ints, and only the others are Fractions
+    f = RationalField()
+    two = f.of(Fraction(6, 3))
+    assert two == 2 and type(two) is int
+    assert type(f.of(Fraction(1, 2))) is Fraction
+    assert f.of(7) == 7 and type(f.of(7)) is int
+    assert type(f.zero()) is int and type(f.one()) is int
+    assert f.inv(-1) == -1 and type(f.inv(-1)) is int
+    assert type(f.inv(Fraction(-1))) is int
+    assert f.inv(2) == Fraction(1, 2)
+    assert type(f.inv(Fraction(1, 3))) is int
+
+
+def test_prime_field_of_agrees_on_ints_and_integral_fractions():
+    f = PrimeField(7)
+    assert f.of(3) == f.of(Fraction(3)) == f.of(Fraction(6, 2)) == 3
+    assert type(f.of(Fraction(6, 2))) is int

@@ -42,6 +42,14 @@ def test_rational_rref_exact():
     assert red[1] == [Fraction(0), Fraction(1)]
 
 
+def test_rational_rref_returns_integral_entries_as_ints():
+    # scaling the pivot 3/2 to 1 turns the 3 beside it into Fraction(2, 1)
+    red, piv = rref([[Fraction(3, 2), 3, Fraction(1, 2)]], RationalField())
+    assert piv == [0]
+    assert red == [[1, 2, Fraction(1, 3)]]
+    assert [type(a) for a in red[0]] == [int, int, Fraction]
+
+
 def gauss_jordan(rows, field):
     """Reference RREF: plain Gauss-Jordan on the whole matrix."""
     a = [list(r) for r in rows]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -44,11 +45,21 @@ def test_parse_round_trip():
 
 
 def test_parse_coefficients_and_powers():
-    from fractions import Fraction
-
     p = P("2*x^2 - 3/4*y*z")
     assert p.terms[(2, 0, 0)] == Fraction(2)
     assert p.terms[(0, 1, 1)] == Fraction(-3, 4)
+
+
+def coefficient_types(p):
+    return {m: type(c) for m, c in p.terms.items()}
+
+
+def test_rational_arithmetic_keeps_integral_coefficients_as_ints():
+    half = P("1/2*x + 1/3*y")
+    assert coefficient_types(half + half) == {(1, 0, 0): int, (0, 1, 0): Fraction}
+    assert coefficient_types(half * P("2*x")) == {(2, 0, 0): int, (1, 1, 0): Fraction}
+    assert coefficient_types(half.scale(Fraction(6))) == {(1, 0, 0): int, (0, 1, 0): int}
+    assert (half - half).is_zero()
 
 
 def test_parse_error_reports_position():

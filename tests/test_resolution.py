@@ -76,7 +76,7 @@ def modular_primes(monkeypatch):
 
 def test_exactness_certified_mod_p(strand_builds):
     # on the golden ℚ ring every exactness strand is proved by ranks mod p;
-    # only H_0 in degree 0, which is k and not zero, takes Fraction ranks
+    # only H_0 in degree 0, which is k and not zero, takes exact ℚ ranks
     F = _fresh_f(["x^2", "y^2+z^2"])
     strand_builds.clear()
     assert verify_minimal_and_exact(F, 8)["pass"]
