@@ -58,16 +58,6 @@ class FreeModule:
     def strand_dim(self, d: int) -> int:
         return sum(self.strand_dims(d))
 
-    def __eq__(self, other):
-        return isinstance(other, FreeModule) and self.gens == other.gens
-
-    def __repr__(self):
-        return f"FreeModule(rank={self.rank})"
-
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring, [])
-
 
 class GradedMap:
     """Matrix of homogeneous ring elements between two free modules.
@@ -100,10 +90,6 @@ class GradedMap:
                         f"entry ({i},{j}) has degree {p.degree()}, expected {want}"
                     )
                 self.entries[(i, j)] = p
-
-    @classmethod
-    def zero(cls, source, target):
-        return cls(source, target)
 
     @classmethod
     def from_columns(cls, source, target, column):
@@ -161,28 +147,10 @@ class GradedMap:
         )
         return out
 
-    def __add__(self, other):
-        if self.source.gens != other.source.gens or self.target.gens != other.target.gens:
-            raise ComplexError("sum shape mismatch")
-        entries = dict(self.entries)
-        ring = self.source.ring
-        for key, p in other.entries.items():
-            s = ring.normal_form(entries.get(key, ring.zero()), p)
-            if s.is_zero():
-                entries.pop(key, None)
-            else:
-                entries[key] = s
-        out = GradedMap(self.source, self.target)
-        out.entries = entries
-        return out
-
     def __neg__(self):
         out = GradedMap(self.source, self.target)
         out.entries = {k: -p for k, p in self.entries.items()}
         return out
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __eq__(self, other):
         return (
@@ -292,13 +260,13 @@ class ChainComplex:
 
     def module(self, i) -> FreeModule:
         m = self.modules.get(i)
-        return m if m is not None else FreeModule.zero(self.ring)
+        return m if m is not None else FreeModule(self.ring, [])
 
     def differential(self, i) -> GradedMap:
         d = self.differentials.get(i)
         if d is not None:
             return d
-        return GradedMap.zero(self.module(i), self.module(i - 1))
+        return GradedMap(self.module(i), self.module(i - 1))
 
     @property
     def top(self) -> int:
@@ -397,6 +365,7 @@ class ChainMap:
         self.source = source
         self.target = target
         self.components = dict(components)
+        self._chain_defect = None
         if check:
             errs = self.chain_defect()
             if errs:
@@ -407,23 +376,29 @@ class ChainMap:
         c = self.components.get(i)
         if c is not None:
             return c
-        return GradedMap.zero(self.source.module(i), self.target.module(i))
+        return GradedMap(self.source.module(i), self.target.module(i))
 
     def chain_defect(self):
-        """Homological degrees where d_D f != f d_C."""
-        bad = []
-        degrees = set(self.source.differentials) | set(self.components)
-        for i in sorted(degrees):
-            lhs = self.target.differential(i).compose(self.component(i))
-            rhs = self.component(i - 1).compose(self.source.differential(i))
-            if lhs != rhs:
-                bad.append(i)
-        return bad
+        """Homological degrees where d_D f != f d_C, composed once: by the
+        constructor when it checks, else on the first call.  A chain map is
+        never changed once built, so the memo cannot go stale."""
+        if self._chain_defect is None:
+            bad = []
+            degrees = set(self.source.differentials) | set(self.components)
+            for i in sorted(degrees):
+                lhs = self.target.differential(i).compose(self.component(i))
+                rhs = self.component(i - 1).compose(self.source.differential(i))
+                if lhs != rhs:
+                    bad.append(i)
+            self._chain_defect = bad
+        return self._chain_defect
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone of f : C -> D, cone_i = C_{i-1} ⊕ D_i with
-    ∂(c, d) = (-∂_C c, f(c) + ∂_D d).  f is re-verified first."""
+    ∂(c, d) = (-∂_C c, f(c) + ∂_D d).  f's chain defect, composed once
+    per chain map, must be empty.  The −∂_C, f and ∂_D blocks fill disjoint
+    (row, column) ranges, so each entry is placed as it is."""
     if f.chain_defect():
         raise ComplexError("mapping cone of a non-chain map")
     C, D = f.source, f.target
@@ -439,7 +414,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         src = modules.get(i)
         if src is None:
             continue
-        tgt = modules.get(i - 1) or FreeModule.zero(ring)
+        tgt = modules.get(i - 1) or FreeModule(ring, [])
         cs = C.module(i - 1).rank
         ct = C.module(i - 2).rank
         entries = {}
@@ -451,12 +426,8 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
             entries[(ct + r, c)] = p
         dD = D.differential(i)
         for (r, c), p in dD.entries.items():
-            key = (ct + r, cs + c)
-            if key in entries:
-                entries[key] = entries[key] + p
-            else:
-                entries[key] = p
+            entries[(ct + r, cs + c)] = p
         nd = GradedMap(src, tgt)
-        nd.entries = {k: p for k, p in entries.items() if not p.is_zero()}
+        nd.entries = entries
         diffs[i] = nd
     return ChainComplex(ring, modules, diffs, check=False)

@@ -1,10 +1,11 @@
 """The minimal free resolution of the residue field, assembled directly
 from Koszul blocks and zeta maps.
 
-F_i = ⊕_{j≥0} K_{i−2j}^{⊕C(j+c−1,c−1)} with generators labelled
-(tuple, wedge subset); the differential has Koszul blocks on the diagonal
-and zeta blocks one level down.  This is an independent code path from the
-mapping-cone tower and the two are cross-checked label-for-label.
+F_i = ⊕_{j≥0} K_{i−2j}^{⊕C(j+c−1,c−1)}, its generators those of the
+tuple sums (`zetamaps.tuple_sum_gens`) in order of j; the differential has
+Koszul blocks on the diagonal and zeta blocks one level down.  This is an
+independent code path from the mapping-cone tower and the two are
+cross-checked label-for-label.
 
 Also here: the splitting-and-spreading synthesis of zeta matrices from
 their k = 0 seed, and the DG product with a Leibniz verifier.  The product
@@ -21,8 +22,8 @@ import math
 from collections import Counter
 
 from .complexes import ChainComplex, FreeModule, GradedMap, collect
-from .koszul import CycleBasis, KoszulComplex, merge_wedge, subsets
-from .zetamaps import tuples, zeta_terms
+from .koszul import CycleBasis, KoszulComplex, merge_wedge
+from .zetamaps import tuple_sum_gens, zeta_terms
 
 
 class ResolutionF:
@@ -33,22 +34,11 @@ class ResolutionF:
         self.Z = Z
         self.i_max = i_max
         ring = K.ring
-        c = ring.codepth
-        n = K.n
-        extra = {}
-        modules = {}
-        for i in range(i_max + 1):
-            gens = []
-            for j in range(i // 2 + 1):
-                wedge = i - 2 * j
-                if wedge > n:
-                    continue
-                for w in tuples(c, j):
-                    if w not in extra:
-                        extra[w] = sum(Z.degrees[t - 1] for t in w)
-                    for S in subsets(n, wedge):
-                        gens.append(((w, S), wedge + extra[w]))
-            modules[i] = FreeModule(ring, gens)
+        modules = {
+            i: FreeModule(ring, [g for j in range(i // 2 + 1)
+                                 for g in tuple_sum_gens(Z, K.n, j, i - 2 * j)])
+            for i in range(i_max + 1)
+        }
 
         def column(label):
             yield from K.column(label)

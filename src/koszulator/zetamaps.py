@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .complexes import ChainComplex, ChainMap, FreeModule, GradedMap, collect
+from .complexes import ChainComplex, ChainMap, FreeModule, GradedMap
 from .koszul import CycleBasis, KoszulComplex, subsets, wedge_cycle
 from .linalg import mat_vec, rank
 
@@ -61,15 +61,21 @@ def tuple_unrank(c: int, k: int, r: int):
     return tuple(out)
 
 
+def tuple_sum_gens(Z: CycleBasis, n: int, k: int, i: int):
+    """Generators ((w, S), i + Σ deg z_{w_t}) of K_i^{⊕ tuples(c,k)} over n
+    variables, tuple-major: the copy w of e_S is twisted by the degrees of
+    the cycles that w names.  This is the one place the twist rule lives."""
+    return [
+        ((w, S), i + sum(Z.degrees[t - 1] for t in w))
+        for w in tuples(Z.K.ring.codepth, k)
+        for S in subsets(n, i)
+    ]
+
+
 def koszul_tuple_sum(K: KoszulComplex, Z: CycleBasis, k: int) -> ChainComplex:
-    """K^{⊕ tuples(c,k)} with gens ((w, S), |S| + Σ deg z_{w_t})."""
+    """K^{⊕ tuples(c,k)} on the generators `tuple_sum_gens`."""
     ring = K.ring
-    tups = tuples(ring.codepth, k)
-    extra = {w: sum(Z.degrees[t - 1] for t in w) for w in tups}
-    modules = {
-        i: FreeModule(ring, [((w, S), i + extra[w]) for w in tups for S in subsets(K.n, i)])
-        for i in range(K.n + 1)
-    }
+    modules = {i: FreeModule(ring, tuple_sum_gens(Z, K.n, k, i)) for i in range(K.n + 1)}
     diffs = {
         i: GradedMap.from_columns(modules[i], modules[i - 1], K.column)
         for i in range(1, K.n + 1)
@@ -87,18 +93,6 @@ def zeta_terms(Z: CycleBasis, w, S):
                 yield (v, T), p
 
 
-def zeta_component_entries(K: KoszulComplex, Z: CycleBasis, k: int, u: int):
-    """Entries of ζ_u^k keyed ((v,T), (w,S)): coefficient of target gen (v,T)
-    in the image of source gen (w,S) with |S| = u−1, |T| = u."""
-    return collect(
-        (((tl, (w, S)), p)
-         for w in tuples(K.ring.codepth, k + 1)
-         for S in subsets(K.n, u - 1)
-         for tl, p in zeta_terms(Z, w, S)),
-        K.ring,
-    )
-
-
 class ZetaMap:
     """ζ^k as a chain map ΣK^{⊕C(k+c,c−1)} → K^{⊕C(k+c−1,c−1)}."""
 
@@ -106,7 +100,6 @@ class ZetaMap:
         self.K = K
         self.Z = Z
         self.k = k
-        self.c = K.ring.codepth
         self.target = koszul_tuple_sum(K, Z, k)
         self.source = koszul_tuple_sum(K, Z, k + 1).shift(1)
         components = {
@@ -153,9 +146,6 @@ def verify_zeta_square_zero(zeta_k: ZetaMap, zeta_k1: ZetaMap) -> dict:
     for u in range(1, zeta_k.K.n + 1):
         inner = zeta_k1.component(u - 1)
         outer = zeta_k.component(u)
-        if inner.target.gens != outer.source.gens:
-            # align by label: same labels, same order by construction
-            raise ValueError("summand bases out of alignment")
         if not outer.compose(inner).is_zero():
             witnesses.append(u)
     return {
@@ -193,7 +183,7 @@ def homology_zeta_matrix(c: int, k: int, u: int):
 
 def sequence_matrix(c: int, k: int, u: int):
     """Map at position u of the homology exact sequence with top index k:
-    A_{u−1}^{⊕C(k+c−u+1... )} → A_u^{⊕...}, i.e. [ζ_u^{k−u+1}]."""
+    [ζ_u^{k−u+1}] : A_{u−1}^{⊕C(k−u+1+c, c−1)} → A_u^{⊕C(k−u+c, c−1)}."""
     return homology_zeta_matrix(c, k - u + 1, u)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from koszulator import complexes, linalg
+from koszulator import complexes, conetower, linalg
 from koszulator.complexes import (
     ChainComplex,
     ChainMap,
@@ -13,7 +13,9 @@ from koszulator.complexes import (
 from koszulator.fields import PrimeField, RationalField
 from koszulator.polyring import parse_polynomial, ring_from_strings
 from koszulator.koszul import build_koszul, cycles_from_generators
+from koszulator.conetower import build_tower
 from koszulator.resolution import assemble_f, verify_minimal_and_exact
+from koszulator.zetamaps import ZetaMap, verify_zeta_chain
 
 VARS = ["x", "y", "z"]
 
@@ -216,3 +218,38 @@ def test_rank_memo_keeps_fields_apart(exact_first):
         mod_rows, _, _ = g.strand_matrix(d, fp)
         assert mod_rows == [{j: fp.of(a) for j, a in row.items()} for row in rows]
     assert negatives  # the ℚ and 𝔽_p strands do differ
+
+
+def test_each_chain_map_is_composed_once(ex3, monkeypatch):
+    """A chain map's defect is composed when it is checked and never again:
+    not by verify_zeta_chain after ZetaMap, nor by mapping_cone on the ψ
+    that build_tower has just checked, nor on an inclusion of the tower."""
+    calls = []
+    original = GradedMap.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(GradedMap, "compose", counting)
+    zeta = ZetaMap(ex3.K, ex3.Z, 1)
+    assert calls
+    calls.clear()
+    assert verify_zeta_chain(zeta)["pass"]
+    assert not calls
+
+    cone_calls = []
+
+    def cone(psi):
+        before = len(calls)
+        out = mapping_cone(psi)
+        cone_calls.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(conetower, "mapping_cone", cone)
+    tower = build_tower(ex3.K, ex3.Z, 2)
+    assert cone_calls == [0, 0]
+    f = tower.inclusion(1)
+    calls.clear()
+    mapping_cone(f)
+    assert not calls
