@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .fields import FieldError, PrimeField
-from .linalg import rank, sparse_rank
+from .linalg import rank
 from .polyring import GradedQuotientRing, Polynomial
 
 # The prime field of the exactness certificate over ℚ.  It can mislead only
@@ -353,8 +353,7 @@ def _strand_rank(dmap: GradedMap, d: int, field=None) -> int:
     memo = ring.rank_memo
     if key not in memo:
         rows, nrows, ncols = dmap.strand_matrix(d, field)
-        rank_of = rank if field == ring.field else sparse_rank
-        memo[key] = rank_of(rows, field) if nrows and ncols else 0
+        memo[key] = rank(rows, field) if nrows and ncols else 0
     return memo[key]
 
 

@@ -13,6 +13,10 @@ from fractions import Fraction
 
 DEFAULT_PRIME = 32003
 
+# ψ₁₃, the least strong pseudoprime to all the bases of `_is_prime`
+# (1287836182261 × 2575672364521): the test proves primality only below it
+PRIMALITY_PROVEN_BELOW = 3317044064679887385961981
+
 
 class FieldError(ValueError):
     pass
@@ -20,7 +24,7 @@ class FieldError(ValueError):
 
 def _is_prime(n: int) -> bool:
     """Miller–Rabin with the prime bases up to 41, which is deterministic
-    for every n below 3.3·10^24 (Sorenson and Webster 2015)."""
+    for every n below `PRIMALITY_PROVEN_BELOW` (Sorenson and Webster 2015)."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2 or any(n % a == 0 for a in bases):
         return n in bases
@@ -40,11 +44,11 @@ class PrimeField:
     is_prime = True
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        # the dense elimination of large prime-field strands (linalg) runs in
-        # numpy int64 and forms products of two residues; the sparse one uses
-        # Python ints and needs no bound
-        if (p - 1) ** 2 >= 2**63:
-            raise FieldError(f"prime {p} too large: (p-1)^2 must be below 2^63")
+        # residues are Python ints, so arithmetic needs no bound on p; only
+        # the primality test does
+        if p >= PRIMALITY_PROVEN_BELOW:
+            raise FieldError(f"{p} too large: primality is proven only below "
+                             f"{PRIMALITY_PROVEN_BELOW}")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p

@@ -2,27 +2,23 @@
 
 A matrix is a list of rows.  A row is a {column: scalar} dict of its
 nonzero entries (canonical field scalars, as `GradedMap.strand_matrix`
-builds them), or a dense list of scalars, converted once on entry.  Rows
-are eliminated sparsely for ℚ and 𝔽_p alike, as in structured Gaussian
-elimination: rows wait in buckets by leading column, and the lightest row
-of each bucket becomes its pivot.  Only a prime-field matrix that is large
-and dense (`DENSE_FROM`) is eliminated on a numpy int64 array instead, numpy
-being imported only there.  RREF is unique and rank is basis-free, so the
-pivot order never shows in a result.
+builds them), or a dense list of scalars, converted once on entry.  Every
+matrix, over ℚ and 𝔽_p alike, goes through one sparse forward pass
+(`_eliminate`): each row, lightest first, is reduced in column order by the
+pivot rows found before it, and becomes a pivot row if anything is left.
+`rank` takes the columns sparsest first, so that rows meet pivots late and
+fill in little, the static column order of structured Gaussian elimination
+(LaMacchia and Odlyzko) and Markowitz pivoting; rank does not depend on the
+order.  `rref` keeps the natural column order, because RREF depends on it:
+its pivot and free columns are read as they stand (the free columns of a
+ring degree's border are its standard monomials).
 """
 
 from __future__ import annotations
 
 import heapq
-
-# (nonzeros, share of cells) from which a prime-field matrix goes to numpy.
-# Summed over the strand ranks of `verify-all` on the golden 𝔽_p rings (at
-# most 164 nonzeros each), sparse took 0.043 s against numpy's 0.131 s; over
-# those of `resolve --imax 6 --verify-all` on a generic 4-variable codepth-3
-# ring (density 0.08-0.54), 1.82 s against 0.61 s, numpy winning from about
-# 1000 nonzeros on, where fill-in makes the sparse rows dense (Python 3.11,
-# 2-CPU VM)
-DENSE_FROM = (1000, 0.02)
+from collections import Counter
+from itertools import chain
 
 
 def _sparse_rows(rows, p: int):
@@ -44,42 +40,6 @@ def _sparse_rows(rows, p: int):
     return out, ncols
 
 
-def _eliminate_mod_p(rows, p: int, ncols: int, reduced: bool):
-    """Row-reduce sparse rows mod p on a dense int64 array, scattered from
-    the rows; returns (array, pivot columns).  Each pivot only updates the
-    rows below it that are nonzero in its column, from that column on;
-    `reduced` then clears the entries above each pivot, last pivot first."""
-    import numpy as np
-
-    a = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        if row:
-            a[i, list(row)] = list(row.values())
-    m, n = a.shape
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        nz = r + np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        i = nz[0]
-        if i != r:
-            a[[r, i], c:] = a[[i, r], c:]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        below = nz[1:]  # row i now holds the old row r, zero in column c
-        if below.size:
-            a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
-        pivots.append(c)
-    for r in range(len(pivots) - 1, 0, -1) if reduced else ():
-        c = pivots[r]
-        above = np.flatnonzero(a[:r, c])
-        if above.size:
-            a[above, c:] = (a[above, c:] - np.outer(a[above, c], a[r, c:])) % p
-    return a, pivots
-
-
 def _subtract(row: dict, g, pivot: dict, p: int):
     """row -= g * pivot in place, dropping the entries that cancel."""
     for j, v in pivot.items():
@@ -92,92 +52,93 @@ def _subtract(row: dict, g, pivot: dict, p: int):
             del row[j]
 
 
-def _eliminate(rows, field, reduced: bool):
-    """Echelon form of sparse rows, left unchanged; returns {pivot column: row}.
-    Each bucket's lightest row is its pivot, and every other row of the
-    bucket is reduced by it and moves to the bucket of its new leading
-    column.  `reduced` scales each pivot to 1 and clears the pivot columns
-    of the rows above it (Gauss-Jordan)."""
+def _eliminate(rows, field, order):
+    """Forward pass over sparse rows, which it leaves unchanged, with column
+    j eliminated as column order[j] (`order` maps every column to a
+    distinct index below len(order)); returns {pivot column: (inverse of
+    the pivot, {column: scalar} after it)} in those indices.  Rows are taken
+    lightest first.  Each is scattered into a dense accumulator and reduced
+    by the pivots of the columns it reaches, in column order (a heap of its
+    nonzero columns), until it vanishes or reaches a column without a
+    pivot, which it becomes.  Mod p an entry is reduced only when its
+    column is reached."""
     p = field.p
-    buckets = {}
-    for row in rows:
-        if row:
-            buckets.setdefault(min(row), []).append(dict(row))
-    heap = list(buckets)
-    heapq.heapify(heap)
+    ncols = len(order)
+    acc = [0] * ncols
     pivots = {}
-    while heap:
-        c = heapq.heappop(heap)
-        bucket = buckets.pop(c)
-        k = min(range(len(bucket)), key=lambda i: len(bucket[i]))
-        pivot = bucket[k]
-        inv = field.inv(pivot[c])
-        for row in bucket[:k] + bucket[k + 1:]:
-            _subtract(row, row[c] * inv % p if p else row[c] * inv, pivot, p)
-            if row:
-                lead = min(row)
-                if lead not in buckets:
-                    buckets[lead] = []
-                    heapq.heappush(heap, lead)
-                buckets[lead].append(row)
-        pivots[c] = pivot
-    if reduced:
-        for c in sorted(pivots, reverse=True):
-            pivot = pivots[c]
-            inv = field.inv(pivot[c])
-            for j in pivot:
-                pivot[j] = pivot[j] * inv % p if p else pivot[j] * inv
-            # the pivots to the right are already reduced, so clearing one
-            # pivot column adds no entry in another
-            for j in [j for j in pivot if j != c and j in pivots]:
-                _subtract(pivot, pivot[j], pivots[j], p)
+    for row in sorted(rows, key=len):
+        if len(pivots) == ncols:
+            break
+        todo = []
+        for j, x in row.items():
+            k = order[j]
+            todo.append(k)
+            acc[k] = x
+        heapq.heapify(todo)
+        while todo:
+            c = heapq.heappop(todo)
+            x = acc[c] % p if p else acc[c]
+            acc[c] = 0
+            if not x:
+                continue
+            if c not in pivots:
+                tail = {}
+                while todo:
+                    j = heapq.heappop(todo)
+                    y = acc[j] % p if p else acc[j]
+                    acc[j] = 0
+                    if y:
+                        tail[j] = y
+                pivots[c] = (field.inv(x), tail)
+                break
+            inv, tail = pivots[c]
+            g = x * inv % p if p else x * inv
+            for j, v in tail.items():
+                if not acc[j]:
+                    heapq.heappush(todo, j)
+                acc[j] -= g * v
     return pivots
-
-
-def _goes_dense(rows, field, ncols: int) -> bool:
-    if not field.is_prime:
-        return False
-    nnz = sum(map(len, rows))
-    return nnz >= DENSE_FROM[0] and nnz >= DENSE_FROM[1] * len(rows) * ncols
 
 
 def rref(rows, field, ncols: int | None = None):
     """Reduced row echelon form as (dense rows, pivot column indices); the
     rows have ncols entries, by default as many as the widest input row
-    reaches."""
+    reaches.  After the forward pass each pivot row is scaled to 1 and its
+    pivot columns cleared, last pivot first (Gauss-Jordan)."""
     rows, reach = _sparse_rows(rows, field.p)
     ncols = reach if ncols is None else ncols
     if not rows or not ncols:
         return [], []
-    if _goes_dense(rows, field, ncols):
-        a, piv = _eliminate_mod_p(rows, field.p, ncols, True)
-        return a[: len(piv)].tolist(), piv
-    pivots = _eliminate(rows, field, True)
+    p = field.p
+    pivots = _eliminate(rows, field, range(ncols))
     piv = sorted(pivots)
+    reduced = {}
+    for c in reversed(piv):
+        inv, tail = pivots.pop(c)
+        row = {c: 1}
+        for j, v in tail.items():
+            row[j] = v * inv % p if p else v * inv
+        # the pivots to the right are already reduced, so clearing one pivot
+        # column adds no entry in another
+        for j in [j for j in row if j in reduced]:
+            _subtract(row, row[j], reduced[j], p)
+        reduced[c] = row
     out = []
     for c in piv:
         dense = [field.zero()] * ncols
-        for j, x in pivots[c].items():
+        for j, x in reduced[c].items():
             dense[j] = field.of(x)  # over ℚ, elimination can leave Fraction(n, 1)
         out.append(dense)
     return out, piv
 
 
 def rank(rows, field) -> int:
-    """Rank from the forward pass alone."""
-    rows, ncols = _sparse_rows(rows, field.p)
-    if not rows or not ncols:
-        return 0
-    if _goes_dense(rows, field, ncols):
-        return len(_eliminate_mod_p(rows, field.p, ncols, False)[1])
-    return sparse_rank(rows, field)
-
-
-def sparse_rank(rows, field) -> int:
-    """Rank of {column: scalar} rows by the sparse elimination, whatever
-    their size and density: a ℚ ring's strands ranked modulo a prime never
-    load numpy."""
-    return len(_eliminate(rows, field, False))
+    """Rank from the forward pass alone, with the columns taken by
+    ascending nonzero count (ties by index)."""
+    rows = _sparse_rows(rows, field.p)[0]
+    count = Counter(chain.from_iterable(rows))
+    order = {j: i for i, j in enumerate(sorted(count, key=lambda j: (count[j], j)))}
+    return len(_eliminate(rows, field, order))
 
 
 def transpose(rows, ncols: int):

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -172,7 +173,8 @@ def test_resolve_imax_1_without_verification(ring2_file, capsys):
     assert "betti:    1    3" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("prime,code", [(3037000493, 0), (4294967311, 2)])
+@pytest.mark.parametrize("prime,code", [(3037000493, 0), (4294967311, 0),
+                                        (3317044064679887385961981, 2)])
 def test_resolve_near_the_prime_bound(tmp_path, capsys, prime, code):
     path = tmp_path / "big.ring"
     path.write_text(RING3.replace("32003", str(prime)))
@@ -182,6 +184,7 @@ def test_resolve_near_the_prime_bound(tmp_path, capsys, prime, code):
         assert "minimality and exactness: pass" in out
     else:
         assert "input error" in err and "too large" in err
+        assert "primality is proven only below" in err and "Traceback" not in err
 
 
 def test_divided_command(ring3_file, capsys):
@@ -283,20 +286,24 @@ def test_cli_import_leaves_numpy_out(ring3_file, tmp_path):
            "with contextlib.redirect_stdout(io.StringIO()):\n"
            "    rc = cli.main(sys.argv[1:])\n"
            "print(rc, 'numpy' in sys.modules)")
-    quintic = os.path.join(os.path.dirname(__file__), "..", "bench", "rings", "quintic2-q.ring")
+    bench = os.path.join(os.path.dirname(__file__), "..", "bench")
+    quintic = os.path.join(bench, "rings", "quintic2-q.ring")
+    generic_ci_ring = runpy.run_path(os.path.join(bench, "workloads.py"))["generic_ci_ring"]
+    generic = tmp_path / "generic4-seed1.ring"
+    generic.write_text(generic_ci_ring(1))
     runs = [
         ["-c", "import sys, koszulator.cli; print('numpy' in sys.modules)"],
-        # the golden codepth-3 strands over F_32003 are small and sparse, so
-        # the whole suite runs without the dense elimination
         ["-c", run, "verify-all", "--ring", ring3_file, "--out", str(tmp_path / "va")],
-        # a ℚ ring's exactness certificate ranks its strands mod p sparsely
         ["-c", run, "resolve", "--ring", quintic, "--imax", "6", "--verify-all", "--betti"],
+        # large strands over F_32003, which fill in densely, are eliminated
+        # sparsely too
+        ["-c", run, "resolve", "--ring", str(generic), "--imax", "6", "--verify-all", "--betti"],
     ]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     outs = [subprocess.run([sys.executable, *argv], env=env, check=True,
                            capture_output=True, text=True).stdout.strip()
             for argv in runs]
-    assert outs == ["False", "0 False", "0 False"]
+    assert outs == ["False", "0 False", "0 False", "0 False"]
 
 
 @pytest.mark.parametrize("vars_,gens", [

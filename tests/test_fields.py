@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from koszulator.fields import (
+    PRIMALITY_PROVEN_BELOW,
     FieldError,
     PrimeField,
     RationalField,
@@ -50,11 +51,18 @@ def test_primality_agrees_with_trial_division():
     assert _is_prime(2**31 - 1) and _is_prime(3037000493)
 
 
-def test_prime_field_bounds_p_for_int64_elimination():
-    # 3037000493 is the largest prime with (p-1)^2 < 2^63
-    assert PrimeField(3037000493).p == 3037000493
-    with pytest.raises(FieldError, match="too large"):
-        PrimeField(4294967311)
+def test_prime_field_bounds_p_where_primality_is_proven():
+    # residues are Python ints, so primes past the int64 range are accepted
+    assert PrimeField(4294967311).p == 4294967311
+    # the largest prime below psi_13 is accepted; psi_13, which the
+    # Miller-Rabin test takes for a prime though it is composite, and the
+    # next number it calls prime are refused
+    assert PrimeField(PRIMALITY_PROVEN_BELOW - 168).p == PRIMALITY_PROVEN_BELOW - 168
+    assert PRIMALITY_PROVEN_BELOW == 1287836182261 * 2575672364521
+    assert _is_prime(PRIMALITY_PROVEN_BELOW)
+    for p in (PRIMALITY_PROVEN_BELOW, PRIMALITY_PROVEN_BELOW + 142):
+        with pytest.raises(FieldError, match="primality is proven only below"):
+            PrimeField(p)
 
 
 def test_rational_field():

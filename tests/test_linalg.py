@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from koszulator.fields import PrimeField, RationalField
-from koszulator.linalg import DENSE_FROM, mat_vec, nullspace, rank, rref
+from koszulator.linalg import mat_vec, nullspace, rank, rref
 
 FIELDS = [PrimeField(), RationalField()]
 
@@ -94,8 +94,9 @@ def random_matrix(rng, field, m, n, r, zero_cols):
 
 
 @pytest.mark.parametrize(
-    "field", [RationalField(), PrimeField(32003), PrimeField(3037000493)],
-    ids=["Q", "F32003", "F3037000493"],
+    "field", [RationalField(), PrimeField(32003), PrimeField(3037000493),
+              PrimeField(4294967311)],
+    ids=["Q", "F32003", "F3037000493", "F4294967311"],
 )
 @pytest.mark.parametrize("m,n,r", [(12, 5, 5), (5, 12, 5), (9, 9, 4), (8, 10, 0), (1, 7, 1)],
                          ids=["tall", "wide", "deficient", "zero", "one-row"])
@@ -126,14 +127,15 @@ def sparse_matrix(rng, field, m, n, density, independent):
     return rows
 
 
-FIELDS3 = [RationalField(), PrimeField(32003), PrimeField(3037000493)]
+FIELDS3 = [RationalField(), PrimeField(32003), PrimeField(3037000493), PrimeField(4294967311)]
 SPARSE_CASES = [
     (field, m, n, density, independent)
     for field in FIELDS3
     for m, n, independent in ((30, 12, 30), (12, 30, 12), (20, 20, 8))
     for density in (0.01, 0.1, 0.4)
 ] + [
-    # prime-field matrices on each side of the dense-selection rule
+    # prime-field matrices sparse enough to stay sparse, and dense enough
+    # that fill-in makes every row dense
     (field, 60, 60, density, 60)
     for field in FIELDS3[1:]
     for density in (0.01, 0.4)
@@ -152,7 +154,12 @@ def test_sparse_rref_and_rank_match_gauss_jordan(field, m, n, density, independe
     sparse = [{j: x for j, x in enumerate(row) if not field.is_zero(x)} for row in rows]
     assert rref(sparse, field, n) == (red, piv)
     assert rank(sparse, field) == len(piv)
-    if m == 60:
-        nnz = sum(map(len, sparse))
-        dense = nnz >= DENSE_FROM[0] and nnz >= DENSE_FROM[1] * m * n
-        assert dense == (density == 0.4)
+
+
+def test_rank_and_rref_leave_their_rows_unchanged():
+    field = PrimeField(32003)
+    rows = [{0: 1, 2: 5}, {0: 3, 1: 4}, {1: 2, 2: 7}, {}]
+    before = [dict(row) for row in rows]
+    assert rank(rows, field) == 3
+    assert rref(rows, field)[1] == [0, 1, 2]
+    assert rows == before

@@ -64,13 +64,13 @@ def _fresh_f(gens, i_max=6):
 def modular_primes(monkeypatch):
     """The prime of every strand rank the exactness certificate takes."""
     primes = []
-    original = complexes.sparse_rank
+    original = complexes.rank
 
     def counting(rows, field):
         primes.append(field.p)
         return original(rows, field)
 
-    monkeypatch.setattr(complexes, "sparse_rank", counting)
+    monkeypatch.setattr(complexes, "rank", counting)
     return primes
 
 
