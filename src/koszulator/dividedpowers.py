@@ -28,15 +28,6 @@ def tuple_to_divided(t, c: int):
     return tuple(exps)
 
 
-def divided_to_tuple(exps):
-    out = []
-    for i, e in enumerate(exps, 1):
-        if e < 0:
-            raise ValueError("negative exponent")
-        out.extend([i] * e)
-    return tuple(out)
-
-
 def divided_monomials(c: int, k: int):
     """Degree-k divided monomials in the order induced by tuple lex order."""
     return [tuple_to_divided(t, c) for t in tuples(c, k)]

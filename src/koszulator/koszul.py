@@ -8,11 +8,11 @@ tuple with a multi-index.  Elements of K are dicts {S: Polynomial}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
-from .complexes import ChainComplex, FreeModule, GradedMap, collect
-from .linalg import nullspace, rank, reduce_against, rref, transpose
+from .complexes import ChainComplex, FreeModule, GradedMap, _strand_rank, collect
 from .polyring import GradedQuotientRing, Polynomial
 
 
@@ -145,43 +145,6 @@ def cycles_from_generators(K: KoszulComplex) -> CycleBasis:
     return basis
 
 
-def _strand_coordinates(K: KoszulComplex, elem: dict, i: int, d: int):
-    """Coordinate vector of a homogeneous degree-d element of K_i."""
-    ring = K.ring
-    module = K.complex.module(i)
-    vec = []
-    for (_, S), twist in module.gens:
-        piece = d - twist
-        if piece < 0:
-            if S in elem and not elem[S].is_zero():
-                raise CycleError("element has negative-degree component")
-            continue
-        p = elem.get(S, ring.zero())
-        vec.extend(ring.nf_coeff_vector(p, piece))
-    return vec
-
-
-def _element_from_coordinates(K: KoszulComplex, vec, i: int, d: int) -> dict:
-    ring = K.ring
-    f = ring.field
-    out = {}
-    pos = 0
-    for (_, S), twist in K.complex.module(i).gens:
-        piece = d - twist
-        if piece < 0:
-            continue
-        basis = ring.degree_piece_basis(piece)
-        terms = {}
-        for m in basis:
-            c = vec[pos]
-            pos += 1
-            if not f.is_zero(c):
-                terms[m] = c
-        if terms:
-            out[S] = Polynomial(ring.nvars, f, terms)
-    return out
-
-
 def validate_cycles(Z: CycleBasis):
     """Check ∂₁z_j = 0 in R, entries in m, and independence of the classes."""
     K = Z.K
@@ -201,66 +164,29 @@ def validate_cycles(Z: CycleBasis):
                 raise CycleError(f"z_{j} has a unit entry")
         bdry = K.apply_differential(Z.element(j - 1))
         if bdry:
-            raise CycleError(f"z_{j} is not a cycle: ∂₁z_{j} = {bdry}")
-    # classes independent modulo boundaries, degree by degree
-    by_degree = {}
-    for j, d in enumerate(Z.degrees):
-        by_degree.setdefault(d, []).append(Z.element(j))
-    for d, elems in by_degree.items():
+            raise CycleError(f"z_{j} is not a cycle: "
+                             f"∂₁z_{j} = {bdry[()].to_string(ring.var_names)}")
+    for d in dict.fromkeys(Z.degrees):
+        elems = [Z.element(j) for j, e in enumerate(Z.degrees) if e == d]
         if not _independent_mod_boundaries(K, elems, 1, d):
-            raise CycleError(
-                f"cycle classes of degree {d} are dependent modulo boundaries"
-            )
+            raise CycleError(f"cycle classes of degree {d} are dependent modulo boundaries")
     return True
 
 
 def _independent_mod_boundaries(K: KoszulComplex, elems, u: int, d: int) -> bool:
     """Do the degree-d elements of K_u have independent classes modulo the
-    boundaries ∂K_{u+1}?"""
-    rows, nr, nc = K.complex.differential(u + 1).strand_matrix(d)
-    stack = transpose(rows, nc) + [_strand_coordinates(K, e, u, d) for e in elems]
-    return rank(stack, K.ring.field) == K.complex.strand_rank(u + 1, d) + len(elems)
-
-
-def cycles_by_echelon(K: KoszulComplex) -> CycleBasis:
-    """Deterministic extraction from scratch: ascending internal degree,
-    reduced-echelon kernel basis modulo boundaries, ordered by pivot."""
-    ring = K.ring
-    f = ring.field
-    c = ring.codepth
-    found = []
-    degrees = []
-    top = max(g.degree() for g in ring.generators)  # H_1(K) = I/mI lives here
-    d = 1
-    while len(found) < c:
-        if d > top:
-            raise CycleError("ran out of degrees while extracting cycles")
-        d1 = K.complex.differential(1)
-        rows, nr, nc = d1.strand_matrix(d)
-        if nc:
-            kernel = nullspace(rows, f, nc)
-        else:
-            kernel = []
-        if kernel:
-            d2 = K.complex.differential(2)
-            brows, bnr, bnc = d2.strand_matrix(d)
-            red, piv = rref(transpose(brows, bnc), f, bnr)
-            fresh = []
-            for v in kernel:
-                v = reduce_against(v, red, piv, f)
-                if any(not f.is_zero(x) for x in v):
-                    fresh.append(v)
-            reps, _ = rref(fresh, f)
-            for v in reps:
-                if len(found) >= c:
-                    break
-                elem = _element_from_coordinates(K, v, 1, d)
-                found.append([elem.get((i + 1,), ring.zero()) for i in range(ring.nvars)])
-                degrees.append(d)
-        d += 1
-    basis = CycleBasis(K, found, degrees)
-    validate_cycles(basis)
-    return basis
+    boundaries ∂K_{u+1}?  They do exactly when the map into K_u whose
+    columns are ∂_{u+1}'s and then the elements, each twisted d, has rank
+    rank ∂_{u+1} + len(elems) at degree d."""
+    boundary = K.complex.differential(u + 1)
+    target = K.complex.module(u)
+    row = {S: r for r, ((_, S), _) in enumerate(target.gens)}
+    nb = boundary.source.rank
+    source = FreeModule(K.ring, boundary.source.gens + [(None, d)] * len(elems))
+    stacked = GradedMap(source, target, {
+        (row[S], nb + j): p for j, elem in enumerate(elems) for S, p in elem.items()})
+    stacked.entries.update(boundary.entries)
+    return _strand_rank(stacked, d) == K.complex.strand_rank(u + 1, d) + len(elems)
 
 
 def cycles_from_user(K: KoszulComplex, coefficient_lists, degrees=None) -> CycleBasis:
@@ -341,14 +267,10 @@ def _wedge_classes_independent(K: KoszulComplex, Z: CycleBasis) -> bool:
     for u in range(1, min(c, K.n) + 1):
         by_degree = {}
         for S in itertools.combinations(range(c), u):
-            elem = Z.element(S[0])
-            for j in S[1:]:
-                elem = K.wedge(elem, Z.element(j))
-            d = sum(Z.degrees[j] for j in S)
-            by_degree.setdefault(d, []).append(elem)
-        if not all(
-            _independent_mod_boundaries(K, elems, u, d) for d, elems in by_degree.items()
-        ):
+            by_degree.setdefault(sum(Z.degrees[j] for j in S), []).append(
+                functools.reduce(K.wedge, map(Z.element, S)))
+        if not all(_independent_mod_boundaries(K, elems, u, d)
+                   for d, elems in by_degree.items()):
             return False
     return True
 

@@ -1,11 +1,11 @@
 """Exact sparse linear algebra over a coefficient field.
 
-A matrix is a list of rows.  A row is a {column: scalar} dict of its
-nonzero entries (canonical field scalars, as `GradedMap.strand_matrix`
-builds them), or a dense list of scalars, converted once on entry.  Every
-matrix, over ℚ and 𝔽_p alike, goes through one sparse forward pass
-(`_eliminate`): each row, lightest first, is reduced in column order by the
-pivot rows found before it, and becomes a pivot row if anything is left.
+A matrix is a list of rows, in and out.  A row is a {column: scalar} dict
+of its nonzero entries (canonical field scalars, as `GradedMap.strand_matrix`
+builds them).  Every matrix, over ℚ and 𝔽_p alike, goes through one sparse
+forward pass (`_eliminate`): each row, lightest first, is reduced in column
+order by the pivot rows found before it, and becomes a pivot row if
+anything is left.
 `rank` takes the columns sparsest first, so that rows meet pivots late and
 fill in little, the static column order of structured Gaussian elimination
 (LaMacchia and Odlyzko) and Markowitz pivoting; rank does not depend on the
@@ -19,25 +19,6 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from itertools import chain
-
-
-def _sparse_rows(rows, p: int):
-    """{column: scalar} rows and the column count they reach; list rows are
-    reduced mod p (p = 0 for ℚ), dict rows are taken as they are."""
-    out = []
-    ncols = 0
-    for row in rows:
-        if isinstance(row, dict):
-            out.append(row)
-            if row:
-                ncols = max(ncols, max(row) + 1)
-        else:
-            ncols = max(ncols, len(row))
-            if p:
-                out.append({j: x % p for j, x in enumerate(row) if x % p})
-            else:
-                out.append({j: x for j, x in enumerate(row) if x})
-    return out, ncols
 
 
 def _subtract(row: dict, g, pivot: dict, p: int):
@@ -100,16 +81,13 @@ def _eliminate(rows, field, order):
     return pivots
 
 
-def rref(rows, field, ncols: int | None = None):
-    """Reduced row echelon form as (dense rows, pivot column indices); the
-    rows have ncols entries, by default as many as the widest input row
-    reaches.  After the forward pass each pivot row is scaled to 1 and its
+def rref(rows, field):
+    """Reduced row echelon form of {column: scalar} rows as (pivot rows,
+    pivot columns), each pivot row a {column: scalar} dict of its nonzero
+    entries.  After the forward pass each pivot row is scaled to 1 and its
     pivot columns cleared, last pivot first (Gauss-Jordan)."""
-    rows, reach = _sparse_rows(rows, field.p)
-    ncols = reach if ncols is None else ncols
-    if not rows or not ncols:
-        return [], []
     p = field.p
+    ncols = max((max(row) + 1 for row in rows if row), default=0)
     pivots = _eliminate(rows, field, range(ncols))
     piv = sorted(pivots)
     reduced = {}
@@ -123,68 +101,13 @@ def rref(rows, field, ncols: int | None = None):
         for j in [j for j in row if j in reduced]:
             _subtract(row, row[j], reduced[j], p)
         reduced[c] = row
-    out = []
-    for c in piv:
-        dense = [field.zero()] * ncols
-        for j, x in reduced[c].items():
-            dense[j] = field.of(x)  # over ℚ, elimination can leave Fraction(n, 1)
-        out.append(dense)
-    return out, piv
+    # over ℚ, elimination can leave Fraction(n, 1)
+    return [{j: field.of(x) for j, x in reduced[c].items()} for c in piv], piv
 
 
 def rank(rows, field) -> int:
-    """Rank from the forward pass alone, with the columns taken by
-    ascending nonzero count (ties by index)."""
-    rows = _sparse_rows(rows, field.p)[0]
+    """Rank of {column: scalar} rows from the forward pass alone, with the
+    columns taken by ascending nonzero count (ties by index)."""
     count = Counter(chain.from_iterable(rows))
     order = {j: i for i, j in enumerate(sorted(count, key=lambda j: (count[j], j)))}
     return len(_eliminate(rows, field, order))
-
-
-def transpose(rows, ncols: int):
-    """Columns of a matrix given by {column: scalar} rows, as such rows."""
-    cols = [{} for _ in range(ncols)]
-    for r, row in enumerate(rows):
-        for c, x in row.items():
-            cols[c][r] = x
-    return cols
-
-
-def nullspace(rows, field, ncols: int):
-    """Basis of the right kernel, one vector per free column (RREF convention)."""
-    if ncols == 0:
-        return []
-    red, piv = rref(rows, field, ncols)
-    piv_set = set(piv)
-    basis = []
-    for j in range(ncols):
-        if j in piv_set:
-            continue
-        v = [field.zero()] * ncols
-        v[j] = field.one()
-        for r, c in enumerate(piv):
-            v[c] = field.neg(red[r][j])
-        basis.append(v)
-    return basis
-
-
-def reduce_against(vec, red_rows, pivots, field):
-    """Reduce vec against rows already in RREF; returns the residual."""
-    v = list(vec)
-    for row, c in zip(red_rows, pivots):
-        if not field.is_zero(v[c]):
-            f = v[c]
-            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
-    return v
-
-
-def mat_vec(rows, vec, field):
-    support = [(j, b) for j, b in enumerate(vec) if not field.is_zero(b)]
-    out = []
-    for row in rows:
-        s = field.zero()
-        for j, b in support:
-            if not field.is_zero(row[j]):
-                s = field.add(s, field.mul(row[j], b))
-        out.append(s)
-    return out

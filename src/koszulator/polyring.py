@@ -346,9 +346,6 @@ class GradedQuotientRing:
     def one(self) -> Polynomial:
         return Polynomial.constant(self.nvars, self.field, self.field.one())
 
-    def parse(self, text: str) -> Polynomial:
-        return parse_polynomial(text, self.var_names, self.field)
-
     # -- degree strands -------------------------------------------------------
     def _degree_data(self, d: int) -> _DegreeData:
         if d < 0:
@@ -412,10 +409,11 @@ class GradedQuotientRing:
                 relations.append(reduce_parents(
                     *((c, m, _first_var(m)) for m, c in g.terms.items())))
         rows = [rel for rel in relations if rel]
-        red, piv = rref(rows, f, len(border)) if rows else ([], [])
+        red, piv = rref(rows, f) if rows else ([], [])
 
         pivot_rows = dict(zip(piv, red))
         free = [k for k in range(len(border)) if k not in pivot_rows]
+        free_index = {k: s for s, k in enumerate(free)}
         # only a candidate, a monomial whose every parent is standard, can be
         # standard; a free non-candidate would mean missing relations
         standard = [border[k] for k in free
@@ -428,7 +426,9 @@ class GradedQuotientRing:
             )
         nf = {b: ((s, f.one()),) for s, b in enumerate(standard)}
         for k, row in pivot_rows.items():
-            nf[border[k]] = tuple((s, f.neg(row[c])) for s, c in enumerate(free) if row[c])
+            # a reduced row is 1 at its pivot and 0 at the other pivots
+            nf[border[k]] = tuple((free_index[c], f.neg(a)) for c, a in sorted(row.items())
+                                  if c != k)
         rows = self._rows[f]
         return _DegreeData(standard, {m: rows.setdefault(r, r) for m, r in nf.items()})
 
@@ -582,9 +582,4 @@ def load_ring_file(path) -> GradedQuotientRing:
             gens.append(parse_polynomial(text, var_names, field))
         except ParseError as exc:
             raise RingError(f"line {lineno}: {exc}") from exc
-    return GradedQuotientRing(var_names, gens, field)
-
-
-def ring_from_strings(var_names, gen_texts, field):
-    gens = [parse_polynomial(t, var_names, field) for t in gen_texts]
     return GradedQuotientRing(var_names, gens, field)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .complexes import GradedMap
+from .complexes import FreeModule, GradedMap
 from .polyring import GradedQuotientRing, parse_polynomial
 
 
@@ -199,16 +199,17 @@ def export_map_csv(gmap: GradedMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_map_text(gmap: GradedMap) -> str:
+def matrix_strings(gmap: GradedMap):
+    """Dense grid of the entry strings, one list per target generator."""
     names = gmap.source.ring.var_names
-    rows = []
-    for r in range(gmap.target.rank):
-        rows.append(
-            "  ".join(
-                gmap.entry(r, c).to_string(names) for c in range(gmap.source.rank)
-            )
-        )
-    return "\n".join(rows) + "\n"
+    return [
+        [gmap.entry(r, c).to_string(names) for c in range(gmap.source.rank)]
+        for r in range(gmap.target.rank)
+    ]
+
+
+def export_map_text(gmap: GradedMap) -> str:
+    return "\n".join("  ".join(row) for row in matrix_strings(gmap)) + "\n"
 
 
 def _label_json(lab, twist):
@@ -217,8 +218,7 @@ def _label_json(lab, twist):
 
 
 def import_map_json(text: str, ring: GradedQuotientRing) -> GradedMap:
-    from .complexes import FreeModule
-
+    """The inverse of `export_map_json`."""
     data = json.loads(text)
 
     def module(labels):

@@ -15,7 +15,8 @@ import math
 
 from .complexes import ChainComplex, ChainMap, FreeModule, GradedMap
 from .koszul import CycleBasis, KoszulComplex, subsets, wedge_cycle
-from .linalg import mat_vec, rank
+from .linalg import rank
+from .render import matrix_strings
 
 
 def tuple_count(c: int, k: int) -> int:
@@ -27,38 +28,6 @@ def tuples(c: int, k: int):
     if k < 0:
         return []
     return list(itertools.combinations_with_replacement(range(1, c + 1), k))
-
-
-def tuple_rank(c: int, t) -> int:
-    """Lex rank of a non-decreasing tuple over 1..c."""
-    k = len(t)
-    prev = 1
-    r = 0
-    for pos, v in enumerate(t):
-        if not (prev <= v <= c):
-            raise ValueError(f"not a valid multi-index: {t}")
-        rest = k - pos - 1
-        for a in range(prev, v):
-            r += tuple_count(c - a + 1, rest)
-        prev = v
-    return r
-
-
-def tuple_unrank(c: int, k: int, r: int):
-    if not (0 <= r < tuple_count(c, k)):
-        raise ValueError(f"rank {r} out of range for (c={c}, k={k})")
-    out = []
-    prev = 1
-    for pos in range(k):
-        rest = k - pos - 1
-        for a in range(prev, c + 1):
-            block = tuple_count(c - a + 1, rest)
-            if r < block:
-                out.append(a)
-                prev = a
-                break
-            r -= block
-    return tuple(out)
 
 
 def tuple_sum_gens(Z: CycleBasis, n: int, k: int, i: int):
@@ -116,12 +85,7 @@ class ZetaMap:
 
     def matrix_strings(self, u: int):
         """Dense entry strings of ζ_u^k, for goldens and exports."""
-        m = self.component(u)
-        names = self.K.ring.var_names
-        return [
-            [m.entry(r, c).to_string(names) for c in range(m.source.rank)]
-            for r in range(m.target.rank)
-        ]
+        return matrix_strings(self.component(u))
 
 
 def build_zeta(K: KoszulComplex, Z: CycleBasis, k: int) -> ZetaMap:
@@ -189,10 +153,8 @@ def sequence_matrix(c: int, k: int, u: int):
 
 def int_rank(matrix, field) -> int:
     """Rank over `field` of a dense integer matrix, such as a [ζ] matrix."""
-    if not matrix or not matrix[0]:
-        return 0
-    rows = [[field.of(x) for x in row] for row in matrix]
-    return rank(rows, field)
+    return rank([{j: a for j, a in enumerate(map(field.of, row)) if a} for row in matrix],
+                field)
 
 
 def verify_exact_sequence(c: int, k: int, field) -> dict:
@@ -227,26 +189,11 @@ def verify_exact_sequence(c: int, k: int, field) -> dict:
             "actual": ranks[c],
         }
     )
-    # consecutive composites vanish
+    # consecutive composites vanish: rows of mats[u+1] times columns of mats[u]
     for u in range(1, c):
-        a, b = mats[u + 1], mats[u]
-        composite_zero = True
-        if a and a[0] and b:
-            # (u+1)-map after u-map: rows of mats[u+1] times columns of mats[u]
-            for r in range(len(a)):
-                for cc in range(len(b[0])):
-                    s = sum(a[r][m] * b[m][cc] for m in range(len(b)))
-                    if s != 0:
-                        composite_zero = False
-                        break
-                if not composite_zero:
-                    break
-        checks.append(
-            {
-                "check": f"composite {u+1}∘{u} is zero",
-                "pass": composite_zero,
-            }
-        )
+        zero = all(sum(x * y for x, y in zip(row, col)) == 0
+                   for row in mats[u + 1] for col in zip(*mats[u]))
+        checks.append({"check": f"composite {u+1}∘{u} is zero", "pass": zero})
     return {"pass": all(ch["pass"] for ch in checks), "dims": dims, "ranks": ranks, "checks": checks}
 
 
@@ -259,11 +206,9 @@ def kernel_preimage(c: int, k: int, u: int, ker_element, field):
     if len(ker_element) != len(cols_in):
         raise ValueError("coordinate length mismatch")
     kill = homology_zeta_matrix(c, k - u, u + 1)
-    if kill and kill[0]:
-        rows = [[field.of(x) for x in row] for row in kill]
-        residual = mat_vec(rows, ker_element, field)
-        if any(not field.is_zero(x) for x in residual):
-            raise ValueError(f"element not in kernel; residual {residual}")
+    residual = [field.of(sum(a * x for a, x in zip(row, ker_element) if a)) for row in kill]
+    if any(residual):
+        raise ValueError(f"element not in kernel; residual {residual}")
     pos_in = {lab: i for i, lab in enumerate(cols_in)}
     cols_out = homology_basis(c, k - u + 2, u - 1)
     out = []

@@ -2,10 +2,11 @@ import pytest
 
 from koszulator.complexes import GradedMap
 from koszulator.fields import RationalField
-from koszulator.polyring import ring_from_strings
 from koszulator.koszul import build_koszul, cycles_from_generators
 from koszulator.resolution import assemble_f
 from koszulator.conetower import build_tower
+
+from oracles import ring_from_strings
 
 VARS = ["x", "y", "z"]
 CODEPTH2_GENS = ["x^2", "y^2+z^2"]

@@ -1,0 +1,217 @@
+"""Reference implementations that only the tests use.
+
+Each recomputes something the program computes by another route: a second
+extraction of the cycles (a reduced-echelon kernel basis modulo
+boundaries), dense-matrix helpers over `koszulator.linalg`, the lex rank of
+a multi-index, the inverse of the divided-power bijection, and a ring built
+from strings.  None of it is reached from a command.
+"""
+
+from __future__ import annotations
+
+from koszulator import linalg
+from koszulator.koszul import CycleBasis, CycleError, KoszulComplex, validate_cycles
+from koszulator.polyring import GradedQuotientRing, Polynomial, parse_polynomial
+from koszulator.zetamaps import tuple_count
+
+
+def ring_from_strings(var_names, gen_texts, field):
+    gens = [parse_polynomial(t, var_names, field) for t in gen_texts]
+    return GradedQuotientRing(var_names, gens, field)
+
+
+# -- dense matrices over linalg -------------------------------------------------
+
+
+def _sparse(rows, field):
+    """{column: scalar} rows of a matrix given by such rows or by dense rows
+    (taken into the field), and the column count the rows reach."""
+    out = []
+    ncols = 0
+    for row in rows:
+        if isinstance(row, dict):
+            if row:
+                ncols = max(ncols, max(row) + 1)
+        else:
+            ncols = max(ncols, len(row))
+            row = {j: a for j, a in enumerate(map(field.of, row)) if a}
+        out.append(row)
+    return out, ncols
+
+
+def rank(rows, field) -> int:
+    """`linalg.rank` of dense or {column: scalar} rows."""
+    return linalg.rank(_sparse(rows, field)[0], field)
+
+
+def rref(rows, field, ncols: int | None = None):
+    """`linalg.rref` as (dense rows, pivot columns); the rows have ncols
+    entries, by default as many as the widest input row reaches."""
+    rows, reach = _sparse(rows, field)
+    ncols = reach if ncols is None else ncols
+    red, piv = linalg.rref(rows, field)
+    dense = []
+    for row in red:
+        v = [field.zero()] * ncols
+        for j, x in row.items():
+            v[j] = x
+        dense.append(v)
+    return dense, piv
+
+
+def transpose(rows, ncols: int):
+    """Columns of a matrix given by {column: scalar} rows, as such rows."""
+    cols = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            cols[c][r] = x
+    return cols
+
+
+def nullspace(rows, field, ncols: int):
+    """Basis of the right kernel, one vector per free column (RREF convention)."""
+    if ncols == 0:
+        return []
+    red, piv = rref(rows, field, ncols)
+    piv_set = set(piv)
+    basis = []
+    for j in range(ncols):
+        if j in piv_set:
+            continue
+        v = [field.zero()] * ncols
+        v[j] = field.one()
+        for r, c in enumerate(piv):
+            v[c] = field.neg(red[r][j])
+        basis.append(v)
+    return basis
+
+
+def reduce_against(vec, red_rows, pivots, field):
+    """Reduce vec against rows already in RREF; returns the residual."""
+    v = list(vec)
+    for row, c in zip(red_rows, pivots):
+        if not field.is_zero(v[c]):
+            f = v[c]
+            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
+    return v
+
+
+def mat_vec(rows, vec, field):
+    support = [(j, b) for j, b in enumerate(vec) if not field.is_zero(b)]
+    out = []
+    for row in rows:
+        s = field.zero()
+        for j, b in support:
+            if not field.is_zero(row[j]):
+                s = field.add(s, field.mul(row[j], b))
+        out.append(s)
+    return out
+
+
+# -- a second cycle extraction ------------------------------------------------------
+
+
+def _element_from_coordinates(K: KoszulComplex, vec, i: int, d: int) -> dict:
+    ring = K.ring
+    f = ring.field
+    out = {}
+    pos = 0
+    for (_, S), twist in K.complex.module(i).gens:
+        piece = d - twist
+        if piece < 0:
+            continue
+        basis = ring.degree_piece_basis(piece)
+        terms = {}
+        for m in basis:
+            c = vec[pos]
+            pos += 1
+            if not f.is_zero(c):
+                terms[m] = c
+        if terms:
+            out[S] = Polynomial(ring.nvars, f, terms)
+    return out
+
+
+def cycles_by_echelon(K: KoszulComplex) -> CycleBasis:
+    """Deterministic extraction from scratch: ascending internal degree,
+    reduced-echelon kernel basis modulo boundaries, ordered by pivot."""
+    ring = K.ring
+    f = ring.field
+    c = ring.codepth
+    found = []
+    degrees = []
+    top = max(g.degree() for g in ring.generators)  # H_1(K) = I/mI lives here
+    d = 1
+    while len(found) < c:
+        if d > top:
+            raise CycleError("ran out of degrees while extracting cycles")
+        d1 = K.complex.differential(1)
+        rows, nr, nc = d1.strand_matrix(d)
+        if nc:
+            kernel = nullspace(rows, f, nc)
+        else:
+            kernel = []
+        if kernel:
+            d2 = K.complex.differential(2)
+            brows, bnr, bnc = d2.strand_matrix(d)
+            red, piv = rref(transpose(brows, bnc), f, bnr)
+            fresh = []
+            for v in kernel:
+                v = reduce_against(v, red, piv, f)
+                if any(not f.is_zero(x) for x in v):
+                    fresh.append(v)
+            reps, _ = rref(fresh, f)
+            for v in reps:
+                if len(found) >= c:
+                    break
+                elem = _element_from_coordinates(K, v, 1, d)
+                found.append([elem.get((i + 1,), ring.zero()) for i in range(ring.nvars)])
+                degrees.append(d)
+        d += 1
+    basis = CycleBasis(K, found, degrees)
+    validate_cycles(basis)
+    return basis
+
+
+# -- multi-indices and divided powers ---------------------------------------------
+
+
+def tuple_rank(c: int, t) -> int:
+    """Lex rank of a non-decreasing tuple over 1..c."""
+    k = len(t)
+    prev = 1
+    r = 0
+    for pos, v in enumerate(t):
+        if not (prev <= v <= c):
+            raise ValueError(f"not a valid multi-index: {t}")
+        rest = k - pos - 1
+        for a in range(prev, v):
+            r += tuple_count(c - a + 1, rest)
+        prev = v
+    return r
+
+
+def tuple_unrank(c: int, k: int, r: int):
+    if not (0 <= r < tuple_count(c, k)):
+        raise ValueError(f"rank {r} out of range for (c={c}, k={k})")
+    out = []
+    prev = 1
+    for pos in range(k):
+        rest = k - pos - 1
+        for a in range(prev, c + 1):
+            block = tuple_count(c - a + 1, rest)
+            if r < block:
+                out.append(a)
+                prev = a
+                break
+            r -= block
+    return tuple(out)
+
+
+def divided_to_tuple(exps):
+    out = []
+    for i, e in enumerate(exps, 1):
+        if e < 0:
+            raise ValueError("negative exponent")
+        out.extend([i] * e)
+    return tuple(out)

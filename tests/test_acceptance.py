@@ -6,7 +6,6 @@ import random
 from koszulator.complexes import ChainMap, ComplexError, GradedMap
 from koszulator.fields import RationalField
 from koszulator.koszul import CycleBasis
-from koszulator.linalg import mat_vec, nullspace
 from koszulator.render import render_blocks
 from koszulator.resolution import (
     assemble_f,
@@ -36,12 +35,12 @@ from koszulator.conetower import (
 )
 from koszulator.dividedpowers import (
     acyclic_closure_square_zero,
-    divided_to_tuple,
     tuple_to_divided,
     verify_mu_equals_zeta,
 )
 from koszulator.zetamaps import tuples
 
+from oracles import divided_to_tuple, mat_vec, nullspace
 from golden_layouts import CODEPTH2_DF, CODEPTH3_DF, golden_grid, layout_grid
 from test_zetamaps import ZETA0_CODEPTH2, ZETA0_CODEPTH3
 

@@ -56,6 +56,27 @@ def test_cycles_with_override_file(ring2_file, tmp_path, capsys):
         assert main(["cycles", "--ring", ring2_file, "--z", str(bad)]) == 2
 
 
+def test_not_a_cycle_names_the_boundary_in_the_ring_variables(tmp_path, capsys):
+    ring = tmp_path / "ex2p.ring"
+    ring.write_text(RING2.replace("rational", "prime 32003"))
+    z = tmp_path / "z.txt"
+    z.write_text("x,0,0\n0,y,0\n")
+    assert main(["cycles", "--ring", str(ring), "--z", str(z)]) == 2
+    err = capsys.readouterr().err
+    assert "∂₁z_2 = -z^2" in err
+    assert "Polynomial(" not in err
+
+
+@pytest.mark.parametrize("text", ["x, 0, 0\n-y, x, 0\n", "x, 0, 0\nx, 0, 0\n"],
+                         ids=["boundary", "repeated"])
+def test_cycles_dependent_modulo_boundaries_exit_2(ring2_file, tmp_path, capsys, text):
+    # -y e_1 + x e_2 is the boundary of e_12
+    z = tmp_path / "z.txt"
+    z.write_text(text)
+    assert main(["cycles", "--ring", ring2_file, "--z", str(z)]) == 2
+    assert "dependent modulo boundaries" in capsys.readouterr().err
+
+
 def test_zeta_command_json(ring2_file, capsys):
     assert main(["zeta", "--ring", ring2_file, "--k", "0", "--out", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -11,11 +11,13 @@ from koszulator.complexes import (
     mapping_cone,
 )
 from koszulator.fields import PrimeField, RationalField
-from koszulator.polyring import parse_polynomial, ring_from_strings
+from koszulator.polyring import parse_polynomial
 from koszulator.koszul import build_koszul, cycles_from_generators
 from koszulator.conetower import build_tower
 from koszulator.resolution import assemble_f, verify_minimal_and_exact
 from koszulator.zetamaps import ZetaMap, verify_zeta_chain
+
+from oracles import ring_from_strings
 
 VARS = ["x", "y", "z"]
 

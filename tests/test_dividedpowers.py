@@ -3,13 +3,14 @@ from koszulator.dividedpowers import (
     acyclic_closure_square_zero,
     contract,
     divided_monomials,
-    divided_to_tuple,
     tuple_to_divided,
     verify_mu_equals_zeta,
     verify_mu_square_zero,
 )
 from koszulator.koszul import CycleBasis
 from koszulator.zetamaps import tuples
+
+from oracles import divided_to_tuple
 
 
 def test_tuple_divided_round_trip():

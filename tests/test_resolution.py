@@ -5,7 +5,6 @@ import pytest
 from koszulator import complexes
 from koszulator.fields import PrimeField, RationalField
 from koszulator.koszul import build_koszul, cycles_from_generators
-from koszulator.polyring import ring_from_strings
 from koszulator.resolution import (
     assemble_f,
     basis_labels,
@@ -22,6 +21,8 @@ from koszulator.resolution import (
     verify_minimal_and_exact,
 )
 from koszulator.zetamaps import build_zeta
+
+from oracles import ring_from_strings
 
 
 def test_poincare_coefficients_closed_form():
