@@ -283,18 +283,27 @@ class ChainComplex:
         return ChainComplex(self.ring, modules, diffs, check=False)
 
     # -- homology ---------------------------------------------------------------
-    def strand_rank(self, i: int, d: int) -> int:
-        """Rank of ∂_i at internal degree d, computed once."""
+    def strand_rank(self, i: int, d: int, ceiling=None) -> int:
+        """Rank of ∂_i at internal degree d, computed once; the elimination
+        stops at `ceiling` pivots, which must bound the rank."""
         key = (i, d)
         if key not in self._ranks:
-            self._ranks[key] = _strand_rank(self.differential(i), d)
+            self._ranks[key] = _strand_rank(self.differential(i), d, ceiling=ceiling)
         return self._ranks[key]
 
     def strand_homology_dim(self, i: int, d: int) -> int:
+        """dim H_i(C)_d = dim C_{i,d} − rank ∂_{i+1} − rank ∂_i.  ∂_i is
+        ranked first.  Where ∂_i∂_{i+1} = 0, im ∂_{i+1} ⊆ ker ∂_i, so
+        ∂_{i+1}'s elimination stops at dim C_{i,d} − rank ∂_i pivots, which
+        is then its rank; that needs ∂² already composed and found zero
+        there, and ∂² is never composed just for the ceiling."""
         dim = self.module(i).strand_dim(d)
         if dim == 0:
             return 0
-        return dim - self.strand_rank(i + 1, d) - self.strand_rank(i, d)
+        r = self.strand_rank(i, d)
+        defect = self._square_defect
+        ceiling = dim - r if defect is not None and i + 1 not in defect else None
+        return dim - self.strand_rank(i + 1, d, ceiling) - r
 
     def vanishing_homology_dim(self, i: int, d: int) -> int:
         """strand_homology_dim(i, d), for a strand whose homology should be 0.
@@ -304,29 +313,38 @@ class ChainComplex:
         H ≥ 0 where ∂² = 0, so dim = r_p(i+1) + r_p(i) proves H_i(C)_d = 0
         and makes both ranks exact (the modular argument of Wang 1981 and
         Monagan 2004).  A prime dividing a denominator, or H ≠ 0 mod p,
-        falls back to the exact ranks, so the value never differs."""
+        falls back to the exact ranks, so the value never differs.  ∂² = 0
+        holds mod p too, and r_p(i+1) ≤ rank_ℚ ∂_{i+1}, so dim − r(i) bounds
+        r_p(i+1) whether r(i) is the rank mod p or over ℚ: ∂_{i+1} is ranked
+        mod p with that ceiling, as in `strand_homology_dim`."""
         dim = self.module(i).strand_dim(d)
         if dim and not self.ring.field.is_prime and i + 1 not in self.square_defect():
-            ranks = [self._rank_lower_bound(j, d) for j in (i + 1, i)]
-            if None not in ranks and sum(ranks) == dim:
-                self._ranks[(i + 1, d)], self._ranks[(i, d)] = ranks
-                return 0
+            try:
+                # ∂_{i+1}'s coefficients are reduced before ∂_i is ranked, so
+                # a prime dividing one is rejected before any rank mod p
+                self.differential(i + 1)._entry_polys(MODULAR_FIELD)
+                r = self._rank_lower_bound(i, d)
+                s = self._rank_lower_bound(i + 1, d, dim - r)
+            except FieldError:
+                self._modular_ranks = None
+            else:
+                if r + s == dim:
+                    self._ranks[(i + 1, d)], self._ranks[(i, d)] = s, r
+                    return 0
         return self.strand_homology_dim(i, d)
 
-    def _rank_lower_bound(self, i: int, d: int):
+    def _rank_lower_bound(self, i: int, d: int, ceiling=None):
         """The rank of ∂_i at degree d over ℚ if known, else its rank in
-        MODULAR_FIELD, a lower bound; None once the prime is rejected."""
+        MODULAR_FIELD (the elimination stopping at `ceiling` pivots, which
+        must bound it), a lower bound.  FieldError once the prime is
+        rejected: it divides a denominator of the complex."""
         if (i, d) in self._ranks:
             return self._ranks[(i, d)]
         if self._modular_ranks is None:
-            return None
+            raise FieldError(f"{MODULAR_FIELD.p} divides a denominator")
         if (i, d) not in self._modular_ranks:
-            try:
-                self._modular_ranks[(i, d)] = _strand_rank(
-                    self.differential(i), d, MODULAR_FIELD)
-            except FieldError:
-                self._modular_ranks = None
-                return None
+            self._modular_ranks[(i, d)] = _strand_rank(
+                self.differential(i), d, MODULAR_FIELD, ceiling)
         return self._modular_ranks[(i, d)]
 
     def homology_table(self, max_i: int, max_d: int):
@@ -338,13 +356,15 @@ class ChainComplex:
         }
 
 
-def _strand_rank(dmap: GradedMap, d: int, field=None) -> int:
+def _strand_rank(dmap: GradedMap, d: int, field=None, ceiling=None) -> int:
     """Rank of dmap at degree d, over the ring's field or, mod p, over
     `field` (see `GradedMap.strand_matrix`).  The ring's `rank_memo` is
     keyed by the field, the map's sorted entry positions, the strand dims
     (which fix the entries placed, in that order) and their block ids.
     These fix the matrix exactly: an equal strand, of any map over the
-    ring, is built and ranked once."""
+    ring, is built and ranked once.  The elimination stops at `ceiling`
+    pivots; a caller passes only a bound on the rank, so the memo holds
+    true ranks whichever ceiling the first caller had."""
     ring = dmap.source.ring
     field = field or ring.field
     tdims, sdims, placed = dmap._strand_blocks(d, field)
@@ -353,7 +373,7 @@ def _strand_rank(dmap: GradedMap, d: int, field=None) -> int:
     memo = ring.rank_memo
     if key not in memo:
         rows, nrows, ncols = dmap.strand_matrix(d, field)
-        memo[key] = rank(rows, field) if nrows and ncols else 0
+        memo[key] = rank(rows, field, ceiling) if nrows and ncols else 0
     return memo[key]
 
 

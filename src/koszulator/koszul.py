@@ -177,7 +177,8 @@ def _independent_mod_boundaries(K: KoszulComplex, elems, u: int, d: int) -> bool
     """Do the degree-d elements of K_u have independent classes modulo the
     boundaries ∂K_{u+1}?  They do exactly when the map into K_u whose
     columns are ∂_{u+1}'s and then the elements, each twisted d, has rank
-    rank ∂_{u+1} + len(elems) at degree d."""
+    rank ∂_{u+1} + len(elems) at degree d.  No column stack has more, so
+    its elimination stops there."""
     boundary = K.complex.differential(u + 1)
     target = K.complex.module(u)
     row = {S: r for r, ((_, S), _) in enumerate(target.gens)}
@@ -186,7 +187,8 @@ def _independent_mod_boundaries(K: KoszulComplex, elems, u: int, d: int) -> bool
     stacked = GradedMap(source, target, {
         (row[S], nb + j): p for j, elem in enumerate(elems) for S, p in elem.items()})
     stacked.entries.update(boundary.entries)
-    return _strand_rank(stacked, d) == K.complex.strand_rank(u + 1, d) + len(elems)
+    full = K.complex.strand_rank(u + 1, d) + len(elems)
+    return _strand_rank(stacked, d, ceiling=full) == full
 
 
 def cycles_from_user(K: KoszulComplex, coefficient_lists, degrees=None) -> CycleBasis:

@@ -12,6 +12,9 @@ fill in little, the static column order of structured Gaussian elimination
 order.  `rref` keeps the natural column order, because RREF depends on it:
 its pivot and free columns are read as they stand (the free columns of a
 ring degree's border are its standard monomials).
+`rank` also takes a ceiling, a bound on the rank known in advance (from
+∂² = 0, say): the pass stops once it has found that many pivots, as it
+stops once every column has one, since every row left reduces to zero.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ def _subtract(row: dict, g, pivot: dict, p: int):
             del row[j]
 
 
-def _eliminate(rows, field, order):
+def _eliminate(rows, field, order, ceiling=None):
     """Forward pass over sparse rows, which it leaves unchanged, with column
     j eliminated as column order[j] (`order` maps every column to a
     distinct index below len(order)); returns {pivot column: (inverse of
@@ -42,13 +45,15 @@ def _eliminate(rows, field, order):
     by the pivots of the columns it reaches, in column order (a heap of its
     nonzero columns), until it vanishes or reaches a column without a
     pivot, which it becomes.  Mod p an entry is reduced only when its
-    column is reached."""
+    column is reached.  The pass stops at min(number of columns, ceiling)
+    pivots."""
     p = field.p
     ncols = len(order)
+    stop = ncols if ceiling is None else min(ncols, ceiling)
     acc = [0] * ncols
     pivots = {}
     for row in sorted(rows, key=len):
-        if len(pivots) == ncols:
+        if len(pivots) == stop:
             break
         todo = []
         for j, x in row.items():
@@ -105,9 +110,10 @@ def rref(rows, field):
     return [{j: field.of(x) for j, x in reduced[c].items()} for c in piv], piv
 
 
-def rank(rows, field) -> int:
+def rank(rows, field, ceiling=None) -> int:
     """Rank of {column: scalar} rows from the forward pass alone, with the
-    columns taken by ascending nonzero count (ties by index)."""
+    columns taken by ascending nonzero count (ties by index); with a
+    ceiling, min(rank, ceiling)."""
     count = Counter(chain.from_iterable(rows))
     order = {j: i for i, j in enumerate(sorted(count, key=lambda j: (count[j], j)))}
-    return len(_eliminate(rows, field, order))
+    return len(_eliminate(rows, field, order, ceiling))

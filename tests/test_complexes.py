@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 
 from koszulator import complexes, conetower, linalg
@@ -17,9 +19,11 @@ from koszulator.conetower import build_tower
 from koszulator.resolution import assemble_f, verify_minimal_and_exact
 from koszulator.zetamaps import ZetaMap, verify_zeta_chain
 
-from oracles import ring_from_strings
+from oracles import rank as oracle_rank, ring_from_strings
 
 VARS = ["x", "y", "z"]
+GOLDEN3_GENS = ["x^2+y^2", "x*z", "z^2+x*y"]
+GOLDEN3_FIELDS = [RationalField(), PrimeField(32003)]
 
 
 @pytest.fixture(scope="module")
@@ -161,9 +165,9 @@ def test_repeated_strands_are_ranked_once(monkeypatch):
     calls = []
     original = complexes.rank
 
-    def counting(rows, field):
+    def counting(rows, field, ceiling=None):
         calls.append(len(rows))
-        return original(rows, field)
+        return original(rows, field, ceiling)
 
     monkeypatch.setattr(complexes, "rank", counting)
     assert verify_minimal_and_exact(F, 14)["pass"]
@@ -220,6 +224,94 @@ def test_rank_memo_keeps_fields_apart(exact_first):
         mod_rows, _, _ = g.strand_matrix(d, fp)
         assert mod_rows == [{j: fp.of(a) for j, a in row.items()} for row in rows]
     assert negatives  # the ℚ and 𝔽_p strands do differ
+
+
+@pytest.fixture
+def ceilings(monkeypatch):
+    """(ceiling, full rank, nrows, ncols) of every strand rank taken while
+    the test runs."""
+    seen = []
+    original = complexes.rank
+
+    def recording(rows, field, ceiling=None):
+        ncols = len({j for row in rows for j in row})
+        seen.append((ceiling, original(rows, field), len(rows), ncols))
+        return original(rows, field, ceiling)
+
+    monkeypatch.setattr(complexes, "rank", recording)
+    return seen
+
+
+@pytest.mark.parametrize("composed", [False, True])
+def test_ranks_without_square_zero_get_no_ceiling(composed, ceilings):
+    # ∂_1 = 1 and ∂_2 = 5 on R in twist 0: ∂_1∂_2 = 5 ≠ 0, and each strand
+    # is dim R_d − 2 dim R_d < 0 from the full ranks; a ceiling dim − rank ∂_1
+    # = 0 on ∂_2 would make it 0
+    ring = ring_from_strings(VARS, ["x^2", "y^2+z^2"], RationalField())
+    mods = {i: FreeModule(ring, [(f"g{i}", 0)]) for i in range(3)}
+    diffs = {
+        1: GradedMap(mods[1], mods[0], {(0, 0): P(ring, "1")}),
+        2: GradedMap(mods[2], mods[1], {(0, 0): P(ring, "5")}),
+    }
+    C = ChainComplex(ring, mods, diffs, check=False)
+    if composed:
+        assert C.square_defect() == [2]
+    for d in range(5):
+        dim = C.module(1).strand_dim(d)
+        full = [_oracle_rank(C.differential(i), d) for i in (2, 1)]
+        assert C.strand_homology_dim(1, d) == dim - sum(full) == -dim < 0
+    assert ceilings and all(c is None for c, *_ in ceilings)
+
+
+def _memo_matrix(ring, key):
+    """The strand matrix that a `rank_memo` key fixes, laid out again from
+    the key: the blocks of its ids placed at the offsets of its dims."""
+    field, positions, tdims, sdims, ids = key
+    blocks = {b: block for b, block in ring._block_ids.values()}
+    row_at = list(accumulate(tdims, initial=0))
+    col_at = list(accumulate(sdims, initial=0))
+    rows = [{} for _ in range(row_at[-1])]
+    placed = [(i, j) for i, j in positions if tdims[i] and sdims[j]]
+    assert len(placed) == len(ids)
+    for (i, j), b in zip(placed, ids):
+        for k, column in enumerate(blocks[b]):
+            for s, a in column:
+                rows[row_at[i] + s][col_at[j] + k] = a
+    return rows, field
+
+
+@pytest.mark.parametrize("field", GOLDEN3_FIELDS, ids=["golden3-q", "golden3-p"])
+def test_capped_ranks_are_true_ranks(field):
+    ring = ring_from_strings(VARS, GOLDEN3_GENS, field)
+    K = build_koszul(ring)
+    F = assemble_f(K, cycles_from_generators(K), 8)
+    assert verify_minimal_and_exact(F, 12)["pass"]
+    C = F.complex
+    for (i, d), r in C._ranks.items():
+        assert r == _oracle_rank(C.differential(i), d)
+    assert (C._modular_ranks == {}) == field.is_prime
+    for (i, d), r in C._modular_ranks.items():
+        assert r == _oracle_rank(C.differential(i), d, complexes.MODULAR_FIELD)
+    # the memo also holds K's ranks and the cycle certificate's stacked strands
+    fields = {field} if field.is_prime else {field, complexes.MODULAR_FIELD}
+    assert {key[0] for key in ring.rank_memo} == fields
+    for key, r in ring.rank_memo.items():
+        assert r == oracle_rank(*_memo_matrix(ring, key))
+
+
+@pytest.mark.parametrize("field", GOLDEN3_FIELDS, ids=["golden3-q", "golden3-p"])
+def test_exactness_ranks_stop_at_their_ceiling(field, ceilings):
+    # F's ∂² is composed when it is built, so each ∂_{i+1} is ranked with the
+    # ceiling dim F_{i,d} − rank ∂_i; on an exact strand that is its rank, so
+    # the ceiling is reached, often below both sides of the matrix
+    ring = ring_from_strings(VARS, GOLDEN3_GENS, field)
+    K = build_koszul(ring)
+    F = assemble_f(K, cycles_from_generators(K), 8)
+    ceilings.clear()
+    assert verify_minimal_and_exact(F, 12)["pass"]
+    capped = [(c, r, m, n) for c, r, m, n in ceilings if c is not None]
+    assert capped and all(c >= r for c, r, _, _ in capped)
+    assert any(c < min(m, n) for c, _, m, n in capped)
 
 
 def test_each_chain_map_is_composed_once(ex3, monkeypatch):

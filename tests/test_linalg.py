@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from koszulator import linalg
 from koszulator.fields import PrimeField, RationalField
 from oracles import mat_vec, nullspace, rank, rref
 
@@ -163,3 +164,16 @@ def test_rank_and_rref_leave_their_rows_unchanged():
     assert rank(rows, field) == 3
     assert rref(rows, field)[1] == [0, 1, 2]
     assert rows == before
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(32003), PrimeField(2**31 - 1)],
+                         ids=["Q", "F32003", "F2147483647"])
+def test_rank_with_a_ceiling_is_the_capped_rank(field):
+    rng = random.Random(f"ceiling-{field!r}")
+    for m, n, density, independent in [(30, 25, 0.2, 12), (20, 40, 0.4, 20), (15, 15, 0.1, 9)]:
+        rows = sparse_matrix(rng, field, m, n, density, independent)
+        sparse = [{j: x for j, x in enumerate(row) if not field.is_zero(x)} for row in rows]
+        full = rank(sparse, field)
+        assert full > 1
+        for ceiling in (0, 1, full // 2, full - 1, full, full + 1, n + m):
+            assert linalg.rank(sparse, field, ceiling) == min(full, ceiling)

@@ -67,9 +67,9 @@ def modular_primes(monkeypatch):
     primes = []
     original = complexes.rank
 
-    def counting(rows, field):
+    def counting(rows, field, ceiling=None):
         primes.append(field.p)
-        return original(rows, field)
+        return original(rows, field, ceiling)
 
     monkeypatch.setattr(complexes, "rank", counting)
     return primes
