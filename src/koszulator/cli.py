@@ -9,11 +9,12 @@ ring whose complete-intersection certificate fails at load.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib.util
 import os
 import sys
 
 from .polyring import (
+    ParseError,
     RingError,
     load_ring_file,
     parse_polynomial,
@@ -25,36 +26,26 @@ from .koszul import (
     cycles_from_user,
     degree_window,
 )
-from .zetamaps import (
-    build_zeta,
-    homology_zeta_matrix,
-    verify_exact_sequence,
-    verify_zeta_chain,
-    verify_zeta_square_zero,
-)
-from .conetower import build_tower, verify_homology_theorem, verify_splitting
-from .resolution import (
-    assemble_f,
-    basis_labels,
-    betti_numbers,
-    hom_degree,
-    poincare_coefficients,
-    verify_leibniz,
-    verify_minimal_and_exact,
-)
-from .dividedpowers import (
-    acyclic_closure_square_zero,
-    verify_mu_equals_zeta,
-    verify_mu_square_zero,
-)
-from .render import (
-    export_map_csv,
-    export_map_json,
-    export_map_text,
-    render_blocks,
-    render_svg,
-    render_text,
-)
+
+
+def _deferred(name: str):
+    """The module koszulator.<name>, registered in sys.modules and on the
+    package but compiled and run only on first attribute use, so each
+    command pays only for the modules it calls."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+zetamaps, conetower, resolution, dividedpowers, render = map(
+    _deferred, ["zetamaps", "conetower", "resolution", "dividedpowers", "render"])
 
 
 DEFAULT_MAX_D = 16  # resolve's --max-d and verify-all's exactness window; never refused
@@ -142,12 +133,11 @@ def _load(args):
     z_path = getattr(args, "z", None)
     if z_path:
         with open(z_path, encoding="utf-8") as fh:
-            rows = [line.strip() for line in fh if line.strip()]
-        coeff_lists = [
-            [parse_polynomial(t.strip(), ring.var_names, ring.field)
-             for t in row.split(",")]
-            for row in rows
-        ]
+            rows = [(lineno, line.strip()) for lineno, line in enumerate(fh, 1)
+                    if line.strip()]
+        coeff_lists = [[_coordinate(ring, t, lineno, j)
+                        for j, t in enumerate(row.split(","), start=1)]
+                       for lineno, row in rows]
         Z = cycles_from_user(K, coeff_lists)
     else:
         Z = cycles_from_generators(K)
@@ -158,12 +148,21 @@ def _load(args):
     return ring, K, Z, cert
 
 
+def _coordinate(ring, text: str, lineno: int, j: int):
+    """Coordinate j of the cycle on line lineno of a --z file."""
+    try:
+        return parse_polynomial(text.strip(), ring.var_names, ring.field)
+    except ParseError as exc:
+        raise RingError(f"line {lineno}, coordinate {j}: {exc}") from exc
+
+
 def _poly_str(ring, p) -> str:
     return p.to_string(ring.var_names)
 
 
 def _write_report(out_dir, report) -> None:
     if out_dir:
+        import json
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "report.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -186,16 +185,17 @@ def _cmd_zeta(args) -> int:
     c = ring.codepth
     if args.homology_level:
         payload = {
-            f"zeta_{u}^{args.k}": homology_zeta_matrix(c, args.k, u)
+            f"zeta_{u}^{args.k}": zetamaps.homology_zeta_matrix(c, args.k, u)
             for u in range(1, c + 1)
         }
     else:
-        zeta = build_zeta(K, Z, args.k)
+        zeta = zetamaps.build_zeta(K, Z, args.k)
         payload = {
             f"zeta_{u}^{args.k}": zeta.matrix_strings(u)
             for u in range(1, K.n + 1)
         }
     if args.out == "json":
+        import json
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
         for name in sorted(payload):
@@ -237,7 +237,7 @@ def _cmd_tower(args) -> int:
     ring, K, Z, _ = _load(args)
     windows = [_window(ring, degree_window(ring, k) if args.max_d is None else args.max_d)
                for k in range(1, args.levels + 1)] if args.verify else []
-    tower = build_tower(K, Z, args.levels)
+    tower = conetower.build_tower(K, Z, args.levels)
     for j in range(args.levels + 1):
         level = tower.level(j)
         ranks = [level.module(i).rank for i in range(2 * j + ring.nvars + 1)]
@@ -246,7 +246,7 @@ def _cmd_tower(args) -> int:
         return 0
     ok = True
     for k, max_d in enumerate(windows, start=1):
-        res = verify_homology_theorem(tower, k, max_d)
+        res = conetower.verify_homology_theorem(tower, k, max_d)
         print(f"homology clauses at level {k}: {'pass' if res['pass'] else 'FAIL'}")
         ok = ok and res["pass"]
     return 0 if ok else 1
@@ -254,21 +254,21 @@ def _cmd_tower(args) -> int:
 
 def _resolution_outputs(ring, F, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    betti = betti_numbers(F)
+    betti = resolution.betti_numbers(F)
     with open(os.path.join(out_dir, "betti.csv"), "w", encoding="utf-8") as fh:
         fh.write("i,betti\n")
         for i, b in enumerate(betti):
             fh.write(f"{i},{b}\n")
     for i in range(1, F.i_max + 1):
         d = F.complex.differential(i)
-        layout = render_blocks(d)
+        layout = render.render_blocks(d)
         base = os.path.join(out_dir, f"dF_{i}")
         with open(base + ".json", "w", encoding="utf-8") as fh:
-            fh.write(export_map_json(d) + "\n")
+            fh.write(render.export_map_json(d) + "\n")
         with open(base + ".txt", "w", encoding="utf-8") as fh:
-            fh.write(render_text(layout))
+            fh.write(render.render_text(layout))
         with open(base + ".svg", "w", encoding="utf-8") as fh:
-            fh.write(render_svg(layout))
+            fh.write(render.render_svg(layout))
 
 
 def _cmd_resolve(args) -> int:
@@ -277,9 +277,9 @@ def _cmd_resolve(args) -> int:
     ring, K, Z, _ = _load(args)
     if args.verify_all:
         _window(ring, args.max_d)
-    F = assemble_f(K, Z, args.imax)
-    betti = betti_numbers(F)
-    expected = poincare_coefficients(ring.nvars, ring.codepth, args.imax)
+    F = resolution.assemble_f(K, Z, args.imax)
+    betti = resolution.betti_numbers(F)
+    expected = resolution.poincare_coefficients(ring.nvars, ring.codepth, args.imax)
     if args.betti:
         print("i:     " + " ".join(f"{i:>4}" for i in range(args.imax + 1)))
         print("betti: " + " ".join(f"{b:>4}" for b in betti))
@@ -290,7 +290,7 @@ def _cmd_resolve(args) -> int:
     }
     ok = report["betti_match_series"]
     if args.verify_all:
-        res = verify_minimal_and_exact(F, args.max_d)
+        res = resolution.verify_minimal_and_exact(F, args.max_d)
         report["minimal_and_exact"] = res
         print(f"minimality and exactness: {'pass' if res['pass'] else 'FAIL'}")
         ok = ok and res["pass"]
@@ -305,14 +305,14 @@ def _cmd_divided(args) -> int:
     ring, K, Z, _ = _load(args)
     ok = True
     for k in range(1, args.k + 1):
-        sq = verify_mu_square_zero(K, Z, k)
+        sq = dividedpowers.verify_mu_square_zero(K, Z, k)
         print(f"mu^{k} square-zero: {'pass' if sq else 'FAIL'}")
         ok = ok and sq
     if args.compare_zeta:
-        res = verify_mu_equals_zeta(K, Z, range(args.k + 1))
+        res = dividedpowers.verify_mu_equals_zeta(K, Z, range(args.k + 1))
         print(f"mu equals zeta (k <= {args.k}): {'pass' if res['pass'] else 'FAIL'}")
         ok = ok and res["pass"]
-    closure = acyclic_closure_square_zero(K, Z)
+    closure = dividedpowers.acyclic_closure_square_zero(K, Z)
     print(f"acyclic-closure differential squares to zero: "
           f"{'pass' if closure else 'FAIL'}")
     return 0 if ok and closure else 1
@@ -335,37 +335,38 @@ def _cmd_verify_all(args) -> int:
         return passed
 
     ok = record("complete intersection certificate", cert)
-    zetas = [build_zeta(K, Z, k) for k in range(3)]
+    zetas = [zetamaps.build_zeta(K, Z, k) for k in range(3)]
     for k in range(2):
-        ok &= record(f"zeta^{k} chain map", verify_zeta_chain(zetas[k]))
+        ok &= record(f"zeta^{k} chain map", zetamaps.verify_zeta_chain(zetas[k]))
         ok &= record(f"zeta^{k} composite zero",
-                     verify_zeta_square_zero(zetas[k], zetas[k + 1]))
+                     zetamaps.verify_zeta_square_zero(zetas[k], zetas[k + 1]))
     for k in range(3):
         ok &= record(f"homology sequence exact (k={k})",
-                     verify_exact_sequence(c, k, ring.field))
-    tower = build_tower(K, Z, 2)
+                     zetamaps.verify_exact_sequence(c, k, ring.field))
+    tower = conetower.build_tower(K, Z, 2)
     for k in (1, 2):
         ok &= record(f"homology clauses at level {k}",
-                     verify_homology_theorem(tower, k, max_d))
+                     conetower.verify_homology_theorem(tower, k, max_d))
     ok &= record("inclusion vanishes in homology (k=1)",
-                 verify_splitting(tower, 1, 2 + ring.nvars, max_d))
-    F = assemble_f(K, Z, args.imax)
+                 conetower.verify_splitting(tower, 1, 2 + ring.nvars, max_d))
+    F = resolution.assemble_f(K, Z, args.imax)
     ok &= record("resolution minimal and exact",
-                 verify_minimal_and_exact(F, DEFAULT_MAX_D))
-    betti_ok = betti_numbers(F) == poincare_coefficients(ring.nvars, c, args.imax)
+                 resolution.verify_minimal_and_exact(F, DEFAULT_MAX_D))
+    betti_ok = (resolution.betti_numbers(F)
+                == resolution.poincare_coefficients(ring.nvars, c, args.imax))
     ok &= record("betti numbers match series", betti_ok)
     pairs = [
         (a, b)
         for i in range(min(4, args.imax) + 1)
         for j in range(min(4, args.imax) - i + 1)
-        for a in basis_labels(F, i)
-        for b in basis_labels(F, j)
-        if hom_degree(a) + hom_degree(b) <= args.imax
+        for a in resolution.basis_labels(F, i)
+        for b in resolution.basis_labels(F, j)
+        if resolution.hom_degree(a) + resolution.hom_degree(b) <= args.imax
     ]
-    ok &= record("graded Leibniz rule", verify_leibniz(F, pairs))
-    ok &= record("mu equals zeta", verify_mu_equals_zeta(K, Z, range(3)))
+    ok &= record("graded Leibniz rule", resolution.verify_leibniz(F, pairs))
+    ok &= record("mu equals zeta", dividedpowers.verify_mu_equals_zeta(K, Z, range(3)))
     ok &= record("acyclic-closure differential squares to zero",
-                 acyclic_closure_square_zero(K, Z))
+                 dividedpowers.acyclic_closure_square_zero(K, Z))
     report["pass"] = bool(ok)
     _write_report(args.out, report)
     print(f"overall: {'pass' if ok else 'FAIL'}")
@@ -380,15 +381,15 @@ def _cmd_export_map(args) -> int:
     if args.complex == "koszul":
         gmap = K.complex.differential(args.index)
     elif args.complex == "resolution":
-        gmap = assemble_f(K, Z, args.imax).complex.differential(args.index)
+        gmap = resolution.assemble_f(K, Z, args.imax).complex.differential(args.index)
     else:
-        gmap = build_zeta(K, Z, args.k).component(args.index)
+        gmap = zetamaps.build_zeta(K, Z, args.k).component(args.index)
     if args.format == "json":
-        print(export_map_json(gmap))
+        print(render.export_map_json(gmap))
     elif args.format == "csv":
-        print(export_map_csv(gmap), end="")
+        print(render.export_map_csv(gmap), end="")
     else:
-        print(export_map_text(gmap), end="")
+        print(render.export_map_text(gmap), end="")
     return 0
 
 

@@ -179,6 +179,12 @@ class Polynomial:
 # -- parser --------------------------------------------------------------
 
 
+def _is_name(text: str) -> bool:
+    """Whether `parse_polynomial` reads all of text as one variable name."""
+    return (text[:1].isalpha() or text[:1] == "_") and all(
+        ch.isalnum() or ch == "_" for ch in text)
+
+
 def parse_polynomial(text: str, var_names, field) -> Polynomial:
     """Parse signed sums of terms like '2*x^2*y - 1/3*z + 5'."""
     nvars = len(var_names)
@@ -566,6 +572,10 @@ def load_ring_file(path) -> GradedQuotientRing:
                 var_names = [v.strip() for v in line[len("vars "):].split(",")]
                 if any(not v for v in var_names):
                     raise RingError(f"line {lineno}: empty variable name")
+                for v in var_names:
+                    if not _is_name(v):
+                        raise RingError(f"line {lineno}: variable name {v!r} must be a letter "
+                                        "or '_' followed by letters, digits or '_'")
             elif line.startswith("gen "):
                 gen_texts.append((lineno, line[len("gen "):].strip()))
             else:

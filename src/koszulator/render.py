@@ -9,7 +9,6 @@ Output formats: a text grid with one fill character per entry, and SVG.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 
 from .complexes import FreeModule, GradedMap
@@ -179,6 +178,7 @@ def render_svg(layout: BlockLayout, cell: int = 14) -> str:
 
 
 def export_map_json(gmap: GradedMap) -> str:
+    import json
     names = gmap.source.ring.var_names
     data = {
         "sourceLabels": [_label_json(lab, t) for lab, t in gmap.source.gens],
@@ -219,6 +219,7 @@ def _label_json(lab, twist):
 
 def import_map_json(text: str, ring: GradedQuotientRing) -> GradedMap:
     """The inverse of `export_map_json`."""
+    import json
     data = json.loads(text)
 
     def module(labels):

@@ -16,7 +16,6 @@ import math
 from .complexes import ChainComplex, ChainMap, FreeModule, GradedMap
 from .koszul import CycleBasis, KoszulComplex, subsets, wedge_cycle
 from .linalg import rank
-from .render import matrix_strings
 
 
 def tuple_count(c: int, k: int) -> int:
@@ -85,6 +84,7 @@ class ZetaMap:
 
     def matrix_strings(self, u: int):
         """Dense entry strings of ζ_u^k, for goldens and exports."""
+        from .render import matrix_strings  # render loads only when asked for
         return matrix_strings(self.component(u))
 
 

@@ -257,6 +257,33 @@ def test_repeated_directive_exits_2(tmp_path, capsys, text, line):
     assert f"input error: {line}" in err
 
 
+@pytest.mark.parametrize("names,bad", [("x, y z", "y z"), ("x, 2y", "2y")],
+                         ids=["space", "digit-first"])
+@pytest.mark.parametrize("command", [
+    ["cycles"],
+    ["export-map", "--complex", "koszul", "--index", "2", "--format", "text"],
+], ids=["cycles", "export-map"])
+def test_unreadable_variable_name_exits_2(tmp_path, capsys, names, bad, command):
+    # the polynomial parser can never read such a name, so the ring used to
+    # load and print entries like '-y z'
+    path = tmp_path / "names.ring"
+    path.write_text(f"field prime 32003\nvars {names}\ngen x^2\n")
+    assert main([command[0], "--ring", str(path), *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"input error: line 2: variable name {bad!r} must be a letter "
+                   "or '_' followed by letters, digits or '_'\n")
+
+
+def test_bad_z_coordinate_names_its_line(ring2_file, tmp_path, capsys):
+    z = tmp_path / "z.txt"
+    z.write_text("x, 0, 0\n\n0,y,0,\n")
+    assert main(["cycles", "--ring", ring2_file, "--z", str(z)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: line 3, coordinate 4: empty input (at position 0)\n"
+
+
 def test_missing_ring_file_exits_2(capsys):
     assert main(["cycles", "--ring", "/nonexistent.ring"]) == 2
 
@@ -325,6 +352,62 @@ def test_cli_import_leaves_numpy_out(ring3_file, tmp_path):
                            capture_output=True, text=True).stdout.strip()
             for argv in runs]
     assert outs == ["False", "0 False", "0 False", "0 False"]
+
+
+LOAD_PROBE = """
+import contextlib, io, json, sys
+import koszulator
+import koszulator.cli as cli
+
+names = sorted(k for k in sys.modules if k.startswith("koszulator."))
+on_package = all(isinstance(object.__getattribute__(koszulator, n.split(".")[1]),
+                            type(koszulator)) for n in names)
+calls = []
+if sys.argv[1:2] == ["resolve"]:
+    # replace a function after import, as bench/tracer.py does
+    assemble_f = sys.modules["koszulator.resolution"].assemble_f
+
+    def counted(*args):
+        calls.append(args)
+        return assemble_f(*args)
+
+    sys.modules["koszulator.resolution"].assemble_f = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:]) if sys.argv[1:] else None
+# a module's own __dict__, read without triggering a deferred load, holds
+# __builtins__ once its code has run
+executed = sorted(n.split(".")[1] for n in names
+                  if "__builtins__" in object.__getattribute__(sys.modules[n], "__dict__"))
+print(json.dumps([rc, names, on_package, executed, len(calls)]))
+"""
+
+ALL_MODULES = ["cli", "complexes", "conetower", "dividedpowers", "fields", "koszul",
+               "linalg", "polyring", "render", "resolution", "zetamaps"]
+EAGER = ["cli", "complexes", "fields", "koszul", "linalg", "polyring"]
+
+
+@pytest.mark.parametrize("argv,deferred_run,assemble_calls", [
+    ([], [], 0),
+    (["cycles"], [], 0),
+    (["tower", "--levels", "1"], ["conetower", "zetamaps"], 0),
+    (["resolve", "--imax", "4", "--verify-all"], ["resolution", "zetamaps"], 1),
+    (["verify-all", "--imax", "2"],
+     ["conetower", "dividedpowers", "resolution", "zetamaps"], 0),
+], ids=["import", "cycles", "tower", "resolve", "verify-all"])
+def test_each_command_runs_only_the_modules_it_calls(argv, deferred_run, assemble_calls):
+    # every module is registered at import, so a tracer that replaces
+    # functions on the modules in sys.modules still sees every call, but
+    # the deferred ones are compiled and run only by the commands that use them
+    ring = os.path.join(os.path.dirname(__file__), "..", "bench", "rings", "golden2-p.ring")
+    argv = argv[:1] + ["--ring", ring] + argv[1:] if argv else []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    rc, names, on_package, executed, calls = json.loads(out)
+    assert rc == (0 if argv else None)
+    assert names == [f"koszulator.{m}" for m in ALL_MODULES] and on_package
+    assert executed == sorted(EAGER + deferred_run)
+    assert calls == assemble_calls
 
 
 @pytest.mark.parametrize("vars_,gens", [
