@@ -1,12 +1,12 @@
 """Free modules with twists, matrices of ring elements, chain complexes.
 
 Everything downstream (Koszul complexes, cones, the resolution) is built out
-of these pieces.  Homology is computed strand by strand: a generator with
-twist a contributes the standard monomials of (Q/I)_{d-a} to the internal
-degree d strand, and each matrix of ring elements becomes an honest field
-matrix there, assembled from the ring's multiplication blocks.  Once R's
-degrees settle the same blocks recur in the same layout, so strand ranks are
-memoised per ring under a key that fixes the matrix exactly.
+of these pieces, and every product they take is read off the ring's rows of
+multiplication: `collect` sums those of composition and of elements, and a
+strand matrix places whole blocks of them.  A generator with twist a spans
+(Q/I)_{d-a} in the internal degree d strand; one layout of a map's strand
+serves the rank memo's key and the matrix, and as R's degrees settle the
+same blocks recur, so ranks are memoised per ring by that exact key.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import accumulate
 
 from .fields import FieldError, PrimeField
 from .linalg import rank
-from .polyring import GradedQuotientRing, Polynomial
+from .polyring import GradedQuotientRing, Polynomial, monomial_degree
 
 # The prime field of the exactness certificate over ℚ.  It can mislead only
 # by dividing a denominator (then it is rejected) or a nonzero minor (then a
@@ -24,14 +24,22 @@ MODULAR_FIELD = PrimeField(2**31 - 1)
 
 
 def collect(terms, ring) -> dict:
-    """Sum (key, Polynomial) terms by key; normal forms, zeros dropped."""
-    by_key = {}
-    for key, p in terms:
-        by_key.setdefault(key, []).append(p)
-    return {
-        key: q for key, q in ((key, ring.normal_form(*ps)) for key, ps in by_key.items())
-        if not q.is_zero()
-    }
+    """Sum product terms (key, p, q[, c]) by key: NF(Σ c·p·q) for homogeneous
+    p, q and an integer c (1 if absent), as q's coordinates times the ring's
+    rows of multiplication by p (`GradedQuotientRing.mul_add`), one sum per
+    key and degree; zero sums are dropped.  p's rows are found once per
+    degree of q, by id(p); p is held for the call, so its id is not reused."""
+    sums, found = {}, {}  # found: (id(p), deg q) -> (p, its rows, deg p·q)
+    for key, p, q, *c in terms:
+        if p.terms and q.terms:
+            e = monomial_degree(next(iter(q.terms)))
+            hit = found.get((id(p), e))
+            if hit is None:
+                hit = found[(id(p), e)] = (p, ring.mul_rows(p, e, ring.field),
+                                           e + monomial_degree(next(iter(p.terms))))
+            ring.mul_add(sums.setdefault(key, {}).setdefault(hit[2], {}), hit[1], p, q, e, *c)
+    out = ((key, ring.polynomial(by_degree)) for key, by_degree in sums.items())
+    return {key: poly for key, poly in out if not poly.is_zero()}
 
 
 class ComplexError(ValueError):
@@ -41,19 +49,23 @@ class ComplexError(ValueError):
 class FreeModule:
     """Finitely generated free module with labelled, internally graded gens."""
 
-    __slots__ = ("ring", "gens")
+    __slots__ = ("ring", "gens", "_dims")
 
     def __init__(self, ring: GradedQuotientRing, gens):
         self.ring = ring
         self.gens = list(gens)  # list of (label, twist)
+        self._dims = {}
 
     @property
     def rank(self) -> int:
         return len(self.gens)
 
     def strand_dims(self, d: int):
-        """dim (Q/I)_{d - twist} of each generator, 0 below degree 0."""
-        return tuple(self.ring.dim_quotient(d - t) if d >= t else 0 for _, t in self.gens)
+        """dim (Q/I)_{d - twist} of each generator, 0 below degree 0; kept."""
+        if d not in self._dims:
+            self._dims[d] = tuple(self.ring.dim_quotient(d - t) if d >= t else 0
+                                  for _, t in self.gens)
+        return self._dims[d]
 
     def strand_dim(self, d: int) -> int:
         return sum(self.strand_dims(d))
@@ -65,19 +77,20 @@ class GradedMap:
     entries[(i, j)] is the coefficient of target gen i in the image of
     source gen j; absent keys are zero.  Entry degrees must match the twist
     difference so the map is degree zero on the graded modules.  `_layout`
-    keeps the entries grouped by polynomial, and `_checked` the fields its
-    coefficients were reduced into (`_entry_polys`); a map is never changed
-    once its strands are taken.
+    keeps the entries grouped by polynomial, `_blocks` their block tables
+    in each field the coefficients were reduced into (`_entry_polys`), and
+    `_strand` the last strand laid out; a map never changes once laid out.
     """
 
-    __slots__ = ("source", "target", "entries", "_layout", "_checked")
+    __slots__ = ("source", "target", "entries", "_layout", "_blocks", "_strand")
 
     def __init__(self, source: FreeModule, target: FreeModule, entries=None):
         self.source = source
         self.target = target
         self.entries = {}
         self._layout = None
-        self._checked = set()
+        self._blocks = {}
+        self._strand = (None, None)
         ring = source.ring
         if entries:
             for (i, j), p in entries.items():
@@ -93,16 +106,14 @@ class GradedMap:
 
     @classmethod
     def from_columns(cls, source, target, column):
-        """Map whose column at the source gen labelled lab is
-        collect(column(lab)), its terms keyed by target labels.  The entries
-        are taken as given, without the constructor's degree check."""
+        """Map whose column at the source gen labelled lab sums the (target
+        label, polynomial) terms of column(lab).  The entries are taken as
+        given, without the constructor's degree check."""
         row = {lab: r for r, (lab, _) in enumerate(target.gens)}
+        one = source.ring.one()
         out = cls(source, target)
-        out.entries = {
-            (row[key], j): p
-            for j, (lab, _) in enumerate(source.gens)
-            for key, p in collect(column(lab), source.ring).items()
-        }
+        out.entries = collect((((row[key], j), one, p) for j, (lab, _) in enumerate(source.gens)
+                               for key, p in column(lab)), source.ring)
         return out
 
     @classmethod
@@ -125,7 +136,7 @@ class GradedMap:
         col = {lab: j for j, (lab, _) in enumerate(self.source.gens)}
         tgt = self.target.gens
         return collect(
-            ((tgt[r][0], q * p)
+            ((tgt[r][0], q, p)
              for lab, p in elem.items()
              for r, q in self.column(col[lab]).items()),
             self.source.ring,
@@ -140,7 +151,7 @@ class GradedMap:
             cols.setdefault(j, []).append((i, p))
         out = GradedMap(other.source, self.target)
         out.entries = collect(
-            (((i, j), p * q)
+            (((i, j), p, q)
              for (k, j), q in other.entries.items()
              for i, p in cols.get(k, ())),
             self.source.ring,
@@ -178,29 +189,29 @@ class GradedMap:
             kinds = tuple(index.setdefault(self.entries[key], len(index))
                           for key in positions)
             self._layout = (list(index), positions, kinds)
-        if field != self.source.ring.field and field not in self._checked:
-            for p in self._layout[0]:
-                for c in p.terms.values():
-                    field.of(c)
-            self._checked.add(field)
+        if field not in self._blocks:
+            ring = self.source.ring
+            if field != ring.field:
+                for p in self._layout[0]:
+                    for c in p.terms.values():
+                        field.of(c)
+            self._blocks[field] = [ring.mul_blocks(p, field) for p in self._layout[0]]
         return self._layout
 
     def _strand_blocks(self, d: int, field):
-        """(target dims, source dims, [(i, j, (block id, block))]) of the
-        degree-d strand: the generators' `strand_dims`, and the ring's
-        multiplication block of each entry whose strand is not empty."""
-        ring = self.source.ring
-        polys, positions, kinds = self._entry_polys(field)
-        tdims, sdims = self.target.strand_dims(d), self.source.strand_dims(d)
-        blocks = {}
-        placed = []
-        for (i, j), k in zip(positions, kinds):
-            if tdims[i] and sdims[j]:
-                e = d - self.source.gens[j][1]
-                if (k, e) not in blocks:
-                    blocks[(k, e)] = ring.mul_block(polys[k], e, field)
-                placed.append((i, j, blocks[(k, e)]))
-        return tdims, sdims, placed
+        """(target dims, source dims, [(i, j, (block id, block))], block ids)
+        of the degree-d strand: the generators' `strand_dims`, and each
+        nonempty entry's block off its polynomial's table.  The last strand
+        is kept for the rank memo's key and then `strand_matrix`."""
+        if self._strand[0] != (d, field):
+            polys, positions, kinds = self._entry_polys(field)
+            tables, gens = self._blocks[field], self.source.gens
+            tdims, sdims = self.target.strand_dims(d), self.source.strand_dims(d)
+            placed = [(i, j, tables[k].get(d - gens[j][1])
+                       or self.source.ring.mul_block(polys[k], d - gens[j][1], field))
+                      for (i, j), k in zip(positions, kinds) if tdims[i] and sdims[j]]
+            self._strand = ((d, field), (tdims, sdims, placed, tuple(b for _, _, (b, _) in placed)))
+        return self._strand[1]
 
     def strand_matrix(self, d: int, field=None):
         """This map on internal degree d as (rows, nrows, ncols): rows are the
@@ -211,7 +222,7 @@ class GradedMap:
         source gen j; no two entries overlap, so nothing is summed here.
         The field is the ring's own, or a prime field that a ℚ map is
         reduced into; a denominator divisible by p raises FieldError."""
-        tdims, sdims, placed = self._strand_blocks(d, field or self.source.ring.field)
+        tdims, sdims, placed, _ = self._strand_blocks(d, field or self.source.ring.field)
         row_at = list(accumulate(tdims, initial=0))
         col_at = list(accumulate(sdims, initial=0))
         by_col = {}
@@ -275,11 +286,7 @@ class ChainComplex:
     def shift(self, s: int = 1) -> "ChainComplex":
         """Suspension: (Σ^s C)_i = C_{i-s} with differential times (-1)^s."""
         modules = {i + s: m for i, m in self.modules.items()}
-        sign = -1 if s % 2 else 1
-        diffs = {}
-        for i, dmap in self.differentials.items():
-            nd = dmap if sign == 1 else -dmap
-            diffs[i + s] = nd
+        diffs = {i + s: -dmap if s % 2 else dmap for i, dmap in self.differentials.items()}
         return ChainComplex(self.ring, modules, diffs, check=False)
 
     # -- homology ---------------------------------------------------------------
@@ -367,9 +374,8 @@ def _strand_rank(dmap: GradedMap, d: int, field=None, ceiling=None) -> int:
     true ranks whichever ceiling the first caller had."""
     ring = dmap.source.ring
     field = field or ring.field
-    tdims, sdims, placed = dmap._strand_blocks(d, field)
-    positions = dmap._entry_polys(field)[1]
-    key = (field, positions, tdims, sdims, tuple(b for _, _, (b, _) in placed))
+    tdims, sdims, _, ids = dmap._strand_blocks(d, field)
+    key = (field, dmap._layout[1], tdims, sdims, ids)
     memo = ring.rank_memo
     if key not in memo:
         rows, nrows, ncols = dmap.strand_matrix(d, field)
@@ -433,20 +439,9 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         src = modules.get(i)
         if src is None:
             continue
-        tgt = modules.get(i - 1) or FreeModule(ring, [])
-        cs = C.module(i - 1).rank
-        ct = C.module(i - 2).rank
-        entries = {}
-        dC = C.differential(i - 1)
-        for (r, c), p in dC.entries.items():
-            entries[(r, c)] = -p
-        fi = f.component(i - 1)
-        for (r, c), p in fi.entries.items():
-            entries[(ct + r, c)] = p
-        dD = D.differential(i)
-        for (r, c), p in dD.entries.items():
-            entries[(ct + r, cs + c)] = p
-        nd = GradedMap(src, tgt)
-        nd.entries = entries
-        diffs[i] = nd
+        cs, ct = C.module(i - 1).rank, C.module(i - 2).rank
+        nd = diffs[i] = GradedMap(src, modules.get(i - 1) or FreeModule(ring, []))
+        nd.entries = {(r, c): -p for (r, c), p in C.differential(i - 1).entries.items()}
+        nd.entries.update(((ct + r, c), p) for (r, c), p in f.component(i - 1).entries.items())
+        nd.entries.update(((ct + r, cs + c), p) for (r, c), p in D.differential(i).entries.items())
     return ChainComplex(ring, modules, diffs, check=False)

@@ -106,7 +106,7 @@ def acyclic_closure_square_zero(K: KoszulComplex, Z: CycleBasis, max_k: int = 3)
     def diff(elem):
         # elem: {(exps, S): Polynomial}
         return collect(
-            ((key, p * q)
+            ((key, p, q)
              for label, p in elem.items()
              for key, q in itertools.chain(K.column(label), mu_terms(Z, *label))),
             ring,

@@ -9,16 +9,19 @@ elimination on the border, the monomials that have a standard parent; any
 other normal form is computed from its parent on first use.  The degree
 cache has no cap: it grows as far as a computation asks, and the CLI bounds
 the windows it is asked for.
-Every normal form is one sparse sum off these tables (`_nf_sum`): that of
-a sum of ring elements, and each row of the cached block of multiplication
-by a polynomial from one degree to another, the unit that strand matrices
-are assembled from.
+Products go through one rule, rows of multiplication (`mul_row`): row k of
+multiplication by p from degree e is NF(p·m_k), read straight off the
+border when p is a variable and otherwise summed from p's terms on first
+use, and kept per (p, e, field) among the ring's interned rows.  A product
+of ring elements p·q is q's coordinates times p's rows (`mul_add`), and a
+strand block (`mul_block`) is all of p's rows from one degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from operator import add
 
 from .fields import FieldError, field_from_spec
 from .linalg import rref
@@ -39,7 +42,7 @@ def monomial_degree(mono) -> int:
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _shift(mono, j: int, k: int):
@@ -68,23 +71,12 @@ class Polynomial:
 
     # -- construction helpers -------------------------------------------------
     @classmethod
-    def zero(cls, nvars, field):
-        return cls(nvars, field)
-
-    @classmethod
     def constant(cls, nvars, field, c):
         return cls(nvars, field, {(0,) * nvars: c})
 
-    @classmethod
-    def variable(cls, nvars, field, i):
-        """The i-th variable (0-based)."""
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, field, {tuple(e): field.one()})
-
     # -- arithmetic -----------------------------------------------------------
-    # sums and products are taken with + and *, and each coefficient is
-    # brought into the field once, by the constructor
+    # sums are taken with +, and each coefficient is brought into the field
+    # once, by the constructor
     def __add__(self, other):
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -94,26 +86,6 @@ class Polynomial:
     def __neg__(self):
         out = Polynomial(self.nvars, self.field)
         out.terms = {m: self.field.neg(c) for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return Polynomial(self.nvars, self.field, terms)
-
-    def scale(self, c):
-        c = self.field.of(c)
-        return Polynomial(self.nvars, self.field, {m: v * c for m, v in self.terms.items()})
-
-    def mul_monomial(self, mono):
-        out = Polynomial(self.nvars, self.field)
-        out.terms = {monomial_mul(m, mono): c for m, c in self.terms.items()}
         return out
 
     # -- predicates -----------------------------------------------------------
@@ -130,15 +102,9 @@ class Polynomial:
             return len(degs) <= 1
         return degs <= {d}
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, self.field.zero())
-
     def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
+        return isinstance(other, Polynomial) and (self.nvars, self.terms) == (
+            other.nvars, other.terms)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -213,7 +179,7 @@ def parse_polynomial(text: str, var_names, field) -> Polynomial:
             pos += 1
         return text[start:pos]
 
-    result = Polynomial.zero(nvars, field)
+    result = Polynomial(nvars, field)
     skip_ws()
     if pos >= n:
         raise ParseError("empty input", pos)
@@ -286,6 +252,16 @@ def parse_polynomial(text: str, var_names, field) -> Polynomial:
 # -- graded quotient ring --------------------------------------------------
 
 
+def _check_generator(g: Polynomial, var_names):
+    """Refuse an ideal generator that is zero, not homogeneous, or of degree < 2."""
+    if g.is_zero():
+        raise RingError("zero ideal generator")
+    if not g.is_homogeneous():
+        raise RingError(f"ideal generator {g.to_string(var_names)!r} is not homogeneous")
+    if g.degree() < 2:
+        raise RingError("ideal generators must have degree >= 2")
+
+
 class _DegreeData:
     """Degree d of Q/I: `standard` lists the monomials that are not the
     graded-lex leading monomial of any element of I_d, a basis of (Q/I)_d,
@@ -314,25 +290,19 @@ class GradedQuotientRing:
         if len(set(self.var_names)) != self.nvars or self.nvars == 0:
             raise RingError("variable names must be distinct and non-empty")
         self.field = field
-        self.generators = []
         for g in generators:
-            if g.is_zero():
-                raise RingError("zero ideal generator")
-            if not g.is_homogeneous():
-                raise RingError(
-                    f"ideal generator {g.to_string(self.var_names)!r} is not homogeneous"
-                )
-            if g.degree() < 2:
-                raise RingError("ideal generators must have degree >= 2")
-            self.generators.append(g)
+            _check_generator(g, self.var_names)
+        self.generators = list(generators)
         one = ((0, field.one()),)
         self._degrees = [_DegreeData([(0,) * self.nvars], {(0,) * self.nvars: one})]
-        # normal-form rows and block rows repeat few distinct values: each is
-        # stored once per field (1 is the int 1 over ℚ and 𝔽_p alike, so
-        # only the field tells a ℚ row from an equal 𝔽_p one)
+        # normal-form rows and multiplication rows repeat few distinct values:
+        # each is stored once per field (1 is the int 1 over ℚ and 𝔽_p alike,
+        # so only the field tells a ℚ row from an equal 𝔽_p one)
         self._rows = {field: {one: one}}
-        # (poly, e, field) -> (id, block) of `mul_block`, and (field, block)
+        # (poly, e, field) -> the rows of `mul_rows`, each one of `_rows`;
+        # (poly, field) -> {e: (id, block)} of `mul_block`, and (field, block)
         # -> (id, block), which gives equal blocks one id and one copy
+        self._mul = {}
         self._blocks = {}
         self._block_ids = {}
         # strand ranks by a key that fixes the strand matrix exactly, shared
@@ -344,10 +314,11 @@ class GradedQuotientRing:
         return len(self.generators)
 
     def variable(self, i) -> Polynomial:
-        return Polynomial.variable(self.nvars, self.field, i)
+        """The i-th variable (0-based)."""
+        return Polynomial(self.nvars, self.field, {_shift((0,) * self.nvars, i, 1): 1})
 
     def zero(self) -> Polynomial:
-        return Polynomial.zero(self.nvars, self.field)
+        return Polynomial(self.nvars, self.field)
 
     def one(self) -> Polynomial:
         return Polynomial.constant(self.nvars, self.field, self.field.one())
@@ -476,35 +447,89 @@ class GradedQuotientRing:
         """Standard monomial basis of (Q/I)_d, graded-lex descending."""
         return list(self._degree_data(d).standard)
 
+    def mul_rows(self, poly: Polynomial, e: int, field) -> list:
+        """Rows of multiplication by the homogeneous `poly` from degree e over
+        `field` (the ring's own, or a prime field a ℚ ring is reduced into):
+        item k is NF(poly·m_k) for the k-th standard monomial m_k, as
+        (standard index, scalar) pairs, once `mul_row` has built it, else None."""
+        rows = self._mul.get((poly, e, field))
+        if rows is None:
+            rows = self._mul[(poly, e, field)] = [None] * self.dim_quotient(e)
+        return rows
+
+    def mul_row(self, rows: list, poly: Polynomial, e: int, k: int, field, stop=None):
+        """Item k of rows = `mul_rows(poly, e, field)` (with `stop`, items
+        k..stop-1), built on first use: for a variable x_v the border row of
+        x_v·m_k, else Σ c·NF(μ·m_k) over poly's terms c·μ, brought into
+        `field` once (FieldError if p divides a denominator) and interned."""
+        standard, terms = self._degrees[e].standard, poly.terms.items()
+        mu, c = next(iter(terms))
+        d = e + monomial_degree(mu)
+        nf, p, interned = self._degree_data(d).nf, self.field.p, self._rows.setdefault(field, {})
+        variable = d == e + 1 and c == 1 and len(terms) == 1 and field is self.field
+        for j in range(k, k + 1 if stop is None else stop):
+            if rows[j] is not None:
+                continue
+            if variable:  # the border row, interned by `_build_degree`
+                rows[j] = nf[monomial_mul(mu, standard[j])]
+                continue
+            acc = {}
+            for mu, c in terms:
+                mm = monomial_mul(mu, standard[j])
+                for s, a in nf.get(mm) or self._nf_row(mm, d):
+                    acc[s] = acc.get(s, 0) + c * a
+            row = []
+            for s, a in sorted(acc.items()):
+                a = a % p if p else field.of(a)  # over 𝔽_p the sums are ints
+                if a:
+                    row.append((s, a))
+            rows[j] = interned.setdefault(tuple(row), tuple(row))
+        return rows[k] if stop is None else None
+
+    def mul_add(self, acc: dict, rows: list, poly: Polynomial, q: Polynomial, e: int, c=1):
+        """acc[t] += c·NF(poly·q)_t for homogeneous poly and q, q of degree e
+        and rows = `mul_rows(poly, e, self.field)`: NF(q)'s coordinates times
+        those rows, summed with + and *; the caller brings acc into the field."""
+        nf = self._degrees[e].nf  # built by `mul_rows`
+        for m, a in q.terms.items():
+            for s, b in nf.get(m) or self._nf_row(m, e):
+                cab = c * a * b
+                for t, v in rows[s] or self.mul_row(rows, poly, e, s, self.field):
+                    acc[t] = acc.get(t, 0) + cab * v
+
+    def mul_blocks(self, poly: Polynomial, field) -> dict:
+        """The ring's table {e: `mul_block(poly, e, field)`} so far, to keep."""
+        return self._blocks.setdefault((poly, field), {})
+
     def mul_block(self, poly: Polynomial, e: int, field):
-        """(id, block) of multiplication by `poly` from degree e: block[k]
-        lists the (standard index, scalar) pairs of NF(poly·m_k) for the
-        k-th standard monomial m_k of degree e.  The pairs are summed and
-        brought into `field` once: the ring's own, or a prime field that a
-        ℚ ring is reduced into, where a denominator divisible by p raises
-        FieldError.  Blocks are cached, and equal blocks over one field
+        """(id, block) of multiplication by `poly` from degree e, block[k]
+        row k of `mul_rows(poly, e, field)`.  Equal blocks over one field
         share one id; the field is part of that key, as 1 is the int 1 over
         ℚ and 𝔽_p alike, and an integer matrix can have another rank mod p."""
-        key = (poly, e, field)
-        if key not in self._blocks:
-            d = e + poly.degree()
-            rows = self._rows.setdefault(field, {})
-            block = []
-            for m in self._degree_data(e).standard:
-                acc = self._nf_sum(
-                    ((monomial_mul(mu, m), c) for mu, c in poly.terms.items()), d)
-                row = ((s, field.of(a)) for s, a in sorted(acc.items()))
-                row = tuple((s, a) for s, a in row if a)
-                block.append(rows.setdefault(row, row))
-            block = tuple(block)
-            ids = self._block_ids
-            self._blocks[key] = ids.setdefault((field, block), (len(ids), block))
-        return self._blocks[key]
+        blocks = self.mul_blocks(poly, field)
+        if e not in blocks:
+            rows = self.mul_rows(poly, e, field)
+            self.mul_row(rows, poly, e, 0, field, len(rows))
+            block = tuple(rows)
+            blocks[e] = self._block_ids.setdefault((field, block), (len(self._block_ids), block))
+            self._mul[(poly, e, field)] = blocks[e][1]  # all built: share the block's copy
+        return blocks[e]
+
+    def polynomial(self, sums: dict) -> Polynomial:
+        """Σ a·m_s over {degree: {standard index s: a}} sums, each a brought
+        into the field once and dropped if zero."""
+        f, p, out = self.field, self.field.p, Polynomial(self.nvars, self.field)
+        for d, acc in sums.items():
+            standard = self._degree_data(d).standard
+            for s, a in acc.items():
+                a = a % p if p else f.of(a)  # over 𝔽_p the sums are ints
+                if a:
+                    out.terms[standard[s]] = a
+        return out
 
     def _nf_sum(self, terms, d: int) -> dict:
         """Σ c·NF(m) over the (m, c) pairs given, each m of degree d, as
-        {standard index: coefficient}.  The sum is taken with + and *, and
-        each caller brings it into its own field once."""
+        {standard index: coefficient}, summed with + and *."""
         acc = {}
         for m, c in terms:
             for s, a in self._nf_row(m, d):
@@ -514,19 +539,11 @@ class GradedQuotientRing:
     def normal_form(self, *polys: Polynomial) -> Polynomial:
         """Normal form of the sum of `polys`, of any degrees: one sum off the
         normal-form table per degree."""
-        f = self.field
         by_degree = {}
         for p in polys:
             for m, c in p.terms.items():
                 by_degree.setdefault(monomial_degree(m), []).append((m, c))
-        out = Polynomial(self.nvars, f)
-        for d, terms in by_degree.items():
-            standard = self._degree_data(d).standard
-            for s, a in self._nf_sum(terms, d).items():
-                a = f.of(a)
-                if not f.is_zero(a):
-                    out.terms[standard[s]] = a
-        return out
+        return self.polynomial({d: self._nf_sum(terms, d) for d, terms in by_degree.items()})
 
     def nf_coeff_vector(self, poly: Polynomial, d: int):
         """Coefficients of the degree-d normal form over the standard basis."""
@@ -570,12 +587,12 @@ def load_ring_file(path) -> GradedQuotientRing:
                 if var_names is not None:
                     raise RingError(f"line {lineno}: repeated 'vars' line")
                 var_names = [v.strip() for v in line[len("vars "):].split(",")]
-                if any(not v for v in var_names):
-                    raise RingError(f"line {lineno}: empty variable name")
-                for v in var_names:
+                for k, v in enumerate(var_names):
                     if not _is_name(v):
                         raise RingError(f"line {lineno}: variable name {v!r} must be a letter "
                                         "or '_' followed by letters, digits or '_'")
+                    if v in var_names[:k]:
+                        raise RingError(f"line {lineno}: variable name {v!r} is repeated")
             elif line.startswith("gen "):
                 gen_texts.append((lineno, line[len("gen "):].strip()))
             else:
@@ -590,6 +607,7 @@ def load_ring_file(path) -> GradedQuotientRing:
     for lineno, text in gen_texts:
         try:
             gens.append(parse_polynomial(text, var_names, field))
-        except ParseError as exc:
+            _check_generator(gens[-1], var_names)
+        except (ParseError, RingError) as exc:
             raise RingError(f"line {lineno}: {exc}") from exc
     return GradedQuotientRing(var_names, gens, field)

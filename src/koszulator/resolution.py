@@ -199,15 +199,8 @@ def dg_product_basis(a, b):
 
 def dg_product_elements(F: ResolutionF, x: dict, y: dict) -> dict:
     """Bilinear extension of the basis product to {label: Polynomial}."""
-
-    def terms():
-        for la, p in x.items():
-            for lb, q in y.items():
-                coeff, lab = dg_product_basis(la, lb)
-                if coeff:
-                    yield lab, (p * q).scale(coeff)
-
-    return collect(terms(), F.K.ring)
+    return collect(((lab, p, q, coeff) for la, p in x.items() for lb, q in y.items()
+                    for coeff, lab in (dg_product_basis(la, lb),) if coeff), F.K.ring)
 
 
 def hom_degree(label) -> int:
@@ -231,8 +224,8 @@ def verify_leibniz(F: ResolutionF, pairs) -> dict:
         adb = dg_product_elements(F, {a: one}, db)
         rhs = collect(
             itertools.chain(
-                dg_product_elements(F, da, {b: one}).items(),
-                ((lab, p if i % 2 == 0 else -p) for lab, p in adb.items()),
+                ((lab, one, p) for lab, p in dg_product_elements(F, da, {b: one}).items()),
+                ((lab, one, p, (-1) ** i) for lab, p in adb.items()),
             ),
             ring,
         )

@@ -3,8 +3,10 @@
 Each recomputes something the program computes by another route: a second
 extraction of the cycles (a reduced-echelon kernel basis modulo
 boundaries), dense-matrix helpers over `koszulator.linalg`, the lex rank of
-a multi-index, the inverse of the divided-power bijection, and a ring built
-from strings.  None of it is reached from a command.
+a multi-index, the inverse of the divided-power bijection, a ring built
+from strings, and the term-by-term product of polynomials with the sums of
+products that the program reads off its rows of multiplication.  None of it
+is reached from a command.
 """
 
 from __future__ import annotations
@@ -18,6 +20,37 @@ from koszulator.zetamaps import tuple_count
 def ring_from_strings(var_names, gen_texts, field):
     gens = [parse_polynomial(t, var_names, field) for t in gen_texts]
     return GradedQuotientRing(var_names, gens, field)
+
+
+# -- the term-by-term product ---------------------------------------------------
+
+
+def multiply(p, q, c=1):
+    """c·p·q in k[x1..xn], term by term, each coefficient brought into the
+    field once (by the constructor)."""
+    terms = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            terms[m] = terms.get(m, 0) + c * c1 * c2
+    return Polynomial(p.nvars, p.field, terms)
+
+
+def collect(terms, ring) -> dict:
+    """`complexes.collect` by the term-by-term product: each (key, p, q[, c])
+    multiplied out, the products summed per key and the sums taken to
+    normal form, zeros dropped."""
+    by_key = {}
+    for key, p, q, *c in terms:
+        by_key.setdefault(key, []).append(multiply(p, q, *c))
+    sums = ((key, ring.normal_form(*ps)) for key, ps in by_key.items())
+    return {key: s for key, s in sums if not s.is_zero()}
+
+
+def compose(f, g):
+    """f after g as {(i, j): Σ_k NF(f_ik·g_kj)}, term by term."""
+    return collect((((i, j), p, q) for (i, k), p in f.entries.items()
+                    for (kk, j), q in g.entries.items() if k == kk), f.source.ring)
 
 
 # -- dense matrices over linalg -------------------------------------------------

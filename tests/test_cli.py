@@ -275,6 +275,23 @@ def test_unreadable_variable_name_exits_2(tmp_path, capsys, names, bad, command)
                    "or '_' followed by letters, digits or '_'\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("field rational\nvars x, x, y\ngen x^2\n", "line 2: variable name 'x' is repeated"),
+    ("field prime 7\nvars x,y\ngen x^2\ngen 7*y^2\n", "line 4: zero ideal generator"),
+    ("field rational\nvars x,y\n\ngen x^2+y\n",
+     "line 4: ideal generator 'x^2 + y' is not homogeneous"),
+    ("field rational\nvars x,y\ngen x^2\ngen y\n",
+     "line 4: ideal generators must have degree >= 2"),
+], ids=["repeated-name", "zero", "inhomogeneous", "linear"])
+def test_ring_errors_name_their_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ring"
+    path.write_text(text)
+    assert main(["cycles", "--ring", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
 def test_bad_z_coordinate_names_its_line(ring2_file, tmp_path, capsys):
     z = tmp_path / "z.txt"
     z.write_text("x, 0, 0\n\n0,y,0,\n")

@@ -59,8 +59,13 @@ def test_graded_map_compose_and_minimality(ring):
 def test_collect_drops_cancelled_keys_and_normalises_the_rest(ring):
     terms = [("a", "x*y"), ("b", "y^2"), ("a", "-x*y"), ("c", "x^2"),
              ("b", "z^2 + x*z"), ("d", "y^2")]
-    out = collect(((key, P(ring, t)) for key, t in terms), ring)
+    one = ring.one()
+    out = collect(((key, one, P(ring, t)) for key, t in terms), ring)
     assert out == {"b": P(ring, "x*z"), "d": P(ring, "-z^2")}
+    # product terms (key, p, q, c): c·p·q, summed per key, in normal form
+    products = [("a", P(ring, "y"), P(ring, "y"), 2), ("a", P(ring, "z"), P(ring, "z"), 2),
+                ("b", P(ring, "x"), P(ring, "x + y")), ("c", P(ring, "y"), P(ring, "x"), -3)]
+    assert collect(products, ring) == {"b": P(ring, "x*y"), "c": P(ring, "-3*x*y")}
 
 
 def test_strand_matrix_shape(ring):

@@ -1,0 +1,255 @@
+"""Every product of ring elements is read off the ring's multiplication rows.
+
+`complexes.collect` sums product terms c·p·q as q's coordinates times the
+rows of multiplication by p (`GradedQuotientRing.mul_add`); the oracle in
+`tests/oracles.py` multiplies the same terms out monomial by monomial and
+takes normal forms.  The two must agree on every call that compose, apply,
+the wedge and DG products and the acyclic-closure differential make, over ℚ
+and 𝔽_p, on rings whose normal forms carry proper fractions and on rings
+whose cycle coordinates are not variables.
+"""
+
+import random
+import runpy
+import sys
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from koszulator import cli, complexes, dividedpowers, koszul, resolution
+from koszulator.complexes import MODULAR_FIELD, FreeModule, GradedMap
+from koszulator.dividedpowers import acyclic_closure_square_zero, verify_mu_square_zero
+from koszulator.fields import PrimeField, RationalField
+from koszulator.koszul import build_koszul, certify_complete_intersection, cycles_from_generators
+from koszulator.polyring import Polynomial
+from koszulator.resolution import assemble_f, basis_labels, dg_product_elements, verify_leibniz
+from koszulator.zetamaps import ZetaMap
+
+import oracles
+from oracles import ring_from_strings
+
+Q, FP = RationalField(), PrimeField(32003)
+BENCH = Path(__file__).parent.parent / "bench"
+RINGS = {
+    # normal forms with proper fractions over ℚ
+    "nonmonic": ("a,b,c,d,e", ["2*a^2+3*b*c", "5*c^2+7*d*e", "2*a*e+3*b^2", "5*d^2+7*a*b"]),
+    # cycle coordinates x^4, y^4, z^4: multiplication rows of non-variables
+    "quintic2": ("x,y,z", ["x^5", "y^5+z^5"]),
+    "golden3": ("x,y,z", ["x^2+y^2", "x*z", "z^2+x*y"]),
+}
+
+
+def _random_ring(seed, field):
+    """(l_1^a_1, ..., l_c^a_c) in x, y, z for random integer linear forms l_i,
+    a complete intersection whenever the forms are independent."""
+    rnd = random.Random(seed)
+    names = ["x", "y", "z"]
+    while True:
+        forms = [[rnd.randint(-2, 2) for _ in names] for _ in range(rnd.choice([2, 3]))]
+        gens = []
+        for form, a in zip(forms, (rnd.choice([2, 3]) for _ in forms)):
+            lin = Polynomial(3, field, {tuple(int(i == j) for i in range(3)): c
+                                        for j, c in enumerate(form)})
+            power = Polynomial.constant(3, field, 1)
+            for _ in range(a):
+                power = oracles.multiply(power, lin)
+            gens.append(power.to_string(names))
+        if oracles.rank(forms, field) == len(forms):
+            return ",".join(names), gens
+
+
+def _random_element(rnd, ring, module, degree):
+    """A homogeneous element of internal degree `degree` on the generators of
+    `module`, its coefficients on arbitrary monomials (not normal forms),
+    with proper fractions over ℚ."""
+    elem = {}
+    for lab, twist in rnd.sample(module.gens, min(3, module.rank)):
+        d = degree - twist
+        if d < 0:
+            continue
+        monos = [m for m in _monomials(ring.nvars, d)]
+        terms = {m: Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+                 for m in rnd.sample(monos, min(3, len(monos)))}
+        p = Polynomial(ring.nvars, ring.field, terms)
+        if not p.is_zero():
+            elem[lab] = p
+    return elem
+
+
+def _monomials(n, d):
+    if n == 1:
+        return [(d,)]
+    return [(h,) + t for h in range(d, -1, -1) for t in _monomials(n - 1, d - h)]
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Every collect call, in every module, also summed by the oracle; the
+    result is asserted equal.  Returns the count of calls per caller."""
+    calls = Counter()
+    program = complexes.collect
+
+    def checking(terms, ring):
+        terms = list(terms)
+        out = program(terms, ring)
+        assert out == oracles.collect(terms, ring)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
+            frame = frame.f_back
+        calls[frame.f_code.co_name] += 1
+        return out
+
+    for module in (complexes, koszul, resolution, dividedpowers):
+        monkeypatch.setattr(module, "collect", checking)
+    return calls
+
+
+CASES = [(name, field) for name in RINGS for field in (Q, FP)] + [
+    (f"random{seed}", field) for seed in range(3) for field in (Q, FP)]
+
+
+@pytest.mark.parametrize("name,field", CASES,
+                         ids=[f"{n}-{'q' if f == Q else 'p'}" for n, f in CASES])
+def test_products_match_the_term_by_term_oracle(name, field, checked):
+    names, gens = RINGS[name] if name in RINGS else _random_ring(int(name[6:]), field)
+    ring = ring_from_strings(names.split(","), gens, field)
+    K = build_koszul(ring)
+    Z = cycles_from_generators(K)
+    assert certify_complete_intersection(K, Z)["certified"]  # wedge products
+    imax = 4 if ring.nvars > 3 else 5
+    F = assemble_f(K, Z, imax)  # from_columns, and ∂² composed
+    zeta = ZetaMap(K, Z, 1)  # the chain-map defect composed
+    assert not zeta.chain_map.chain_defect()
+    assert verify_mu_square_zero(K, Z, 1)
+    for i in range(2, imax + 1):
+        d2 = F.complex.differential(i - 1).compose(F.complex.differential(i))
+        assert d2.is_zero()
+    pairs = [(a, b) for i in range(3) for j in range(3 - i)
+             for a in basis_labels(F, i)[:4] for b in basis_labels(F, j)[:4]]
+    assert verify_leibniz(F, pairs)["pass"]
+    assert acyclic_closure_square_zero(K, Z, max_k=1 if ring.nvars > 3 else 2)
+
+    rnd = random.Random(name)
+    for i in range(1, imax + 1):
+        for degree in range(i, i + 4):
+            elem = _random_element(rnd, ring, F.complex.module(i), degree)
+            F.complex.differential(i).apply(elem)
+            dg_product_elements(F, elem, {basis_labels(F, 1)[0]: ring.one()})
+            kel = _random_element(rnd, ring, K.complex.module(min(i, K.n)), degree)
+            K.wedge({S: p for (_, S), p in kel.items()}, Z.element(0))
+    for caller in ("from_columns", "compose", "apply", "wedge", "dg_product_elements",
+                   "verify_leibniz", "diff", "apply_differential"):
+        assert checked[caller], caller
+    if name == "quintic2":
+        # the cycle coordinates x^4, y^4, z^4 are multiplied through rows
+        # built term by term, not read off the border
+        assert any(p.degree() == 4 for p, _, _ in ring._mul)
+
+
+def test_compose_matches_the_oracle_on_zeta_maps():
+    ring = ring_from_strings(["x", "y", "z"], RINGS["quintic2"][1], Q)
+    K = build_koszul(ring)
+    Z = cycles_from_generators(K)
+    for k in range(2):
+        outer, inner = ZetaMap(K, Z, k), ZetaMap(K, Z, k + 1)
+        for u in range(2, K.n + 1):
+            f, g = outer.component(u), inner.component(u - 1)
+            assert f.compose(g).entries == oracles.compose(f, g)
+            h = outer.target.differential(u)
+            assert h.compose(f).entries == oracles.compose(h, f)
+
+
+@pytest.mark.parametrize("modular_first", [False, True])
+def test_rows_over_q_and_mod_p_are_never_shared(modular_first):
+    """A ℚ map's rows and its rows reduced mod 2³¹−1 are kept apart, whichever
+    is built first: 1 is the int 1 in both fields, and Fraction(1) == 1 hash
+    equal, so only the field in every key tells them apart."""
+    names, gens = RINGS["nonmonic"]
+    ring = ring_from_strings(names.split(","), gens, Q)
+    K = build_koszul(ring)
+    F = assemble_f(K, cycles_from_generators(K), 3)
+    one = ring.one()
+    fields = (MODULAR_FIELD, Q) if modular_first else (Q, MODULAR_FIELD)
+    ids = {f: ring.mul_block(one, 0, f) for f in fields}
+    assert ids[Q][1] == ids[MODULAR_FIELD][1] == (((0, 1),),)
+    assert ids[Q][0] != ids[MODULAR_FIELD][0]
+    proper = False
+    for i in (2, 3):
+        dmap = F.complex.differential(i)
+        for d in range(2, 7):
+            matrices = {f: dmap.strand_matrix(d, f) for f in fields}
+            rows_q, nrows, ncols = matrices[Q]
+            assert matrices[MODULAR_FIELD][1:] == (nrows, ncols)
+            reduced = [{j: MODULAR_FIELD.of(a) for j, a in row.items()
+                        if MODULAR_FIELD.of(a)} for row in rows_q]
+            assert matrices[MODULAR_FIELD][0] == reduced
+            proper |= any(type(a) is Fraction for row in rows_q for a in row.values())
+    assert proper
+    assert {f for _, _, f in ring._mul} == {Q, MODULAR_FIELD}
+    # each field's rows are the products over ℚ brought into that field
+    for (p, e, f), rows in ring._mul.items():
+        for k, row in enumerate(rows):
+            if row is None:
+                continue
+            m = ring.degree_piece_basis(e)[k]
+            vec = ring.nf_coeff_vector(oracles.multiply(p, Polynomial(ring.nvars, Q, {m: 1})),
+                                       e + p.degree())
+            assert row == tuple((s, f.of(a)) for s, a in enumerate(vec) if f.of(a))
+
+
+# -- the mechanism, pinned ------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all"],
+    ["divided", "--k", "3", "--compare-zeta"],
+    ["tower", "--levels", "3"],
+], ids=["verify-all", "divided", "tower"])
+def test_commands_never_multiply_polynomials_term_by_term(argv, monkeypatch, capsys):
+    # the term-by-term product lives in the oracle only; lent to Polynomial
+    # as `*`, it is counted, and no command may call it
+    calls = []
+
+    def counting(p, q):
+        calls.append(1)
+        return oracles.multiply(p, q)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting, raising=False)
+    ring = str(BENCH / "rings" / "golden3-q.ring")
+    assert cli.main(argv[:1] + ["--ring", ring] + argv[1:]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert not calls
+
+
+def test_each_strand_is_laid_out_once(tmp_path, monkeypatch, capsys):
+    """On `resolve --imax 6 --verify-all` over the benchmark's seed-1
+    4-variable ring, the dims of each (module, d) and the placed blocks of
+    each (map, d, field) are worked out once: every later call returns the
+    very object the first one built."""
+    generic_ci_ring = runpy.run_path(str(BENCH / "workloads.py"))["generic_ci_ring"]
+    path = tmp_path / "generic4-seed1.ring"
+    path.write_text(generic_ci_ring(1))
+    results = {}
+
+    def recording(name, original):
+        def wrapper(self, d, *field):
+            out = original(self, d, *field)
+            # the owner and the result stay alive, so their ids stay their own
+            results.setdefault((name, id(self), d) + field, [self]).append(out)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(FreeModule, "strand_dims",
+                        recording("dims", FreeModule.strand_dims))
+    monkeypatch.setattr(GradedMap, "_strand_blocks",
+                        recording("blocks", GradedMap._strand_blocks))
+    argv = ["resolve", "--ring", str(path), "--imax", "6", "--verify-all"]
+    assert cli.main(argv) == 0
+    assert "minimality and exactness: pass" in capsys.readouterr().out
+    kinds = Counter(key[0] for key in results)
+    assert kinds["dims"] and kinds["blocks"]
+    assert any(len(outs) > 2 for outs in results.values())  # asked for again
+    for key, (_, *outs) in results.items():
+        assert all(out is outs[0] for out in outs), key

@@ -20,7 +20,7 @@ from koszulator.resolution import (
     verify_minimal_and_exact,
 )
 
-from oracles import rank, ring_from_strings
+from oracles import multiply, rank, ring_from_strings
 
 VARS = ["x", "y", "z"]
 P = 32003
@@ -46,7 +46,7 @@ def random_ci(seed):
         lin = Polynomial(n, Q, {tuple(int(i == j) for i in range(n)): row[j] for j in range(n)})
         power = Polynomial.constant(n, Q, 1)
         for _ in range(e):
-            power = power * lin
+            power = multiply(power, lin)
         gens.append(power.to_string(VARS))
     return gens
 
