@@ -4,9 +4,11 @@ Everything downstream (Koszul complexes, cones, the resolution) is built out
 of these pieces, and every product they take is read off the ring's rows of
 multiplication: `collect` sums those of composition and of elements, and a
 strand matrix places whole blocks of them.  A generator with twist a spans
-(Q/I)_{d-a} in the internal degree d strand; one layout of a map's strand
-serves the rank memo's key and the matrix, and as R's degrees settle the
-same blocks recur, so ranks are memoised per ring by that exact key.
+(Q/I)_{d-a} in the internal degree d strand.  A strand's rank belongs to its
+map (`GradedMap.strand_rank`): one layout of the strand serves the rank
+memo's key and the matrix, and as R's degrees settle the same blocks recur,
+so ranks are memoised per ring by that exact key.  A chain complex holds
+only structure: modules, differentials, its ∂² defect and homology dims.
 """
 
 from __future__ import annotations
@@ -78,11 +80,12 @@ class GradedMap:
     source gen j; absent keys are zero.  Entry degrees must match the twist
     difference so the map is degree zero on the graded modules.  `_layout`
     keeps the entries grouped by polynomial, `_blocks` their block tables
-    in each field the coefficients were reduced into (`_entry_polys`), and
-    `_strand` the last strand laid out; a map never changes once laid out.
+    in each field the coefficients were reduced into (`_entry_polys`),
+    `_strand` the last strand laid out, and `_ranks` the rank of each
+    (degree, field) strand; a map never changes once laid out.
     """
 
-    __slots__ = ("source", "target", "entries", "_layout", "_blocks", "_strand")
+    __slots__ = ("source", "target", "entries", "_layout", "_blocks", "_strand", "_ranks")
 
     def __init__(self, source: FreeModule, target: FreeModule, entries=None):
         self.source = source
@@ -91,6 +94,7 @@ class GradedMap:
         self._layout = None
         self._blocks = {}
         self._strand = (None, None)
+        self._ranks = {}
         ring = source.ring
         if entries:
             for (i, j), p in entries.items():
@@ -108,12 +112,15 @@ class GradedMap:
     def from_columns(cls, source, target, column):
         """Map whose column at the source gen labelled lab sums the (target
         label, polynomial) terms of column(lab).  The entries are taken as
-        given, without the constructor's degree check."""
+        given, without the constructor's degree check; equal entries share
+        one Polynomial, as a map built from columns has few distinct ones."""
         row = {lab: r for r, (lab, _) in enumerate(target.gens)}
         one = source.ring.one()
+        entries = collect((((row[key], j), one, p) for j, (lab, _) in enumerate(source.gens)
+                           for key, p in column(lab)), source.ring)
+        shared = {}
         out = cls(source, target)
-        out.entries = collect((((row[key], j), one, p) for j, (lab, _) in enumerate(source.gens)
-                               for key, p in column(lab)), source.ring)
+        out.entries = {pos: shared.setdefault(p, p) for pos, p in entries.items()}
         return out
 
     @classmethod
@@ -237,6 +244,27 @@ class GradedMap:
                         rows[off + s][col] = a
         return rows, row_at[-1], col_at[-1]
 
+    def strand_rank(self, d: int, field=None, ceiling=None) -> int:
+        """Rank of this map at degree d, over the ring's field or, mod p, over
+        `field` (see `strand_matrix`), kept per (d, field).  The ring's
+        `rank_memo` is keyed by the field, the sorted entry positions, the
+        strand dims (which fix the entries placed, in that order) and their
+        block ids.  These fix the matrix exactly: an equal strand, of any map
+        over the ring, is built and ranked once.  The elimination stops at
+        `ceiling` pivots; a caller passes only a bound on the rank, so both
+        caches hold true ranks whichever ceiling the first caller had."""
+        ring = self.source.ring
+        field = field or ring.field
+        if (d, field) not in self._ranks:
+            tdims, sdims, _, ids = self._strand_blocks(d, field)
+            key = (field, self._layout[1], tdims, sdims, ids)
+            memo = ring.rank_memo
+            if key not in memo:
+                rows, nrows, ncols = self.strand_matrix(d, field)
+                memo[key] = rank(rows, field, ceiling) if nrows and ncols else 0
+            self._ranks[(d, field)] = memo[key]
+        return self._ranks[(d, field)]
+
 
 class ChainComplex:
     """Non-negatively indexed complex of free modules; modules[i], and
@@ -246,13 +274,8 @@ class ChainComplex:
         self.ring = ring
         self.modules = dict(modules)
         self.differentials = dict(differentials)
-        # (i, d) -> rank of ∂_i at internal degree d; a complex is never
-        # changed once built, so the memo cannot go stale
-        self._ranks = {}
-        # (i, d) -> that rank in MODULAR_FIELD, taken only over ℚ; None once
-        # the prime divides a denominator
-        self._modular_ranks = {}
         self._square_defect = None
+        self._mod_p = None
         if check:
             bad = self.square_defect()
             if bad:
@@ -289,15 +312,21 @@ class ChainComplex:
         diffs = {i + s: -dmap if s % 2 else dmap for i, dmap in self.differentials.items()}
         return ChainComplex(self.ring, modules, diffs, check=False)
 
-    # -- homology ---------------------------------------------------------------
-    def strand_rank(self, i: int, d: int, ceiling=None) -> int:
-        """Rank of ∂_i at internal degree d, computed once; the elimination
-        stops at `ceiling` pivots, which must bound the rank."""
-        key = (i, d)
-        if key not in self._ranks:
-            self._ranks[key] = _strand_rank(self.differential(i), d, ceiling=ceiling)
-        return self._ranks[key]
+    def _reduces_mod_p(self) -> bool:
+        """Do all coefficients of every differential reduce into
+        MODULAR_FIELD?  Worked out once, before the first rank mod p, so a
+        prime dividing a denominator anywhere in the complex is rejected
+        before any rank is taken in it."""
+        if self._mod_p is None:
+            try:
+                for dmap in self.differentials.values():
+                    dmap._entry_polys(MODULAR_FIELD)
+                self._mod_p = True
+            except FieldError:
+                self._mod_p = False
+        return self._mod_p
 
+    # -- homology ---------------------------------------------------------------
     def strand_homology_dim(self, i: int, d: int) -> int:
         """dim H_i(C)_d = dim C_{i,d} − rank ∂_{i+1} − rank ∂_i.  ∂_i is
         ranked first.  Where ∂_i∂_{i+1} = 0, im ∂_{i+1} ⊆ ker ∂_i, so
@@ -307,10 +336,10 @@ class ChainComplex:
         dim = self.module(i).strand_dim(d)
         if dim == 0:
             return 0
-        r = self.strand_rank(i, d)
+        r = self.differential(i).strand_rank(d)
         defect = self._square_defect
         ceiling = dim - r if defect is not None and i + 1 not in defect else None
-        return dim - self.strand_rank(i + 1, d, ceiling) - r
+        return dim - self.differential(i + 1).strand_rank(d, ceiling=ceiling) - r
 
     def vanishing_homology_dim(self, i: int, d: int) -> int:
         """strand_homology_dim(i, d), for a strand whose homology should be 0.
@@ -318,41 +347,18 @@ class ChainComplex:
         Over ℚ both ranks are first taken in MODULAR_FIELD = 𝔽_p.  A strand
         matrix with no denominator divisible by p has rank_p ≤ rank_ℚ, and
         H ≥ 0 where ∂² = 0, so dim = r_p(i+1) + r_p(i) proves H_i(C)_d = 0
-        and makes both ranks exact (the modular argument of Wang 1981 and
-        Monagan 2004).  A prime dividing a denominator, or H ≠ 0 mod p,
-        falls back to the exact ranks, so the value never differs.  ∂² = 0
-        holds mod p too, and r_p(i+1) ≤ rank_ℚ ∂_{i+1}, so dim − r(i) bounds
-        r_p(i+1) whether r(i) is the rank mod p or over ℚ: ∂_{i+1} is ranked
-        mod p with that ceiling, as in `strand_homology_dim`."""
+        (the modular argument of Wang 1981 and Monagan 2004).  A prime
+        dividing a denominator of the complex, or H ≠ 0 mod p, falls back to
+        the exact ranks, so the value never differs.  ∂² = 0 holds mod p
+        too, so dim − r_p(i) bounds r_p(i+1): ∂_{i+1} is ranked mod p with
+        that ceiling, as in `strand_homology_dim`."""
         dim = self.module(i).strand_dim(d)
-        if dim and not self.ring.field.is_prime and i + 1 not in self.square_defect():
-            try:
-                # ∂_{i+1}'s coefficients are reduced before ∂_i is ranked, so
-                # a prime dividing one is rejected before any rank mod p
-                self.differential(i + 1)._entry_polys(MODULAR_FIELD)
-                r = self._rank_lower_bound(i, d)
-                s = self._rank_lower_bound(i + 1, d, dim - r)
-            except FieldError:
-                self._modular_ranks = None
-            else:
-                if r + s == dim:
-                    self._ranks[(i + 1, d)], self._ranks[(i, d)] = s, r
-                    return 0
+        if (dim and not self.ring.field.is_prime and i + 1 not in self.square_defect()
+                and self._reduces_mod_p()):
+            r = self.differential(i).strand_rank(d, MODULAR_FIELD)
+            if r + self.differential(i + 1).strand_rank(d, MODULAR_FIELD, dim - r) == dim:
+                return 0
         return self.strand_homology_dim(i, d)
-
-    def _rank_lower_bound(self, i: int, d: int, ceiling=None):
-        """The rank of ∂_i at degree d over ℚ if known, else its rank in
-        MODULAR_FIELD (the elimination stopping at `ceiling` pivots, which
-        must bound it), a lower bound.  FieldError once the prime is
-        rejected: it divides a denominator of the complex."""
-        if (i, d) in self._ranks:
-            return self._ranks[(i, d)]
-        if self._modular_ranks is None:
-            raise FieldError(f"{MODULAR_FIELD.p} divides a denominator")
-        if (i, d) not in self._modular_ranks:
-            self._modular_ranks[(i, d)] = _strand_rank(
-                self.differential(i), d, MODULAR_FIELD, ceiling)
-        return self._modular_ranks[(i, d)]
 
     def homology_table(self, max_i: int, max_d: int):
         """{(i, d): dim H_i(C)_d} over 0..max_i, 0..max_d."""
@@ -361,26 +367,6 @@ class ChainComplex:
             for i in range(max_i + 1)
             for d in range(max_d + 1)
         }
-
-
-def _strand_rank(dmap: GradedMap, d: int, field=None, ceiling=None) -> int:
-    """Rank of dmap at degree d, over the ring's field or, mod p, over
-    `field` (see `GradedMap.strand_matrix`).  The ring's `rank_memo` is
-    keyed by the field, the map's sorted entry positions, the strand dims
-    (which fix the entries placed, in that order) and their block ids.
-    These fix the matrix exactly: an equal strand, of any map over the
-    ring, is built and ranked once.  The elimination stops at `ceiling`
-    pivots; a caller passes only a bound on the rank, so the memo holds
-    true ranks whichever ceiling the first caller had."""
-    ring = dmap.source.ring
-    field = field or ring.field
-    tdims, sdims, _, ids = dmap._strand_blocks(d, field)
-    key = (field, dmap._layout[1], tdims, sdims, ids)
-    memo = ring.rank_memo
-    if key not in memo:
-        rows, nrows, ncols = dmap.strand_matrix(d, field)
-        memo[key] = rank(rows, field, ceiling) if nrows and ncols else 0
-    return memo[key]
 
 
 class ChainMap:

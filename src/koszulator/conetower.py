@@ -118,7 +118,8 @@ def verify_splitting(tower: ConeTower, k: int, max_i: int, max_d: int) -> dict:
     cone = mapping_cone(f)
 
     def vanishes(i, d):
-        return cone.strand_rank(i + 1, d) == C.strand_rank(i, d) + D.strand_rank(i + 1, d)
+        return (cone.differential(i + 1).strand_rank(d)
+                == C.differential(i).strand_rank(d) + D.differential(i + 1).strand_rank(d))
 
     failures = [
         (i, d)

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 
-from .complexes import ChainComplex, FreeModule, GradedMap, _strand_rank, collect
+from .complexes import ChainComplex, FreeModule, GradedMap, collect
 from .polyring import GradedQuotientRing, Polynomial
 
 
@@ -45,15 +45,15 @@ def wedge_cycle(z, S):
 
 
 def merge_wedge(S, T):
-    """Sign and result of e_S ∧ e_T; (0, None) on a repeated index."""
-    sign = 1
-    out = S
+    """Sign and result of e_S ∧ e_T; (0, None) on a repeated index.  Each
+    e_t is appended on the right, as e_out ∧ e_t = (−1)^{|out|} e_t ∧ e_out."""
+    sign, out = 1, S
     for t in T:
-        if t in out:
+        s, out_t = wedge_sign(t, out)
+        if not s:
             return 0, None
-        # appending e_t on the right moves it left past larger indices
-        sign *= (-1) ** sum(1 for s in out if s > t)
-        out = tuple(sorted(out + (t,)))
+        sign *= -s if len(out) % 2 else s
+        out = out_t
     return sign, out
 
 
@@ -181,8 +181,8 @@ def _independent_mod_boundaries(K: KoszulComplex, elems, u: int, d: int) -> bool
     stacked = GradedMap(source, target, {
         (row[S], nb + j): p for j, elem in enumerate(elems) for S, p in elem.items()})
     stacked.entries.update(boundary.entries)
-    full = K.complex.strand_rank(u + 1, d) + len(elems)
-    return _strand_rank(stacked, d, ceiling=full) == full
+    full = boundary.strand_rank(d) + len(elems)
+    return stacked.strand_rank(d, ceiling=full) == full
 
 
 def cycles_from_user(K: KoszulComplex, coefficient_lists, degrees=None) -> CycleBasis:

@@ -306,7 +306,7 @@ class GradedQuotientRing:
         self._blocks = {}
         self._block_ids = {}
         # strand ranks by a key that fixes the strand matrix exactly, shared
-        # by every complex over this ring (see `complexes._strand_rank`)
+        # by every map over this ring (see `GradedMap.strand_rank`)
         self.rank_memo = {}
 
     @property

@@ -15,37 +15,23 @@ from .complexes import FreeModule, GradedMap
 from .polyring import GradedQuotientRing, parse_polynomial
 
 
-STYLE_CHARS = {
-    "zero": "·",
-    "koszul1": "1",
-    "koszul2": "2",
-    "koszul3": "3",
-    "koszul4": "4",
-    "koszul5": "5",
-    "zeta1": "a",
-    "zeta2": "b",
-    "zeta3": "c",
-    "zeta4": "d",
-    "zeta5": "e",
-    "other": "?",
-}
+GREYS = ("#cccccc", "#808080", "#333333", "#565656", "#101010")
+PATTERNS = ("dots", "nelines", "crosshatch")
+PLAIN_STYLES = {"zero": ("·", "#ffffff"), "other": ("?", "#ff0000")}  # (glyph, fill)
 
-SVG_FILLS = {
-    "koszul1": "#cccccc",
-    "koszul2": "#808080",
-    "koszul3": "#333333",
-    "koszul4": "#565656",
-    "koszul5": "#101010",
-    "zero": "#ffffff",
-    "other": "#ff0000",
-}
-SVG_PATTERNS = {
-    "zeta1": "dots",
-    "zeta2": "nelines",
-    "zeta3": "crosshatch",
-    "zeta4": "dots",
-    "zeta5": "nelines",
-}
+
+def _glyph_and_fill(style: str):
+    """(text glyph, SVG fill) of a block style.  A block of wedge size k is
+    the digit k (mod 10) on the grey GREYS[(k−1) mod 5] if it is a Koszul
+    block, and the k-th letter on the pattern PATTERNS[(k−1) mod 3] if it
+    is a ζ block."""
+    kind = style.rstrip("0123456789")
+    if kind not in ("koszul", "zeta"):
+        return PLAIN_STYLES[style]
+    k = int(style[len(kind):])
+    if kind == "koszul":
+        return str(k % 10), GREYS[(k - 1) % len(GREYS)]
+    return chr(ord("a") + (k - 1) % 26), f"url(#{PATTERNS[(k - 1) % len(PATTERNS)]})"
 
 
 class Block:
@@ -135,7 +121,7 @@ def render_blocks(gmap: GradedMap) -> BlockLayout:
 def render_text(layout: BlockLayout) -> str:
     grid = [["·"] * layout.ncols for _ in range(layout.nrows)]
     for b in layout.blocks:
-        ch = STYLE_CHARS.get(b.style, "?")
+        ch = _glyph_and_fill(b.style)[0]
         for r in range(b.row0, b.row0 + b.nrows):
             for c in range(b.col0, b.col0 + b.ncols):
                 grid[r][c] = ch
@@ -162,13 +148,9 @@ def render_svg(layout: BlockLayout, cell: int = 14) -> str:
         y = b.row0 * cell
         bw = b.ncols * cell
         bh = b.nrows * cell
-        if b.style in SVG_PATTERNS:
-            fill = f"url(#{SVG_PATTERNS[b.style]})"
-        else:
-            fill = SVG_FILLS.get(b.style, "#ff0000")
         parts.append(
             f'<rect x="{x}" y="{y}" width="{bw}" height="{bh}" '
-            f'fill="{fill}" stroke="black" stroke-width="0.6"/>'
+            f'fill="{_glyph_and_fill(b.style)[1]}" stroke="black" stroke-width="0.6"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

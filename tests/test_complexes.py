@@ -160,6 +160,12 @@ def _oracle_rank(gmap, d, field=None):
     return linalg.rank(rows, field or gmap.source.ring.field)
 
 
+def _map_ranks(C):
+    """{(i, d, field): rank} of every strand rank kept on C's differentials."""
+    return {(i, d, field): r for i, dmap in C.differentials.items()
+            for (d, field), r in dmap._ranks.items()}
+
+
 def test_repeated_strands_are_ranked_once(monkeypatch):
     # R = k[x,y,z]/(x^2, y^2) has Hilbert function 1, 3, 4, 4, ...: from some
     # degree on, every strand of F repeats the one below it entry for entry
@@ -177,11 +183,13 @@ def test_repeated_strands_are_ranked_once(monkeypatch):
     monkeypatch.setattr(complexes, "rank", counting)
     assert verify_minimal_and_exact(F, 14)["pass"]
     C = F.complex
-    nonempty = [(i, d) for i, d in C._ranks
+    ranked = _map_ranks(C)
+    nonempty = [(i, d) for i, d, _ in ranked
                 if C.module(i).strand_dim(d) and C.module(i - 1).strand_dim(d)]
     assert 0 < len(calls) < len(nonempty)
-    for (i, d), r in C._ranks.items():
-        assert r == _oracle_rank(C.differential(i), d)
+    assert {field for _, _, field in ranked} == {fp}
+    for (i, d, field), r in ranked.items():
+        assert r == _oracle_rank(C.differential(i), d, field)
 
 
 def test_rank_memo_keeps_equal_dims_with_different_blocks_apart():
@@ -194,9 +202,12 @@ def test_rank_memo_keeps_equal_dims_with_different_blocks_apart():
     for name in ("x", "y"):
         mul = GradedMap(src, tgt, {(0, 0): parse_polynomial(name, ["x", "y"], ring.field)})
         C = ChainComplex(ring, {0: tgt, 1: src}, {1: mul})
-        ranks[name] = [C.strand_rank(1, d) for d in range(2, 7)]
+        ranks[name] = [C.differential(1).strand_rank(d) for d in range(2, 7)]
         assert ranks[name] == [_oracle_rank(mul, d) for d in range(2, 7)]
     assert ranks == {"x": [1] * 5, "y": [2] * 5}
+    # one memo key per map: the same positions and dims, and another block
+    assert len(ring.rank_memo) == 2
+    assert len({key[:4] for key in ring.rank_memo}) == 1
 
 
 @pytest.mark.parametrize("exact_first", [True, False])
@@ -211,11 +222,12 @@ def test_rank_memo_keeps_fields_apart(exact_first):
     fp = complexes.MODULAR_FIELD
     strands = [(i, d) for i in range(1, 5) for d in range(7)]
     order = [None, fp] if exact_first else [fp, None]
-    ranks = {field: [complexes._strand_rank(F.complex.differential(i), d, field)
-                     for i, d in strands]
+    ranks = {field: [F.complex.differential(i).strand_rank(d, field) for i, d in strands]
              for field in order}
     assert ranks[None] == ranks[fp]
     assert ranks[None] == [_oracle_rank(F.complex.differential(i), d) for i, d in strands]
+    assert ranks[fp] == [_oracle_rank(F.complex.differential(i), d, fp) for i, d in strands]
+    assert {key[0] for key in ring.rank_memo} == {ring.field, fp}
     # the same strands over a fresh ℚ ring that never saw the prime
     fresh = ring_from_strings(VARS, gens, RationalField())
     K2 = build_koszul(fresh)
@@ -292,13 +304,13 @@ def test_capped_ranks_are_true_ranks(field):
     F = assemble_f(K, cycles_from_generators(K), 8)
     assert verify_minimal_and_exact(F, 12)["pass"]
     C = F.complex
-    for (i, d), r in C._ranks.items():
-        assert r == _oracle_rank(C.differential(i), d)
-    assert (C._modular_ranks == {}) == field.is_prime
-    for (i, d), r in C._modular_ranks.items():
-        assert r == _oracle_rank(C.differential(i), d, complexes.MODULAR_FIELD)
-    # the memo also holds K's ranks and the cycle certificate's stacked strands
+    # over ℚ the exactness strands are ranked mod p, over 𝔽_p in the ring's field
     fields = {field} if field.is_prime else {field, complexes.MODULAR_FIELD}
+    ranked = _map_ranks(C)
+    assert {f for _, _, f in ranked} == fields
+    for (i, d, f), r in ranked.items():
+        assert r == _oracle_rank(C.differential(i), d, f)
+    # the memo also holds K's ranks and the cycle certificate's stacked strands
     assert {key[0] for key in ring.rank_memo} == fields
     for key, r in ring.rank_memo.items():
         assert r == oracle_rank(*_memo_matrix(ring, key))
@@ -352,3 +364,11 @@ def test_each_chain_map_is_composed_once(ex3, monkeypatch):
     calls.clear()
     mapping_cone(f)
     assert not calls
+
+
+def test_maps_from_columns_share_equal_entries(ring):
+    # K's ∂_2 on three variables has six entries of four values (x and −z
+    # twice each): one object per value
+    dmap = build_koszul(ring).complex.differential(2)
+    assert len(dmap.entries) == 6
+    assert len({id(p) for p in dmap.entries.values()}) == len(set(dmap.entries.values())) == 4

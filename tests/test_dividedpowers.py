@@ -1,13 +1,15 @@
+import itertools
+from collections import Counter
+
 from koszulator import dividedpowers
 from koszulator.dividedpowers import (
     acyclic_closure_square_zero,
     contract,
-    divided_monomials,
     tuple_to_divided,
     verify_mu_equals_zeta,
     verify_mu_square_zero,
 )
-from koszulator.koszul import CycleBasis
+from koszulator.koszul import CycleBasis, subsets
 from koszulator.zetamaps import tuples
 
 from oracles import divided_to_tuple
@@ -23,11 +25,13 @@ def test_tuple_divided_round_trip():
 
 
 def test_divided_monomials_order_matches_tuples():
+    # the tuples of length k, in lex order, give every degree-k divided
+    # monomial once, in decreasing lex order of the exponents
     for c in (2, 3):
         for k in (0, 1, 2, 3):
-            assert divided_monomials(c, k) == [
-                tuple_to_divided(t, c) for t in tuples(c, k)
-            ]
+            exps = [tuple_to_divided(t, c) for t in tuples(c, k)]
+            every = [e for e in itertools.product(range(k + 1), repeat=c) if sum(e) == k]
+            assert exps == sorted(every, reverse=True)
 
 
 def test_contract_lowers_one_exponent():
@@ -85,3 +89,23 @@ def test_acyclic_closure_catches_a_tampered_cycle(ex3):
     bad_cycles[0][1] = bad_cycles[0][1] + ex3.ring.variable(1)
     bad_Z = CycleBasis(ex3.K, bad_cycles, list(ex3.Z.degrees))
     assert not acyclic_closure_square_zero(ex3.K, bad_Z, max_k=3)
+
+
+def test_acyclic_closure_makes_each_column_once(ex3, monkeypatch):
+    """μ's terms on each generator e_S ⊗ w of K ⊗ D^{≤3}(V) are made once,
+    for the column of the one differential leaving it; only e_∅ ⊗ 1, in
+    homological degree 0, has none."""
+    calls = Counter()
+    original = dividedpowers.mu_terms
+
+    def counting(Z, m, S):
+        calls[(m, S)] += 1
+        return original(Z, m, S)
+
+    monkeypatch.setattr(dividedpowers, "mu_terms", counting)
+    assert acyclic_closure_square_zero(ex3.K, ex3.Z, max_k=3)
+    c, n = ex3.ring.codepth, ex3.K.n
+    gens = {(tuple_to_divided(w, c), S) for k in range(4) for w in tuples(c, k)
+            for i in range(n + 1) for S in subsets(n, i)}
+    assert set(calls) == gens - {((0,) * c, ())}
+    assert set(calls.values()) == {1}

@@ -1,5 +1,7 @@
 import pytest
 
+from koszulator.fields import PrimeField
+from koszulator.koszul import build_koszul, cycles_from_generators
 from koszulator.render import (
     export_map_json,
     import_map_json,
@@ -9,6 +11,7 @@ from koszulator.render import (
 )
 from koszulator.resolution import assemble_f
 
+from oracles import ring_from_strings
 from golden_layouts import (
     CODEPTH2_DF,
     CODEPTH3_DF,
@@ -77,3 +80,18 @@ def test_json_export_round_trip(F6s, ex2):
     assert back.entries == d.entries
     # byte-stable: exporting again gives the identical string
     assert export_map_json(back) == text
+
+
+def test_six_variable_blocks_all_have_a_glyph_and_fill():
+    # F over 𝔽_p[a..f]/(a², b²) reaches the Koszul block K_6 → K_5, of a
+    # wedge size past those of the codepth-2 and -3 figures
+    ring = ring_from_strings(list("abcdef"), ["a^2", "b^2"], PrimeField(32003))
+    K = build_koszul(ring)
+    F = assemble_f(K, cycles_from_generators(K), 6)
+    for i in range(1, 7):
+        layout = render_blocks(F.complex.differential(i))
+        text, svg = render_text(layout), render_svg(layout)
+        assert "other" not in layout.styles_used()
+        assert "?" not in text and "#ff0000" not in svg
+    assert "koszul6" in layout.styles_used() and "6" in text
+    assert 'fill="#cccccc"' in svg  # the greys start over at wedge size 6
