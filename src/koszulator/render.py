@@ -35,24 +35,20 @@ def _glyph_and_fill(style: str):
 
 
 class Block:
-    __slots__ = ("row0", "col0", "nrows", "ncols", "style", "target_group", "source_group")
+    __slots__ = ("row0", "col0", "nrows", "ncols", "style")
 
-    def __init__(self, row0, col0, nrows, ncols, style, target_group, source_group):
+    def __init__(self, row0, col0, nrows, ncols, style):
         self.row0 = row0
         self.col0 = col0
         self.nrows = nrows
         self.ncols = ncols
         self.style = style
-        self.target_group = target_group
-        self.source_group = source_group
 
 
 class BlockLayout:
-    def __init__(self, nrows, ncols, row_groups, col_groups, blocks):
+    def __init__(self, nrows, ncols, blocks):
         self.nrows = nrows
         self.ncols = ncols
-        self.row_groups = row_groups  # [(tuple, start, size)]
-        self.col_groups = col_groups
         self.blocks = blocks
 
     def styles_used(self):
@@ -114,8 +110,8 @@ def render_blocks(gmap: GradedMap) -> BlockLayout:
                 style = f"zeta{tgt_wedge}"
             else:
                 style = "other"
-            blocks.append(Block(r0, c0, rn, cn, style, rt, ct))
-    return BlockLayout(gmap.target.rank, gmap.source.rank, row_groups, col_groups, blocks)
+            blocks.append(Block(r0, c0, rn, cn, style))
+    return BlockLayout(gmap.target.rank, gmap.source.rank, blocks)
 
 
 def render_text(layout: BlockLayout) -> str:

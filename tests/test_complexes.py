@@ -334,7 +334,7 @@ def test_exactness_ranks_stop_at_their_ceiling(field, ceilings):
 def test_each_chain_map_is_composed_once(ex3, monkeypatch):
     """A chain map's defect is composed when it is checked and never again:
     not by verify_zeta_chain after ZetaMap, nor by mapping_cone on the ψ
-    that build_tower has just checked, nor on an inclusion of the tower."""
+    that build_tower has just checked.  The splitting composes nothing."""
     calls = []
     original = GradedMap.compose
 
@@ -360,9 +360,8 @@ def test_each_chain_map_is_composed_once(ex3, monkeypatch):
     monkeypatch.setattr(conetower, "mapping_cone", cone)
     tower = build_tower(ex3.K, ex3.Z, 2)
     assert cone_calls == [0, 0]
-    f = tower.inclusion(1)
     calls.clear()
-    mapping_cone(f)
+    assert conetower.verify_splitting(tower, 1, 5, 8)["pass"]
     assert not calls
 
 
