@@ -65,12 +65,17 @@ def test_random_complete_intersection(seed):
         K = build_koszul(ring)
         F = assemble_f(K, cycles_from_generators(K), IMAX)
         assert betti_numbers(F) == poincare_coefficients(ring.nvars, ring.codepth, IMAX)
-        assert verify_minimal_and_exact(F, MAX_D)["pass"]
-        strand_ranks.append([
-            _strand_rank(F.complex.differential(i), d)
-            for i in range(1, IMAX + 1)
-            for d in range(MAX_D + 1)
-        ])
+        res = verify_minimal_and_exact(F, MAX_D)
+        assert res["pass"]
+        ranks = {(i, d): _strand_rank(F.complex.differential(i), d)
+                 for i in range(1, IMAX + 1) for d in range(MAX_D + 1)}
+        strand_ranks.append(list(ranks.values()))
+        # the witnesses the oracle ranks give, whichever way F was proved
+        # exact: by F/x_v·F (seed 1, where z is a zero divisor and y is
+        # taken) or strand by strand (seed 5, an Artinian ring)
+        witnesses = [(i, d) for i in range(1, IMAX) for d in range(MAX_D + 1)
+                     if F.complex.module(i).strand_dim(d) != ranks[(i, d)] + ranks[(i + 1, d)]]
+        assert res["checks"][2]["witnesses"] == witnesses
         for i in range(1, IMAX + 1):
             d = F.complex.differential(i)
             assert import_map_json(export_map_json(d), ring) == d

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from koszulator import complexes
+from koszulator import complexes, resolution
+from koszulator.complexes import GradedMap
 from koszulator.fields import PrimeField, RationalField
 from koszulator.koszul import build_koszul, cycles_from_generators
 from koszulator.resolution import (
@@ -75,20 +76,31 @@ def modular_primes(monkeypatch):
     return primes
 
 
-def test_exactness_certified_mod_p(strand_builds):
-    # on the golden ℚ ring every exactness strand is proved by ranks mod p;
-    # only H_0 in degree 0, which is k and not zero, takes exact ℚ ranks
+def test_exactness_certified_mod_p(monkeypatch):
+    # on the golden ℚ ring every strand expected to vanish, of F or of
+    # F̄ = F/z·F, is proved by ranks mod p; exact ℚ ranks are taken only where
+    # the homology is k: H_0(F) in degree 0 and H_1(F̄) in degree 1
+    built = []
+    original = GradedMap.strand_matrix
+
+    def recording(self, d, field=None):
+        built.append((self.source.ring.nvars, d, field or self.source.ring.field))
+        return original(self, d, field)
+
     F = _fresh_f(["x^2", "y^2+z^2"])
-    strand_builds.clear()
+    monkeypatch.setattr(GradedMap, "strand_matrix", recording)
     assert verify_minimal_and_exact(F, 8)["pass"]
-    fields = {field for _, _, field in strand_builds}
-    assert fields == {RationalField(), complexes.MODULAR_FIELD}
-    assert {d for _, d, field in strand_builds if field == RationalField()} == {0}
+    assert {field for _, _, field in built} == {RationalField(), complexes.MODULAR_FIELD}
+    assert {(n, d) for n, d, field in built if field == RationalField()} == {(3, 0), (2, 1)}
 
 
 def test_prime_dividing_a_denominator_is_rejected(monkeypatch, modular_primes):
-    gens = ["x^2", "y^2+1/7*z^2"]
-    expected = verify_minimal_and_exact(_fresh_f(gens), 8)
+    # the 1/7 sits on x*y, so it survives in F̄ = F/z·F as well as in F
+    gens = ["x^2", "y^2+1/7*x*y+z^2"]
+    F = _fresh_f(gens)
+    assert any(c.denominator == 7 and not m[2] for dmap in F.complex.differentials.values()
+               for p in dmap.entries.values() for m, c in p.terms.items())
+    expected = verify_minimal_and_exact(F, 8)
     assert expected["pass"] and 7 not in modular_primes
     monkeypatch.setattr(complexes, "MODULAR_FIELD", PrimeField(7))
     assert verify_minimal_and_exact(_fresh_f(gens), 8) == expected
@@ -107,6 +119,28 @@ def test_unlucky_prime_falls_back(monkeypatch, modular_primes, strand_builds):
     assert any(d and field == RationalField() for _, d, field in strand_builds)
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """The variable names of every ring R/x_v·R that the exactness check
+    tries to build while the test runs, whether or not it gives a ring."""
+    tried = []
+    original = resolution.GradedQuotientRing
+
+    def recording(var_names, generators, field):
+        tried.append(var_names)
+        return original(var_names, generators, field)
+
+    monkeypatch.setattr(resolution, "GradedQuotientRing", recording)
+    return tried
+
+
+def _full_check(F, max_d):
+    """verify_minimal_and_exact with every strand of F checked."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_mod_variable", lambda *args: None)
+        return verify_minimal_and_exact(F, max_d)
+
+
 def test_tampered_differential_fails_with_exact_witnesses():
     # ∂_3 = 0 keeps ∂² = 0 but leaves homology at i = 2 and 3
     F, G = _fresh_f(["x^2", "y^2+z^2"]), _fresh_f(["x^2", "y^2+z^2"])
@@ -117,6 +151,73 @@ def test_tampered_differential_fails_with_exact_witnesses():
              if G.complex.strand_homology_dim(i, d) != 0]
     assert not res["pass"] and exact
     assert res["checks"][2]["witnesses"] == exact
+
+
+def _tampered(gens, tamper):
+    """F over ℚ[x,y,z]/(gens) with tamper(differentials) applied and ∂²
+    composed again."""
+    F = _fresh_f(gens)
+    C = F.complex
+    tamper(C.differentials)
+    F.complex = complexes.ChainComplex(C.ring, C.modules, C.differentials, check=False)
+    return F
+
+
+def _double_first_entry(diffs):
+    # ∂_2's first column is a Koszul cycle; doubling one coordinate breaks it
+    pos = min(diffs[2].entries)
+    diffs[2].entries[pos] = diffs[2].entries[pos] + diffs[2].entries[pos]
+
+
+@pytest.mark.parametrize("tamper, failing, tried", [
+    # ∂_3 = 0 keeps ∂² = 0 and H_0 = k: F/z·F is built, shows the homology
+    # at i = 2 and 3, and every strand of F is checked
+    (lambda diffs: diffs[3].entries.clear(), "exact in homological degrees 1..5, "
+     "internal degrees ≤ 8", [["x", "y"]]),
+    # with ∂² ≠ 0, or with ∂_1 = 0 and so H_0 = R, the argument through
+    # F/z·F does not hold, and no R/x_v·R is tried
+    (_double_first_entry, "differential squares to zero", []),
+    (lambda diffs: diffs[1].entries.clear(), "H_0 is the residue field in internal degree 0", []),
+], ids=["cleared-d3", "d-squared-nonzero", "cleared-d1"])
+def test_negative_controls_give_the_full_checks_witnesses(tamper, failing, tried, reductions):
+    gens = ["x^2", "y^2+z^2"]
+    res = verify_minimal_and_exact(_tampered(gens, tamper), 8)
+    assert failing in [ch["check"] for ch in res["checks"] if not ch["pass"]]
+    assert res["checks"][2]["witnesses"]
+    assert reductions == tried
+    assert res == _full_check(_tampered(gens, tamper), 8)
+
+
+def test_reduction_by_a_variable_is_used(strand_builds, reductions):
+    # golden2 = ℚ[x,y,z]/(x^2, y^2+z^2): z is regular, so F/z·F over
+    # ℚ[x,y]/(x^2, y^2) proves F exact; of F only ∂_1 is ranked, for H_0
+    F = _fresh_f(["x^2", "y^2+z^2"])
+    strand_builds.clear()
+    assert verify_minimal_and_exact(F, 8)["pass"]
+    assert reductions == [["x", "y"]]
+    higher = {id(F.complex.differential(i)) for i in range(2, F.i_max + 1)}
+    assert not [key for key, _, _ in strand_builds if key in higher]
+
+
+def test_artinian_ring_takes_the_full_check(strand_builds, reductions):
+    # golden3 has codepth 3 in 3 variables: no variable is regular
+    F = _fresh_f(["x^2+y^2", "x*z", "z^2+x*y"])
+    strand_builds.clear()
+    assert verify_minimal_and_exact(F, 8)["pass"]
+    assert reductions == []
+    assert {id(F.complex.differential(3))} & {key for key, _, _ in strand_builds}
+
+
+def test_zero_divisor_variable_is_skipped(reductions):
+    # z^2 = 0 at z = 0, so z is a zero divisor and is passed over; y is taken
+    gens = ["z^2", "x^2+y^2"]
+    F = _fresh_f(gens, 8)
+    res = verify_minimal_and_exact(F, 12)
+    assert reductions == [["x", "y"], ["x", "z"]]
+    assert res["pass"] and res == _full_check(_fresh_f(gens, 8), 12)
+    Fb = resolution._mod_variable(F.complex, 12)
+    assert Fb.ring.var_names == ["x", "z"]
+    assert [Fb.module(i).gens for i in range(9)] == [F.complex.module(i).gens for i in range(9)]
 
 
 def test_cross_construction(F2, F3, tower2, tower3):
