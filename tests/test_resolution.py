@@ -119,6 +119,18 @@ def test_unlucky_prime_falls_back(monkeypatch, modular_primes, strand_builds):
     assert any(d and field == RationalField() for _, d, field in strand_builds)
 
 
+def test_tampered_differential_fails_with_exact_witnesses():
+    # ∂_3 = 0 keeps ∂² = 0 but leaves homology at i = 2 and 3
+    F, G = _fresh_f(["x^2", "y^2+z^2"]), _fresh_f(["x^2", "y^2+z^2"])
+    for H in (F, G):
+        H.complex.differential(3).entries.clear()
+    res = verify_minimal_and_exact(F, 8)
+    exact = [(i, d) for i in range(1, G.i_max) for d in range(9)
+             if G.complex.strand_homology_dim(i, d) != 0]
+    assert not res["pass"] and exact
+    assert res["checks"][2]["witnesses"] == exact
+
+
 @pytest.fixture
 def reductions(monkeypatch):
     """The variable names of every ring R/x_v·R that the exactness check
@@ -139,18 +151,6 @@ def _full_check(F, max_d):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolution, "_mod_variable", lambda *args: None)
         return verify_minimal_and_exact(F, max_d)
-
-
-def test_tampered_differential_fails_with_exact_witnesses():
-    # ∂_3 = 0 keeps ∂² = 0 but leaves homology at i = 2 and 3
-    F, G = _fresh_f(["x^2", "y^2+z^2"]), _fresh_f(["x^2", "y^2+z^2"])
-    for H in (F, G):
-        H.complex.differential(3).entries.clear()
-    res = verify_minimal_and_exact(F, 8)
-    exact = [(i, d) for i in range(1, G.i_max) for d in range(9)
-             if G.complex.strand_homology_dim(i, d) != 0]
-    assert not res["pass"] and exact
-    assert res["checks"][2]["witnesses"] == exact
 
 
 def _tampered(gens, tamper):
