@@ -1,14 +1,16 @@
 """Free modules with twists, matrices of ring elements, chain complexes.
 
 Everything downstream (Koszul complexes, cones, the resolution) is built out
-of these pieces, and every product they take is read off the ring's rows of
-multiplication: `collect` sums those of composition and of elements, and a
-strand matrix places whole blocks of them.  A generator with twist a spans
-(Q/I)_{d-a} in the internal degree d strand.  A strand's rank belongs to its
-map (`GradedMap.strand_rank`): one layout of the strand serves the rank
-memo's key and the matrix, and as R's degrees settle the same blocks recur,
-so ranks are memoised per ring by that exact key.  A chain complex holds
-only structure: modules, differentials, its ∂² defect and homology dims.
+of these pieces, and every product they take is read off the ring's blocks
+of multiplication: `collect` sums their rows for composition and elements,
+and a strand matrix places them whole.  A map built from columns takes no
+product: its terms are normal forms, placed as they are.  A generator with
+twist a spans (Q/I)_{d-a} in the internal degree d strand.  A strand's rank
+belongs to its map (`GradedMap.strand_rank`): one layout of the strand
+serves the rank memo's key and the matrix, and as R's degrees settle the
+same blocks recur, so ranks are memoised per ring by that exact key.  A
+chain complex holds only structure: modules, differentials, its ∂² defect
+and homology dims.
 """
 
 from __future__ import annotations
@@ -28,18 +30,18 @@ MODULAR_FIELD = PrimeField(2**31 - 1)
 def collect(terms, ring) -> dict:
     """Sum product terms (key, p, q[, c]) by key: NF(Σ c·p·q) for homogeneous
     p, q and an integer c (1 if absent), as q's coordinates times the ring's
-    rows of multiplication by p (`GradedQuotientRing.mul_add`), one sum per
-    key and degree; zero sums are dropped.  p's rows are found once per
+    block of multiplication by p (`GradedQuotientRing.mul_add`), one sum per
+    key and degree; zero sums are dropped.  p's block is found once per
     degree of q, by id(p); p is held for the call, so its id is not reused."""
-    sums, found = {}, {}  # found: (id(p), deg q) -> (p, its rows, deg p·q)
+    sums, found = {}, {}  # found: (id(p), deg q) -> (p, its block, deg p·q)
     for key, p, q, *c in terms:
         if p.terms and q.terms:
             e = monomial_degree(next(iter(q.terms)))
             hit = found.get((id(p), e))
             if hit is None:
-                hit = found[(id(p), e)] = (p, ring.mul_rows(p, e, ring.field),
+                hit = found[(id(p), e)] = (p, ring.mul_block(p, e, ring.field)[1],
                                            e + monomial_degree(next(iter(p.terms))))
-            ring.mul_add(sums.setdefault(key, {}).setdefault(hit[2], {}), hit[1], p, q, e, *c)
+            ring.mul_add(sums.setdefault(key, {}).setdefault(hit[2], {}), hit[1], q, e, *c)
     out = ((key, ring.polynomial(by_degree)) for key, by_degree in sums.items())
     return {key: poly for key, poly in out if not poly.is_zero()}
 
@@ -110,17 +112,22 @@ class GradedMap:
 
     @classmethod
     def from_columns(cls, source, target, column):
-        """Map whose column at the source gen labelled lab sums the (target
-        label, polynomial) terms of column(lab).  The entries are taken as
-        given, without the constructor's degree check; equal entries share
-        one Polynomial, as a map built from columns has few distinct ones."""
+        """Map whose column at the source gen labelled lab places the (target
+        label, polynomial) terms of column(lab).  Each polynomial must be a
+        normal form, as ±x_i and the cycle coordinates are, so no product is
+        taken: NF is linear, terms at one position are summed with +, and a
+        zero sum is dropped.  The entries are taken as given, without the
+        constructor's degree check; equal entries share one Polynomial, as a
+        map built from columns has few distinct ones."""
         row = {lab: r for r, (lab, _) in enumerate(target.gens)}
-        one = source.ring.one()
-        entries = collect((((row[key], j), one, p) for j, (lab, _) in enumerate(source.gens)
-                           for key, p in column(lab)), source.ring)
+        entries = {}
+        for j, (lab, _) in enumerate(source.gens):
+            for key, p in column(lab):
+                pos = (row[key], j)
+                entries[pos] = entries[pos] + p if pos in entries else p
         shared = {}
         out = cls(source, target)
-        out.entries = {pos: shared.setdefault(p, p) for pos, p in entries.items()}
+        out.entries = {pos: shared.setdefault(p, p) for pos, p in entries.items() if p.terms}
         return out
 
     @classmethod

@@ -9,12 +9,12 @@ elimination on the border, the monomials that have a standard parent; any
 other normal form is computed from its parent on first use.  The degree
 cache has no cap: it grows as far as a computation asks, and the CLI bounds
 the windows it is asked for.
-Products go through one rule, rows of multiplication (`mul_row`): row k of
-multiplication by p from degree e is NF(p·m_k), read straight off the
-border when p is a variable and otherwise summed from p's terms on first
-use, and kept per (p, e, field) among the ring's interned rows.  A product
-of ring elements p·q is q's coordinates times p's rows (`mul_add`), and a
-strand block (`mul_block`) is all of p's rows from one degree.
+Products go through one rule, blocks of multiplication (`mul_block`): the
+block of p from degree e is every row NF(p·m_k), m_k the standard monomials
+of degree e, built in one pass (off the border when p is a variable, else
+summed from p's terms) and kept per (p, e, field), its rows interned.  A
+strand matrix places whole blocks, and a product of ring elements p·q is
+q's coordinates times p's block (`mul_add`).
 """
 
 from __future__ import annotations
@@ -299,10 +299,9 @@ class GradedQuotientRing:
         # each is stored once per field (1 is the int 1 over ℚ and 𝔽_p alike,
         # so only the field tells a ℚ row from an equal 𝔽_p one)
         self._rows = {field: {one: one}}
-        # (poly, e, field) -> the rows of `mul_rows`, each one of `_rows`;
-        # (poly, field) -> {e: (id, block)} of `mul_block`, and (field, block)
-        # -> (id, block), which gives equal blocks one id and one copy
-        self._mul = {}
+        # (poly, field) -> {e: (id, block)} of `mul_block`, each row one of
+        # `_rows`, and (field, block) -> (id, block), which gives equal blocks
+        # one id and one copy
         self._blocks = {}
         self._block_ids = {}
         # strand ranks by a key that fixes the strand matrix exactly, shared
@@ -447,54 +446,16 @@ class GradedQuotientRing:
         """Standard monomial basis of (Q/I)_d, graded-lex descending."""
         return list(self._degree_data(d).standard)
 
-    def mul_rows(self, poly: Polynomial, e: int, field) -> list:
-        """Rows of multiplication by the homogeneous `poly` from degree e over
-        `field` (the ring's own, or a prime field a ℚ ring is reduced into):
-        item k is NF(poly·m_k) for the k-th standard monomial m_k, as
-        (standard index, scalar) pairs, once `mul_row` has built it, else None."""
-        rows = self._mul.get((poly, e, field))
-        if rows is None:
-            rows = self._mul[(poly, e, field)] = [None] * self.dim_quotient(e)
-        return rows
-
-    def mul_row(self, rows: list, poly: Polynomial, e: int, k: int, field, stop=None):
-        """Item k of rows = `mul_rows(poly, e, field)` (with `stop`, items
-        k..stop-1), built on first use: for a variable x_v the border row of
-        x_v·m_k, else Σ c·NF(μ·m_k) over poly's terms c·μ, brought into
-        `field` once (FieldError if p divides a denominator) and interned."""
-        standard, terms = self._degrees[e].standard, poly.terms.items()
-        mu, c = next(iter(terms))
-        d = e + monomial_degree(mu)
-        nf, p, interned = self._degree_data(d).nf, self.field.p, self._rows.setdefault(field, {})
-        variable = d == e + 1 and c == 1 and len(terms) == 1 and field is self.field
-        for j in range(k, k + 1 if stop is None else stop):
-            if rows[j] is not None:
-                continue
-            if variable:  # the border row, interned by `_build_degree`
-                rows[j] = nf[monomial_mul(mu, standard[j])]
-                continue
-            acc = {}
-            for mu, c in terms:
-                mm = monomial_mul(mu, standard[j])
-                for s, a in nf.get(mm) or self._nf_row(mm, d):
-                    acc[s] = acc.get(s, 0) + c * a
-            row = []
-            for s, a in sorted(acc.items()):
-                a = a % p if p else field.of(a)  # over 𝔽_p the sums are ints
-                if a:
-                    row.append((s, a))
-            rows[j] = interned.setdefault(tuple(row), tuple(row))
-        return rows[k] if stop is None else None
-
-    def mul_add(self, acc: dict, rows: list, poly: Polynomial, q: Polynomial, e: int, c=1):
+    def mul_add(self, acc: dict, block, q: Polynomial, e: int, c=1):
         """acc[t] += c·NF(poly·q)_t for homogeneous poly and q, q of degree e
-        and rows = `mul_rows(poly, e, self.field)`: NF(q)'s coordinates times
-        those rows, summed with + and *; the caller brings acc into the field."""
-        nf = self._degrees[e].nf  # built by `mul_rows`
+        and block = `mul_block(poly, e, self.field)[1]`: NF(q)'s coordinates
+        times the block's rows, summed with + and *; the caller brings acc
+        into the field."""
+        nf = self._degrees[e].nf  # built by `mul_block`
         for m, a in q.terms.items():
             for s, b in nf.get(m) or self._nf_row(m, e):
                 cab = c * a * b
-                for t, v in rows[s] or self.mul_row(rows, poly, e, s, self.field):
+                for t, v in block[s]:
                     acc[t] = acc.get(t, 0) + cab * v
 
     def mul_blocks(self, poly: Polynomial, field) -> dict:
@@ -502,17 +463,41 @@ class GradedQuotientRing:
         return self._blocks.setdefault((poly, field), {})
 
     def mul_block(self, poly: Polynomial, e: int, field):
-        """(id, block) of multiplication by `poly` from degree e, block[k]
-        row k of `mul_rows(poly, e, field)`.  Equal blocks over one field
-        share one id; the field is part of that key, as 1 is the int 1 over
-        ℚ and 𝔽_p alike, and an integer matrix can have another rank mod p."""
+        """(id, block) of multiplication by the homogeneous `poly` from degree
+        e over `field` (the ring's own, or a prime field a ℚ ring is reduced
+        into), built in one pass and kept: block[k] is NF(poly·m_k) for the
+        k-th standard monomial m_k, as (standard index, scalar) pairs.  For a
+        variable x_v the rows are the border rows of x_v·m_k; else row k is
+        Σ c·NF(μ·m_k) over poly's terms c·μ, brought into `field` once
+        (FieldError if p divides a denominator) and interned.  Equal blocks
+        over one field share one id and one copy; the field is part of that
+        key, as 1 is the int 1 over ℚ and 𝔽_p alike, and an integer matrix
+        can have another rank mod p."""
         blocks = self.mul_blocks(poly, field)
-        if e not in blocks:
-            rows = self.mul_rows(poly, e, field)
-            self.mul_row(rows, poly, e, 0, field, len(rows))
+        if e in blocks:
+            return blocks[e]
+        standard, terms = self._degree_data(e).standard, poly.terms.items()
+        mu, c = next(iter(terms))
+        d = e + monomial_degree(mu)
+        nf, p, interned = self._degree_data(d).nf, self.field.p, self._rows.setdefault(field, {})
+        if d == e + 1 and c == 1 and len(terms) == 1 and field is self.field:
+            block = tuple(nf[monomial_mul(mu, m)] for m in standard)  # interned by `_build_degree`
+        else:
+            rows = []
+            for m in standard:
+                acc = {}
+                for mu, c in terms:
+                    mm = monomial_mul(mu, m)
+                    for s, a in nf.get(mm) or self._nf_row(mm, d):
+                        acc[s] = acc.get(s, 0) + c * a
+                row = []
+                for s, a in sorted(acc.items()):
+                    a = a % p if p else field.of(a)  # over 𝔽_p the sums are ints
+                    if a:
+                        row.append((s, a))
+                rows.append(interned.setdefault(tuple(row), tuple(row)))
             block = tuple(rows)
-            blocks[e] = self._block_ids.setdefault((field, block), (len(self._block_ids), block))
-            self._mul[(poly, e, field)] = blocks[e][1]  # all built: share the block's copy
+        blocks[e] = self._block_ids.setdefault((field, block), (len(self._block_ids), block))
         return blocks[e]
 
     def polynomial(self, sums: dict) -> Polynomial:

@@ -92,17 +92,16 @@ def _sub_multiset(small, big) -> bool:
 def render_blocks(gmap: GradedMap) -> BlockLayout:
     row_groups = _group_by_tuple(gmap.target.gens)
     col_groups = _group_by_tuple(gmap.source.gens)
+    # the (row group, column group) of each entry, found once
+    row_group = [g for g, (_, _, n) in enumerate(row_groups) for _ in range(n)]
+    col_group = [g for g, (_, _, n) in enumerate(col_groups) for _ in range(n)]
+    filled = {(row_group[r], col_group[c]) for r, c in gmap.entries}
     blocks = []
-    for rt, r0, rn in row_groups:
+    for gr, (rt, r0, rn) in enumerate(row_groups):
         # wedge size of this row group's generators
         tgt_wedge = len(gmap.target.gens[r0][0][1])
-        for ct, c0, cn in col_groups:
-            has_content = any(
-                (r, c) in gmap.entries
-                for r in range(r0, r0 + rn)
-                for c in range(c0, c0 + cn)
-            )
-            if not has_content:
+        for gc, (ct, c0, cn) in enumerate(col_groups):
+            if (gr, gc) not in filled:
                 style = "zero"
             elif len(ct) == len(rt) and ct == rt:
                 style = f"koszul{len(gmap.source.gens[c0][0][1])}"

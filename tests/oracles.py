@@ -5,8 +5,8 @@ extraction of the cycles (a reduced-echelon kernel basis modulo
 boundaries), dense-matrix helpers over `koszulator.linalg`, the lex rank of
 a multi-index, the inverse of the divided-power bijection, a ring built
 from strings, and the term-by-term product of polynomials with the sums of
-products that the program reads off its rows of multiplication.  None of it
-is reached from a command.
+products that the program reads off its blocks of multiplication.  None of
+it is reached from a command.
 """
 
 from __future__ import annotations

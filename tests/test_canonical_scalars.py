@@ -34,13 +34,11 @@ def test_nonmonic_outputs_match_golden(name, tmp_path, monkeypatch, capsys):
 
 def _stored_scalars(ring):
     """Every scalar the ring keeps: its generators' coefficients, its
-    normal-form rows, interned or not, its multiplication rows and its
-    multiplication blocks."""
+    normal-form rows, interned or not, and its multiplication blocks."""
     for g in ring.generators:
         yield from g.terms.values()
     rows = [row for interned in ring._rows.values() for row in interned]
     rows += [row for data in ring._degrees for row in data.nf.values()]
-    rows += [row for mul in ring._mul.values() for row in mul if row is not None]
     rows += [row for table in ring._blocks.values() for _, block in table.values()
              for row in block]
     for row in rows:

@@ -1,12 +1,14 @@
-"""Every product of ring elements is read off the ring's multiplication rows.
+"""Every product of ring elements is read off the ring's multiplication blocks.
 
 `complexes.collect` sums product terms c·p·q as q's coordinates times the
-rows of multiplication by p (`GradedQuotientRing.mul_add`); the oracle in
+block of multiplication by p (`GradedQuotientRing.mul_add`); the oracle in
 `tests/oracles.py` multiplies the same terms out monomial by monomial and
 takes normal forms.  The two must agree on every call that compose, apply,
 the wedge and DG products and the acyclic-closure differential make, over ℚ
 and 𝔽_p, on rings whose normal forms carry proper fractions and on rings
-whose cycle coordinates are not variables.
+whose cycle coordinates are not variables.  A map built from columns takes
+no product: its terms, normal forms already, are placed, and must equal
+what the oracle gives for the same terms each multiplied by 1.
 """
 
 import random
@@ -20,7 +22,9 @@ import pytest
 
 from koszulator import cli, complexes, koszul, resolution
 from koszulator.complexes import MODULAR_FIELD, FreeModule, GradedMap
-from koszulator.dividedpowers import acyclic_closure_square_zero, verify_mu_square_zero
+from koszulator.conetower import build_tower
+from koszulator.dividedpowers import (acyclic_closure_square_zero, verify_mu_equals_zeta,
+                                      verify_mu_square_zero)
 from koszulator.fields import PrimeField, RationalField
 from koszulator.koszul import build_koszul, certify_complete_intersection, cycles_from_generators
 from koszulator.polyring import Polynomial
@@ -35,7 +39,7 @@ BENCH = Path(__file__).parent.parent / "bench"
 RINGS = {
     # normal forms with proper fractions over ℚ
     "nonmonic": ("a,b,c,d,e", ["2*a^2+3*b*c", "5*c^2+7*d*e", "2*a*e+3*b^2", "5*d^2+7*a*b"]),
-    # cycle coordinates x^4, y^4, z^4: multiplication rows of non-variables
+    # cycle coordinates x^4, y^4, z^4: multiplication blocks of non-variables
     "quintic2": ("x,y,z", ["x^5", "y^5+z^5"]),
     "golden3": ("x,y,z", ["x^2+y^2", "x*z", "z^2+x*y"]),
 }
@@ -139,13 +143,94 @@ def test_products_match_the_term_by_term_oracle(name, field, checked):
             dg_product_elements(F, elem, {basis_labels(F, 1)[0]: ring.one()})
             kel = _random_element(rnd, ring, K.complex.module(min(i, K.n)), degree)
             K.wedge({S: p for (_, S), p in kel.items()}, Z.element(0))
-    for caller in ("from_columns", "compose", "apply", "wedge", "dg_product_elements",
+    for caller in ("compose", "apply", "wedge", "dg_product_elements",
                    "verify_leibniz", "apply_differential"):
         assert checked[caller], caller
     if name == "quintic2":
-        # the cycle coordinates x^4, y^4, z^4 are multiplied through rows
+        # the cycle coordinates x^4, y^4, z^4 are multiplied through blocks
         # built term by term, not read off the border
-        assert any(p.degree() == 4 for p, _, _ in ring._mul)
+        assert any(p.degree() == 4 for p, _ in ring._blocks)
+
+
+# -- maps built from columns: placed, not multiplied ------------------------------
+
+
+def _oracle_entries(source, target, terms):
+    """The entries `oracles.collect` gives for the (position, 1, p) terms of
+    columns {source label: [(target label, p)]}."""
+    row = {lab: r for r, (lab, _) in enumerate(target.gens)}
+    one = source.ring.one()
+    return oracles.collect((((row[key], j), one, p) for j, (lab, _) in enumerate(source.gens)
+                            for key, p in terms[lab]), source.ring)
+
+
+@pytest.fixture
+def placed(monkeypatch):
+    """Every map built by `GradedMap.from_columns` while the test runs, as
+    (caller, source, target, the terms of each column, the map); the caller
+    is module.function, and `_on_zeta_gens` is told apart by its terms."""
+    built = []
+    original = GradedMap.from_columns.__func__
+
+    def recording(cls, source, target, column):
+        terms = {}
+
+        def listed(lab):
+            terms[lab] = list(column(lab))
+            return terms[lab]
+
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
+            frame = frame.f_back
+        caller = f"{frame.f_globals['__name__'].rpartition('.')[2]}.{frame.f_code.co_name}"
+        if frame.f_code.co_name == "_on_zeta_gens":
+            caller += ":" + frame.f_locals["terms"].__name__
+        built.append((caller, source, target, terms, original(cls, source, target, listed)))
+        return built[-1][-1]
+
+    monkeypatch.setattr(GradedMap, "from_columns", classmethod(recording))
+    return built
+
+
+@pytest.mark.parametrize("name,field", CASES,
+                         ids=[f"{n}-{'q' if f == Q else 'p'}" for n, f in CASES])
+def test_maps_from_columns_have_the_oracle_entries(name, field, placed):
+    # K's ∂, the tuple sums', F's, ζ's components, the tower's ψ^j, μ and
+    # the ζ it is compared with, and the acyclic closure's differential
+    # place their column terms as they are; each must equal the normal form
+    # of the sum of its terms, as if every term were multiplied by 1
+    names, gens = RINGS[name] if name in RINGS else _random_ring(int(name[6:]), field)
+    ring = ring_from_strings(names.split(","), gens, field)
+    K = build_koszul(ring)
+    Z = cycles_from_generators(K)
+    assemble_f(K, Z, 4)
+    ZetaMap(K, Z, 1)
+    build_tower(K, Z, 2)
+    assert verify_mu_equals_zeta(K, Z, range(2))["pass"]
+    assert acyclic_closure_square_zero(K, Z, max_k=1)
+    callers = Counter(caller for caller, *_ in placed)
+    assert set(callers) == {
+        "koszul.__init__", "zetamaps.koszul_tuple_sum", "resolution.__init__",
+        "zetamaps.__init__", "conetower.build_tower", "dividedpowers._on_zeta_gens:mu_terms",
+        "dividedpowers._on_zeta_gens:zeta_terms", "dividedpowers.acyclic_closure_square_zero"}
+    for caller, source, target, terms, dmap in placed:
+        assert dmap.entries == _oracle_entries(source, target, terms), caller
+    assert any(dmap.entries for *_, dmap in placed)
+
+
+def test_a_column_term_off_normal_form_is_caught():
+    # golden3: x^2 ≡ −y^2, so x^2 is not a normal form; placed as it is, it
+    # differs from the oracle's entry, which a normal form would not
+    ring = ring_from_strings(["x", "y", "z"], RINGS["golden3"][1], Q)
+    x, y = ring.variable(0), ring.variable(1)
+    source = FreeModule(ring, [("s", 2)])
+    target = FreeModule(ring, [("t", 0), ("u", 0)])
+    square = oracles.multiply(x, x)
+    for term, normal in ((square, False), (-oracles.multiply(y, y), True)):
+        terms = {"s": [("t", term), ("u", x), ("u", -x)]}
+        dmap = GradedMap.from_columns(source, target, lambda lab: terms[lab])
+        assert ((1, 0) in dmap.entries) is False  # x − x at one position: dropped
+        assert (dmap.entries == _oracle_entries(source, target, terms)) is normal
 
 
 def test_compose_matches_the_oracle_on_zeta_maps():
@@ -187,16 +272,15 @@ def test_rows_over_q_and_mod_p_are_never_shared(modular_first):
             assert matrices[MODULAR_FIELD][0] == reduced
             proper |= any(type(a) is Fraction for row in rows_q for a in row.values())
     assert proper
-    assert {f for _, _, f in ring._mul} == {Q, MODULAR_FIELD}
+    assert {f for _, f in ring._blocks} == {Q, MODULAR_FIELD}
     # each field's rows are the products over ℚ brought into that field
-    for (p, e, f), rows in ring._mul.items():
-        for k, row in enumerate(rows):
-            if row is None:
-                continue
-            m = ring.degree_piece_basis(e)[k]
-            vec = ring.nf_coeff_vector(oracles.multiply(p, Polynomial(ring.nvars, Q, {m: 1})),
-                                       e + p.degree())
-            assert row == tuple((s, f.of(a)) for s, a in enumerate(vec) if f.of(a))
+    for (p, f), table in ring._blocks.items():
+        for e, (_, block) in table.items():
+            for k, row in enumerate(block):
+                m = ring.degree_piece_basis(e)[k]
+                vec = ring.nf_coeff_vector(
+                    oracles.multiply(p, Polynomial(ring.nvars, Q, {m: 1})), e + p.degree())
+                assert row == tuple((s, f.of(a)) for s, a in enumerate(vec) if f.of(a))
 
 
 # -- the mechanism, pinned ------------------------------------------------------
