@@ -3,8 +3,14 @@
 Everything downstream (Koszul complexes, cones, the resolution) is built out
 of these pieces, and every product they take is read off the ring's blocks
 of multiplication: `collect` sums their rows for composition and elements,
-and a strand matrix places them whole.  A map built from columns takes no
-product: its terms are normal forms, placed as they are.  A generator with
+which share one grouping of a map's entries by column, and a strand matrix
+places them whole.  A complex free on labelled generators with one column
+rule (K, its tuple sums, F, K ⊗ D(V)) is built by
+`ChainComplex.from_columns`; a map built from columns takes no product: its
+terms are normal forms, placed as they are.  Entries that are already normal
+forms of the right degrees (sums, negations, blocks cut from other maps)
+make a map through `GradedMap.placed`, without the constructor's checks,
+which are kept for outside input.  A generator with
 twist a spans (Q/I)_{d-a} in the internal degree d strand.  A strand's rank
 belongs to its map (`GradedMap.strand_rank`): one layout of the strand
 serves the rank memo's key and the matrix, and as R's degrees settle the
@@ -111,14 +117,23 @@ class GradedMap:
                 self.entries[(i, j)] = p
 
     @classmethod
+    def placed(cls, source, target, entries):
+        """Map on the given entries, taken as they are, with none of the
+        constructor's normal forms and degree checks: each must already be a
+        nonzero normal form of its position's degree, as a sum from `collect`,
+        a negation or a block cut out of another map is."""
+        out = cls(source, target)
+        out.entries = entries
+        return out
+
+    @classmethod
     def from_columns(cls, source, target, column):
         """Map whose column at the source gen labelled lab places the (target
         label, polynomial) terms of column(lab).  Each polynomial must be a
         normal form, as ±x_i and the cycle coordinates are, so no product is
         taken: NF is linear, terms at one position are summed with +, and a
-        zero sum is dropped.  The entries are taken as given, without the
-        constructor's degree check; equal entries share one Polynomial, as a
-        map built from columns has few distinct ones."""
+        zero sum is dropped.  Equal entries share one Polynomial, as a map
+        built from columns has few distinct ones."""
         row = {lab: r for r, (lab, _) in enumerate(target.gens)}
         entries = {}
         for j, (lab, _) in enumerate(source.gens):
@@ -126,9 +141,8 @@ class GradedMap:
                 pos = (row[key], j)
                 entries[pos] = entries[pos] + p if pos in entries else p
         shared = {}
-        out = cls(source, target)
-        out.entries = {pos: shared.setdefault(p, p) for pos, p in entries.items() if p.terms}
-        return out
+        return cls.placed(source, target,
+                          {pos: shared.setdefault(p, p) for pos, p in entries.items() if p.terms})
 
     @classmethod
     def identity(cls, module):
@@ -138,44 +152,35 @@ class GradedMap:
     def entry(self, i, j) -> Polynomial:
         return self.entries.get((i, j), self.source.ring.zero())
 
-    def column(self, j):
-        """Image of source gen j as {target index: polynomial}."""
-        return {i: p for (i, jj), p in self.entries.items() if jj == j}
-
     def is_zero(self) -> bool:
         return not self.entries
+
+    def _by_column(self):
+        """{source index j: [(target index i, entry)]}, in entry order; one
+        scan of the entries per call, as a map's entries may still be set."""
+        cols = {}
+        for (i, j), p in self.entries.items():
+            cols.setdefault(j, []).append((i, p))
+        return cols
 
     def apply(self, elem: dict) -> dict:
         """Image of {source label: Polynomial} as {target label: Polynomial}."""
         col = {lab: j for j, (lab, _) in enumerate(self.source.gens)}
-        tgt = self.target.gens
-        return collect(
-            ((tgt[r][0], q, p)
-             for lab, p in elem.items()
-             for r, q in self.column(col[lab]).items()),
-            self.source.ring,
-        )
+        tgt, cols = self.target.gens, self._by_column()
+        return collect(((tgt[r][0], q, p) for lab, p in elem.items()
+                        for r, q in cols.get(col[lab], ())), self.source.ring)
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self after other (self.source must be other.target)."""
         if other.target.gens != self.source.gens:
             raise ComplexError("composition shape mismatch")
-        cols = {}
-        for (i, j), p in self.entries.items():
-            cols.setdefault(j, []).append((i, p))
-        out = GradedMap(other.source, self.target)
-        out.entries = collect(
-            (((i, j), p, q)
-             for (k, j), q in other.entries.items()
-             for i, p in cols.get(k, ())),
-            self.source.ring,
-        )
-        return out
+        cols = self._by_column()
+        return GradedMap.placed(other.source, self.target, collect(
+            (((i, j), p, q) for (k, j), q in other.entries.items() for i, p in cols.get(k, ())),
+            self.source.ring))
 
     def __neg__(self):
-        out = GradedMap(self.source, self.target)
-        out.entries = {k: -p for k, p in self.entries.items()}
-        return out
+        return GradedMap.placed(self.source, self.target, {k: -p for k, p in self.entries.items()})
 
     def __eq__(self, other):
         return (
@@ -309,6 +314,16 @@ class ChainComplex:
             return d
         return GradedMap(self.module(i), self.module(i - 1))
 
+    @classmethod
+    def from_columns(cls, ring, gens, column, check: bool = True):
+        """The complex free on the generators gens[i] in each degree i, with
+        ∂_i : C_i → C_{i−1} built by `GradedMap.from_columns` from one column
+        rule for every degree."""
+        modules = {i: FreeModule(ring, g) for i, g in enumerate(gens)}
+        diffs = {i: GradedMap.from_columns(modules[i], modules[i - 1], column)
+                 for i in range(1, len(modules))}
+        return cls(ring, modules, diffs, check)
+
     @property
     def top(self) -> int:
         return max(self.modules) if self.modules else 0
@@ -433,8 +448,8 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         if src is None:
             continue
         cs, ct = C.module(i - 1).rank, C.module(i - 2).rank
-        nd = diffs[i] = GradedMap(src, modules.get(i - 1) or FreeModule(ring, []))
-        nd.entries = {(r, c): -p for (r, c), p in C.differential(i - 1).entries.items()}
-        nd.entries.update(((ct + r, c), p) for (r, c), p in f.component(i - 1).entries.items())
-        nd.entries.update(((ct + r, cs + c), p) for (r, c), p in D.differential(i).entries.items())
+        entries = {(r, c): -p for (r, c), p in C.differential(i - 1).entries.items()}
+        entries.update(((ct + r, c), p) for (r, c), p in f.component(i - 1).entries.items())
+        entries.update(((ct + r, cs + c), p) for (r, c), p in D.differential(i).entries.items())
+        diffs[i] = GradedMap.placed(src, modules.get(i - 1) or FreeModule(ring, []), entries)
     return ChainComplex(ring, modules, diffs, check=False)

@@ -108,8 +108,8 @@ def _quotient(C: ChainComplex, D: ChainComplex) -> ChainComplex:
         entries = D.differential(i).entries.items()
         if {(r - row, c - col): p for (r, c), p in entries if c >= col} != C.differential(i).entries:
             raise ComplexError(f"inclusion is not a chain map at homological degree {i}")
-        q = diffs[i] = GradedMap(modules.get(i, empty), modules.get(i - 1, empty))
-        q.entries = {(r, c): p for (r, c), p in entries if r < row and c < col}
+        diffs[i] = GradedMap.placed(modules.get(i, empty), modules.get(i - 1, empty),
+                                    {(r, c): p for (r, c), p in entries if r < row and c < col})
     return ChainComplex(D.ring, modules, diffs, check=False)
 
 

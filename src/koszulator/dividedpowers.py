@@ -97,16 +97,9 @@ def acyclic_closure_square_zero(K: KoszulComplex, Z: CycleBasis, max_k: int = 3)
     on K ⊗ D^{≤max_k}(V): the complex whose degree-i generators are e_S ⊗ w
     with |S| + 2·deg w = i, each column made once, has no ∂² defect."""
     c = K.ring.codepth
-    top = K.n + 2 * max_k
-    modules = {
-        i: FreeModule(K.ring, [((tuple_to_divided(w, c), S), t)
-                               for k in range(min(i // 2, max_k) + 1)
-                               for (w, S), t in tuple_sum_gens(Z, K.n, k, i - 2 * k)])
-        for i in range(top + 1)
-    }
-    diffs = {
-        i: GradedMap.from_columns(modules[i], modules[i - 1],
-                                  lambda lab: itertools.chain(K.column(lab), mu_terms(Z, *lab)))
-        for i in range(1, top + 1)
-    }
-    return not ChainComplex(K.ring, modules, diffs, check=False).square_defect()
+    gens = [[((tuple_to_divided(w, c), S), t) for k in range(min(i // 2, max_k) + 1)
+             for (w, S), t in tuple_sum_gens(Z, K.n, k, i - 2 * k)]
+            for i in range(K.n + 2 * max_k + 1)]
+    return not ChainComplex.from_columns(
+        K.ring, gens, lambda lab: itertools.chain(K.column(lab), mu_terms(Z, *lab)),
+        check=False).square_defect()

@@ -64,15 +64,9 @@ class KoszulComplex:
         self.ring = ring
         self.n = ring.nvars
         self._boundary = {}  # S -> the terms of ∂e_S, made once
-        modules = {
-            i: FreeModule(ring, [(((), S), i) for S in subsets(self.n, i)])
-            for i in range(self.n + 1)
-        }
-        diffs = {
-            i: GradedMap.from_columns(modules[i], modules[i - 1], self.column)
-            for i in range(1, self.n + 1)
-        }
-        self.complex = ChainComplex(ring, modules, diffs)
+        self.complex = ChainComplex.from_columns(
+            ring, [[(((), S), i) for S in subsets(self.n, i)] for i in range(self.n + 1)],
+            self.column)
 
     def column(self, label):
         """Terms ((w, S∖s_t), ±x_{s_t}) of ∂ on the generator labelled (w, S)

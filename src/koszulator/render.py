@@ -17,6 +17,7 @@ from .polyring import GradedQuotientRing, parse_polynomial
 
 GREYS = ("#cccccc", "#808080", "#333333", "#565656", "#101010")
 PATTERNS = ("dots", "nelines", "crosshatch")
+CELL = 14  # side of one entry's square in an SVG, in pixels
 PLAIN_STYLES = {"zero": ("·", "#ffffff"), "other": ("?", "#ff0000")}  # (glyph, fill)
 
 
@@ -123,9 +124,9 @@ def render_text(layout: BlockLayout) -> str:
     return "\n".join(" ".join(row) for row in grid) + "\n"
 
 
-def render_svg(layout: BlockLayout, cell: int = 14) -> str:
-    w = layout.ncols * cell
-    h = layout.nrows * cell
+def render_svg(layout: BlockLayout) -> str:
+    w = layout.ncols * CELL
+    h = layout.nrows * CELL
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
@@ -139,10 +140,10 @@ def render_svg(layout: BlockLayout, cell: int = 14) -> str:
         "</defs>",
     ]
     for b in layout.blocks:
-        x = b.col0 * cell
-        y = b.row0 * cell
-        bw = b.ncols * cell
-        bh = b.nrows * cell
+        x = b.col0 * CELL
+        y = b.row0 * CELL
+        bw = b.ncols * CELL
+        bh = b.nrows * CELL
         parts.append(
             f'<rect x="{x}" y="{y}" width="{bw}" height="{bh}" '
             f'fill="{_glyph_and_fill(b.style)[1]}" stroke="black" stroke-width="0.6"/>'
@@ -177,12 +178,13 @@ def export_map_csv(gmap: GradedMap) -> str:
 
 
 def matrix_strings(gmap: GradedMap):
-    """Dense grid of the entry strings, one list per target generator."""
+    """Dense grid of the entry strings, one list per target generator: "0"
+    in every cell, then each entry's string in its own."""
     names = gmap.source.ring.var_names
-    return [
-        [gmap.entry(r, c).to_string(names) for c in range(gmap.source.rank)]
-        for r in range(gmap.target.rank)
-    ]
+    grid = [["0"] * gmap.source.rank for _ in range(gmap.target.rank)]
+    for (r, c), p in gmap.entries.items():
+        grid[r][c] = p.to_string(names)
+    return grid
 
 
 def export_map_text(gmap: GradedMap) -> str:

@@ -35,22 +35,10 @@ class ResolutionF:
         self.K = K
         self.Z = Z
         self.i_max = i_max
-        ring = K.ring
-        modules = {
-            i: FreeModule(ring, [g for j in range(i // 2 + 1)
-                                 for g in tuple_sum_gens(Z, K.n, j, i - 2 * j)])
-            for i in range(i_max + 1)
-        }
-
-        def column(label):
-            yield from K.column(label)
-            yield from zeta_terms(Z, *label)
-
-        diffs = {
-            i: GradedMap.from_columns(modules[i], modules[i - 1], column)
-            for i in range(1, i_max + 1)
-        }
-        self.complex = ChainComplex(ring, modules, diffs)
+        self.complex = ChainComplex.from_columns(
+            K.ring, [[g for j in range(i // 2 + 1) for g in tuple_sum_gens(Z, K.n, j, i - 2 * j)]
+                     for i in range(i_max + 1)],
+            lambda lab: itertools.chain(K.column(lab), zeta_terms(Z, *lab)))
 
 
 def assemble_f(K: KoszulComplex, Z: CycleBasis, i_max: int) -> ResolutionF:
@@ -95,10 +83,9 @@ def _mod_variable(C: ChainComplex, max_d: int):
                for e in range(1, max_d + 1)):
             bar = functools.cache(lambda p: Rb.normal_form(cut(p)))  # entries repeat
             mods = {i: FreeModule(Rb, m.gens) for i, m in C.modules.items()}
-            diffs = {i: GradedMap(mods[i], mods[i - 1]) for i in C.differentials}
-            for i, dmap in diffs.items():
-                dmap.entries = {pos: q for pos, p in C.differentials[i].entries.items()
-                                if (q := bar(p)).terms}
+            diffs = {i: GradedMap.placed(mods[i], mods[i - 1], {
+                pos: q for pos, p in dmap.entries.items() if (q := bar(p)).terms})
+                for i, dmap in C.differentials.items()}
             Fb = ChainComplex(Rb, mods, diffs, check=False)
             Fb._square_defect = C.square_defect()
             return Fb
@@ -254,22 +241,23 @@ def hom_degree(label) -> int:
 
 
 def verify_leibniz(F: ResolutionF, pairs) -> dict:
-    """∂(ab) = ∂(a)b + (−1)^{|a|} a ∂(b) on the given basis-label pairs."""
+    """∂(ab) = ∂(a)b + (−1)^{|a|} a ∂(b) on the given basis-label pairs.  ∂
+    of each basis label is applied once per call; ab is an integer c times
+    a basis label, so ∂(ab) is c times that label's boundary."""
     ring = F.K.ring
     one = ring.one()
-    d = F.complex.differential
+    bd = functools.cache(lambda lab: F.complex.differential(hom_degree(lab)).apply({lab: one}))
     failures = []
     for a, b in pairs:
         i, i2 = hom_degree(a), hom_degree(b)
         if i + i2 > F.i_max:
             raise ValueError("pair beyond resolution range")
-        lhs = d(i + i2).apply(dg_product_elements(F, {a: one}, {b: one}))
-        da = d(i).apply({a: one})
-        db = d(i2).apply({b: one})
-        adb = dg_product_elements(F, {a: one}, db)
+        c, ab = dg_product_basis(a, b)
+        lhs = collect(((lab, one, p, c) for lab, p in (bd(ab) if c else {}).items()), ring)
+        adb = dg_product_elements(F, {a: one}, bd(b))
         rhs = collect(
             itertools.chain(
-                ((lab, one, p) for lab, p in dg_product_elements(F, da, {b: one}).items()),
+                ((lab, one, p) for lab, p in dg_product_elements(F, bd(a), {b: one}).items()),
                 ((lab, one, p, (-1) ** i) for lab, p in adb.items()),
             ),
             ring,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .complexes import ChainComplex, ChainMap, FreeModule, GradedMap
+from .complexes import ChainComplex, ChainMap, GradedMap
 from .koszul import CycleBasis, KoszulComplex, subsets, wedge_cycle
 from .linalg import rank
 
@@ -42,13 +42,8 @@ def tuple_sum_gens(Z: CycleBasis, n: int, k: int, i: int):
 
 def koszul_tuple_sum(K: KoszulComplex, Z: CycleBasis, k: int) -> ChainComplex:
     """K^{⊕ tuples(c,k)} on the generators `tuple_sum_gens`."""
-    ring = K.ring
-    modules = {i: FreeModule(ring, tuple_sum_gens(Z, K.n, k, i)) for i in range(K.n + 1)}
-    diffs = {
-        i: GradedMap.from_columns(modules[i], modules[i - 1], K.column)
-        for i in range(1, K.n + 1)
-    }
-    return ChainComplex(ring, modules, diffs, check=False)
+    return ChainComplex.from_columns(
+        K.ring, [tuple_sum_gens(Z, K.n, k, i) for i in range(K.n + 1)], K.column, check=False)
 
 
 def zeta_terms(Z: CycleBasis, w, S):

@@ -180,7 +180,8 @@ def placed(monkeypatch):
             return terms[lab]
 
         frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
+        # past a comprehension's frame and `ChainComplex.from_columns`
+        while frame.f_code.co_name.startswith("<") or frame.f_globals is vars(complexes):
             frame = frame.f_back
         caller = f"{frame.f_globals['__name__'].rpartition('.')[2]}.{frame.f_code.co_name}"
         if frame.f_code.co_name == "_on_zeta_gens":
