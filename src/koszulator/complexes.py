@@ -3,14 +3,11 @@
 Everything downstream (Koszul complexes, cones, the resolution) is built out
 of these pieces, and every product they take is read off the ring's blocks
 of multiplication: `collect` sums their rows for composition and elements,
-which share one grouping of a map's entries by column, and a strand matrix
-places them whole.  A complex free on labelled generators with one column
-rule (K, its tuple sums, F, K ⊗ D(V)) is built by
-`ChainComplex.from_columns`; a map built from columns takes no product: its
-terms are normal forms, placed as they are.  Entries that are already normal
-forms of the right degrees (sums, negations, blocks cut from other maps)
-make a map through `GradedMap.placed`, without the constructor's checks,
-which are kept for outside input.  A generator with
+which group a map's entries by column once per call, and a strand matrix
+places them whole.  `ChainComplex.from_columns` builds a complex on
+labelled generators from one column rule; its terms, and any entries that
+are already normal forms (`GradedMap.placed`), are placed as they are,
+without the checks the constructor keeps for outside input.  A generator with
 twist a spans (Q/I)_{d-a} in the internal degree d strand.  A strand's rank
 belongs to its map (`GradedMap.strand_rank`): one layout of the strand
 serves the rank memo's key and the matrix, and as R's degrees settle the
@@ -118,10 +115,9 @@ class GradedMap:
 
     @classmethod
     def placed(cls, source, target, entries):
-        """Map on the given entries, taken as they are, with none of the
-        constructor's normal forms and degree checks: each must already be a
-        nonzero normal form of its position's degree, as a sum from `collect`,
-        a negation or a block cut out of another map is."""
+        """Map on entries taken as they are, without the constructor's checks:
+        each must be a nonzero normal form of its position's degree, as a sum
+        from `collect`, a negation or a block cut from another map is."""
         out = cls(source, target)
         out.entries = entries
         return out

@@ -1,14 +1,12 @@
-"""`resolve --out` trees and dense entry grids pinned byte for byte.
+"""`resolve --out` trees pinned byte for byte.
 
 `tests/golden/resolve-<ring>/` holds the stdout and the whole `--out` tree
 (`dF_i.{json,txt,svg}`, `betti.csv`, `report.json`) of
 
     koszulator resolve --ring bench/rings/<ring>.ring --imax 5 --verify-all --betti --out out
 
-run from an empty directory.  `tests/golden/<name>.stdout` holds the stdout
-of one command each, both printing `render.matrix_strings` grids.  A change
-that only makes the program faster or smaller must leave every one of these
-bytes as they are.
+run from an empty directory.  A change that only makes the program faster
+or smaller must leave every one of these bytes as they are.
 """
 
 from pathlib import Path
@@ -38,18 +36,20 @@ def test_resolve_out_tree_matches_golden(name, tmp_path, monkeypatch, capsys):
         assert (Path("out") / fname).read_bytes() == (golden / "out" / fname).read_bytes(), fname
 
 
+# `tests/golden/<name>.stdout` holds the stdout of one command each, both
+# printing `render.matrix_strings` grids, generated before that function
+# was last changed
 GRIDS = {
-    "zeta-golden3-q-k2": ["zeta", "--ring", "golden3-q", "--k", "2", "--out", "json"],
-    "export-map-golden2-p-dF3-text": ["export-map", "--ring", "golden2-p", "--complex",
-                                      "resolution", "--index", "3", "--format", "text"],
+    "zeta-golden3-q-k2": ("golden3-q", ["zeta", "--k", "2", "--out", "json"]),
+    "export-map-golden2-p-dF3-text": ("golden2-p", ["export-map", "--complex", "resolution",
+                                                    "--index", "3", "--format", "text"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_dense_grid_stdout_matches_golden(name, capsys):
-    argv = [str(RINGS / f"{a}.ring") if prev == "--ring" else a
-            for prev, a in zip([None] + GRIDS[name], GRIDS[name])]
-    assert cli.main(argv) == 0
+    ring, (command, *args) = GRIDS[name]
+    assert cli.main([command, "--ring", str(RINGS / f"{ring}.ring"), *args]) == 0
     out, err = capsys.readouterr()
     assert out == (GOLDEN / f"{name}.stdout").read_text()
     assert err == ""
