@@ -401,6 +401,13 @@ class ChainMap:
                 i = errs[0]
                 raise ComplexError(f"not a chain map at homological degree {i}")
 
+    @classmethod
+    def from_columns(cls, source, target, column, check: bool = True):
+        """The chain map whose component in each degree of `source` is built
+        by `GradedMap.from_columns` from one column rule."""
+        return cls(source, target, {i: GradedMap.from_columns(m, target.module(i), column)
+                                    for i, m in source.modules.items()}, check)
+
     def component(self, i) -> GradedMap:
         c = self.components.get(i)
         if c is not None:

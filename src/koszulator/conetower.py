@@ -36,15 +36,9 @@ def build_tower(K: KoszulComplex, Z: CycleBasis, J: int) -> ConeTower:
     levels = [K.complex]
     for j in range(1, J + 1):
         source = koszul_tuple_sum(K, Z, j).shift(2 * j - 1)
-        prev = levels[j - 1]
-        # ζ^{j−1} lands in the newest summand of prev, found there by label
-        comps = {
-            i: GradedMap.from_columns(
-                m, prev.module(i), lambda label: zeta_terms(Z, *label)
-            )
-            for i, m in source.modules.items()
-        }
-        psi = ChainMap(source, prev, comps)  # chain identity verified here
+        # ζ^{j−1} lands in the newest summand of M^{j−1}, found there by
+        # label; the chain identity is verified here
+        psi = ChainMap.from_columns(source, levels[j - 1], lambda label: zeta_terms(Z, *label))
         levels.append(mapping_cone(psi))
     return ConeTower(K, Z, levels)
 

@@ -3,7 +3,9 @@ and cycle representatives generating degree-one homology.
 
 Generators of K_i are e_S for strictly increasing subsets S of {1..n},
 labelled ((), S) so that downstream constructions can replace the empty
-tuple with a multi-index.  Elements of K are dicts {S: Polynomial}.
+tuple with a multi-index.  Elements of K are dicts {label: Polynomial} on
+those labels, as F's are, so ∂ on elements is `GradedMap.apply` and their
+product is `dg_product_elements`, F's product on the empty tuple.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 
 from .complexes import ChainComplex, FreeModule, GradedMap, collect
 from .polyring import GradedQuotientRing, Polynomial
@@ -57,6 +60,29 @@ def merge_wedge(S, T):
     return sign, out
 
 
+def dg_product_basis(a, b):
+    """Product of basis labels (tuple, wedge); returns (coefficient, label)
+    with coefficient an integer carrying both the wedge sign and the
+    divided-power multiplicity, or (0, None)."""
+    (wa, Sa), (wb, Sb) = a, b
+    sign, S = merge_wedge(Sa, Sb)
+    if sign == 0:
+        return 0, None
+    w = tuple(sorted(wa + wb))
+    mult = 1
+    ca = Counter(wa)
+    cb = Counter(wb)
+    for val in set(ca) & set(cb):
+        mult *= math.comb(ca[val] + cb[val], ca[val])
+    return sign * mult, (w, S)
+
+
+def dg_product_elements(ring, x: dict, y: dict) -> dict:
+    """Bilinear extension of the basis product to {label: Polynomial}."""
+    return collect(((lab, p, q, coeff) for la, p in x.items() for lb, q in y.items()
+                    for coeff, lab in (dg_product_basis(la, lb),) if coeff), ring)
+
+
 class KoszulComplex:
     """K on x_1..x_n over R, with ∂(e_S) = Σ_t (−1)^{t+1} x_{s_t} e_{S∖s_t}."""
 
@@ -69,31 +95,14 @@ class KoszulComplex:
             self.column)
 
     def column(self, label):
-        """Terms ((w, S∖s_t), ±x_{s_t}) of ∂ on the generator labelled (w, S)
-        of any sum of copies of K indexed by w."""
+        """Terms ((w, S∖s_t), (−1)^t x_{s_t}) of ∂ on the generator labelled
+        (w, S) of any sum of copies of K indexed by w, t counted from 0; the
+        terms of ∂e_S are made once per S."""
         w, S = label
-        return (((w, rest), x) for rest, x in self.boundary(S))
-
-    def boundary(self, S):
-        """Terms (S∖s_t, (−1)^t x_{s_t}) of ∂e_S, t counted from 0, made once
-        per S."""
         if S not in self._boundary:
             xs = map(self.ring.variable, (s - 1 for s in S))
             self._boundary[S] = [(S[:t] + S[t + 1:], -x if t % 2 else x) for t, x in enumerate(xs)]
-        return self._boundary[S]
-
-    # -- elements -------------------------------------------------------------
-    def wedge(self, a: dict, b: dict) -> dict:
-        """Wedge product of elements given as {subset: Polynomial}."""
-        return collect(((merged, q, p, sign) for S, p in a.items() for T, q in b.items()
-                        for sign, merged in (merge_wedge(S, T),) if sign), self.ring)
-
-    def apply_differential(self, elem: dict) -> dict:
-        return collect(
-            ((rest, x, p) for S, p in elem.items()
-             for rest, x in self.boundary(S)),
-            self.ring,
-        )
+        return (((w, rest), x) for rest, x in self._boundary[S])
 
 
 class CycleBasis:
@@ -105,9 +114,9 @@ class CycleBasis:
         self.degrees = list(degrees)
 
     def element(self, j: int) -> dict:
-        """z_j as a Koszul element {(i,): Polynomial}."""
+        """z_j as a Koszul element {((), (i,)): Polynomial}."""
         return {
-            (i + 1,): p
+            ((), (i + 1,)): p
             for i, p in enumerate(self.cycles[j])
             if not p.is_zero()
         }
@@ -150,10 +159,10 @@ def validate_cycles(Z: CycleBasis):
                 raise CycleError(f"z_{j} is not homogeneous of degree {d - 1}")
             if p.degree() == 0:
                 raise CycleError(f"z_{j} has a unit entry")
-        bdry = K.apply_differential(Z.element(j - 1))
+        bdry = K.complex.differential(1).apply(Z.element(j - 1))
         if bdry:
             raise CycleError(f"z_{j} is not a cycle: "
-                             f"∂₁z_{j} = {bdry[()].to_string(ring.var_names)}")
+                             f"∂₁z_{j} = {bdry[((), ())].to_string(ring.var_names)}")
     for d in dict.fromkeys(Z.degrees):
         elems = [Z.element(j) for j, e in enumerate(Z.degrees) if e == d]
         if not _independent_mod_boundaries(K, elems, 1, d):
@@ -166,15 +175,15 @@ def _independent_mod_boundaries(K: KoszulComplex, elems, u: int, d: int) -> bool
     boundaries ∂K_{u+1}?  They do exactly when the map into K_u whose
     columns are ∂_{u+1}'s and then the elements, each twisted d, has rank
     rank ∂_{u+1} + len(elems) at degree d.  No column stack has more, so
-    its elimination stops there."""
+    its elimination stops there.  The elements are checked cycles or their
+    products, nonzero normal forms of degree d, so the stack is placed."""
     boundary = K.complex.differential(u + 1)
     target = K.complex.module(u)
-    row = {S: r for r, ((_, S), _) in enumerate(target.gens)}
+    row = {lab: r for r, (lab, _) in enumerate(target.gens)}
     nb = boundary.source.rank
     source = FreeModule(K.ring, boundary.source.gens + [(None, d)] * len(elems))
-    stacked = GradedMap(source, target, {
-        (row[S], nb + j): p for j, elem in enumerate(elems) for S, p in elem.items()})
-    stacked.entries.update(boundary.entries)
+    stacked = GradedMap.placed(source, target, {**boundary.entries, **{
+        (row[lab], nb + j): p for j, elem in enumerate(elems) for lab, p in elem.items()}})
     full = boundary.strand_rank(d) + len(elems)
     return stacked.strand_rank(d, ceiling=full) == full
 
@@ -258,7 +267,8 @@ def _wedge_classes_independent(K: KoszulComplex, Z: CycleBasis) -> bool:
         by_degree = {}
         for S in itertools.combinations(range(c), u):
             by_degree.setdefault(sum(Z.degrees[j] for j in S), []).append(
-                functools.reduce(K.wedge, map(Z.element, S)))
+                functools.reduce(functools.partial(dg_product_elements, K.ring),
+                                 map(Z.element, S)))
         if not all(_independent_mod_boundaries(K, elems, u, d)
                    for d, elems in by_degree.items()):
             return False

@@ -8,11 +8,13 @@ independent code path from the mapping-cone tower and the two are
 cross-checked label-for-label.
 
 Also here: the splitting-and-spreading synthesis of zeta matrices from
-their k = 0 seed, and the DG product with a Leibniz verifier.  The product
-multiplies tuple parts with divided-power multiplicity coefficients
-(multinomials of the merged multiplicities); plain concatenation with
-coefficient 1 would break the Leibniz rule whenever the tuples share a
-value, since the differential removes each distinct tuple value once.
+their k = 0 seed, and the Leibniz, commutativity and associativity checks
+of the DG product, which lives in `koszul` as it is K's wedge on the empty
+tuple.  The product multiplies tuple parts with divided-power multiplicity
+coefficients (multinomials of the merged multiplicities); plain
+concatenation with coefficient 1 would break the Leibniz rule whenever the
+tuples share a value, since the differential removes each distinct tuple
+value once.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 
 from .complexes import ChainComplex, FreeModule, GradedMap, collect
-from .koszul import CycleBasis, KoszulComplex, merge_wedge
+from .koszul import CycleBasis, KoszulComplex, dg_product_basis, dg_product_elements
 from .polyring import GradedQuotientRing, Polynomial, RingError
 from .zetamaps import tuple_sum_gens, zeta_terms
 
@@ -212,29 +213,6 @@ def _spread(M, c: int, k: int, zero):
 # -- DG product ------------------------------------------------------------
 
 
-def dg_product_basis(a, b):
-    """Product of basis labels (tuple, wedge); returns (coefficient, label)
-    with coefficient an integer carrying both the wedge sign and the
-    divided-power multiplicity, or (0, None)."""
-    (wa, Sa), (wb, Sb) = a, b
-    sign, S = merge_wedge(Sa, Sb)
-    if sign == 0:
-        return 0, None
-    w = tuple(sorted(wa + wb))
-    mult = 1
-    ca = Counter(wa)
-    cb = Counter(wb)
-    for val in set(ca) & set(cb):
-        mult *= math.comb(ca[val] + cb[val], ca[val])
-    return sign * mult, (w, S)
-
-
-def dg_product_elements(F: ResolutionF, x: dict, y: dict) -> dict:
-    """Bilinear extension of the basis product to {label: Polynomial}."""
-    return collect(((lab, p, q, coeff) for la, p in x.items() for lb, q in y.items()
-                    for coeff, lab in (dg_product_basis(la, lb),) if coeff), F.K.ring)
-
-
 def hom_degree(label) -> int:
     w, S = label
     return len(S) + 2 * len(w)
@@ -254,10 +232,10 @@ def verify_leibniz(F: ResolutionF, pairs) -> dict:
             raise ValueError("pair beyond resolution range")
         c, ab = dg_product_basis(a, b)
         lhs = collect(((lab, one, p, c) for lab, p in (bd(ab) if c else {}).items()), ring)
-        adb = dg_product_elements(F, {a: one}, bd(b))
+        adb = dg_product_elements(ring, {a: one}, bd(b))
         rhs = collect(
             itertools.chain(
-                ((lab, one, p) for lab, p in dg_product_elements(F, bd(a), {b: one}).items()),
+                ((lab, one, p) for lab, p in dg_product_elements(ring, bd(a), {b: one}).items()),
                 ((lab, one, p, (-1) ** i) for lab, p in adb.items()),
             ),
             ring,
@@ -288,10 +266,10 @@ def verify_associativity(F: ResolutionF, triples) -> dict:
     one = ring.one()
     failures = []
     for a, b, cc in triples:
-        ab = dg_product_elements(F, {a: one}, {b: one})
-        bc = dg_product_elements(F, {b: one}, {cc: one})
-        left = dg_product_elements(F, ab, {cc: one})
-        right = dg_product_elements(F, {a: one}, bc)
+        ab = dg_product_elements(ring, {a: one}, {b: one})
+        bc = dg_product_elements(ring, {b: one}, {cc: one})
+        left = dg_product_elements(ring, ab, {cc: one})
+        right = dg_product_elements(ring, {a: one}, bc)
         if left != right:
             failures.append((a, b, cc))
     return {"check": "associativity", "pass": not failures, "witnesses": failures}

@@ -65,14 +65,8 @@ class ZetaMap:
         self.k = k
         self.target = koszul_tuple_sum(K, Z, k)
         self.source = koszul_tuple_sum(K, Z, k + 1).shift(1)
-        components = {
-            u: GradedMap.from_columns(
-                self.source.module(u), self.target.module(u),
-                lambda label: zeta_terms(Z, *label),
-            )
-            for u in range(1, K.n + 1)
-        }
-        self.chain_map = ChainMap(self.source, self.target, components, check=check)
+        self.chain_map = ChainMap.from_columns(
+            self.source, self.target, lambda label: zeta_terms(Z, *label), check)
 
     def component(self, u: int) -> GradedMap:
         return self.chain_map.component(u)

@@ -1,13 +1,15 @@
 import pytest
 
-from koszulator.fields import RationalField
+from koszulator.fields import PrimeField, RationalField
 from koszulator.polyring import parse_polynomial
 from koszulator.koszul import (
     CycleBasis,
     CycleError,
     build_koszul,
     certify_complete_intersection,
+    cycles_from_generators,
     cycles_from_user,
+    dg_product_elements,
     homology_dims,
     merge_wedge,
     subsets,
@@ -138,7 +140,21 @@ def test_wedge_and_differential_consistency(ex2):
     K = ex2.K
     z1 = ex2.Z.element(0)
     z2 = ex2.Z.element(1)
-    w = K.wedge(z1, z2)
-    dw = K.apply_differential(w)
+    w = dg_product_elements(ex2.ring, z1, z2)
+    dw = K.complex.differential(2).apply(w)
     # d(z1∧z2) = d(z1)∧z2 - z1∧d(z2) = 0 since both are cycles
     assert all(ex2.ring.normal_form(p).is_zero() for p in dw.values())
+    # every pair of cycles of golden3, over ℚ and 𝔽_32003, on labelled elements
+    for field in (Q, PrimeField(32003)):
+        ring = ring_from_strings(VARS, ["x^2+y^2", "x*z", "z^2+x*y"], field)
+        K = build_koszul(ring)
+        Z = cycles_from_generators(K)
+        for i in range(ring.codepth):
+            zi = Z.element(i)
+            assert dg_product_elements(ring, zi, zi) == {}
+            for j in range(i + 1, ring.codepth):
+                w = dg_product_elements(ring, zi, Z.element(j))
+                assert w  # independent classes: z_i·z_j ≠ 0
+                assert dg_product_elements(ring, Z.element(j), zi) == {
+                    lab: -p for lab, p in w.items()}
+                assert K.complex.differential(2).apply(w) == {}
