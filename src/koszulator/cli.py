@@ -234,6 +234,9 @@ def _exactness_imax(imax: int) -> None:
 
 
 def _cmd_tower(args) -> int:
+    if args.verify and args.levels < 1:
+        raise ValueError(f"--levels {args.levels}: --verify checks the homology clauses "
+                         "at levels 1 ≤ k ≤ levels, which needs levels ≥ 1")
     ring, K, Z, _ = _load(args)
     windows = [_window(ring, degree_window(ring, k) if args.max_d is None else args.max_d)
                for k in range(1, args.levels + 1)] if args.verify else []

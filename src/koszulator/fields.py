@@ -5,11 +5,13 @@ is structural: ints in [0, p) for a prime field; for the rationals an int
 when integral and a reduced `fractions.Fraction` only when not, a form that
 Python's mixed int/Fraction arithmetic, equality and hashing agree with.
 A Field object bundles the arithmetic.
+The `fractions` module, which loads `decimal` and `numbers` too, is imported
+only by `fraction`, on the first non-integral rational: a `/` coefficient in
+a ring file or the inverse of a non-unit over ℚ.  A run whose scalars stay
+integral, every run over 𝔽_p among them, never imports it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 DEFAULT_PRIME = 32003
 
@@ -20,6 +22,17 @@ PRIMALITY_PROVEN_BELOW = 3317044064679887385961981
 
 class FieldError(ValueError):
     pass
+
+
+def fraction(numerator: int, denominator: int = 1):
+    """numerator/denominator as a reduced `fractions.Fraction`.  The first
+    call imports the module and rebinds this name to the class itself, so
+    that later calls construct directly; other modules call it as
+    `fields.fraction` to see the rebinding."""
+    global fraction
+    from fractions import Fraction
+    fraction = Fraction
+    return Fraction(numerator, denominator)
 
 
 def _is_prime(n: int) -> bool:
@@ -54,21 +67,14 @@ class PrimeField:
         self.p = p
 
     def of(self, value) -> int:
-        """Canonical element from an int, Fraction, or field element."""
+        """Canonical element from an int, a Fraction or a field element,
+        read through its numerator and denominator."""
         if type(value) is int:
             return value % self.p
-        if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
-                raise FieldError(f"denominator divisible by {self.p}")
-            return value.numerator % self.p * pow(den, -1, self.p) % self.p
-        return int(value) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
+        den = value.denominator % self.p
+        if den == 0:
+            raise FieldError(f"denominator divisible by {self.p}")
+        return value.numerator % self.p * pow(den, -1, self.p) % self.p
 
     def mul(self, a, b):
         return a * b % self.p
@@ -113,16 +119,11 @@ class RationalField:
     p = 0
 
     def of(self, value):
-        if type(value) is int:
-            return value
-        value = Fraction(value)
-        return value.numerator if value.denominator == 1 else value
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
+        """Canonical element from an int or a Fraction, which is reduced
+        already: an integral Fraction becomes its numerator."""
+        if type(value) is not int and value.denominator == 1:
+            return value.numerator
+        return value
 
     def mul(self, a, b):
         return a * b
@@ -135,7 +136,9 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         if a == 1 or a == -1:
             return int(a)
-        return self.of(1 / Fraction(a))
+        if type(a) is int:
+            return fraction(1, a)  # |a| > 1, so not integral
+        return self.of(1 / a)
 
     def zero(self):
         return 0

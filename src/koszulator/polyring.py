@@ -15,14 +15,17 @@ of degree e, built in one pass (off the border when p is a variable, else
 summed from p's terms) and kept per (p, e, field), its rows interned.  A
 strand matrix places whole blocks, and a product of ring elements p·q is
 q's coordinates times p's block (`mul_add`).
+The parser keeps integer coefficients as ints and builds a Fraction
+(`fields.fraction`) only after a `/`, so a ring file without one never
+imports `fractions`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from operator import add
 
+from . import fields
 from .fields import FieldError, field_from_spec
 from .linalg import rref
 
@@ -198,7 +201,7 @@ def parse_polynomial(text: str, var_names, field) -> Polynomial:
             raise ParseError(f"expected '+' or '-', got {text[pos]!r}", pos)
         first = False
         # one term: optional coefficient, then *-separated variable powers
-        coeff = Fraction(sign)
+        coeff = sign
         exps = [0] * nvars
         saw_factor = False
         if pos < n and text[pos].isdigit():
@@ -211,7 +214,7 @@ def parse_polynomial(text: str, var_names, field) -> Polynomial:
                 den = read_int()
                 if den == 0:
                     raise ParseError("zero denominator", den_pos)
-                coeff *= Fraction(num, den)
+                coeff = fields.fraction(sign * num, den)
             else:
                 coeff *= num
             saw_factor = True

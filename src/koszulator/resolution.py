@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 
-from .complexes import ChainComplex, FreeModule, GradedMap, collect
+from .complexes import ChainComplex, FreeModule, GradedMap
 from .koszul import CycleBasis, KoszulComplex, dg_product_basis, dg_product_elements
 from .polyring import GradedQuotientRing, Polynomial, RingError
 from .zetamaps import tuple_sum_gens, zeta_terms
@@ -220,27 +220,31 @@ def hom_degree(label) -> int:
 
 def verify_leibniz(F: ResolutionF, pairs) -> dict:
     """∂(ab) = ∂(a)b + (−1)^{|a|} a ∂(b) on the given basis-label pairs.  ∂
-    of each basis label is applied once per call; ab is an integer c times
-    a basis label, so ∂(ab) is c times that label's boundary."""
+    of each basis label is applied once per call.  A product of two basis
+    labels is an integer times a basis label (`dg_product_basis`), so the
+    difference of the two sides is a sum of integer multiples of ∂'s
+    entries, normal forms, by label: no ring product is taken."""
     ring = F.K.ring
-    one = ring.one()
-    bd = functools.cache(lambda lab: F.complex.differential(hom_degree(lab)).apply({lab: one}))
+    bd = functools.cache(
+        lambda lab: F.complex.differential(hom_degree(lab)).apply({lab: ring.one()}))
     failures = []
     for a, b in pairs:
         i, i2 = hom_degree(a), hom_degree(b)
         if i + i2 > F.i_max:
             raise ValueError("pair beyond resolution range")
         c, ab = dg_product_basis(a, b)
-        lhs = collect(((lab, one, p, c) for lab, p in (bd(ab) if c else {}).items()), ring)
-        adb = dg_product_elements(ring, {a: one}, bd(b))
-        rhs = collect(
-            itertools.chain(
-                ((lab, one, p) for lab, p in dg_product_elements(ring, bd(a), {b: one}).items()),
-                ((lab, one, p, (-1) ** i) for lab, p in adb.items()),
-            ),
-            ring,
-        )
-        if lhs != rhs:
+        sign = (-1) ** i
+        terms = itertools.chain(
+            ((c, lab, p) for lab, p in (bd(ab) if c else {}).items()),
+            ((-k, lab, p) for la, p in bd(a).items() for k, lab in (dg_product_basis(la, b),)),
+            ((-sign * k, lab, p) for lb, p in bd(b).items()
+             for k, lab in (dg_product_basis(a, lb),)))
+        defect = {}
+        for k, lab, p in terms:
+            acc = defect.setdefault(lab, {})
+            for m, x in p.terms.items():
+                acc[m] = acc.get(m, 0) + k * x
+        if any(Polynomial(ring.nvars, ring.field, acc).terms for acc in defect.values()):
             failures.append((a, b))
     return {"check": "graded Leibniz rule", "pass": not failures, "witnesses": failures}
 

@@ -125,7 +125,7 @@ def reduce_against(vec, red_rows, pivots, field):
     for row, c in zip(red_rows, pivots):
         if not field.is_zero(v[c]):
             f = v[c]
-            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
+            v = [field.of(x - field.mul(f, y)) for x, y in zip(v, row)]
     return v
 
 
@@ -136,7 +136,7 @@ def mat_vec(rows, vec, field):
         s = field.zero()
         for j, b in support:
             if not field.is_zero(row[j]):
-                s = field.add(s, field.mul(row[j], b))
+                s = field.of(s + field.mul(row[j], b))
         out.append(s)
     return out
 

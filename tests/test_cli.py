@@ -189,6 +189,18 @@ def test_exactness_over_an_empty_range_exits_2(ring2_file, capsys, argv):
     assert "input error: --imax 1: exactness at 1 ≤ i < i_max needs i_max ≥ 2" in err
 
 
+def test_tower_verify_without_levels_exits_2(ring2_file, capsys):
+    # the homology clauses are checked at levels 1..--levels: --levels 0
+    # would claim a verification that never ran
+    assert main(["tower", "--ring", ring2_file, "--levels", "0", "--verify"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("input error: --levels 0: --verify checks the homology clauses at levels "
+            "1 ≤ k ≤ levels, which needs levels ≥ 1") in err
+    assert main(["tower", "--ring", ring2_file, "--levels", "0"]) == 0
+    assert capsys.readouterr().out == "M^0 ranks: [1, 3, 3, 1]\n"
+
+
 def test_resolve_imax_1_without_verification(ring2_file, capsys):
     assert main(["resolve", "--ring", ring2_file, "--imax", "1", "--betti"]) == 0
     assert "betti:    1    3" in capsys.readouterr().out
@@ -395,7 +407,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 # __builtins__ once its code has run
 executed = sorted(n.split(".")[1] for n in names
                   if "__builtins__" in object.__getattribute__(sys.modules[n], "__dict__"))
-print(json.dumps([rc, names, on_package, executed, len(calls)]))
+rational = [m for m in ("decimal", "fractions") if m in sys.modules]
+print(json.dumps([rc, names, on_package, executed, len(calls), rational]))
 """
 
 ALL_MODULES = ["cli", "complexes", "conetower", "dividedpowers", "fields", "koszul",
@@ -414,17 +427,40 @@ EAGER = ["cli", "complexes", "fields", "koszul", "linalg", "polyring"]
 def test_each_command_runs_only_the_modules_it_calls(argv, deferred_run, assemble_calls):
     # every module is registered at import, so a tracer that replaces
     # functions on the modules in sys.modules still sees every call, but
-    # the deferred ones are compiled and run only by the commands that use them
-    ring = os.path.join(os.path.dirname(__file__), "..", "bench", "rings", "golden2-p.ring")
-    argv = argv[:1] + ["--ring", ring] + argv[1:] if argv else []
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    rc, names, on_package, executed, calls = json.loads(out)
+    # the deferred ones are compiled and run only by the commands that use
+    # them; no scalar is a non-integral rational, so `fractions` (and the
+    # `decimal` it imports) is never loaded
+    rc, names, on_package, executed, calls, rational = _probe(argv, "golden2-p.ring")
     assert rc == (0 if argv else None)
     assert names == [f"koszulator.{m}" for m in ALL_MODULES] and on_package
     assert executed == sorted(EAGER + deferred_run)
     assert calls == assemble_calls
+    assert rational == []
+
+
+def _probe(argv, ring):
+    """LOAD_PROBE's findings after `koszulator argv` on ring, a file name in
+    bench/rings or an absolute path."""
+    ring = os.path.join(os.path.dirname(__file__), "..", "bench", "rings", ring)
+    argv = argv[:1] + ["--ring", ring] + argv[1:] if argv else []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("gens,rational", [
+    ("gen x^2\ngen y^2+z^2\n", []),
+    ("gen x^2\ngen y^2+1/2*z^2\n", ["decimal", "fractions"]),
+], ids=["integral", "half"])
+def test_fractions_is_imported_only_for_a_non_integral_rational(tmp_path, gens, rational):
+    # over ℚ a ring with integer coefficients and unit pivots forms no
+    # non-integral rational; a `/` coefficient does
+    path = tmp_path / "r.ring"
+    path.write_text("field rational\nvars x,y,z\n" + gens)
+    argv = ["resolve", "--imax", "4", "--verify-all"]
+    rc, *_, loaded = _probe(argv, str(path))
+    assert rc == 0 and loaded == rational
 
 
 @pytest.mark.parametrize("vars_,gens", [

@@ -66,7 +66,7 @@ def gauss_jordan(rows, field):
         for k in range(len(a)):
             if k != r:
                 f = a[k][c]
-                a[k] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[k], a[r])]
+                a[k] = [field.of(x - field.mul(f, y)) for x, y in zip(a[k], a[r])]
         pivots.append(c)
     return a[: len(pivots)], pivots
 
@@ -88,7 +88,7 @@ def random_matrix(rng, field, m, n, r, zero_cols):
             s = field.zero()
             if j not in zero_cols:
                 for k in range(r):
-                    s = field.add(s, field.mul(left[i][k], right[k][j]))
+                    s = field.of(s + field.mul(left[i][k], right[k][j]))
             row.append(s)
         rows.append(row)
     return rows
@@ -124,7 +124,7 @@ def sparse_matrix(rng, field, m, n, density, independent):
     for _ in range(m - independent):
         a, b = rng.sample(rows[:independent], 2)
         s, t = entry(), entry()
-        rows.append([field.add(field.mul(s, x), field.mul(t, y)) for x, y in zip(a, b)])
+        rows.append([field.of(field.mul(s, x) + field.mul(t, y)) for x, y in zip(a, b)])
     return rows
 
 

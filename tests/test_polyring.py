@@ -54,6 +54,20 @@ def coefficient_types(p):
     return {m: type(c) for m, c in p.terms.items()}
 
 
+def test_parse_builds_a_fraction_only_after_a_slash():
+    # integer coefficients stay ints; a quotient is reduced, and is an int
+    # when integral
+    p = P("x^2 - 6/4*y*z + 4/2*z^2 - 3")
+    assert p.terms == {(2, 0, 0): 1, (0, 1, 1): Fraction(-3, 2), (0, 0, 2): 2, (0, 0, 0): -3}
+    assert coefficient_types(p) == {(2, 0, 0): int, (0, 1, 1): Fraction, (0, 0, 2): int,
+                                    (0, 0, 0): int}
+    f = PrimeField(7)
+    assert parse_polynomial("1/2*x - 14/7*y + 7/7*z", VARS, f).terms == {
+        (1, 0, 0): 4, (0, 1, 0): 5, (0, 0, 1): 1}
+    with pytest.raises(ParseError, match=r"denominator divisible by 7 \(at position 9\)"):
+        parse_polynomial("x + 1/7*y", VARS, f)
+
+
 def test_rational_arithmetic_keeps_integral_coefficients_as_ints():
     half = P("1/2*x + 1/3*y")
     assert coefficient_types(half + half) == {(1, 0, 0): int, (0, 1, 0): Fraction}

@@ -284,6 +284,35 @@ def test_leibniz_exhaustive_low_degrees(F2):
     assert verify_leibniz(F2, pairs)["pass"]
 
 
+def _leibniz_defect(F, a, b):
+    """∂(ab) − ∂(a)b − (−1)^{|a|} a∂(b) ≠ 0, with every product taken
+    through the ring by `dg_product_elements`."""
+    ring, one = F.K.ring, F.K.ring.one()
+    i, j = hom_degree(a), hom_degree(b)
+    lhs = F.complex.differential(i + j).apply(dg_product_elements(ring, {a: one}, {b: one}))
+    da = F.complex.differential(i).apply({a: one})
+    db = F.complex.differential(j).apply({b: one})
+    rhs = {}
+    for lab, p in [*dg_product_elements(ring, da, {b: one}).items(),
+                   *((lab, -p if i % 2 else p)
+                     for lab, p in dg_product_elements(ring, {a: one}, db).items())]:
+        rhs[lab] = rhs[lab] + p if lab in rhs else p
+    return lhs != {lab: p for lab, p in rhs.items() if p.terms}
+
+
+def test_leibniz_fails_on_a_tampered_differential():
+    # doubling one entry of ∂_2 breaks the product rule; the witnesses are
+    # those found with every product taken through the ring
+    F = _tampered(["x^2", "y^2+z^2"], _double_first_entry)
+    pairs = [(a, b) for i in range(5) for j in range(5 - i)
+             for a in basis_labels(F, i) for b in basis_labels(F, j)]
+    res = verify_leibniz(F, pairs)
+    assert not res["pass"] and res["witnesses"]
+    assert res["witnesses"] == [(a, b) for a, b in pairs if _leibniz_defect(F, a, b)]
+    F2 = _fresh_f(["x^2", "y^2+z^2"])
+    assert not [(a, b) for a, b in pairs if _leibniz_defect(F2, a, b)]
+
+
 def test_commutativity_and_associativity_sampled(F3):
     rng = random.Random(7)
     labels = [lab for i in range(5) for lab in basis_labels(F3, i)]
