@@ -343,6 +343,7 @@ def _cmd_verify_all(args) -> int:
         ok &= record(f"zeta^{k} chain map", zetamaps.verify_zeta_chain(zetas[k]))
         ok &= record(f"zeta^{k} composite zero",
                      zetamaps.verify_zeta_square_zero(zetas[k], zetas[k + 1]))
+    del zetas  # each group's objects die once its last check is recorded
     for k in range(3):
         ok &= record(f"homology sequence exact (k={k})",
                      zetamaps.verify_exact_sequence(c, k, ring.field))
@@ -352,6 +353,7 @@ def _cmd_verify_all(args) -> int:
                      conetower.verify_homology_theorem(tower, k, max_d))
     ok &= record("inclusion vanishes in homology (k=1)",
                  conetower.verify_splitting(tower, 1, 2 + ring.nvars, max_d))
+    del tower
     F = resolution.assemble_f(K, Z, args.imax)
     ok &= record("resolution minimal and exact",
                  resolution.verify_minimal_and_exact(F, DEFAULT_MAX_D))
@@ -367,6 +369,7 @@ def _cmd_verify_all(args) -> int:
         if resolution.hom_degree(a) + resolution.hom_degree(b) <= args.imax
     ]
     ok &= record("graded Leibniz rule", resolution.verify_leibniz(F, pairs))
+    del F, pairs
     ok &= record("mu equals zeta", dividedpowers.verify_mu_equals_zeta(K, Z, range(3)))
     ok &= record("acyclic-closure differential squares to zero",
                  dividedpowers.acyclic_closure_square_zero(K, Z))

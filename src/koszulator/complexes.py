@@ -30,13 +30,15 @@ from .polyring import GradedQuotientRing, Polynomial, monomial_degree
 MODULAR_FIELD = PrimeField(2**31 - 1)
 
 
-def collect(terms, ring) -> dict:
+def collect(terms, ring, found=None) -> dict:
     """Sum product terms (key, p, q[, c]) by key: NF(Σ c·p·q) for homogeneous
     p, q and an integer c (1 if absent), as q's coordinates times the ring's
     block of multiplication by p (`GradedQuotientRing.mul_add`), one sum per
     key and degree; zero sums are dropped.  p's block is found once per
-    degree of q, by id(p); p is held for the call, so its id is not reused."""
-    sums, found = {}, {}  # found: (id(p), deg q) -> (p, its block, deg p·q)
+    degree of q, by id(p), in `found`, which holds p so its id is not reused;
+    a caller that sums in several calls passes one `found` to them all."""
+    sums = {}
+    found = {} if found is None else found  # (id(p), deg q) -> (p, its block, deg p·q)
     for key, p, q, *c in terms:
         if p.terms and q.terms:
             e = monomial_degree(next(iter(q.terms)))
@@ -167,13 +169,16 @@ class GradedMap:
                         for r, q in cols.get(col[lab], ())), self.source.ring)
 
     def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other (self.source must be other.target)."""
+        """self after other (self.source must be other.target), summed one
+        source column at a time, so partial sums exist for one column only;
+        the columns share their block lookups."""
         if other.target.gens != self.source.gens:
             raise ComplexError("composition shape mismatch")
-        cols = self._by_column()
-        return GradedMap.placed(other.source, self.target, collect(
-            (((i, j), p, q) for (k, j), q in other.entries.items() for i, p in cols.get(k, ())),
-            self.source.ring))
+        cols, ring, found, entries = self._by_column(), self.source.ring, {}, {}
+        for j, col in other._by_column().items():
+            product = collect(((i, p, q) for k, q in col for i, p in cols.get(k, ())), ring, found)
+            entries.update(((i, j), p) for i, p in product.items())
+        return GradedMap.placed(other.source, self.target, entries)
 
     def __neg__(self):
         return GradedMap.placed(self.source, self.target, {k: -p for k, p in self.entries.items()})

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import runpy
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -235,6 +237,43 @@ def test_verify_all_command(ring2_file, tmp_path, capsys):
     assert "overall: pass" in out
     report = json.loads(out_dir.joinpath("report.json").read_text())
     assert report["pass"]
+
+
+def test_verify_all_releases_each_group_before_the_next(monkeypatch, capsys):
+    # the ζ maps die once their last check is recorded, the cone tower after
+    # the splitting, and F after the Leibniz rule: each is gone, with no
+    # garbage collection, when the next group starts building
+    from koszulator import conetower, dividedpowers, resolution, zetamaps
+
+    built = {"zeta": [], "tower": [], "F": []}
+    alive_at = {}
+
+    def keeping(module, name, kind=None, dead=None):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            if dead:
+                alive_at[name] = sum(ref() is not None for ref in built[dead])
+            out = original(*args)
+            if kind:
+                built[kind].append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    keeping(zetamaps, "build_zeta", kind="zeta")
+    keeping(conetower, "build_tower", kind="tower", dead="zeta")
+    keeping(resolution, "assemble_f", kind="F", dead="tower")
+    keeping(dividedpowers, "verify_mu_equals_zeta", dead="F")
+    ring = os.path.join(os.path.dirname(__file__), "..", "bench", "rings", "golden3-p.ring")
+    gc.disable()
+    try:
+        assert main(["verify-all", "--ring", ring]) == 0
+    finally:
+        gc.enable()
+    assert "overall: pass" in capsys.readouterr().out
+    assert [len(built[kind]) for kind in ("zeta", "tower", "F")] == [3, 1, 1]
+    assert alive_at == {"build_tower": 0, "assemble_f": 0, "verify_mu_equals_zeta": 0}
 
 
 def test_export_map_round_trip(ring2_file, capsys):

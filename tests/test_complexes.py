@@ -1,8 +1,9 @@
+import os
 from itertools import accumulate
 
 import pytest
 
-from koszulator import complexes, conetower, linalg
+from koszulator import cli, complexes, conetower, linalg, resolution, zetamaps
 from koszulator.complexes import (
     ChainComplex,
     ChainMap,
@@ -17,7 +18,7 @@ from koszulator.polyring import parse_polynomial
 from koszulator.koszul import build_koszul, cycles_from_generators
 from koszulator.conetower import build_tower
 from koszulator.resolution import assemble_f, verify_minimal_and_exact
-from koszulator.zetamaps import ZetaMap, verify_zeta_chain
+from koszulator.zetamaps import ZetaMap, verify_zeta_chain, verify_zeta_square_zero
 
 from oracles import rank as oracle_rank, ring_from_strings
 
@@ -363,6 +364,90 @@ def test_each_chain_map_is_composed_once(ex3, monkeypatch):
     calls.clear()
     assert conetower.verify_splitting(tower, 1, 5, 8)["pass"]
     assert not calls
+
+
+# -- negative controls for compose, one source column at a time ------------------
+
+
+def _column(gmap, j):
+    """Column j of gmap as an element {target label: entry}."""
+    return {gmap.target.gens[i][0]: p for (i, c), p in gmap.entries.items() if c == j}
+
+
+def _nonzero_columns(outer, inner):
+    """Source columns of inner where outer∘inner is nonzero, each found by
+    applying outer to that one column, with no compose."""
+    return {j for j in range(inner.source.rank) if outer.apply(_column(inner, j))}
+
+
+def _add_to_last_column(gmap, row, p):
+    """gmap with p added to its entry in `row` of the last source column."""
+    j = gmap.source.rank - 1
+    entries = dict(gmap.entries)
+    entries[(row, j)] = gmap.entry(row, j) + p
+    return GradedMap(gmap.source, gmap.target, entries)
+
+
+def test_a_square_defect_in_the_last_column_only_is_found(ex3):
+    C = ex3.K.complex
+    bad = _add_to_last_column(C.differential(2), 2, C.differential(2).entry(2, 2))
+    assert _nonzero_columns(C.differential(1), bad) == {bad.source.rank - 1}
+    expected = [2] + ([3] if _nonzero_columns(bad, C.differential(3)) else [])
+    diffs = {**C.differentials, 2: bad}
+    assert ChainComplex(C.ring, C.modules, diffs, check=False).square_defect() == expected
+    with pytest.raises(ComplexError, match="at 2"):
+        ChainComplex(C.ring, C.modules, diffs)
+
+
+def _tampered_zeta(K, Z, k):
+    """ζ^k, unchecked, with x added to row 0 of the last column of its
+    component 1 when k = 1: ∂∘ζ^1_1 and ζ^0_2∘ζ^1_1 are then nonzero in that
+    column only."""
+    zeta = ZetaMap(K, Z, k, check=False)
+    if k == 1:
+        zeta.chain_map.components[1] = _add_to_last_column(zeta.component(1), 0,
+                                                           K.ring.variable(0))
+    return zeta
+
+
+def test_a_zeta_defect_in_the_last_column_only_is_found(ex3):
+    K, Z = ex3.K, ex3.Z
+    zeta0, zeta1 = ZetaMap(K, Z, 0), _tampered_zeta(K, Z, 1)
+    bad, good = zeta1.component(1), ZetaMap(K, Z, 1).component(1)
+    last = bad.source.rank - 1
+    assert _nonzero_columns(zeta0.component(2), bad) == {last}
+    delta = GradedMap(bad.source, bad.target, {(0, last): K.ring.variable(0)})
+    assert _nonzero_columns(zeta1.target.differential(1), delta) == {last}
+    assert bad != good
+    assert verify_zeta_square_zero(zeta0, zeta1)["witnesses"] == [2]
+    assert 1 in zeta1.chain_map.chain_defect()
+    assert not verify_zeta_chain(zeta1)["pass"]
+
+
+GOLDEN3_Q_FILE = os.path.join(os.path.dirname(__file__), "..", "bench", "rings",
+                              "golden3-q.ring")
+
+
+def test_verify_all_fails_on_a_tampered_zeta(monkeypatch, capsys):
+    monkeypatch.setattr(zetamaps, "build_zeta", _tampered_zeta)
+    assert cli.main(["verify-all", "--ring", GOLDEN3_Q_FILE]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert fails == ["zeta^0 composite zero: FAIL", "zeta^1 chain map: FAIL", "overall: FAIL"]
+
+
+def test_verify_all_exits_2_on_a_tampered_last_column_of_f(monkeypatch, capsys):
+    # x added to the column of F_2's last generator ((c,), ()), whose ζ part
+    # is the cycle z_c: ∂_1∂_2 is then nonzero in that column only
+    def tampered_terms(Z, w, S):
+        yield from zetamaps.zeta_terms(Z, w, S)
+        if w == (Z.K.ring.codepth,) and S == ():
+            yield ((), (1,)), Z.K.ring.variable(0)
+
+    monkeypatch.setattr(resolution, "zeta_terms", tampered_terms)
+    assert cli.main(["verify-all", "--ring", GOLDEN3_Q_FILE]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "inclusion vanishes in homology (k=1): pass"
+    assert err == "input error: differential does not square to zero at 2\n"
 
 
 def test_maps_from_columns_share_equal_entries(ring):

@@ -95,9 +95,9 @@ def checked(monkeypatch):
     calls = Counter()
     program = complexes.collect
 
-    def checking(terms, ring):
+    def checking(terms, ring, found=None):
         terms = list(terms)
-        out = program(terms, ring)
+        out = program(terms, ring, found)
         assert out == oracles.collect(terms, ring)
         frame = sys._getframe(1)
         while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
