@@ -25,6 +25,7 @@ from .koszul import (
     cycles_from_generators,
     cycles_from_user,
     degree_window,
+    hom_degree,
 )
 
 
@@ -366,7 +367,7 @@ def _cmd_verify_all(args) -> int:
         for j in range(min(4, args.imax) - i + 1)
         for a in resolution.basis_labels(F, i)
         for b in resolution.basis_labels(F, j)
-        if resolution.hom_degree(a) + resolution.hom_degree(b) <= args.imax
+        if hom_degree(a) + hom_degree(b) <= args.imax
     ]
     ok &= record("graded Leibniz rule", resolution.verify_leibniz(F, pairs))
     del F, pairs

@@ -13,7 +13,9 @@ belongs to its map (`GradedMap.strand_rank`): one layout of the strand
 serves the rank memo's key and the matrix, and as R's degrees settle the
 same blocks recur, so ranks are memoised per ring by that exact key.  A
 chain complex holds only structure: modules, differentials, its ∂² defect
-and homology dims.
+and homology dims.  Chain maps (`zetamaps.ChainMap`) and mapping cones
+(`conetower.mapping_cone`) live with their only users, the ζ maps and the
+cone tower.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import accumulate
 
 from .fields import FieldError, PrimeField
 from .linalg import rank
-from .polyring import GradedQuotientRing, Polynomial, monomial_degree
+from .polyring import GradedQuotientRing, monomial_degree
 
 # The prime field of the exactness certificate over ℚ.  It can mislead only
 # by dividing a denominator (then it is rejected) or a nonzero minor (then a
@@ -141,14 +143,6 @@ class GradedMap:
         shared = {}
         return cls.placed(source, target,
                           {pos: shared.setdefault(p, p) for pos, p in entries.items() if p.terms})
-
-    @classmethod
-    def identity(cls, module):
-        one = module.ring.one()
-        return cls(module, module, {(i, i): one for i in range(module.rank)})
-
-    def entry(self, i, j) -> Polynomial:
-        return self.entries.get((i, j), self.source.ring.zero())
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -391,73 +385,3 @@ class ChainComplex:
             for d in range(max_d + 1)
         }
 
-
-class ChainMap:
-    """Degree-zero map of complexes f : C -> D given by components[i]."""
-
-    def __init__(self, source: ChainComplex, target: ChainComplex, components, check: bool = True):
-        self.source = source
-        self.target = target
-        self.components = dict(components)
-        self._chain_defect = None
-        if check:
-            errs = self.chain_defect()
-            if errs:
-                i = errs[0]
-                raise ComplexError(f"not a chain map at homological degree {i}")
-
-    @classmethod
-    def from_columns(cls, source, target, column, check: bool = True):
-        """The chain map whose component in each degree of `source` is built
-        by `GradedMap.from_columns` from one column rule."""
-        return cls(source, target, {i: GradedMap.from_columns(m, target.module(i), column)
-                                    for i, m in source.modules.items()}, check)
-
-    def component(self, i) -> GradedMap:
-        c = self.components.get(i)
-        if c is not None:
-            return c
-        return GradedMap(self.source.module(i), self.target.module(i))
-
-    def chain_defect(self):
-        """Homological degrees where d_D f != f d_C, composed once: by the
-        constructor when it checks, else on the first call.  A chain map is
-        never changed once built, so the memo cannot go stale."""
-        if self._chain_defect is None:
-            bad = []
-            degrees = set(self.source.differentials) | set(self.components)
-            for i in sorted(degrees):
-                lhs = self.target.differential(i).compose(self.component(i))
-                rhs = self.component(i - 1).compose(self.source.differential(i))
-                if lhs != rhs:
-                    bad.append(i)
-            self._chain_defect = bad
-        return self._chain_defect
-
-
-def mapping_cone(f: ChainMap) -> ChainComplex:
-    """Cone of f : C -> D, cone_i = C_{i-1} ⊕ D_i with
-    ∂(c, d) = (-∂_C c, f(c) + ∂_D d).  f's chain defect, composed once
-    per chain map, must be empty.  The −∂_C, f and ∂_D blocks fill disjoint
-    (row, column) ranges, so each entry is placed as it is."""
-    if f.chain_defect():
-        raise ComplexError("mapping cone of a non-chain map")
-    C, D = f.source, f.target
-    ring = C.ring
-    top = max(C.top + 1, D.top)
-    modules = {}
-    for i in range(top + 1):
-        m = FreeModule(ring, C.module(i - 1).gens + D.module(i).gens)
-        if m.rank:
-            modules[i] = m
-    diffs = {}
-    for i in range(1, top + 1):
-        src = modules.get(i)
-        if src is None:
-            continue
-        cs, ct = C.module(i - 1).rank, C.module(i - 2).rank
-        entries = {(r, c): -p for (r, c), p in C.differential(i - 1).entries.items()}
-        entries.update(((ct + r, c), p) for (r, c), p in f.component(i - 1).entries.items())
-        entries.update(((ct + r, cs + c), p) for (r, c), p in D.differential(i).entries.items())
-        diffs[i] = GradedMap.placed(src, modules.get(i - 1) or FreeModule(ring, []), entries)
-    return ChainComplex(ring, modules, diffs, check=False)

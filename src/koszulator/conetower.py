@@ -3,19 +3,21 @@
 M^0 = K and M^j = Cone(ψ^j) where ψ^j : Σ^{2j−1}K^{⊕C(j+c−1,c−1)} → M^{j−1}
 includes the (shifted) zeta map into the newest summand of the previous
 level.  Each ψ is verified to be a chain map when built, and each cone is
-assembled by the generic mapping-cone machinery, so this is an independent
-code path from the direct block assembly of the resolution.  M^k sits in
-M^{k+1} as a split subcomplex, its back generators, so the splitting is
-read off the exact sequence 0 → M^k → M^{k+1} → Q → 0, Q = M^{k+1}/M^k.
+assembled by the generic mapping cone (`mapping_cone`), so this is an
+independent code path from the direct block assembly of the resolution;
+`verify_cross_construction` compares the two label for label.  M^k sits
+in M^{k+1} as a split subcomplex, its back generators, so the splitting
+is read off the exact sequence 0 → M^k → M^{k+1} → Q → 0,
+Q = M^{k+1}/M^k.
 """
 
 from __future__ import annotations
 
 import math
 
-from .complexes import ChainComplex, ChainMap, ComplexError, FreeModule, GradedMap, mapping_cone
-from .koszul import CycleBasis, KoszulComplex
-from .zetamaps import homology_zeta_matrix, int_rank, koszul_tuple_sum, zeta_terms
+from .complexes import ChainComplex, ComplexError, FreeModule, GradedMap
+from .koszul import CycleBasis, KoszulComplex, zeta_terms
+from .zetamaps import ChainMap, homology_zeta_matrix, int_rank, koszul_tuple_sum
 
 
 class ConeTower:
@@ -30,6 +32,34 @@ class ConeTower:
 
     def level(self, j: int) -> ChainComplex:
         return self.levels[j]
+
+
+def mapping_cone(f: ChainMap) -> ChainComplex:
+    """Cone of f : C -> D, cone_i = C_{i-1} ⊕ D_i with
+    ∂(c, d) = (-∂_C c, f(c) + ∂_D d).  f's chain defect, composed once
+    per chain map, must be empty.  The −∂_C, f and ∂_D blocks fill disjoint
+    (row, column) ranges, so each entry is placed as it is."""
+    if f.chain_defect():
+        raise ComplexError("mapping cone of a non-chain map")
+    C, D = f.source, f.target
+    ring = C.ring
+    top = max(C.top + 1, D.top)
+    modules = {}
+    for i in range(top + 1):
+        m = FreeModule(ring, C.module(i - 1).gens + D.module(i).gens)
+        if m.rank:
+            modules[i] = m
+    diffs = {}
+    for i in range(1, top + 1):
+        src = modules.get(i)
+        if src is None:
+            continue
+        cs, ct = C.module(i - 1).rank, C.module(i - 2).rank
+        entries = {(r, c): -p for (r, c), p in C.differential(i - 1).entries.items()}
+        entries.update(((ct + r, c), p) for (r, c), p in f.component(i - 1).entries.items())
+        entries.update(((ct + r, cs + c), p) for (r, c), p in D.differential(i).entries.items())
+        diffs[i] = GradedMap.placed(src, modules.get(i - 1) or FreeModule(ring, []), entries)
+    return ChainComplex(ring, modules, diffs, check=False)
 
 
 def build_tower(K: KoszulComplex, Z: CycleBasis, J: int) -> ConeTower:
@@ -145,3 +175,33 @@ def verify_stabilization(tower: ConeTower, j: int, max_d: int) -> dict:
             if cur.strand_homology_dim(i, d) != nxt.strand_homology_dim(i, d):
                 bad.append((i, d))
     return {"check": f"stabilization below level {j}", "pass": not bad, "witnesses": bad}
+
+
+def verify_cross_construction(F, tower: ConeTower, i_top: int) -> dict:
+    """The resolution F (`resolution.ResolutionF`) and the top tower level
+    agree label-for-label for i ≤ i_top."""
+    level = tower.level(tower.height)
+    mismatches = []
+    for i in range(i_top + 1):
+        fm = F.complex.module(i)
+        tm = level.module(i)
+        if sorted(fm.gens) != sorted(tm.gens):
+            mismatches.append(("generators", i))
+            continue
+        fd = F.complex.differential(i)
+        td = level.differential(i)
+        f_by_label = {
+            (fd.target.gens[r][0], fd.source.gens[c][0]): p
+            for (r, c), p in fd.entries.items()
+        }
+        t_by_label = {
+            (td.target.gens[r][0], td.source.gens[c][0]): p
+            for (r, c), p in td.entries.items()
+        }
+        if f_by_label != t_by_label:
+            mismatches.append(("differential", i))
+    return {
+        "check": f"resolution equals stabilized tower level for i ≤ {i_top}",
+        "pass": not mismatches,
+        "witnesses": mismatches,
+    }

@@ -7,6 +7,9 @@ on K ⊗ D(V), Tate's acyclic closure, has exactly the zeta matrices, with
 contraction lowering one exponent at coefficient 1.  μ (by contraction,
 `mu_terms`) is laid out on ζ's generators (by tuple merge, `zeta_terms`)
 through the bijection, so the two maps are compared position by position.
+
+The acyclic closure is F with its DG product, so the product's graded
+commutativity and associativity on F's basis labels are checked here too.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from __future__ import annotations
 import itertools
 
 from .complexes import ChainComplex, FreeModule, GradedMap
-from .koszul import CycleBasis, KoszulComplex, wedge_cycle
-from .zetamaps import tuple_sum_gens, zeta_terms
+from .koszul import (CycleBasis, KoszulComplex, dg_product_basis, dg_product_elements,
+                     hom_degree, tuple_sum_gens, wedge_cycle, zeta_terms)
 
 
 def tuple_to_divided(t, c: int):
@@ -103,3 +106,32 @@ def acyclic_closure_square_zero(K: KoszulComplex, Z: CycleBasis, max_k: int = 3)
     return not ChainComplex.from_columns(
         K.ring, gens, lambda lab: itertools.chain(K.column(lab), mu_terms(Z, *lab)),
         check=False).square_defect()
+
+
+def verify_graded_commutativity(F, pairs) -> dict:
+    """ab = (−1)^{|a||b|} ba on the given basis-label pairs of the
+    resolution F (`resolution.ResolutionF`)."""
+    failures = []
+    for a, b in pairs:
+        i, i2 = hom_degree(a), hom_degree(b)
+        ca, la = dg_product_basis(a, b)
+        cb, lb = dg_product_basis(b, a)
+        expected = ca if (i * i2) % 2 == 0 else -ca
+        if (cb, lb if cb else None) != (expected, la if expected else None):
+            failures.append((a, b))
+    return {"check": "graded commutativity", "pass": not failures, "witnesses": failures}
+
+
+def verify_associativity(F, triples) -> dict:
+    """(ab)c = a(bc) on the given basis-label triples of F."""
+    ring = F.K.ring
+    one = ring.one()
+    failures = []
+    for a, b, cc in triples:
+        ab = dg_product_elements(ring, {a: one}, {b: one})
+        bc = dg_product_elements(ring, {b: one}, {cc: one})
+        left = dg_product_elements(ring, ab, {cc: one})
+        right = dg_product_elements(ring, {a: one}, bc)
+        if left != right:
+            failures.append((a, b, cc))
+    return {"check": "associativity", "pass": not failures, "witnesses": failures}

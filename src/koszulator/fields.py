@@ -76,9 +76,6 @@ class PrimeField:
             raise FieldError(f"denominator divisible by {self.p}")
         return value.numerator % self.p * pow(den, -1, self.p) % self.p
 
-    def mul(self, a, b):
-        return a * b % self.p
-
     def neg(self, a):
         return -a % self.p
 
@@ -86,9 +83,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def zero(self):
-        return 0
 
     def one(self):
         return 1
@@ -125,9 +119,6 @@ class RationalField:
             return value.numerator
         return value
 
-    def mul(self, a, b):
-        return a * b
-
     def neg(self, a):
         return -a
 
@@ -139,9 +130,6 @@ class RationalField:
         if type(a) is int:
             return fraction(1, a)  # |a| > 1, so not integral
         return self.of(1 / a)
-
-    def zero(self):
-        return 0
 
     def one(self):
         return 1

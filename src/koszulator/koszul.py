@@ -6,6 +6,12 @@ labelled ((), S) so that downstream constructions can replace the empty
 tuple with a multi-index.  Elements of K are dicts {label: Polynomial} on
 those labels, as F's are, so ∂ on elements is `GradedMap.apply` and their
 product is `dg_product_elements`, F's product on the empty tuple.
+
+A multi-index is a non-decreasing tuple with entries in 1..c, ordered
+lexicographically.  The sums of copies of K indexed by k-tuples
+(`tuple_sum_gens`) and the ζ block between them (`zeta_terms`) are written
+here once, beside K's column rule and the wedge sign: the ζ maps, the cone
+tower, F and the divided-power layout all build on them.
 """
 
 from __future__ import annotations
@@ -26,6 +32,23 @@ class CycleError(ValueError):
 def subsets(n: int, i: int):
     """Strictly increasing i-subsets of {1..n} in lex order."""
     return [tuple(s) for s in itertools.combinations(range(1, n + 1), i)]
+
+
+def tuple_count(c: int, k: int) -> int:
+    return math.comb(k + c - 1, c - 1) if k >= 0 else 0
+
+
+def tuples(c: int, k: int):
+    """All non-decreasing k-tuples over 1..c in lex order; empty for k < 0."""
+    if k < 0:
+        return []
+    return list(itertools.combinations_with_replacement(range(1, c + 1), k))
+
+
+def hom_degree(label) -> int:
+    """Homological degree |S| + 2·|w| of the generator labelled (w, S)."""
+    w, S = label
+    return len(S) + 2 * len(w)
 
 
 def wedge_sign(i: int, S):
@@ -120,6 +143,27 @@ class CycleBasis:
             for i, p in enumerate(self.cycles[j])
             if not p.is_zero()
         }
+
+
+def tuple_sum_gens(Z: CycleBasis, n: int, k: int, i: int):
+    """Generators ((w, S), i + Σ deg z_{w_t}) of K_i^{⊕ tuples(c,k)} over n
+    variables, tuple-major: the copy w of e_S is twisted by the degrees of
+    the cycles that w names.  This is the one place the twist rule lives."""
+    return [
+        ((w, S), i + sum(Z.degrees[t - 1] for t in w))
+        for w in tuples(Z.K.ring.codepth, k)
+        for S in subsets(n, i)
+    ]
+
+
+def zeta_terms(Z: CycleBasis, w, S):
+    """Terms ((v, T), p) of ζ on the generator (w, S): for each distinct value
+    j of w, drop one j from w and wedge z_j into e_S."""
+    for pos, j in enumerate(w):
+        if j not in w[:pos]:
+            v = w[:pos] + w[pos + 1:]
+            for T, p in wedge_cycle(Z.cycles[j - 1], S):
+                yield (v, T), p
 
 
 def cycles_from_generators(K: KoszulComplex) -> CycleBasis:

@@ -319,9 +319,6 @@ class GradedQuotientRing:
         """The i-th variable (0-based)."""
         return Polynomial(self.nvars, self.field, {_shift((0,) * self.nvars, i, 1): 1})
 
-    def zero(self) -> Polynomial:
-        return Polynomial(self.nvars, self.field)
-
     def one(self) -> Polynomial:
         return Polynomial.constant(self.nvars, self.field, self.field.one())
 
@@ -445,10 +442,6 @@ class GradedQuotientRing:
         """dim_k (Q/I)_d."""
         return len(self._degree_data(d).standard)
 
-    def degree_piece_basis(self, d: int):
-        """Standard monomial basis of (Q/I)_d, graded-lex descending."""
-        return list(self._degree_data(d).standard)
-
     def mul_add(self, acc: dict, block, q: Polynomial, e: int, c=1):
         """acc[t] += c·NF(poly·q)_t for homogeneous poly and q, q of degree e
         and block = `mul_block(poly, e, self.field)[1]`: NF(q)'s coordinates
@@ -532,14 +525,6 @@ class GradedQuotientRing:
             for m, c in p.terms.items():
                 by_degree.setdefault(monomial_degree(m), []).append((m, c))
         return self.polynomial({d: self._nf_sum(terms, d) for d, terms in by_degree.items()})
-
-    def nf_coeff_vector(self, poly: Polynomial, d: int):
-        """Coefficients of the degree-d normal form over the standard basis."""
-        f = self.field
-        vec = [f.zero()] * self.dim_quotient(d)
-        for s, a in self._nf_sum(poly.terms.items(), d).items():
-            vec[s] = f.of(a)
-        return vec
 
     def hilbert_coefficients(self, up_to: int):
         """dim_k (Q/I)_d for d = 0..up_to (inclusive)."""

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .complexes import FreeModule, GradedMap
-from .polyring import GradedQuotientRing, parse_polynomial
+from .complexes import GradedMap
 
 
 GREYS = ("#cccccc", "#808080", "#333333", "#565656", "#101010")
@@ -51,20 +50,6 @@ class BlockLayout:
         self.nrows = nrows
         self.ncols = ncols
         self.blocks = blocks
-
-    def styles_used(self):
-        return sorted({b.style for b in self.blocks if b.style != "zero"})
-
-    def tiles_exactly(self) -> bool:
-        """Blocks tile the full shape with no gap or overlap."""
-        covered = Counter()
-        for b in self.blocks:
-            for r in range(b.row0, b.row0 + b.nrows):
-                for c in range(b.col0, b.col0 + b.ncols):
-                    covered[(r, c)] += 1
-        return all(
-            covered[(r, c)] == 1 for r in range(self.nrows) for c in range(self.ncols)
-        )
 
 
 def _group_by_tuple(gens):
@@ -194,22 +179,3 @@ def export_map_text(gmap: GradedMap) -> str:
 def _label_json(lab, twist):
     w, S = lab
     return {"tuple": list(w), "wedge": list(S), "twist": twist}
-
-
-def import_map_json(text: str, ring: GradedQuotientRing) -> GradedMap:
-    """The inverse of `export_map_json`."""
-    import json
-    data = json.loads(text)
-
-    def module(labels):
-        return FreeModule(
-            ring,
-            [((tuple(l["tuple"]), tuple(l["wedge"])), l["twist"]) for l in labels],
-        )
-
-    src = module(data["sourceLabels"])
-    tgt = module(data["targetLabels"])
-    entries = {}
-    for r, c, s in data["entries"]:
-        entries[(r, c)] = parse_polynomial(s, ring.var_names, ring.field)
-    return GradedMap(src, tgt, entries)

@@ -2,19 +2,20 @@
 from Koszul blocks and zeta maps.
 
 F_i = ⊕_{j≥0} K_{i−2j}^{⊕C(j+c−1,c−1)}, its generators those of the
-tuple sums (`zetamaps.tuple_sum_gens`) in order of j; the differential has
-Koszul blocks on the diagonal and zeta blocks one level down.  This is an
-independent code path from the mapping-cone tower and the two are
-cross-checked label-for-label.
+tuple sums (`koszul.tuple_sum_gens`) in order of j; the differential has
+Koszul blocks on the diagonal and zeta blocks one level down
+(`koszul.zeta_terms`).  This is an independent code path from the
+mapping-cone tower, and `conetower.verify_cross_construction` compares
+the two label for label.
 
-Also here: the splitting-and-spreading synthesis of zeta matrices from
-their k = 0 seed, and the Leibniz, commutativity and associativity checks
-of the DG product, which lives in `koszul` as it is K's wedge on the empty
-tuple.  The product multiplies tuple parts with divided-power multiplicity
-coefficients (multinomials of the merged multiplicities); plain
-concatenation with coefficient 1 would break the Leibniz rule whenever the
-tuples share a value, since the differential removes each distinct tuple
-value once.
+Also here: minimality and exactness of F, its Betti numbers, and the
+Leibniz rule of its DG product, which lives in `koszul` as it is K's
+wedge on the empty tuple.  The product multiplies tuple parts with
+divided-power multiplicity coefficients (multinomials of the merged
+multiplicities); plain concatenation with coefficient 1 would break the
+Leibniz rule whenever the tuples share a value, since the differential
+removes each distinct tuple value once.  Its commutativity and
+associativity checks are in `dividedpowers`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import itertools
 import math
 
 from .complexes import ChainComplex, FreeModule, GradedMap
-from .koszul import CycleBasis, KoszulComplex, dg_product_basis, dg_product_elements
+from .koszul import (CycleBasis, KoszulComplex, dg_product_basis, hom_degree, tuple_sum_gens,
+                     zeta_terms)
 from .polyring import GradedQuotientRing, Polynomial, RingError
-from .zetamaps import tuple_sum_gens, zeta_terms
 
 
 class ResolutionF:
@@ -142,80 +143,7 @@ def verify_minimal_and_exact(F: ResolutionF, max_d: int) -> dict:
     return {"pass": all(ch["pass"] for ch in checks), "checks": checks}
 
 
-def verify_cross_construction(F: ResolutionF, tower, i_top: int) -> dict:
-    """F and the cone tower level agree label-for-label for i ≤ i_top."""
-    level = tower.level(tower.height)
-    mismatches = []
-    for i in range(i_top + 1):
-        fm = F.complex.module(i)
-        tm = level.module(i)
-        if sorted(fm.gens) != sorted(tm.gens):
-            mismatches.append(("generators", i))
-            continue
-        fd = F.complex.differential(i)
-        td = level.differential(i)
-        f_by_label = {
-            (fd.target.gens[r][0], fd.source.gens[c][0]): p
-            for (r, c), p in fd.entries.items()
-        }
-        t_by_label = {
-            (td.target.gens[r][0], td.source.gens[c][0]): p
-            for (r, c), p in td.entries.items()
-        }
-        if f_by_label != t_by_label:
-            mismatches.append(("differential", i))
-    return {
-        "check": f"resolution equals stabilized tower level for i ≤ {i_top}",
-        "pass": not mismatches,
-        "witnesses": mismatches,
-    }
-
-
-# -- splitting and spreading ---------------------------------------------------
-
-
-def spread_zeta(seed, c: int, k: int, zero=0):
-    """Synthesize the zeta matrix for parameter k from its k = 0 seed by the
-    recursive split-insert-stack rule.  The seed columns consist of c blocks
-    of equal width (one per cycle); rows are a single block."""
-    if not seed:
-        return []
-    ncols = len(seed[0])
-    if ncols % c:
-        raise ValueError(f"column count {ncols} not divisible by {c}")
-    return _spread(seed, c, k, zero)
-
-
-def _spread(M, c: int, k: int, zero):
-    if k == 0 or c == 1:
-        return [row[:] for row in M]
-    s = len(M[0]) // c
-    top = _spread(M, c, k - 1, zero)
-    right = _spread([row[s:] for row in M], c - 1, k, zero)
-    first = [row[:s] for row in M]
-    n_right_cols = len(right[0]) if right else 0
-    copies = math.comb(k + c - 2, c - 2)  # tuples of length k over c−1 letters
-    pad_left = math.comb(k + c - 2, c - 1)  # tuples of length k−1 over c letters
-    nrows_block = len(M)
-    out = []
-    for row in top:
-        out.append(row + [zero] * n_right_cols)
-    for copy in range(copies):
-        for r in range(nrows_block):
-            row = [zero] * (pad_left * s)
-            for b in range(copies):
-                row.extend(first[r] if b == copy else [zero] * s)
-            row.extend(right[copy * nrows_block + r] if right else [])
-            out.append(row)
-    return out
-
-
 # -- DG product ------------------------------------------------------------
-
-
-def hom_degree(label) -> int:
-    w, S = label
-    return len(S) + 2 * len(w)
 
 
 def verify_leibniz(F: ResolutionF, pairs) -> dict:
@@ -251,29 +179,3 @@ def verify_leibniz(F: ResolutionF, pairs) -> dict:
 
 def basis_labels(F: ResolutionF, i: int):
     return [lab for lab, _ in F.complex.module(i).gens]
-
-
-def verify_graded_commutativity(F: ResolutionF, pairs) -> dict:
-    failures = []
-    for a, b in pairs:
-        i, i2 = hom_degree(a), hom_degree(b)
-        ca, la = dg_product_basis(a, b)
-        cb, lb = dg_product_basis(b, a)
-        expected = ca if (i * i2) % 2 == 0 else -ca
-        if (cb, lb if cb else None) != (expected, la if expected else None):
-            failures.append((a, b))
-    return {"check": "graded commutativity", "pass": not failures, "witnesses": failures}
-
-
-def verify_associativity(F: ResolutionF, triples) -> dict:
-    ring = F.K.ring
-    one = ring.one()
-    failures = []
-    for a, b, cc in triples:
-        ab = dg_product_elements(ring, {a: one}, {b: one})
-        bc = dg_product_elements(ring, {b: one}, {cc: one})
-        left = dg_product_elements(ring, ab, {cc: one})
-        right = dg_product_elements(ring, {a: one}, bc)
-        if left != right:
-            failures.append((a, b, cc))
-    return {"check": "associativity", "pass": not failures, "witnesses": failures}

@@ -1,59 +1,73 @@
-"""Multi-index combinatorics and the zeta chain maps.
+"""Chain maps and the zeta chain maps.
 
-A multi-index is a non-decreasing tuple with entries in 1..c, ordered
-lexicographically.  The zeta map for parameter k sends the shifted direct
-sum of Koszul complexes indexed by (k+1)-tuples to the sum indexed by
-k-tuples: the component landing in copy v collects z_j ∧ (copy sorted(v+j))
-over j = 1..c.  Homology-level matrices are pure sign combinatorics and are
-built independently of any ring.
+The zeta map for parameter k sends the shifted direct sum of Koszul
+complexes indexed by (k+1)-tuples to the sum indexed by k-tuples: the
+component landing in copy v collects z_j ∧ (copy sorted(v+j)) over
+j = 1..c, by the column rule `koszul.zeta_terms`.  ζ and the cone tower's
+ψ are `ChainMap`s, whose chain defect is composed once.  Homology-level
+matrices are pure sign combinatorics and are built independently of any
+ring; the splitting-and-spreading rule synthesizes ζ's matrices from their
+k = 0 seed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
-from .complexes import ChainComplex, ChainMap, GradedMap
-from .koszul import CycleBasis, KoszulComplex, subsets, wedge_cycle
+from .complexes import ChainComplex, ComplexError, GradedMap
+from .koszul import (CycleBasis, KoszulComplex, subsets, tuple_count, tuple_sum_gens,
+                     tuples, zeta_terms)
 from .linalg import rank
 
 
-def tuple_count(c: int, k: int) -> int:
-    return math.comb(k + c - 1, c - 1) if k >= 0 else 0
+class ChainMap:
+    """Degree-zero map of complexes f : C -> D given by components[i]."""
 
+    def __init__(self, source: ChainComplex, target: ChainComplex, components, check: bool = True):
+        self.source = source
+        self.target = target
+        self.components = dict(components)
+        self._chain_defect = None
+        if check:
+            errs = self.chain_defect()
+            if errs:
+                i = errs[0]
+                raise ComplexError(f"not a chain map at homological degree {i}")
 
-def tuples(c: int, k: int):
-    """All non-decreasing k-tuples over 1..c in lex order; empty for k < 0."""
-    if k < 0:
-        return []
-    return list(itertools.combinations_with_replacement(range(1, c + 1), k))
+    @classmethod
+    def from_columns(cls, source, target, column, check: bool = True):
+        """The chain map whose component in each degree of `source` is built
+        by `GradedMap.from_columns` from one column rule."""
+        return cls(source, target, {i: GradedMap.from_columns(m, target.module(i), column)
+                                    for i, m in source.modules.items()}, check)
 
+    def component(self, i) -> GradedMap:
+        c = self.components.get(i)
+        if c is not None:
+            return c
+        return GradedMap(self.source.module(i), self.target.module(i))
 
-def tuple_sum_gens(Z: CycleBasis, n: int, k: int, i: int):
-    """Generators ((w, S), i + Σ deg z_{w_t}) of K_i^{⊕ tuples(c,k)} over n
-    variables, tuple-major: the copy w of e_S is twisted by the degrees of
-    the cycles that w names.  This is the one place the twist rule lives."""
-    return [
-        ((w, S), i + sum(Z.degrees[t - 1] for t in w))
-        for w in tuples(Z.K.ring.codepth, k)
-        for S in subsets(n, i)
-    ]
+    def chain_defect(self):
+        """Homological degrees where d_D f != f d_C, composed once: by the
+        constructor when it checks, else on the first call.  A chain map is
+        never changed once built, so the memo cannot go stale."""
+        if self._chain_defect is None:
+            bad = []
+            degrees = set(self.source.differentials) | set(self.components)
+            for i in sorted(degrees):
+                lhs = self.target.differential(i).compose(self.component(i))
+                rhs = self.component(i - 1).compose(self.source.differential(i))
+                if lhs != rhs:
+                    bad.append(i)
+            self._chain_defect = bad
+        return self._chain_defect
+
 
 
 def koszul_tuple_sum(K: KoszulComplex, Z: CycleBasis, k: int) -> ChainComplex:
     """K^{⊕ tuples(c,k)} on the generators `tuple_sum_gens`."""
     return ChainComplex.from_columns(
         K.ring, [tuple_sum_gens(Z, K.n, k, i) for i in range(K.n + 1)], K.column, check=False)
-
-
-def zeta_terms(Z: CycleBasis, w, S):
-    """Terms ((v, T), p) of ζ on the generator (w, S): for each distinct value
-    j of w, drop one j from w and wedge z_j into e_S."""
-    for pos, j in enumerate(w):
-        if j not in w[:pos]:
-            v = w[:pos] + w[pos + 1:]
-            for T, p in wedge_cycle(Z.cycles[j - 1], S):
-                yield (v, T), p
 
 
 class ZetaMap:
@@ -207,5 +221,44 @@ def kernel_preimage(c: int, k: int, u: int, ker_element, field):
             key = (w[1:], tuple(sorted((w1,) + R)))
             out.append(ker_element[pos_in[key]])
         else:
-            out.append(field.zero())
+            out.append(field.of(0))
+    return out
+
+
+# -- splitting and spreading ---------------------------------------------------
+
+
+def spread_zeta(seed, c: int, k: int, zero=0):
+    """Synthesize the zeta matrix for parameter k from its k = 0 seed by the
+    recursive split-insert-stack rule.  The seed columns consist of c blocks
+    of equal width (one per cycle); rows are a single block."""
+    if not seed:
+        return []
+    ncols = len(seed[0])
+    if ncols % c:
+        raise ValueError(f"column count {ncols} not divisible by {c}")
+    return _spread(seed, c, k, zero)
+
+
+def _spread(M, c: int, k: int, zero):
+    if k == 0 or c == 1:
+        return [row[:] for row in M]
+    s = len(M[0]) // c
+    top = _spread(M, c, k - 1, zero)
+    right = _spread([row[s:] for row in M], c - 1, k, zero)
+    first = [row[:s] for row in M]
+    n_right_cols = len(right[0]) if right else 0
+    copies = math.comb(k + c - 2, c - 2)  # tuples of length k over c−1 letters
+    pad_left = math.comb(k + c - 2, c - 1)  # tuples of length k−1 over c letters
+    nrows_block = len(M)
+    out = []
+    for row in top:
+        out.append(row + [zero] * n_right_cols)
+    for copy in range(copies):
+        for r in range(nrows_block):
+            row = [zero] * (pad_left * s)
+            for b in range(copies):
+                row.extend(first[r] if b == copy else [zero] * s)
+            row.extend(right[copy * nrows_block + r] if right else [])
+            out.append(row)
     return out

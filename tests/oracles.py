@@ -5,21 +5,95 @@ extraction of the cycles (a reduced-echelon kernel basis modulo
 boundaries), dense-matrix helpers over `koszulator.linalg`, the lex rank of
 a multi-index, the inverse of the divided-power bijection, a ring built
 from strings, and the term-by-term product of polynomials with the sums of
-products that the program reads off its blocks of multiplication.  None of
+products that the program reads off its blocks of multiplication.  The
+small conveniences that only tests read (a map's entry, the identity map,
+a degree's standard basis and coordinates, the styles and tiling of a
+block layout, and the inverse of the JSON export) are here too.  None of
 it is reached from a command.
 """
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 from koszulator import linalg
-from koszulator.koszul import CycleBasis, CycleError, KoszulComplex, validate_cycles
+from koszulator.complexes import FreeModule, GradedMap
+from koszulator.koszul import CycleBasis, CycleError, KoszulComplex, tuple_count, validate_cycles
 from koszulator.polyring import GradedQuotientRing, Polynomial, parse_polynomial
-from koszulator.zetamaps import tuple_count
 
 
 def ring_from_strings(var_names, gen_texts, field):
     gens = [parse_polynomial(t, var_names, field) for t in gen_texts]
     return GradedQuotientRing(var_names, gens, field)
+
+
+# -- conveniences on the program's objects --------------------------------------
+
+
+def zero(ring):
+    """The zero polynomial of `ring`."""
+    return Polynomial(ring.nvars, ring.field)
+
+
+def entry(gmap, i, j):
+    """Entry (i, j) of a `GradedMap`, the zero polynomial where absent."""
+    return gmap.entries.get((i, j), zero(gmap.source.ring))
+
+
+def identity(module):
+    one = module.ring.one()
+    return GradedMap(module, module, {(i, i): one for i in range(module.rank)})
+
+
+def degree_piece_basis(ring, d: int):
+    """Standard monomial basis of (Q/I)_d, graded-lex descending."""
+    return list(ring._degree_data(d).standard)
+
+
+def nf_coeff_vector(ring, poly, d: int):
+    """Coefficients of the degree-d normal form over the standard basis."""
+    f = ring.field
+    vec = [f.of(0)] * ring.dim_quotient(d)
+    for s, a in ring._nf_sum(poly.terms.items(), d).items():
+        vec[s] = f.of(a)
+    return vec
+
+
+def styles_used(layout):
+    """The styles of a `render.BlockLayout`'s nonzero blocks, sorted."""
+    return sorted({b.style for b in layout.blocks if b.style != "zero"})
+
+
+def tiles_exactly(layout) -> bool:
+    """The blocks of a `render.BlockLayout` tile its full shape with no gap
+    or overlap."""
+    covered = Counter()
+    for b in layout.blocks:
+        for r in range(b.row0, b.row0 + b.nrows):
+            for c in range(b.col0, b.col0 + b.ncols):
+                covered[(r, c)] += 1
+    return all(
+        covered[(r, c)] == 1 for r in range(layout.nrows) for c in range(layout.ncols)
+    )
+
+
+def import_map_json(text: str, ring: GradedQuotientRing) -> GradedMap:
+    """The inverse of `render.export_map_json`."""
+    data = json.loads(text)
+
+    def module(labels):
+        return FreeModule(
+            ring,
+            [((tuple(l["tuple"]), tuple(l["wedge"])), l["twist"]) for l in labels],
+        )
+
+    src = module(data["sourceLabels"])
+    tgt = module(data["targetLabels"])
+    entries = {}
+    for r, c, s in data["entries"]:
+        entries[(r, c)] = parse_polynomial(s, ring.var_names, ring.field)
+    return GradedMap(src, tgt, entries)
 
 
 # -- the term-by-term product ---------------------------------------------------
@@ -85,7 +159,7 @@ def rref(rows, field, ncols: int | None = None):
     red, piv = linalg.rref(rows, field)
     dense = []
     for row in red:
-        v = [field.zero()] * ncols
+        v = [field.of(0)] * ncols
         for j, x in row.items():
             v[j] = x
         dense.append(v)
@@ -111,7 +185,7 @@ def nullspace(rows, field, ncols: int):
     for j in range(ncols):
         if j in piv_set:
             continue
-        v = [field.zero()] * ncols
+        v = [field.of(0)] * ncols
         v[j] = field.one()
         for r, c in enumerate(piv):
             v[c] = field.neg(red[r][j])
@@ -125,7 +199,7 @@ def reduce_against(vec, red_rows, pivots, field):
     for row, c in zip(red_rows, pivots):
         if not field.is_zero(v[c]):
             f = v[c]
-            v = [field.of(x - field.mul(f, y)) for x, y in zip(v, row)]
+            v = [field.of(x - f * y) for x, y in zip(v, row)]
     return v
 
 
@@ -133,10 +207,10 @@ def mat_vec(rows, vec, field):
     support = [(j, b) for j, b in enumerate(vec) if not field.is_zero(b)]
     out = []
     for row in rows:
-        s = field.zero()
+        s = field.of(0)
         for j, b in support:
             if not field.is_zero(row[j]):
-                s = field.of(s + field.mul(row[j], b))
+                s = field.of(s + row[j] * b)
         out.append(s)
     return out
 
@@ -153,7 +227,7 @@ def _element_from_coordinates(K: KoszulComplex, vec, i: int, d: int) -> dict:
         piece = d - twist
         if piece < 0:
             continue
-        basis = ring.degree_piece_basis(piece)
+        basis = degree_piece_basis(ring, piece)
         terms = {}
         for m in basis:
             c = vec[pos]
@@ -198,7 +272,7 @@ def cycles_by_echelon(K: KoszulComplex) -> CycleBasis:
                 if len(found) >= c:
                     break
                 elem = _element_from_coordinates(K, v, 1, d)
-                found.append([elem.get((i + 1,), ring.zero()) for i in range(ring.nvars)])
+                found.append([elem.get((i + 1,), zero(ring)) for i in range(ring.nvars)])
                 degrees.append(d)
         d += 1
     basis = CycleBasis(K, found, degrees)

@@ -459,7 +459,7 @@ EAGER = ["cli", "complexes", "fields", "koszul", "linalg", "polyring"]
     ([], [], 0),
     (["cycles"], [], 0),
     (["tower", "--levels", "1"], ["conetower", "zetamaps"], 0),
-    (["resolve", "--imax", "4", "--verify-all"], ["resolution", "zetamaps"], 1),
+    (["resolve", "--imax", "4", "--verify-all"], ["resolution"], 1),
     (["verify-all", "--imax", "2"],
      ["conetower", "dividedpowers", "resolution", "zetamaps"], 0),
 ], ids=["import", "cycles", "tower", "resolve", "verify-all"])
@@ -486,6 +486,44 @@ def _probe(argv, ring):
     out = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out)
+
+
+RUN_PROBE = """
+import contextlib, importlib.util, io, json, sys
+import koszulator.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+# a deferred module stays a _LazyModule until its code has run
+print(json.dumps([rc, sorted(n.split(".")[1] for n, m in sys.modules.items()
+                             if n.startswith("koszulator.")
+                             and type(m) is not importlib.util._LazyModule)]))
+"""
+
+
+# the README's "modules run" table (section Start-up), one row per command
+# and option that changes it; every command runs EAGER too
+@pytest.mark.parametrize("argv,deferred_run", [
+    (["cycles"], []),
+    (["zeta", "--k", "1"], ["render", "zetamaps"]),
+    (["zeta", "--k", "1", "--homology-level"], ["zetamaps"]),
+    (["tower", "--levels", "2", "--verify"], ["conetower", "zetamaps"]),
+    (["resolve", "--imax", "6", "--verify-all", "--betti"], ["resolution"]),
+    (["resolve", "--imax", "4", "--out", "OUT"], ["render", "resolution"]),
+    (["divided", "--k", "2", "--compare-zeta"], ["dividedpowers"]),
+    (["verify-all", "--imax", "4"], ["conetower", "dividedpowers", "resolution", "zetamaps"]),
+    (["export-map", "--complex", "koszul", "--index", "2"], ["render"]),
+    (["export-map", "--complex", "zeta", "--index", "2", "--k", "1"], ["render", "zetamaps"]),
+    (["export-map", "--complex", "resolution", "--index", "3"], ["render", "resolution"]),
+], ids=["cycles", "zeta", "zeta-homology-level", "tower", "resolve", "resolve-out", "divided",
+        "verify-all", "export-map-koszul", "export-map-zeta", "export-map-resolution"])
+def test_modules_run_match_the_readme_table(tmp_path, argv, deferred_run):
+    ring = os.path.join(os.path.dirname(__file__), "..", "bench", "rings", "golden3-q.ring")
+    argv = [argv[0], "--ring", ring] + [str(tmp_path) if a == "OUT" else a for a in argv[1:]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", RUN_PROBE, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == [0, sorted(EAGER + deferred_run)]
 
 
 @pytest.mark.parametrize("gens,rational", [

@@ -9,8 +9,7 @@ from koszulator.dividedpowers import (
     verify_mu_equals_zeta,
     verify_mu_square_zero,
 )
-from koszulator.koszul import CycleBasis, subsets
-from koszulator.zetamaps import tuples
+from koszulator.koszul import CycleBasis, subsets, tuples
 
 from oracles import divided_to_tuple
 

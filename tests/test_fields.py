@@ -15,12 +15,12 @@ from koszulator.fields import (
 def test_prime_field_arithmetic():
     f = PrimeField(7)
     assert f.of(5 + 4) == 2
-    assert f.mul(3, 5) == 1
+    assert f.of(3 * 5) == 1
     assert f.neg(2) == 5
     assert f.of(1 - 3) == 5
     # a * a^{-1} = 1 for every unit
     for a in range(1, 7):
-        assert f.mul(a, f.inv(a)) == 1
+        assert f.of(a * f.inv(a)) == 1
 
 
 def test_prime_field_of_handles_rationals():
@@ -68,11 +68,11 @@ def test_prime_field_bounds_p_where_primality_is_proven():
 def test_rational_field():
     f = RationalField()
     a = f.of(Fraction(2, 3))
-    assert f.mul(a, f.inv(a)) == 1
+    assert f.of(a * f.inv(a)) == 1
     assert f.of(f.of(1) + f.of(-1)) == 0
-    assert f.is_zero(f.zero())
+    assert f.is_zero(0)
     with pytest.raises(ZeroDivisionError):
-        f.inv(f.zero())
+        f.inv(0)
 
 
 def test_field_from_spec():
@@ -91,7 +91,7 @@ def test_rational_field_keeps_integral_scalars_as_ints():
     assert two == 2 and type(two) is int
     assert type(f.of(Fraction(1, 2))) is Fraction
     assert f.of(7) == 7 and type(f.of(7)) is int
-    assert type(f.zero()) is int and type(f.one()) is int
+    assert type(f.one()) is int
     assert f.inv(-1) == -1 and type(f.inv(-1)) is int
     assert type(f.inv(Fraction(-1))) is int
     assert f.inv(2) == Fraction(1, 2)

@@ -17,7 +17,7 @@ from koszulator.koszul import (
     wedge_sign,
 )
 
-from oracles import cycles_by_echelon, ring_from_strings
+from oracles import cycles_by_echelon, entry, ring_from_strings
 
 VARS = ["x", "y", "z"]
 Q = RationalField()
@@ -25,7 +25,7 @@ Q = RationalField()
 
 def strings(ring, gmap):
     return [
-        [gmap.entry(r, c).to_string(VARS) for c in range(gmap.source.rank)]
+        [entry(gmap, r, c).to_string(VARS) for c in range(gmap.source.rank)]
         for r in range(gmap.target.rank)
     ]
 

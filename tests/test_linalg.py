@@ -62,11 +62,11 @@ def gauss_jordan(rows, field):
             continue
         a[r], a[i] = a[i], a[r]
         inv = field.inv(a[r][c])
-        a[r] = [field.mul(x, inv) for x in a[r]]
+        a[r] = [field.of(x * inv) for x in a[r]]
         for k in range(len(a)):
             if k != r:
                 f = a[k][c]
-                a[k] = [field.of(x - field.mul(f, y)) for x, y in zip(a[k], a[r])]
+                a[k] = [field.of(x - f * y) for x, y in zip(a[k], a[r])]
         pivots.append(c)
     return a[: len(pivots)], pivots
 
@@ -85,10 +85,10 @@ def random_matrix(rng, field, m, n, r, zero_cols):
     for i in range(m):
         row = []
         for j in range(n):
-            s = field.zero()
+            s = field.of(0)
             if j not in zero_cols:
                 for k in range(r):
-                    s = field.of(s + field.mul(left[i][k], right[k][j]))
+                    s = field.of(s + left[i][k] * right[k][j])
             row.append(s)
         rows.append(row)
     return rows
@@ -119,12 +119,12 @@ def sparse_matrix(rng, field, m, n, density, independent):
             return rng.randrange(1, field.p)
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
 
-    rows = [[entry() if rng.random() < density else field.zero() for _ in range(n)]
+    rows = [[entry() if rng.random() < density else field.of(0) for _ in range(n)]
             for _ in range(independent)]
     for _ in range(m - independent):
         a, b = rng.sample(rows[:independent], 2)
         s, t = entry(), entry()
-        rows.append([field.of(field.mul(s, x) + field.mul(t, y)) for x, y in zip(a, b)])
+        rows.append([field.of(s * x + t * y) for x, y in zip(a, b)])
     return rows
 
 

@@ -12,7 +12,8 @@ from koszulator.polyring import (
     parse_polynomial,
 )
 
-from oracles import multiply, reduce_against, ring_from_strings, rref
+from oracles import (degree_piece_basis, multiply, nf_coeff_vector, reduce_against,
+                     ring_from_strings, rref)
 
 VARS = ["x", "y", "z"]
 Q = RationalField()
@@ -35,7 +36,7 @@ def test_monomial_order_graded_lex_descending():
     # generator of degree 2 all are standard, in the same order
     order = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
     assert monomials_of_degree(3, 2) == order
-    assert ring_from_strings(VARS, ["x^3"], Q).degree_piece_basis(2) == order
+    assert degree_piece_basis(ring_from_strings(VARS, ["x^3"], Q), 2) == order
 
 
 def test_parse_round_trip():
@@ -122,9 +123,9 @@ def test_normal_form_of_a_sum_of_mixed_degree_arguments(field):
 
 def test_nf_coeff_vector_needs_the_given_degree():
     ring = ring_from_strings(VARS, ["x^2", "y^2+z^2"], Q)
-    assert ring.nf_coeff_vector(P("y^2 + x*z"), 2) == [0, 1, 0, -1]
+    assert nf_coeff_vector(ring, P("y^2 + x*z"), 2) == [0, 1, 0, -1]
     with pytest.raises(RingError, match="homogeneous"):
-        ring.nf_coeff_vector(P("x*y + z"), 2)
+        nf_coeff_vector(ring, P("x*y + z"), 2)
 
 
 def test_dim_quotient_matches_hand_count():
@@ -136,7 +137,7 @@ def test_dim_quotient_matches_hand_count():
 
 def test_degree_piece_basis_is_reduced():
     ring = ring_from_strings(VARS, ["x^2", "y^2+z^2"], Q)
-    basis = ring.degree_piece_basis(2)
+    basis = degree_piece_basis(ring, 2)
     assert len(basis) == 4
     assert (2, 0, 0) not in basis  # x^2 is a relation leading monomial
 
@@ -185,19 +186,19 @@ def test_normal_form_table_matches_rref_reduction(names, gens, field):
         rows = []
         for g in ring.generators:
             for m in monomials_of_degree(n, d - g.degree()) if d >= g.degree() else []:
-                row = [field.zero()] * len(monos)
+                row = [field.of(0)] * len(monos)
                 for gm, c in multiply(g, Polynomial(n, field, {m: 1})).terms.items():
                     row[col[gm]] = c
                 rows.append(row)
         red, piv = rref(rows, field)
         for k, m in enumerate(monos):
-            unit = [field.one() if j == k else field.zero() for j in range(len(monos))]
+            unit = [field.one() if j == k else field.of(0) for j in range(len(monos))]
             residual = reduce_against(unit, red, piv, field)
             expected = {monos[j]: c for j, c in enumerate(residual) if not field.is_zero(c)}
             nf = ring.normal_form(Polynomial(n, field, {m: field.one()}))
             assert nf.terms == expected
-            assert ring.nf_coeff_vector(Polynomial(n, field, {m: field.one()}), d) == [
-                residual[col[s]] for s in ring.degree_piece_basis(d)
+            assert nf_coeff_vector(ring, Polynomial(n, field, {m: field.one()}), d) == [
+                residual[col[s]] for s in degree_piece_basis(ring, d)
             ]
 
 
@@ -211,7 +212,7 @@ def _macaulay_table(ring, d):
     rows = []
     for g in ring.generators:
         for m in monomials_of_degree(n, d - g.degree()) if d >= g.degree() else []:
-            row = [f.zero()] * len(monos)
+            row = [f.of(0)] * len(monos)
             for gm, c in multiply(g, Polynomial(n, f, {m: 1})).terms.items():
                 row[col[gm]] = c
             rows.append(row)
@@ -270,7 +271,7 @@ def test_degree_tables_match_macaulay_rref(names, gens, field, top):
     ring = ring_from_strings(names, gens, field)
     for d in range(top + 1):
         standard, nf = _macaulay_table(ring, d)
-        assert ring.degree_piece_basis(d) == standard, d
+        assert degree_piece_basis(ring, d) == standard, d
         monos = monomials_of_degree(ring.nvars, d)
         assert [ring._nf_row(m, d) for m in monos] == nf, d
 

@@ -28,7 +28,8 @@ from koszulator.dividedpowers import (acyclic_closure_square_zero, verify_mu_equ
 from koszulator.fields import PrimeField, RationalField
 from koszulator.koszul import build_koszul, certify_complete_intersection, cycles_from_generators
 from koszulator.polyring import Polynomial
-from koszulator.resolution import assemble_f, basis_labels, dg_product_elements, verify_leibniz
+from koszulator.koszul import dg_product_elements
+from koszulator.resolution import assemble_f, basis_labels, verify_leibniz
 from koszulator.zetamaps import ZetaMap
 
 import oracles
@@ -179,8 +180,9 @@ def placed(monkeypatch):
             return terms[lab]
 
         frame = sys._getframe(1)
-        # past a comprehension's frame and `ChainComplex.from_columns`
-        while frame.f_code.co_name.startswith("<") or frame.f_globals is vars(complexes):
+        # past a comprehension's frame, `ChainComplex.from_columns` and
+        # `ChainMap.from_columns`
+        while frame.f_code.co_name.startswith("<") or frame.f_code.co_name == "from_columns":
             frame = frame.f_back
         caller = f"{frame.f_globals['__name__'].rpartition('.')[2]}.{frame.f_code.co_name}"
         if frame.f_code.co_name == "_on_zeta_gens":
@@ -276,9 +278,9 @@ def test_rows_over_q_and_mod_p_are_never_shared(modular_first):
     for (p, f), table in ring._blocks.items():
         for e, (_, block) in table.items():
             for k, row in enumerate(block):
-                m = ring.degree_piece_basis(e)[k]
-                vec = ring.nf_coeff_vector(
-                    oracles.multiply(p, Polynomial(ring.nvars, Q, {m: 1})), e + p.degree())
+                m = oracles.degree_piece_basis(ring, e)[k]
+                vec = oracles.nf_coeff_vector(
+                    ring, oracles.multiply(p, Polynomial(ring.nvars, Q, {m: 1})), e + p.degree())
                 assert row == tuple((s, f.of(a)) for s, a in enumerate(vec) if f.of(a))
 
 

@@ -12,7 +12,7 @@ import pytest
 from koszulator.fields import PrimeField, RationalField
 from koszulator.koszul import build_koszul, cycles_from_generators
 from koszulator.polyring import Polynomial
-from koszulator.render import export_map_json, import_map_json
+from koszulator.render import export_map_json
 from koszulator.resolution import (
     assemble_f,
     betti_numbers,
@@ -20,7 +20,7 @@ from koszulator.resolution import (
     verify_minimal_and_exact,
 )
 
-from oracles import multiply, rank, ring_from_strings
+from oracles import import_map_json, multiply, rank, ring_from_strings
 
 VARS = ["x", "y", "z"]
 P = 32003
