@@ -11,11 +11,10 @@ from koszulator.complexes import (
     GradedMap,
     collect,
 )
-from koszulator.conetower import mapping_cone
 from koszulator.fields import PrimeField, RationalField
 from koszulator.polyring import parse_polynomial
 from koszulator.koszul import build_koszul, cycles_from_generators
-from koszulator.conetower import build_tower
+from koszulator.conetower import build_tower, mapping_cone
 from koszulator.resolution import assemble_f, verify_minimal_and_exact
 from koszulator.zetamaps import ChainMap, ZetaMap, verify_zeta_chain, verify_zeta_square_zero
 
