@@ -3,7 +3,9 @@
 Subcommands: cycles, zeta, tower, resolve, divided, verify-all, export-map.
 Exit status 0 on success, 1 when a requested verification fails (a report
 file is written when --out is given), 2 on malformed input, including a
-ring whose complete-intersection certificate fails at load.
+ring whose complete-intersection certificate fails at load, and 141 (the
+shell's status for SIGPIPE) when stdout is closed before the output is
+written, as `| head` does.
 """
 
 from __future__ import annotations
@@ -13,12 +15,8 @@ import importlib.util
 import os
 import sys
 
-from .polyring import (
-    ParseError,
-    RingError,
-    load_ring_file,
-    parse_polynomial,
-)
+from .polynomial import ParseError, RingError, parse_polynomial
+from .polyring import load_ring_file
 from .koszul import (
     build_koszul,
     certify_complete_intersection,
@@ -257,6 +255,7 @@ def _cmd_tower(args) -> int:
 
 
 def _resolution_outputs(ring, F, out_dir) -> None:
+    import json
     os.makedirs(out_dir, exist_ok=True)
     betti = resolution.betti_numbers(F)
     with open(os.path.join(out_dir, "betti.csv"), "w", encoding="utf-8") as fh:
@@ -268,7 +267,9 @@ def _resolution_outputs(ring, F, out_dir) -> None:
         layout = render.render_blocks(d)
         base = os.path.join(out_dir, f"dF_{i}")
         with open(base + ".json", "w", encoding="utf-8") as fh:
-            fh.write(render.export_map_json(d) + "\n")
+            # written as it is encoded, as `export_map_json` formats it
+            json.dump(render.map_json(d), fh, indent=1, sort_keys=True)
+            fh.write("\n")
         with open(base + ".txt", "w", encoding="utf-8") as fh:
             fh.write(render.render_text(layout))
         with open(base + ".svg", "w", encoding="utf-8") as fh:
@@ -414,7 +415,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        rc = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as exc:  # every input error class is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,8 @@ from itertools import accumulate
 
 from .fields import FieldError, PrimeField
 from .linalg import rank
-from .polyring import GradedQuotientRing, monomial_degree
+from .polynomial import monomial_degree
+from .polyring import GradedQuotientRing
 
 # The prime field of the exactness certificate over ℚ.  It can mislead only
 # by dividing a denominator (then it is rejected) or a nonzero minor (then a

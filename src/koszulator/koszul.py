@@ -22,7 +22,8 @@ import math
 from collections import Counter
 
 from .complexes import ChainComplex, FreeModule, GradedMap, collect
-from .polyring import GradedQuotientRing, Polynomial
+from .polynomial import Polynomial
+from .polyring import GradedQuotientRing
 
 
 class CycleError(ValueError):

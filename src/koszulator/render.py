@@ -140,35 +140,50 @@ def render_svg(layout: BlockLayout) -> str:
 # -- machine-readable export -------------------------------------------------
 
 
-def export_map_json(gmap: GradedMap) -> str:
-    import json
+def _entry_strings(gmap: GradedMap) -> dict:
+    """{(row, col): entry string}, each distinct entry polynomial converted
+    once: equal entries of a map built from columns share one object."""
     names = gmap.source.ring.var_names
-    data = {
+    strings = {}  # id(entry) -> its string; gmap holds every entry alive
+    out = {}
+    for rc, p in gmap.entries.items():
+        s = strings.get(id(p))
+        if s is None:
+            s = strings[id(p)] = p.to_string(names)
+        out[rc] = s
+    return out
+
+
+def map_json(gmap: GradedMap) -> dict:
+    """The object that `export_map_json` writes: both generator lists and
+    the entries as [row, col, string], by position."""
+    strings = _entry_strings(gmap)
+    return {
         "sourceLabels": [_label_json(lab, t) for lab, t in gmap.source.gens],
         "targetLabels": [_label_json(lab, t) for lab, t in gmap.target.gens],
-        "entries": [
-            [r, c, gmap.entries[(r, c)].to_string(names)]
-            for (r, c) in sorted(gmap.entries)
-        ],
+        "entries": [[r, c, strings[r, c]] for (r, c) in sorted(strings)],
     }
-    return json.dumps(data, indent=1, sort_keys=True)
+
+
+def export_map_json(gmap: GradedMap) -> str:
+    import json
+    return json.dumps(map_json(gmap), indent=1, sort_keys=True)
 
 
 def export_map_csv(gmap: GradedMap) -> str:
-    names = gmap.source.ring.var_names
+    strings = _entry_strings(gmap)
     lines = ["row,col,entry"]
-    for (r, c) in sorted(gmap.entries):
-        lines.append(f'{r},{c},"{gmap.entries[(r, c)].to_string(names)}"')
+    for (r, c) in sorted(strings):
+        lines.append(f'{r},{c},"{strings[r, c]}"')
     return "\n".join(lines) + "\n"
 
 
 def matrix_strings(gmap: GradedMap):
     """Dense grid of the entry strings, one list per target generator: "0"
     in every cell, then each entry's string in its own."""
-    names = gmap.source.ring.var_names
     grid = [["0"] * gmap.source.rank for _ in range(gmap.target.rank)]
-    for (r, c), p in gmap.entries.items():
-        grid[r][c] = p.to_string(names)
+    for (r, c), s in _entry_strings(gmap).items():
+        grid[r][c] = s
     return grid
 
 

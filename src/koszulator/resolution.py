@@ -27,7 +27,8 @@ import math
 from .complexes import ChainComplex, FreeModule, GradedMap
 from .koszul import (CycleBasis, KoszulComplex, dg_product_basis, hom_degree, tuple_sum_gens,
                      zeta_terms)
-from .polyring import GradedQuotientRing, Polynomial, RingError
+from .polynomial import Polynomial, RingError
+from .polyring import GradedQuotientRing
 
 
 class ResolutionF:

@@ -397,6 +397,29 @@ def test_verify_all_quintic_passes(tmp_path, capsys):
     assert "overall: pass" in out
 
 
+@pytest.mark.parametrize("argv", [
+    # 27 kB, more than stdout's buffer: a write fails while the command runs
+    ["export-map", "--complex", "resolution", "--index", "12", "--imax", "12"],
+    # a few lines, still buffered when the command returns
+    ["cycles"],
+], ids=["export-map", "cycles"])
+def test_closed_stdout_exits_141_with_nothing_on_stderr(argv):
+    # stdout is a pipe whose reader has gone, as after `| head -1`, so every
+    # write to it raises BrokenPipeError; stdout is block-buffered
+    ring = os.path.join(os.path.dirname(__file__), "..", "bench", "rings", "golden3-q.ring")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "koszulator.cli", argv[0], "--ring", ring, *argv[1:]],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 def test_cli_import_leaves_numpy_out(ring3_file, tmp_path):
     run = ("import sys, io, contextlib, koszulator.cli as cli\n"
            "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -451,8 +474,8 @@ print(json.dumps([rc, names, on_package, executed, len(calls), rational]))
 """
 
 ALL_MODULES = ["cli", "complexes", "conetower", "dividedpowers", "fields", "koszul",
-               "linalg", "polyring", "render", "resolution", "zetamaps"]
-EAGER = ["cli", "complexes", "fields", "koszul", "linalg", "polyring"]
+               "linalg", "polynomial", "polyring", "render", "resolution", "zetamaps"]
+EAGER = ["cli", "complexes", "fields", "koszul", "linalg", "polynomial", "polyring"]
 
 
 @pytest.mark.parametrize("argv,deferred_run,assemble_calls", [

@@ -2,13 +2,16 @@
 
 The golden layouts fix only which blocks are nonzero; these hashes of the
 JSON export fix every entry, sign included, of dF_1..dF_6 and of ζ^k_u for
-k ≤ 2, on both worked examples over ℚ and over 𝔽_32003.
+k ≤ 2, on both worked examples over ℚ and over 𝔽_32003.  The hashes of the
+`resolve --out` files fix the whole exported tree of a generic 4-variable
+ring, the shape the benchmark's `resolve-4var-fp` runs.
 """
 
 import hashlib
 
 import pytest
 
+from koszulator import cli
 from koszulator.fields import PrimeField, RationalField
 from koszulator.koszul import build_koszul, cycles_from_generators
 from koszulator.render import export_map_json
@@ -108,3 +111,51 @@ def test_exported_entries_match_pinned_hashes(ring_name, field_name):
         zeta = build_zeta(K, Z, k)
         got.update({f"zeta^{k}_{u}": _sha(zeta.component(u)) for u in range(1, 4)})
     assert got == PINNED[(ring_name, field_name)]
+
+
+# `workloads.generic_ci_ring(1)`, as printed in bench/README.md: a generic
+# codepth-3 CI over 𝔽_32003 in 4 variables
+GENERIC4_SEED1 = """\
+field prime 32003
+vars x,y,z,w
+gen 15789*x^2 + 28014*x*y + 30558*x*z + 25859*x*w + 19194*y^2 + 24841*y*z + 23056*y*w + 13545*z^2 + 17514*z*w + 18165*w^2
+gen 20016*x^2 + 27922*x*y + 8116*x*z + 28479*x*w + 16090*y^2 + 20735*y*z + 145*y*w + 25618*z^2 + 23857*z*w + 9371*w^2
+gen 30054*x^2 + 9689*x*y + 31881*x*z + 26738*x*w + 31944*y^2 + 16510*y*z + 41*y*w + 29653*z^2 + 15418*z*w + 30233*w^2
+"""
+
+# sha256 of each file of `resolve --imax 6 --verify-all --betti --out` on it
+PINNED_GENERIC4_OUT = {
+    'betti.csv': '1bf7e0d2a2728e54dba1371d447ba7dba52f159250d09b2372b4694e4d74ad1c',
+    'dF_1.json': 'cf448eb8738968930595ff54d6ab10fcc4ab57ba190ee681bb1efc49531faaaf',
+    'dF_1.svg': '557409484c5fa7552fd95a07249df84e396db0bf73516e24d4b74e772ae3ce00',
+    'dF_1.txt': 'd2fab2a33b1c3438929311540f8d922ff51b334207b3641d30db80625f777acb',
+    'dF_2.json': '8187b7dcd97b7f037db639f971db31270e779533997c65b379d2b5e9546e5aa8',
+    'dF_2.svg': 'fb4fe457ede9fcc4d530fe15e7c457b2892ef9eb6180f5193b85c277ed467d31',
+    'dF_2.txt': '9e9a5a4115743bfad1d2c24d0456253acb37705235deaf02ce88e82b1680aff4',
+    'dF_3.json': '99283ed08c8f83d8c30ade6d96696c16d611ad2ce510662c7cd87dfd636d1a66',
+    'dF_3.svg': 'b8e5ab850945ca2b5b0d74e4a7917e0121e9e0239522e84def88ee577c138a24',
+    'dF_3.txt': 'bd15bfda0ca29ff2d50b130c9f39688bfe65eca577dd0032f957d77837aa2de4',
+    'dF_4.json': 'c94e10bef097cfa4fdfb3476c03253b5f525820228609133d1459653c0928df9',
+    'dF_4.svg': '26a356ae27a0243bfc8346893b4884cc845573ce396fcb5b2d3f56da2924af64',
+    'dF_4.txt': '813114b1796782168a167f45e5467e4041098f2d5992e2b83bd19cf07adeda02',
+    'dF_5.json': '3832f1d861aaab744cabb3877760ce8875be671cbf1332026cb5a38cebd794b8',
+    'dF_5.svg': '8a11be1b8ed885eb6bad2961e855c831339c55ce0fa341b5db91b3e30f62de76',
+    'dF_5.txt': '642120152afe1dca1eef6fe8502e34623dd4cd0739038984ff1243484c510000',
+    'dF_6.json': 'c5fabba91d7e4a9ad8a415b839c727ee88788d7d65ac50b1c73ebe7e78517210',
+    'dF_6.svg': 'eccb7b78bacd79cff1165926e5d507942e75a071de31cb512786db3b41184f10',
+    'dF_6.txt': '5b5d28343a52812fa3ca5b1b13b5f67c6528bb9105fb3bcf1d3657d0137c77fd',
+}
+
+
+def test_generic4_resolve_out_tree_matches_pinned_hashes(tmp_path, capsys):
+    ring = tmp_path / "generic4-seed1.ring"
+    ring.write_text(GENERIC4_SEED1)
+    out = tmp_path / "out"
+    argv = ["resolve", "--ring", str(ring), "--imax", "6", "--verify-all", "--betti",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert "betti:    1    4    9   16   25   36   49\n" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == sorted([*PINNED_GENERIC4_OUT, "report.json"])
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in PINNED_GENERIC4_OUT}
+    assert got == PINNED_GENERIC4_OUT
