@@ -159,6 +159,12 @@ def _poly_str(ring, p) -> str:
     return p.to_string(ring.var_names)
 
 
+def _verdict(name: str, passed: bool) -> bool:
+    """Print the verdict line of one check or group of checks; returns it."""
+    print(f"{name}: {'pass' if passed else 'FAIL'}")
+    return passed
+
+
 def _write_report(out_dir, report) -> None:
     if out_dir:
         import json
@@ -171,11 +177,11 @@ def _write_report(out_dir, report) -> None:
 
 
 def _cmd_cycles(args) -> int:
-    ring, K, Z, _ = _load(args)
+    ring, K, Z, cert = _load(args)
     for j, (z, deg) in enumerate(zip(Z.cycles, Z.degrees), start=1):
         coords = ", ".join(_poly_str(ring, p) for p in z)
         print(f"z_{j} (degree {deg}): [{coords}]")
-    print("complete intersection certificate: pass")
+    _verdict("complete intersection certificate", cert["certified"])
     return 0
 
 
@@ -248,9 +254,8 @@ def _cmd_tower(args) -> int:
         return 0
     ok = True
     for k, max_d in enumerate(windows, start=1):
-        res = conetower.verify_homology_theorem(tower, k, max_d)
-        print(f"homology clauses at level {k}: {'pass' if res['pass'] else 'FAIL'}")
-        ok = ok and res["pass"]
+        ok &= _verdict(f"homology clauses at level {k}",
+                       conetower.verify_homology_theorem(tower, k, max_d)["pass"])
     return 0 if ok else 1
 
 
@@ -297,8 +302,7 @@ def _cmd_resolve(args) -> int:
     if args.verify_all:
         res = resolution.verify_minimal_and_exact(F, args.max_d)
         report["minimal_and_exact"] = res
-        print(f"minimality and exactness: {'pass' if res['pass'] else 'FAIL'}")
-        ok = ok and res["pass"]
+        ok &= _verdict("minimality and exactness", res["pass"])
     if args.out:
         _resolution_outputs(ring, F, args.out)
         report["pass"] = ok
@@ -310,17 +314,13 @@ def _cmd_divided(args) -> int:
     ring, K, Z, _ = _load(args)
     ok = True
     for k in range(1, args.k + 1):
-        sq = dividedpowers.verify_mu_square_zero(K, Z, k)
-        print(f"mu^{k} square-zero: {'pass' if sq else 'FAIL'}")
-        ok = ok and sq
+        ok &= _verdict(f"mu^{k} square-zero", dividedpowers.verify_mu_square_zero(K, Z, k))
     if args.compare_zeta:
-        res = dividedpowers.verify_mu_equals_zeta(K, Z, range(args.k + 1))
-        print(f"mu equals zeta (k <= {args.k}): {'pass' if res['pass'] else 'FAIL'}")
-        ok = ok and res["pass"]
-    closure = dividedpowers.acyclic_closure_square_zero(K, Z)
-    print(f"acyclic-closure differential squares to zero: "
-          f"{'pass' if closure else 'FAIL'}")
-    return 0 if ok and closure else 1
+        ok &= _verdict(f"mu equals zeta (k <= {args.k})",
+                       dividedpowers.verify_mu_equals_zeta(K, Z, range(args.k + 1))["pass"])
+    ok &= _verdict("acyclic-closure differential squares to zero",
+                   dividedpowers.acyclic_closure_square_zero(K, Z))
+    return 0 if ok else 1
 
 
 def _cmd_verify_all(args) -> int:
@@ -336,8 +336,7 @@ def _cmd_verify_all(args) -> int:
         else:
             passed = bool(res)
         report["checks"][name] = res
-        print(f"{name}: {'pass' if passed else 'FAIL'}")
-        return passed
+        return _verdict(name, passed)
 
     ok = record("complete intersection certificate", cert)
     zetas = [zetamaps.build_zeta(K, Z, k) for k in range(3)]
@@ -377,8 +376,7 @@ def _cmd_verify_all(args) -> int:
                  dividedpowers.acyclic_closure_square_zero(K, Z))
     report["pass"] = bool(ok)
     _write_report(args.out, report)
-    print(f"overall: {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return 0 if _verdict("overall", ok) else 1
 
 
 def _cmd_export_map(args) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .complexes import ChainComplex, ComplexError, FreeModule, GradedMap
-from .koszul import CycleBasis, KoszulComplex, zeta_terms
+from .koszul import CycleBasis, KoszulComplex, check, compare, verdict, zeta_terms
 from .zetamaps import ChainMap, homology_zeta_matrix, int_rank, koszul_tuple_sum
 
 
@@ -96,22 +96,15 @@ def verify_homology_theorem(tower: ConeTower, k: int, max_d: int) -> dict:
     checks = []
     for i in [*range(2 * k - 1), i_top - 1, i_top]:
         same = all(cur[(i, d)] == prev[(i, d)] for d in range(max_d + 1))
-        checks.append({"check": f"H_{i}(M^{k}) = H_{i}(M^{k-1})", "pass": same})
+        checks.append(check(f"H_{i}(M^{k}) = H_{i}(M^{k-1})", same))
     for i in (2 * k - 1, 2 * k):
         vanish = all(cur[(i, d)] == 0 for d in range(max_d + 1))
-        checks.append({"check": f"H_{i}(M^{k}) = 0", "pass": vanish})
+        checks.append(check(f"H_{i}(M^{k}) = 0", vanish))
     for u in range(1, c + 1):
         r = int_rank(homology_zeta_matrix(c, k, u), ring.field)
         total = sum(cur[(2 * k + u, d)] for d in range(max_d + 1))
-        checks.append(
-            {
-                "check": f"dim H_{2*k+u}(M^{k}) = rank [zeta_{u}^{k}]",
-                "expected": r,
-                "actual": total,
-                "pass": total == r,
-            }
-        )
-    return {"pass": all(ch["pass"] for ch in checks), "checks": checks}
+        checks.append(compare(f"dim H_{2*k+u}(M^{k}) = rank [zeta_{u}^{k}]", r, total))
+    return verdict(checks)
 
 
 def _quotient(C: ChainComplex, D: ChainComplex) -> ChainComplex:
@@ -156,25 +149,8 @@ def verify_splitting(tower: ConeTower, k: int, max_i: int, max_d: int) -> dict:
     failures = [s for s, r in ranks.items() if r and s != (0, 0)]
     corner_iso = (C.strand_homology_dim(0, 0) == D.strand_homology_dim(0, 0)
                   == ranks[(0, 0)] == 1)
-    return {
-        "check": f"H(f^{k}) = 0 on strands i ≤ {max_i}, d ≤ {max_d}",
-        "pass": not failures and corner_iso,
-        "witnesses": failures,
-        "degree_zero_iso": corner_iso,
-    }
-
-
-def verify_stabilization(tower: ConeTower, j: int, max_d: int) -> dict:
-    """H_i(M^j) → H_i(M^{j+1}) is an isomorphism for i ≤ j−1 at the level of
-    graded dimensions (the tower stabilizes from below)."""
-    cur = tower.level(j)
-    nxt = tower.level(j + 1)
-    bad = []
-    for i in range(max(j, 0)):
-        for d in range(max_d + 1):
-            if cur.strand_homology_dim(i, d) != nxt.strand_homology_dim(i, d):
-                bad.append((i, d))
-    return {"check": f"stabilization below level {j}", "pass": not bad, "witnesses": bad}
+    return check(f"H(f^{k}) = 0 on strands i ≤ {max_i}, d ≤ {max_d}",
+                 not failures and corner_iso, witnesses=failures, degree_zero_iso=corner_iso)
 
 
 def verify_cross_construction(F, tower: ConeTower, i_top: int) -> dict:
@@ -200,8 +176,5 @@ def verify_cross_construction(F, tower: ConeTower, i_top: int) -> dict:
         }
         if f_by_label != t_by_label:
             mismatches.append(("differential", i))
-    return {
-        "check": f"resolution equals stabilized tower level for i ≤ {i_top}",
-        "pass": not mismatches,
-        "witnesses": mismatches,
-    }
+    return check(f"resolution equals stabilized tower level for i ≤ {i_top}", not mismatches,
+                 witnesses=mismatches)

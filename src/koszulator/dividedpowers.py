@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .complexes import ChainComplex, FreeModule, GradedMap
-from .koszul import (CycleBasis, KoszulComplex, dg_product_basis, dg_product_elements,
+from .koszul import (CycleBasis, KoszulComplex, check, dg_product_basis, dg_product_elements,
                      hom_degree, tuple_sum_gens, wedge_cycle, zeta_terms)
 
 
@@ -119,7 +119,7 @@ def verify_graded_commutativity(F, pairs) -> dict:
         expected = ca if (i * i2) % 2 == 0 else -ca
         if (cb, lb if cb else None) != (expected, la if expected else None):
             failures.append((a, b))
-    return {"check": "graded commutativity", "pass": not failures, "witnesses": failures}
+    return check("graded commutativity", not failures, witnesses=failures)
 
 
 def verify_associativity(F, triples) -> dict:
@@ -134,4 +134,4 @@ def verify_associativity(F, triples) -> dict:
         right = dg_product_elements(ring, {a: one}, bc)
         if left != right:
             failures.append((a, b, cc))
-    return {"check": "associativity", "pass": not failures, "witnesses": failures}
+    return check("associativity", not failures, witnesses=failures)

@@ -233,17 +233,17 @@ def _independent_mod_boundaries(K: KoszulComplex, elems, u: int, d: int) -> bool
     return stacked.strand_rank(d, ceiling=full) == full
 
 
-def cycles_from_user(K: KoszulComplex, coefficient_lists, degrees=None) -> CycleBasis:
-    """User-supplied cycles (lists of n polynomials); validated before use."""
+def cycles_from_user(K: KoszulComplex, coefficient_lists) -> CycleBasis:
+    """User-supplied cycles (lists of n polynomials), each of the degree its
+    nonzero coordinates share plus one; validated before use."""
     ring = K.ring
     cycles = [[ring.normal_form(p) for p in z] for z in coefficient_lists]
-    if degrees is None:
-        degrees = []
-        for j, z in enumerate(cycles, 1):
-            degs = {p.degree() + 1 for p in z if not p.is_zero()}
-            if len(degs) != 1:
-                raise CycleError(f"cannot infer a degree for cycle {j}")
-            degrees.append(degs.pop())
+    degrees = []
+    for j, z in enumerate(cycles, 1):
+        degs = {p.degree() + 1 for p in z if not p.is_zero()}
+        if len(degs) != 1:
+            raise CycleError(f"cannot infer a degree for cycle {j}")
+        degrees.append(degs.pop())
     basis = CycleBasis(K, cycles, degrees)
     validate_cycles(basis)
     return basis
@@ -265,6 +265,23 @@ def degree_window(ring: GradedQuotientRing, k: int) -> int:
     return sum(degs) + max(1, k) * max(degs)
 
 
+def check(name: str, passed: bool, **facts) -> dict:
+    """One check record of a report: its name, its verdict and the facts
+    it rests on.  Every verifier builds its records here and groups them
+    with `verdict`."""
+    return {"check": name, "pass": passed, **facts}
+
+
+def compare(name: str, expected, actual) -> dict:
+    """The check that `actual` equals `expected`, recording both."""
+    return check(name, actual == expected, expected=expected, actual=actual)
+
+
+def verdict(checks, **facts) -> dict:
+    """A group of checks, passing when each of them does."""
+    return {"pass": all(ch["pass"] for ch in checks), "checks": checks, **facts}
+
+
 def certify_complete_intersection(K: KoszulComplex, Z: CycleBasis = None) -> dict:
     """Check that H(K) is the exterior algebra on c degree-one classes."""
     ring = K.ring
@@ -273,36 +290,13 @@ def certify_complete_intersection(K: KoszulComplex, Z: CycleBasis = None) -> dic
     bound = degree_window(ring, 1)  # reaches H_c(K), which lies in degree Σ deg
     dims = homology_dims(K, bound)
     for i in range(K.n + 1):
-        expected = math.comb(c, i)
-        checks.append(
-            {
-                "check": f"dim H_{i}(K) == C({c},{i})",
-                "expected": expected,
-                "actual": dims[i],
-                "pass": dims[i] == expected,
-            }
-        )
-    hilb = ring.hilbert_coefficients(bound)
-    pred = ring.ci_hilbert_coefficients(bound)
-    checks.append(
-        {
-            "check": "Hilbert series matches complete intersection prediction",
-            "expected": pred,
-            "actual": hilb,
-            "pass": hilb == pred,
-        }
-    )
+        checks.append(compare(f"dim H_{i}(K) == C({c},{i})", math.comb(c, i), dims[i]))
+    checks.append(compare("Hilbert series matches complete intersection prediction",
+                          ring.ci_hilbert_coefficients(bound), ring.hilbert_coefficients(bound)))
     if Z is not None:
-        ok = _wedge_classes_independent(K, Z)
-        checks.append(
-            {
-                "check": "wedge products of cycle classes span each H_i",
-                "expected": True,
-                "actual": ok,
-                "pass": ok,
-            }
-        )
-    return {"certified": all(ch["pass"] for ch in checks), "checks": checks}
+        checks.append(compare("wedge products of cycle classes span each H_i",
+                              True, _wedge_classes_independent(K, Z)))
+    return {"certified": verdict(checks)["pass"], "checks": checks}
 
 
 def _wedge_classes_independent(K: KoszulComplex, Z: CycleBasis) -> bool:

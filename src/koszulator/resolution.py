@@ -25,8 +25,8 @@ import itertools
 import math
 
 from .complexes import ChainComplex, FreeModule, GradedMap
-from .koszul import (CycleBasis, KoszulComplex, dg_product_basis, hom_degree, tuple_sum_gens,
-                     zeta_terms)
+from .koszul import (CycleBasis, KoszulComplex, check, dg_product_basis, hom_degree,
+                     tuple_sum_gens, verdict, zeta_terms)
 from .polynomial import Polynomial, RingError
 from .polyring import GradedQuotientRing
 
@@ -109,10 +109,9 @@ def verify_minimal_and_exact(F: ResolutionF, max_d: int) -> dict:
     (1, 1)] gives H_i(F)_d = x_v·H_i(F)_{d−1}, which is 0 by induction from
     d < 0.  Otherwise, or if F̄ has other homology, every strand of F is checked."""
     C = F.complex
-    checks = []
     minimal = all(C.differential(i).is_minimal() for i in range(1, F.i_max + 1))
-    checks.append({"check": "all differential entries in the maximal ideal", "pass": minimal})
-    checks.append({"check": "differential squares to zero", "pass": not C.square_defect()})
+    checks = [check("all differential entries in the maximal ideal", minimal),
+              check("differential squares to zero", not C.square_defect())]
     h0 = [C.strand_homology_dim(0, 0)] + [
         C.vanishing_homology_dim(0, d) for d in range(1, max_d + 1)]
     h0_is_k = h0[0] == 1 and all(v == 0 for v in h0[1:])
@@ -127,21 +126,10 @@ def verify_minimal_and_exact(F: ResolutionF, max_d: int) -> dict:
         for d in range(max_d + 1)
         if C.vanishing_homology_dim(i, d) != 0
     ]
-    checks.append(
-        {
-            "check": f"exact in homological degrees 1..{F.i_max - 1}, internal degrees ≤ {max_d}",
-            "pass": not bad,
-            "witnesses": bad,
-        }
-    )
-    checks.append(
-        {
-            "check": "H_0 is the residue field in internal degree 0",
-            "pass": h0_is_k,
-            "actual": h0,
-        }
-    )
-    return {"pass": all(ch["pass"] for ch in checks), "checks": checks}
+    checks.append(check(f"exact in homological degrees 1..{F.i_max - 1}, "
+                        f"internal degrees ≤ {max_d}", not bad, witnesses=bad))
+    checks.append(check("H_0 is the residue field in internal degree 0", h0_is_k, actual=h0))
+    return verdict(checks)
 
 
 # -- DG product ------------------------------------------------------------
@@ -175,7 +163,7 @@ def verify_leibniz(F: ResolutionF, pairs) -> dict:
                 acc[m] = acc.get(m, 0) + k * x
         if any(Polynomial(ring.nvars, ring.field, acc).terms for acc in defect.values()):
             failures.append((a, b))
-    return {"check": "graded Leibniz rule", "pass": not failures, "witnesses": failures}
+    return check("graded Leibniz rule", not failures, witnesses=failures)
 
 
 def basis_labels(F: ResolutionF, i: int):

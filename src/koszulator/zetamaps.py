@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 
 from .complexes import ChainComplex, ComplexError, GradedMap
-from .koszul import (CycleBasis, KoszulComplex, subsets, tuple_count, tuple_sum_gens,
-                     tuples, zeta_terms)
+from .koszul import (CycleBasis, KoszulComplex, check, compare, subsets, tuple_count,
+                     tuple_sum_gens, tuples, verdict, zeta_terms)
 from .linalg import rank
 
 
@@ -98,11 +98,7 @@ def build_zeta(K: KoszulComplex, Z: CycleBasis, k: int) -> ZetaMap:
 def verify_zeta_chain(zeta: ZetaMap) -> dict:
     """∂^{⊕}∘ζ_u = −ζ_{u−1}∘∂^{⊕} for all u (the source carries −∂)."""
     witnesses = zeta.chain_map.chain_defect()
-    return {
-        "check": f"zeta^{zeta.k} chain map",
-        "pass": not witnesses,
-        "witnesses": witnesses,
-    }
+    return check(f"zeta^{zeta.k} chain map", not witnesses, witnesses=witnesses)
 
 
 def verify_zeta_square_zero(zeta_k: ZetaMap, zeta_k1: ZetaMap) -> dict:
@@ -115,11 +111,8 @@ def verify_zeta_square_zero(zeta_k: ZetaMap, zeta_k1: ZetaMap) -> dict:
         outer = zeta_k.component(u)
         if not outer.compose(inner).is_zero():
             witnesses.append(u)
-    return {
-        "check": f"zeta^{zeta_k.k} ∘ Σ zeta^{zeta_k1.k} = 0",
-        "pass": not witnesses,
-        "witnesses": witnesses,
-    }
+    return check(f"zeta^{zeta_k.k} ∘ Σ zeta^{zeta_k1.k} = 0", not witnesses,
+                 witnesses=witnesses)
 
 
 # -- homology level ----------------------------------------------------------
@@ -166,38 +159,16 @@ def verify_exact_sequence(c: int, k: int, field) -> dict:
     dims = [math.comb(c, u) * tuple_count(c, k + 1 - u) for u in range(c + 1)]
     mats = {u: sequence_matrix(c, k, u) for u in range(1, c + 1)}
     ranks = {u: int_rank(mats[u], field) for u in range(1, c + 1)}
-    checks = []
-    checks.append(
-        {
-            "check": "first map injective",
-            "pass": ranks[1] == dims[0],
-            "expected": dims[0],
-            "actual": ranks[1],
-        }
-    )
+    checks = [compare("first map injective", dims[0], ranks[1])]
     for u in range(1, c):
-        checks.append(
-            {
-                "check": f"exactness at position {u}",
-                "pass": ranks[u] + ranks[u + 1] == dims[u],
-                "expected": dims[u],
-                "actual": ranks[u] + ranks[u + 1],
-            }
-        )
-    checks.append(
-        {
-            "check": "last map surjective",
-            "pass": ranks[c] == dims[c],
-            "expected": dims[c],
-            "actual": ranks[c],
-        }
-    )
+        checks.append(compare(f"exactness at position {u}", dims[u], ranks[u] + ranks[u + 1]))
+    checks.append(compare("last map surjective", dims[c], ranks[c]))
     # consecutive composites vanish: rows of mats[u+1] times columns of mats[u]
     for u in range(1, c):
         zero = all(sum(x * y for x, y in zip(row, col)) == 0
                    for row in mats[u + 1] for col in zip(*mats[u]))
-        checks.append({"check": f"composite {u+1}∘{u} is zero", "pass": zero})
-    return {"pass": all(ch["pass"] for ch in checks), "dims": dims, "ranks": ranks, "checks": checks}
+        checks.append(check(f"composite {u+1}∘{u} is zero", zero))
+    return verdict(checks, dims=dims, ranks=ranks)
 
 
 def kernel_preimage(c: int, k: int, u: int, ker_element, field):

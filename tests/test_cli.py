@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import json
 import os
 import runpy
@@ -96,10 +98,14 @@ def test_zeta_homology_level(ring2_file, capsys):
 
 
 def test_tower_command(ring2_file, capsys):
-    assert main(["tower", "--ring", ring2_file, "--levels", "1", "--verify"]) == 0
-    out = capsys.readouterr().out
-    assert "M^0 ranks" in out
-    assert "homology clauses at level 1: pass" in out
+    # rank M^j_i = Σ_{l ≤ j} C(3, i − 2l)·(l + 1), then one verdict per level
+    assert main(["tower", "--ring", ring2_file, "--levels", "2", "--verify"]) == 0
+    assert capsys.readouterr().out == (
+        "M^0 ranks: [1, 3, 3, 1]\n"
+        "M^1 ranks: [1, 3, 5, 7, 6, 2]\n"
+        "M^2 ranks: [1, 3, 5, 7, 9, 11, 9, 3]\n"
+        "homology clauses at level 1: pass\n"
+        "homology clauses at level 2: pass\n")
 
 
 def test_resolve_writes_output_tree(ring2_file, tmp_path, capsys):
@@ -225,8 +231,11 @@ def test_resolve_near_the_prime_bound(tmp_path, capsys, prime, code):
 def test_divided_command(ring3_file, capsys):
     assert main(["divided", "--ring", ring3_file, "--k", "2",
                  "--compare-zeta"]) == 0
-    out = capsys.readouterr().out
-    assert "mu equals zeta (k <= 2): pass" in out
+    assert capsys.readouterr().out == (
+        "mu^1 square-zero: pass\n"
+        "mu^2 square-zero: pass\n"
+        "mu equals zeta (k <= 2): pass\n"
+        "acyclic-closure differential squares to zero: pass\n")
 
 
 def test_verify_all_command(ring2_file, tmp_path, capsys):
@@ -277,11 +286,17 @@ def test_verify_all_releases_each_group_before_the_next(monkeypatch, capsys):
 
 
 def test_export_map_round_trip(ring2_file, capsys):
-    assert main(["export-map", "--ring", ring2_file, "--complex", "resolution",
-                 "--imax", "4", "--index", "3", "--format", "json"]) == 0
+    args = ["export-map", "--ring", ring2_file, "--complex", "resolution",
+            "--imax", "4", "--index", "3", "--format"]
+    assert main([*args, "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"sourceLabels", "targetLabels", "entries"}
     assert len(payload["targetLabels"]) == 5 and len(payload["sourceLabels"]) == 7
+    # the CSV export holds the same entries, one row each, in the same order
+    assert main([*args, "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["row", "col", "entry"]
+    assert [[int(r), int(c), e] for r, c, e in rows] == payload["entries"]
     assert main(["export-map", "--ring", ring2_file, "--complex", "koszul",
                  "--index", "1", "--format", "text"]) == 0
     assert capsys.readouterr().out.strip() == "x  y  z"
@@ -333,7 +348,15 @@ def test_unreadable_variable_name_exits_2(tmp_path, capsys, names, bad, command)
      "line 4: ideal generator 'x^2 + y' is not homogeneous"),
     ("field rational\nvars x,y\ngen x^2\ngen y\n",
      "line 4: ideal generators must have degree >= 2"),
-], ids=["repeated-name", "zero", "inhomogeneous", "linear"])
+    ("vars x,y\ngen x^2\n", "missing 'field' line"),
+    ("field rational\ngen x^2\n", "missing 'vars' line"),
+    ("field rational\nvars x,y\nideal x^2\n", "line 3: unrecognized directive 'ideal'"),
+    ("field rational\nvars x,y\ngen x^\n", "line 3: expected a number (at position 2)"),
+    ("field rational\nvars x,y\ngen x^2 y^2\n",
+     "line 3: expected '+' or '-', got 'y' (at position 4)"),
+    ("field rational\nvars x,y\ngen 1/0*x^2\n", "line 3: zero denominator (at position 2)"),
+], ids=["repeated-name", "zero", "inhomogeneous", "linear", "no-field", "no-vars",
+        "unknown-directive", "missing-exponent", "missing-operator", "zero-denominator"])
 def test_ring_errors_name_their_line(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ring"
     path.write_text(text)

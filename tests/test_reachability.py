@@ -25,7 +25,6 @@ ALLOWED = {
     "verify_associativity",
     "verify_graded_commutativity",
     "spread_zeta",
-    "verify_stabilization",
     "level_rank_prediction",
 }
 
@@ -104,8 +103,8 @@ def test_every_allowed_name_is_an_unreached_function():
         ALLOWED | TEST_ONLY_METHODS | {"_spread", "ConeTower.height"})
     assert unreached() == [
         "conetower.ConeTower.height", "conetower.level_rank_prediction",
-        "conetower.verify_cross_construction", "conetower.verify_stabilization",
-        "dividedpowers.verify_associativity", "dividedpowers.verify_graded_commutativity",
+        "conetower.verify_cross_construction", "dividedpowers.verify_associativity",
+        "dividedpowers.verify_graded_commutativity",
         "zetamaps._spread", "zetamaps.kernel_preimage", "zetamaps.spread_zeta"]
 
 
