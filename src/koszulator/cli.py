@@ -20,6 +20,7 @@ from .polyring import load_ring_file
 from .koszul import (
     build_koszul,
     certify_complete_intersection,
+    compare,
     cycles_from_generators,
     cycles_from_user,
     degree_window,
@@ -91,8 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_int_at_least(0), required=True)
     p.add_argument("--verify", action="store_true",
                    help="verify the homology clauses at every level")
-    p.add_argument("--max-d", type=_int_at_least(0), default=None,
-                   help="internal degree bound for homology checks")
 
     p = ring_arg(sub.add_parser("resolve", help="assemble the minimal free resolution"))
     p.add_argument("--imax", type=_int_at_least(1), required=True)
@@ -110,16 +109,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = ring_arg(sub.add_parser("verify-all", help="run the full verification suite"))
     p.add_argument("--imax", type=_int_at_least(1), default=8)
-    p.add_argument("--max-d", type=_int_at_least(0), default=None)
     p.add_argument("--out", help="output directory for the report")
 
     p = ring_arg(sub.add_parser("export-map", help="export one differential or zeta map"))
     p.add_argument("--complex", choices=["koszul", "resolution", "zeta"],
                    required=True)
-    p.add_argument("--index", type=int, required=True,
+    p.add_argument("--index", type=_int_at_least(1), required=True,
                    help="homological degree (resolution/koszul) or component u (zeta)")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p.add_argument("--imax", type=_int_at_least(1), default=8)
     p.add_argument("--k", type=_int_at_least(0), default=0)
     p.add_argument("--z", help="cycle override file")
     return parser
@@ -141,7 +138,7 @@ def _load(args):
     else:
         Z = cycles_from_generators(K)
     cert = certify_complete_intersection(K, Z)
-    if not cert["certified"]:
+    if not cert["pass"]:
         failed = "; ".join(ch["check"] for ch in cert["checks"] if not ch["pass"])
         raise RingError(f"not a complete intersection: {failed}")
     return ring, K, Z, cert
@@ -153,10 +150,6 @@ def _coordinate(ring, text: str, lineno: int, j: int):
         return parse_polynomial(text.strip(), ring.var_names, ring.field)
     except ParseError as exc:
         raise RingError(f"line {lineno}, coordinate {j}: {exc}") from exc
-
-
-def _poly_str(ring, p) -> str:
-    return p.to_string(ring.var_names)
 
 
 def _verdict(name: str, passed: bool) -> bool:
@@ -179,9 +172,9 @@ def _write_report(out_dir, report) -> None:
 def _cmd_cycles(args) -> int:
     ring, K, Z, cert = _load(args)
     for j, (z, deg) in enumerate(zip(Z.cycles, Z.degrees), start=1):
-        coords = ", ".join(_poly_str(ring, p) for p in z)
+        coords = ", ".join(p.to_string(ring.var_names) for p in z)
         print(f"z_{j} (degree {deg}): [{coords}]")
-    _verdict("complete intersection certificate", cert["certified"])
+    _verdict("complete intersection certificate", cert["pass"])
     return 0
 
 
@@ -243,7 +236,7 @@ def _cmd_tower(args) -> int:
         raise ValueError(f"--levels {args.levels}: --verify checks the homology clauses "
                          "at levels 1 ≤ k ≤ levels, which needs levels ≥ 1")
     ring, K, Z, _ = _load(args)
-    windows = [_window(ring, degree_window(ring, k) if args.max_d is None else args.max_d)
+    windows = [_window(ring, degree_window(ring, k))
                for k in range(1, args.levels + 1)] if args.verify else []
     tower = conetower.build_tower(K, Z, args.levels)
     for j in range(args.levels + 1):
@@ -314,29 +307,26 @@ def _cmd_divided(args) -> int:
     ring, K, Z, _ = _load(args)
     ok = True
     for k in range(1, args.k + 1):
-        ok &= _verdict(f"mu^{k} square-zero", dividedpowers.verify_mu_square_zero(K, Z, k))
+        ok &= _verdict(f"mu^{k} square-zero",
+                       dividedpowers.verify_mu_square_zero(K, Z, k)["pass"])
     if args.compare_zeta:
         ok &= _verdict(f"mu equals zeta (k <= {args.k})",
                        dividedpowers.verify_mu_equals_zeta(K, Z, range(args.k + 1))["pass"])
     ok &= _verdict("acyclic-closure differential squares to zero",
-                   dividedpowers.acyclic_closure_square_zero(K, Z))
+                   dividedpowers.acyclic_closure_square_zero(K, Z)["pass"])
     return 0 if ok else 1
 
 
 def _cmd_verify_all(args) -> int:
     _exactness_imax(args.imax)
     ring, K, Z, cert = _load(args)
-    max_d = _window(ring, degree_window(ring, 2) if args.max_d is None else args.max_d)
+    max_d = _window(ring, degree_window(ring, 2))  # both levels and the splitting
     c = ring.codepth
     report = {"ring": args.ring, "checks": {}}
 
     def record(name, res):
-        if isinstance(res, dict):
-            passed = res["pass"] if "pass" in res else res["certified"]
-        else:
-            passed = bool(res)
         report["checks"][name] = res
-        return _verdict(name, passed)
+        return _verdict(name, res["pass"])
 
     ok = record("complete intersection certificate", cert)
     zetas = [zetamaps.build_zeta(K, Z, k) for k in range(3)]
@@ -358,9 +348,10 @@ def _cmd_verify_all(args) -> int:
     F = resolution.assemble_f(K, Z, args.imax)
     ok &= record("resolution minimal and exact",
                  resolution.verify_minimal_and_exact(F, DEFAULT_MAX_D))
-    betti_ok = (resolution.betti_numbers(F)
-                == resolution.poincare_coefficients(ring.nvars, c, args.imax))
-    ok &= record("betti numbers match series", betti_ok)
+    ok &= record("betti numbers match series", compare(
+        "betti numbers match series",
+        resolution.poincare_coefficients(ring.nvars, c, args.imax),
+        resolution.betti_numbers(F)))
     pairs = [
         (a, b)
         for i in range(min(4, args.imax) + 1)
@@ -381,13 +372,12 @@ def _cmd_verify_all(args) -> int:
 
 def _cmd_export_map(args) -> int:
     ring, K, Z, _ = _load(args)
-    top = args.imax if args.complex == "resolution" else K.n
-    if not 1 <= args.index <= top:
-        raise RingError(f"index {args.index} outside 1..{top}")
+    if args.complex != "resolution" and args.index > K.n:
+        raise RingError(f"index {args.index} outside 1..{K.n}")
     if args.complex == "koszul":
         gmap = K.complex.differential(args.index)
     elif args.complex == "resolution":
-        gmap = resolution.assemble_f(K, Z, args.imax).complex.differential(args.index)
+        gmap = resolution.assemble_f(K, Z, args.index).complex.differential(args.index)
     else:
         gmap = zetamaps.build_zeta(K, Z, args.k).component(args.index)
     if args.format == "json":

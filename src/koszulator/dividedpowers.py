@@ -18,7 +18,7 @@ import itertools
 
 from .complexes import ChainComplex, FreeModule, GradedMap
 from .koszul import (CycleBasis, KoszulComplex, check, dg_product_basis, dg_product_elements,
-                     hom_degree, tuple_sum_gens, wedge_cycle, zeta_terms)
+                     hom_degree, tuple_sum_gens, verdict, wedge_cycle, zeta_terms)
 
 
 def tuple_to_divided(t, c: int):
@@ -83,29 +83,34 @@ def verify_mu_equals_zeta(K: KoszulComplex, Z: CycleBasis, k_range) -> dict:
                 sign = -1
             else:
                 sign = None
-            results.append({"k": k, "u": u, "pass": sign == 1, "global_sign": sign})
-    return {"pass": all(r["pass"] for r in results), "per_component": results}
+            results.append(check(f"mu^{k}_{u} = zeta^{k}_{u}", sign == 1,
+                                 k=k, u=u, global_sign=sign))
+    return verdict(results)
 
 
-def verify_mu_square_zero(K: KoszulComplex, Z: CycleBasis, k: int) -> bool:
-    """μ^k ∘ μ^{k+1} = 0 componentwise."""
-    return all(
-        mu_component(K, Z, k, u).compose(mu_component(K, Z, k + 1, u - 1)).is_zero()
-        for u in range(2, K.n + 1)
-    )
+def verify_mu_square_zero(K: KoszulComplex, Z: CycleBasis, k: int) -> dict:
+    """μ^k ∘ μ^{k+1} = 0 componentwise; the witnesses are the failing u."""
+    failures = []
+    for u in range(2, K.n + 1):
+        if not mu_component(K, Z, k, u).compose(mu_component(K, Z, k + 1, u - 1)).is_zero():
+            failures.append(u)
+    return check(f"mu^{k} square-zero", not failures, witnesses=failures)
 
 
-def acyclic_closure_square_zero(K: KoszulComplex, Z: CycleBasis, max_k: int = 3) -> bool:
+def acyclic_closure_square_zero(K: KoszulComplex, Z: CycleBasis, max_k: int = 3) -> dict:
     """The differential z⊗w ↦ ∂z⊗w + Σ_i (z_i∧z)⊗(v_i*·w) squares to zero
     on K ⊗ D^{≤max_k}(V): the complex whose degree-i generators are e_S ⊗ w
-    with |S| + 2·deg w = i, each column made once, has no ∂² defect."""
+    with |S| + 2·deg w = i, each column made once, has no ∂² defect; the
+    witnesses are the homological degrees of any defect."""
     c = K.ring.codepth
     gens = [[((tuple_to_divided(w, c), S), t) for k in range(min(i // 2, max_k) + 1)
              for (w, S), t in tuple_sum_gens(Z, K.n, k, i - 2 * k)]
             for i in range(K.n + 2 * max_k + 1)]
-    return not ChainComplex.from_columns(
+    defect = ChainComplex.from_columns(
         K.ring, gens, lambda lab: itertools.chain(K.column(lab), mu_terms(Z, *lab)),
         check=False).square_defect()
+    return check("acyclic-closure differential squares to zero", not defect,
+                 witnesses=defect)
 
 
 def verify_graded_commutativity(F, pairs) -> dict:

@@ -256,7 +256,7 @@ def test_criterion_11_divided_powers(both):
         res = verify_mu_equals_zeta(ex.K, ex.Z, range(4))
         if not res["pass"]:
             ok, detail = False, f"mu != zeta c={ex.ring.codepth}"
-        if not acyclic_closure_square_zero(ex.K, ex.Z, max_k=3):
+        if not acyclic_closure_square_zero(ex.K, ex.Z, max_k=3)["pass"]:
             ok, detail = False, f"closure differential c={ex.ring.codepth}"
     conclude(11, "divided-power translation and acyclic-closure differential",
              ok, detail)

@@ -163,8 +163,6 @@ def test_resolve_artinian_window_of_200_runs(ring3_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["resolve", "--imax", "4", "--verify-all", "--max-d", "-1"],
-    ["tower", "--levels", "1", "--verify", "--max-d", "-1"],
-    ["verify-all", "--max-d", "-1"],
     ["resolve", "--imax", "0", "--verify-all"],
     ["verify-all", "--imax", "0"],
     ["resolve", "--imax", "-1", "--betti"],
@@ -173,7 +171,7 @@ def test_resolve_artinian_window_of_200_runs(ring3_file, tmp_path, capsys):
     ["tower", "--levels", "-1"],
     ["export-map", "--complex", "koszul", "--index", "9"],
     ["export-map", "--complex", "zeta", "--index", "0"],
-])
+], ids=[f"argv{i}" for i in (0, *range(3, 11))])  # each case keeps its id as others go
 def test_out_of_range_argument_exits_2(ring3_file, capsys, argv):
     try:
         code = main([argv[0], "--ring", ring3_file] + argv[1:])
@@ -183,6 +181,22 @@ def test_out_of_range_argument_exits_2(ring3_file, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tower", "--levels", "1", "--verify", "--max-d", "7"],
+    ["verify-all", "--imax", "4", "--max-d", "0"],
+    ["export-map", "--complex", "resolution", "--index", "3", "--imax", "4"],
+], ids=["tower", "verify-all", "export-map"])
+def test_derived_options_are_not_accepted(ring3_file, capsys, argv):
+    # the tower and verify-all windows follow from the generator degrees,
+    # and an exported ∂_i needs F only up to i, so none of these is an option
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--ring", ring3_file, *argv[1:]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -287,7 +301,7 @@ def test_verify_all_releases_each_group_before_the_next(monkeypatch, capsys):
 
 def test_export_map_round_trip(ring2_file, capsys):
     args = ["export-map", "--ring", ring2_file, "--complex", "resolution",
-            "--imax", "4", "--index", "3", "--format"]
+            "--index", "3", "--format"]
     assert main([*args, "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"sourceLabels", "targetLabels", "entries"}
@@ -422,7 +436,7 @@ def test_verify_all_quintic_passes(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     # 27 kB, more than stdout's buffer: a write fails while the command runs
-    ["export-map", "--complex", "resolution", "--index", "12", "--imax", "12"],
+    ["export-map", "--complex", "resolution", "--index", "12"],
     # a few lines, still buffered when the command returns
     ["cycles"],
 ], ids=["export-map", "cycles"])
@@ -654,9 +668,7 @@ def test_ring_leaving_the_prediction_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["resolve", "--imax", "4", "--verify-all"],
-    ["verify-all"],
-    ["tower", "--levels", "1", "--verify"],
-], ids=["resolve", "verify-all", "tower"])
+], ids=["resolve"])
 def test_window_above_the_largest_exits_2(ring3_file, capsys, argv):
     # an Artinian ring passes the quotient limit at every degree, but the
     # checks walk each degree of a window: none above max(5000, Σ deg) runs
@@ -666,3 +678,22 @@ def test_window_above_the_largest_exits_2(ring3_file, capsys, argv):
     assert ("input error: degree window 1000000000 is above 5000, the largest "
             "accepted: max(5000, the sum of the generator degrees)") in err
     assert main([argv[0], "--ring", ring3_file, *argv[1:], "--max-d", "5000"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all"],
+    ["tower", "--levels", "2", "--verify"],
+], ids=["verify-all", "tower"])
+def test_derived_window_above_the_largest_exits_2(ring3_file, capsys, monkeypatch, argv):
+    # a level's derived window goes through the same refusal as resolve's --max-d,
+    # before any level is built; the certificate's window stays as it is
+    from koszulator import cli
+
+    derived = cli.degree_window
+    monkeypatch.setattr(cli, "degree_window",
+                        lambda ring, k: derived(ring, k) if k < 2 else 10 ** 9)
+    assert main([argv[0], "--ring", ring3_file, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("input error: degree window 1000000000 is above 5000, the largest "
+            "accepted: max(5000, the sum of the generator degrees)") in err

@@ -116,3 +116,21 @@ def test_stabilization(tower2, tower3):
         for j in (1, 2):
             max_d = degree_window(tower.K.ring, j + 1)
             assert verify_homology_theorem(tower, j + 1, max_d)["pass"]
+
+
+def test_homology_lies_in_the_derived_window(tower2, tower3):
+    # by the cone's long exact sequence, H(M^k) of a complete intersection
+    # lies in internal degrees ≤ degree_window(ring, k), so `tower --verify`
+    # and `verify-all` check no more than that window: the eight degrees
+    # above it hold no homology, and a larger window gives the same records
+    for tower in (tower2, tower3):
+        ring = tower.K.ring
+        for k in range(4):
+            window = degree_window(ring, k)
+            level = tower.level(k)
+            for i in range(2 * k + ring.nvars + 1):
+                for d in range(window + 1, window + 9):
+                    assert level.strand_homology_dim(i, d) == 0, (k, i, d)
+            if k:
+                assert (verify_homology_theorem(tower, k, window)
+                        == verify_homology_theorem(tower, k, window + 6))

@@ -43,18 +43,18 @@ def test_mu_equals_zeta(both):
     for ex in both:
         res = verify_mu_equals_zeta(ex.K, ex.Z, range(3))
         assert res["pass"]
-        assert all(r["global_sign"] == 1 for r in res["per_component"])
+        assert all(r["global_sign"] == 1 for r in res["checks"])
 
 
 def test_mu_square_zero(both):
     for ex in both:
         for k in (1, 2):
-            assert verify_mu_square_zero(ex.K, ex.Z, k)
+            assert verify_mu_square_zero(ex.K, ex.Z, k)["pass"]
 
 
 def test_acyclic_closure_differential(both):
     for ex in both:
-        assert acyclic_closure_square_zero(ex.K, ex.Z, max_k=3)
+        assert acyclic_closure_square_zero(ex.K, ex.Z, max_k=3)["pass"]
 
 
 def test_mu_equals_zeta_catches_a_partial_sign_flip(ex3, monkeypatch):
@@ -70,8 +70,8 @@ def test_mu_equals_zeta_catches_a_partial_sign_flip(ex3, monkeypatch):
     monkeypatch.setattr(dividedpowers, "mu_terms", flipped)
     res = verify_mu_equals_zeta(ex3.K, ex3.Z, range(3))
     assert not res["pass"]
-    assert sum(not r["pass"] for r in res["per_component"]) == 9
-    assert [r["global_sign"] for r in res["per_component"]] == [-1] * 3 + [None] * 6
+    assert sum(not r["pass"] for r in res["checks"]) == 9
+    assert [r["global_sign"] for r in res["checks"]] == [-1] * 3 + [None] * 6
 
 
 def test_mu_equals_zeta_reports_the_observed_sign(ex3, monkeypatch):
@@ -80,14 +80,15 @@ def test_mu_equals_zeta_reports_the_observed_sign(ex3, monkeypatch):
                         lambda Z, m, S: (((m2, T), -p) for (m2, T), p in original(Z, m, S)))
     res = verify_mu_equals_zeta(ex3.K, ex3.Z, range(3))
     assert not res["pass"]
-    assert all(r["global_sign"] == -1 for r in res["per_component"])
+    assert all(r["global_sign"] == -1 for r in res["checks"])
 
 
 def test_acyclic_closure_catches_a_tampered_cycle(ex3):
     bad_cycles = [list(z) for z in ex3.Z.cycles]
     bad_cycles[0][1] = bad_cycles[0][1] + ex3.ring.variable(1)
     bad_Z = CycleBasis(ex3.K, bad_cycles, list(ex3.Z.degrees))
-    assert not acyclic_closure_square_zero(ex3.K, bad_Z, max_k=3)
+    res = acyclic_closure_square_zero(ex3.K, bad_Z, max_k=3)
+    assert not res["pass"] and res["witnesses"]
 
 
 def test_acyclic_closure_makes_each_column_once(ex3, monkeypatch):
@@ -102,7 +103,7 @@ def test_acyclic_closure_makes_each_column_once(ex3, monkeypatch):
         return original(Z, m, S)
 
     monkeypatch.setattr(dividedpowers, "mu_terms", counting)
-    assert acyclic_closure_square_zero(ex3.K, ex3.Z, max_k=3)
+    assert acyclic_closure_square_zero(ex3.K, ex3.Z, max_k=3)["pass"]
     c, n = ex3.ring.codepth, ex3.K.n
     gens = {(tuple_to_divided(w, c), S) for k in range(4) for w in tuples(c, k)
             for i in range(n + 1) for S in subsets(n, i)}

@@ -308,4 +308,4 @@ def test_certificate_reaches_top_class_without_cli():
     # H_2(K) of (x^9, y^9) lies in degree 18; its window is 27
     ring = ring_from_strings(["x", "y"], ["x^9", "y^9"], Q)
     K = build_koszul(ring)
-    assert certify_complete_intersection(K, cycles_from_generators(K))["certified"]
+    assert certify_complete_intersection(K, cycles_from_generators(K))["pass"]

@@ -122,19 +122,19 @@ def test_products_match_the_term_by_term_oracle(name, field, checked):
     ring = ring_from_strings(names.split(","), gens, field)
     K = build_koszul(ring)
     Z = cycles_from_generators(K)
-    assert certify_complete_intersection(K, Z)["certified"]  # wedge products
+    assert certify_complete_intersection(K, Z)["pass"]  # wedge products
     imax = 4 if ring.nvars > 3 else 5
     F = assemble_f(K, Z, imax)  # from_columns, and ∂² composed
     zeta = ZetaMap(K, Z, 1)  # the chain-map defect composed
     assert not zeta.chain_map.chain_defect()
-    assert verify_mu_square_zero(K, Z, 1)
+    assert verify_mu_square_zero(K, Z, 1)["pass"]
     for i in range(2, imax + 1):
         d2 = F.complex.differential(i - 1).compose(F.complex.differential(i))
         assert d2.is_zero()
     pairs = [(a, b) for i in range(3) for j in range(3 - i)
              for a in basis_labels(F, i)[:4] for b in basis_labels(F, j)[:4]]
     assert verify_leibniz(F, pairs)["pass"]
-    assert acyclic_closure_square_zero(K, Z, max_k=1 if ring.nvars > 3 else 2)
+    assert acyclic_closure_square_zero(K, Z, max_k=1 if ring.nvars > 3 else 2)["pass"]
 
     rnd = random.Random(name)
     for i in range(1, imax + 1):
@@ -209,7 +209,7 @@ def test_maps_from_columns_have_the_oracle_entries(name, field, placed):
     ZetaMap(K, Z, 1)
     build_tower(K, Z, 2)
     assert verify_mu_equals_zeta(K, Z, range(2))["pass"]
-    assert acyclic_closure_square_zero(K, Z, max_k=1)
+    assert acyclic_closure_square_zero(K, Z, max_k=1)["pass"]
     assert {caller for caller, *_ in placed} == {
         "koszul.__init__", "zetamaps.koszul_tuple_sum", "resolution.__init__",
         "zetamaps.__init__", "conetower.build_tower", "dividedpowers._on_zeta_gens:mu_terms",
