@@ -189,7 +189,7 @@ def _cmd_zeta(args) -> int:
     else:
         zeta = zetamaps.build_zeta(K, Z, args.k)
         payload = {
-            f"zeta_{u}^{args.k}": zeta.matrix_strings(u)
+            f"zeta_{u}^{args.k}": render.matrix_strings(zeta.component(u))
             for u in range(1, K.n + 1)
         }
     if args.out == "json":
@@ -239,8 +239,7 @@ def _cmd_tower(args) -> int:
     windows = [_window(ring, degree_window(ring, k))
                for k in range(1, args.levels + 1)] if args.verify else []
     tower = conetower.build_tower(K, Z, args.levels)
-    for j in range(args.levels + 1):
-        level = tower.level(j)
+    for j, level in enumerate(tower):
         ranks = [level.module(i).rank for i in range(2 * j + ring.nvars + 1)]
         print(f"M^{j} ranks: {ranks}")
     if not args.verify:
@@ -260,8 +259,8 @@ def _resolution_outputs(ring, F, out_dir) -> None:
         fh.write("i,betti\n")
         for i, b in enumerate(betti):
             fh.write(f"{i},{b}\n")
-    for i in range(1, F.i_max + 1):
-        d = F.complex.differential(i)
+    for i in range(1, F.top + 1):
+        d = F.differential(i)
         layout = render.render_blocks(d)
         base = os.path.join(out_dir, f"dF_{i}")
         with open(base + ".json", "w", encoding="utf-8") as fh:
@@ -331,9 +330,9 @@ def _cmd_verify_all(args) -> int:
     ok = record("complete intersection certificate", cert)
     zetas = [zetamaps.build_zeta(K, Z, k) for k in range(3)]
     for k in range(2):
-        ok &= record(f"zeta^{k} chain map", zetamaps.verify_zeta_chain(zetas[k]))
+        ok &= record(f"zeta^{k} chain map", zetamaps.verify_zeta_chain(zetas[k], k))
         ok &= record(f"zeta^{k} composite zero",
-                     zetamaps.verify_zeta_square_zero(zetas[k], zetas[k + 1]))
+                     zetamaps.verify_zeta_square_zero(zetas[k], zetas[k + 1], k))
     del zetas  # each group's objects die once its last check is recorded
     for k in range(3):
         ok &= record(f"homology sequence exact (k={k})",
@@ -377,7 +376,7 @@ def _cmd_export_map(args) -> int:
     if args.complex == "koszul":
         gmap = K.complex.differential(args.index)
     elif args.complex == "resolution":
-        gmap = resolution.assemble_f(K, Z, args.index).complex.differential(args.index)
+        gmap = resolution.assemble_f(K, Z, args.index).differential(args.index)
     else:
         gmap = zetamaps.build_zeta(K, Z, args.k).component(args.index)
     if args.format == "json":

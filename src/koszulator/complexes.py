@@ -4,18 +4,18 @@ Everything downstream (Koszul complexes, cones, the resolution) is built out
 of these pieces, and every product they take is read off the ring's blocks
 of multiplication: `collect` sums their rows for composition and elements,
 which group a map's entries by column once per call, and a strand matrix
-places them whole.  `ChainComplex.from_columns` builds a complex on
-labelled generators from one column rule; its terms, and any entries that
-are already normal forms (`GradedMap.placed`), are placed as they are,
-without the checks the constructor keeps for outside input.  A generator with
-twist a spans (Q/I)_{d-a} in the internal degree d strand.  A strand's rank
-belongs to its map (`GradedMap.strand_rank`): one layout of the strand
-serves the rank memo's key and the matrix, and as R's degrees settle the
-same blocks recur, so ranks are memoised per ring by that exact key.  A
-chain complex holds only structure: modules, differentials, its ∂² defect
-and homology dims.  Chain maps (`zetamaps.ChainMap`) and mapping cones
-(`conetower.mapping_cone`) live with their only users, the ζ maps and the
-cone tower.
+places them whole.  Every map's entries enter through one constructor,
+`GradedMap(source, target, entries)`, which keeps them as given and checks
+each once: a nonzero form of degree source twist − target twist.
+`ChainComplex.from_columns` builds a complex on labelled generators from one
+column rule.  A generator with twist a spans (Q/I)_{d-a} in the internal
+degree d strand.  A strand's rank belongs to its map
+(`GradedMap.strand_rank`): one layout of the strand serves the rank memo's
+key and the matrix, and as R's degrees settle the same blocks recur, so
+ranks are memoised per ring by that exact key.  A chain complex holds only
+structure: modules, differentials, its ∂² defect and homology dims.  Chain
+maps (`zetamaps.ChainMap`) and mapping cones (`conetower.mapping_cone`)
+live with their only users, the ζ maps and the cone tower.
 """
 
 from __future__ import annotations
@@ -87,45 +87,31 @@ class GradedMap:
     """Matrix of homogeneous ring elements between two free modules.
 
     entries[(i, j)] is the coefficient of target gen i in the image of
-    source gen j; absent keys are zero.  Entry degrees must match the twist
-    difference so the map is degree zero on the graded modules.  `_layout`
-    keeps the entries grouped by polynomial, `_blocks` their block tables
-    in each field the coefficients were reduced into (`_entry_polys`),
-    `_strand` the last strand laid out, and `_ranks` the rank of each
-    (degree, field) strand; a map never changes once laid out.
+    source gen j; absent keys are zero.  `_layout` keeps the entries grouped
+    by polynomial, `_blocks` their block tables in each field the
+    coefficients were reduced into (`_entry_polys`), `_strand` the last
+    strand laid out, and `_ranks` the rank of each (degree, field) strand;
+    a map never changes once laid out.
     """
 
     __slots__ = ("source", "target", "entries", "_layout", "_blocks", "_strand", "_ranks")
 
     def __init__(self, source: FreeModule, target: FreeModule, entries=None):
+        """The map on `entries`, kept as given: each must be a nonzero form
+        of degree (source twist − target twist), so the map is degree zero
+        on the graded modules; no normal form is taken here."""
         self.source = source
         self.target = target
-        self.entries = {}
+        self.entries = {} if entries is None else entries
         self._layout = None
         self._blocks = {}
         self._strand = (None, None)
         self._ranks = {}
-        ring = source.ring
-        if entries:
-            for (i, j), p in entries.items():
-                p = ring.normal_form(p)
-                if p.is_zero():
-                    continue
-                want = source.gens[j][1] - target.gens[i][1]
-                if not p.is_homogeneous(want):
-                    raise ComplexError(
-                        f"entry ({i},{j}) has degree {p.degree()}, expected {want}"
-                    )
-                self.entries[(i, j)] = p
-
-    @classmethod
-    def placed(cls, source, target, entries):
-        """Map on entries taken as they are, without the constructor's checks:
-        each must be a nonzero normal form of its position's degree, as a sum
-        from `collect`, a negation or a block cut from another map is."""
-        out = cls(source, target)
-        out.entries = entries
-        return out
+        for (i, j), p in self.entries.items():
+            want = source.gens[j][1] - target.gens[i][1]
+            if not p.terms or not p.is_homogeneous(want):
+                raise ComplexError(f"entry ({i},{j}) = {p.to_string(source.ring.var_names)} "
+                                   f"is not a nonzero form of degree {want}")
 
     @classmethod
     def from_columns(cls, source, target, column):
@@ -142,8 +128,8 @@ class GradedMap:
                 pos = (row[key], j)
                 entries[pos] = entries[pos] + p if pos in entries else p
         shared = {}
-        return cls.placed(source, target,
-                          {pos: shared.setdefault(p, p) for pos, p in entries.items() if p.terms})
+        return cls(source, target,
+                   {pos: shared.setdefault(p, p) for pos, p in entries.items() if p.terms})
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -173,10 +159,10 @@ class GradedMap:
         for j, col in other._by_column().items():
             product = collect(((i, p, q) for k, q in col for i, p in cols.get(k, ())), ring, found)
             entries.update(((i, j), p) for i, p in product.items())
-        return GradedMap.placed(other.source, self.target, entries)
+        return GradedMap(other.source, self.target, entries)
 
     def __neg__(self):
-        return GradedMap.placed(self.source, self.target, {k: -p for k, p in self.entries.items()})
+        return GradedMap(self.source, self.target, {k: -p for k, p in self.entries.items()})
 
     def __eq__(self, other):
         return (

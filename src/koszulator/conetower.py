@@ -20,25 +20,11 @@ from .koszul import CycleBasis, KoszulComplex, check, compare, verdict, zeta_ter
 from .zetamaps import ChainMap, homology_zeta_matrix, int_rank, koszul_tuple_sum
 
 
-class ConeTower:
-    def __init__(self, K: KoszulComplex, Z: CycleBasis, levels):
-        self.K = K
-        self.Z = Z
-        self.levels = levels  # M^0 .. M^J
-
-    @property
-    def height(self) -> int:
-        return len(self.levels) - 1
-
-    def level(self, j: int) -> ChainComplex:
-        return self.levels[j]
-
-
 def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone of f : C -> D, cone_i = C_{i-1} ⊕ D_i with
     ∂(c, d) = (-∂_C c, f(c) + ∂_D d).  f's chain defect, composed once
     per chain map, must be empty.  The −∂_C, f and ∂_D blocks fill disjoint
-    (row, column) ranges, so each entry is placed as it is."""
+    (row, column) ranges, so each entry is kept as it is."""
     if f.chain_defect():
         raise ComplexError("mapping cone of a non-chain map")
     C, D = f.source, f.target
@@ -58,11 +44,12 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         entries = {(r, c): -p for (r, c), p in C.differential(i - 1).entries.items()}
         entries.update(((ct + r, c), p) for (r, c), p in f.component(i - 1).entries.items())
         entries.update(((ct + r, cs + c), p) for (r, c), p in D.differential(i).entries.items())
-        diffs[i] = GradedMap.placed(src, modules.get(i - 1) or FreeModule(ring, []), entries)
+        diffs[i] = GradedMap(src, modules.get(i - 1) or FreeModule(ring, []), entries)
     return ChainComplex(ring, modules, diffs, check=False)
 
 
-def build_tower(K: KoszulComplex, Z: CycleBasis, J: int) -> ConeTower:
+def build_tower(K: KoszulComplex, Z: CycleBasis, J: int) -> list:
+    """The levels M^0 .. M^J."""
     levels = [K.complex]
     for j in range(1, J + 1):
         source = koszul_tuple_sum(K, Z, j).shift(2 * j - 1)
@@ -70,7 +57,7 @@ def build_tower(K: KoszulComplex, Z: CycleBasis, J: int) -> ConeTower:
         # label; the chain identity is verified here
         psi = ChainMap.from_columns(source, levels[j - 1], lambda label: zeta_terms(Z, *label))
         levels.append(mapping_cone(psi))
-    return ConeTower(K, Z, levels)
+    return levels
 
 
 def level_rank_prediction(n: int, c: int, J: int, i: int) -> int:
@@ -82,14 +69,13 @@ def level_rank_prediction(n: int, c: int, J: int, i: int) -> int:
     return total
 
 
-def verify_homology_theorem(tower: ConeTower, k: int, max_d: int) -> dict:
-    """The three homology clauses for M^k: agreement with M^{k−1} outside
-    the window, vanishing at 2k−1 and 2k, and dim H_{2k+u} = rank [ζ_u^k]."""
-    K = tower.K
-    ring = K.ring
+def verify_homology_theorem(tower, k: int, max_d: int) -> dict:
+    """The three homology clauses for M^k = tower[k]: agreement with M^{k−1}
+    outside the window, vanishing at 2k−1 and 2k, and dim H_{2k+u} = rank
+    [ζ_u^k]."""
+    Mk, Mk1 = tower[k], tower[k - 1]
+    ring = Mk.ring
     c = ring.codepth
-    Mk = tower.level(k)
-    Mk1 = tower.level(k - 1)
     i_top = 2 * k + c + 2
     cur = Mk.homology_table(i_top, max_d)
     prev = Mk1.homology_table(i_top, max_d)
@@ -125,12 +111,12 @@ def _quotient(C: ChainComplex, D: ChainComplex) -> ChainComplex:
         entries = D.differential(i).entries.items()
         if {(r - row, c - col): p for (r, c), p in entries if c >= col} != C.differential(i).entries:
             raise ComplexError(f"inclusion is not a chain map at homological degree {i}")
-        diffs[i] = GradedMap.placed(modules.get(i, empty), modules.get(i - 1, empty),
-                                    {(r, c): p for (r, c), p in entries if r < row and c < col})
+        diffs[i] = GradedMap(modules.get(i, empty), modules.get(i - 1, empty),
+                             {(r, c): p for (r, c), p in entries if r < row and c < col})
     return ChainComplex(D.ring, modules, diffs, check=False)
 
 
-def verify_splitting(tower: ConeTower, k: int, max_i: int, max_d: int) -> dict:
+def verify_splitting(tower, k: int, max_i: int, max_d: int) -> dict:
     """H(f^k) = 0 on every strand with i ≥ 1 (and d ≥ 1 at i = 0), for the
     split inclusion f : C = M^k → D = M^{k+1}, read off the long exact
     sequence of 0 → C → D → Q = D/C → 0.  On each strand d,
@@ -139,7 +125,7 @@ def verify_splitting(tower: ConeTower, k: int, max_i: int, max_d: int) -> dict:
     new.  The (0,0) strand is exceptional: H_0 of every level is the residue
     field in internal degree 0 and the inclusion induces the identity there,
     so we check it is an isomorphism instead."""
-    C, D = tower.level(k), tower.level(k + 1)
+    C, D = tower[k], tower[k + 1]
     Q = _quotient(C, D)
     ranks = {}  # (i, d) -> rank H_i(f)_d, by i, then by d
     for i in range(max_i + 1):
@@ -153,18 +139,18 @@ def verify_splitting(tower: ConeTower, k: int, max_i: int, max_d: int) -> dict:
                  not failures and corner_iso, witnesses=failures, degree_zero_iso=corner_iso)
 
 
-def verify_cross_construction(F, tower: ConeTower, i_top: int) -> dict:
-    """The resolution F (`resolution.ResolutionF`) and the top tower level
+def verify_cross_construction(F, tower, i_top: int) -> dict:
+    """The resolution F (`resolution.assemble_f`) and the top tower level
     agree label-for-label for i ≤ i_top."""
-    level = tower.level(tower.height)
+    level = tower[-1]
     mismatches = []
     for i in range(i_top + 1):
-        fm = F.complex.module(i)
+        fm = F.module(i)
         tm = level.module(i)
         if sorted(fm.gens) != sorted(tm.gens):
             mismatches.append(("generators", i))
             continue
-        fd = F.complex.differential(i)
+        fd = F.differential(i)
         td = level.differential(i)
         f_by_label = {
             (fd.target.gens[r][0], fd.source.gens[c][0]): p

@@ -115,7 +115,7 @@ def acyclic_closure_square_zero(K: KoszulComplex, Z: CycleBasis, max_k: int = 3)
 
 def verify_graded_commutativity(F, pairs) -> dict:
     """ab = (−1)^{|a||b|} ba on the given basis-label pairs of the
-    resolution F (`resolution.ResolutionF`)."""
+    resolution F (`resolution.assemble_f`)."""
     failures = []
     for a, b in pairs:
         i, i2 = hom_degree(a), hom_degree(b)
@@ -129,7 +129,7 @@ def verify_graded_commutativity(F, pairs) -> dict:
 
 def verify_associativity(F, triples) -> dict:
     """(ab)c = a(bc) on the given basis-label triples of F."""
-    ring = F.K.ring
+    ring = F.ring
     one = ring.one()
     failures = []
     for a, b, cc in triples:

@@ -221,13 +221,13 @@ def _independent_mod_boundaries(K: KoszulComplex, elems, u: int, d: int) -> bool
     columns are ∂_{u+1}'s and then the elements, each twisted d, has rank
     rank ∂_{u+1} + len(elems) at degree d.  No column stack has more, so
     its elimination stops there.  The elements are checked cycles or their
-    products, nonzero normal forms of degree d, so the stack is placed."""
+    products, nonzero normal forms of degree d."""
     boundary = K.complex.differential(u + 1)
     target = K.complex.module(u)
     row = {lab: r for r, (lab, _) in enumerate(target.gens)}
     nb = boundary.source.rank
     source = FreeModule(K.ring, boundary.source.gens + [(None, d)] * len(elems))
-    stacked = GradedMap.placed(source, target, {**boundary.entries, **{
+    stacked = GradedMap(source, target, {**boundary.entries, **{
         (row[lab], nb + j): p for j, elem in enumerate(elems) for lab, p in elem.items()}})
     full = boundary.strand_rank(d) + len(elems)
     return stacked.strand_rank(d, ceiling=full) == full

@@ -31,25 +31,17 @@ from .polynomial import Polynomial, RingError
 from .polyring import GradedQuotientRing
 
 
-class ResolutionF:
-    """Minimal free resolution of k over R up to homological degree i_max."""
-
-    def __init__(self, K: KoszulComplex, Z: CycleBasis, i_max: int):
-        self.K = K
-        self.Z = Z
-        self.i_max = i_max
-        self.complex = ChainComplex.from_columns(
-            K.ring, [[g for j in range(i // 2 + 1) for g in tuple_sum_gens(Z, K.n, j, i - 2 * j)]
-                     for i in range(i_max + 1)],
-            lambda lab: itertools.chain(K.column(lab), zeta_terms(Z, *lab)))
+def assemble_f(K: KoszulComplex, Z: CycleBasis, i_max: int) -> ChainComplex:
+    """Minimal free resolution F of k over R up to homological degree
+    i_max = F.top."""
+    return ChainComplex.from_columns(
+        K.ring, [[g for j in range(i // 2 + 1) for g in tuple_sum_gens(Z, K.n, j, i - 2 * j)]
+                 for i in range(i_max + 1)],
+        lambda lab: itertools.chain(K.column(lab), zeta_terms(Z, *lab)))
 
 
-def assemble_f(K: KoszulComplex, Z: CycleBasis, i_max: int) -> ResolutionF:
-    return ResolutionF(K, Z, i_max)
-
-
-def betti_numbers(F: ResolutionF):
-    return [F.complex.module(i).rank for i in range(F.i_max + 1)]
+def betti_numbers(F: ChainComplex):
+    return [F.module(i).rank for i in range(F.top + 1)]
 
 
 def poincare_coefficients(n: int, c: int, up_to: int):
@@ -86,7 +78,7 @@ def _mod_variable(C: ChainComplex, max_d: int):
                for e in range(1, max_d + 1)):
             bar = functools.cache(lambda p: Rb.normal_form(cut(p)))  # entries repeat
             mods = {i: FreeModule(Rb, m.gens) for i, m in C.modules.items()}
-            diffs = {i: GradedMap.placed(mods[i], mods[i - 1], {
+            diffs = {i: GradedMap(mods[i], mods[i - 1], {
                 pos: q for pos, p in dmap.entries.items() if (q := bar(p)).terms})
                 for i, dmap in C.differentials.items()}
             Fb = ChainComplex(Rb, mods, diffs, check=False)
@@ -95,9 +87,9 @@ def _mod_variable(C: ChainComplex, max_d: int):
     return None
 
 
-def verify_minimal_and_exact(F: ResolutionF, max_d: int) -> dict:
+def verify_minimal_and_exact(F: ChainComplex, max_d: int) -> dict:
     """Minimality, ∂² = 0 (as the constructor composed it), exactness at
-    1 ≤ i < i_max and H_0 = k, in internal degrees ≤ max_d.  The homology
+    1 ≤ i < i_max = F.top and H_0 = k, in internal degrees ≤ max_d.  The homology
     expected to vanish is certified by ranks mod p over ℚ, falling back to
     exact ranks (`ChainComplex.vanishing_homology_dim`).  If R is not
     Artinian, exactness is read first off F̄ = F/x_v·F over R/x_v·R
@@ -108,25 +100,25 @@ def verify_minimal_and_exact(F: ResolutionF, max_d: int) -> dict:
     term being [d = 1] at i = 1 as H_0(F) = k.  So dim H_i(F̄)_d = [(i, d) =
     (1, 1)] gives H_i(F)_d = x_v·H_i(F)_{d−1}, which is 0 by induction from
     d < 0.  Otherwise, or if F̄ has other homology, every strand of F is checked."""
-    C = F.complex
-    minimal = all(C.differential(i).is_minimal() for i in range(1, F.i_max + 1))
+    i_max = F.top
+    minimal = all(F.differential(i).is_minimal() for i in range(1, i_max + 1))
     checks = [check("all differential entries in the maximal ideal", minimal),
-              check("differential squares to zero", not C.square_defect())]
-    h0 = [C.strand_homology_dim(0, 0)] + [
-        C.vanishing_homology_dim(0, d) for d in range(1, max_d + 1)]
+              check("differential squares to zero", not F.square_defect())]
+    h0 = [F.strand_homology_dim(0, 0)] + [
+        F.vanishing_homology_dim(0, d) for d in range(1, max_d + 1)]
     h0_is_k = h0[0] == 1 and all(v == 0 for v in h0[1:])
-    Fb = (_mod_variable(C, max_d) if C.ring.nvars > C.ring.codepth
-          and not C.square_defect() and h0_is_k else None)
+    Fb = (_mod_variable(F, max_d) if F.ring.nvars > F.ring.codepth
+          and not F.square_defect() and h0_is_k else None)
     certified = Fb is not None and all(
         Fb.vanishing_homology_dim(i, d) == ((i, d) == (1, 1))
-        for i in range(1, F.i_max) for d in range(max_d + 1))
+        for i in range(1, i_max) for d in range(max_d + 1))
     bad = [] if certified else [
         (i, d)
-        for i in range(1, F.i_max)
+        for i in range(1, i_max)
         for d in range(max_d + 1)
-        if C.vanishing_homology_dim(i, d) != 0
+        if F.vanishing_homology_dim(i, d) != 0
     ]
-    checks.append(check(f"exact in homological degrees 1..{F.i_max - 1}, "
+    checks.append(check(f"exact in homological degrees 1..{i_max - 1}, "
                         f"internal degrees ≤ {max_d}", not bad, witnesses=bad))
     checks.append(check("H_0 is the residue field in internal degree 0", h0_is_k, actual=h0))
     return verdict(checks)
@@ -135,19 +127,18 @@ def verify_minimal_and_exact(F: ResolutionF, max_d: int) -> dict:
 # -- DG product ------------------------------------------------------------
 
 
-def verify_leibniz(F: ResolutionF, pairs) -> dict:
+def verify_leibniz(F: ChainComplex, pairs) -> dict:
     """∂(ab) = ∂(a)b + (−1)^{|a|} a ∂(b) on the given basis-label pairs.  ∂
     of each basis label is applied once per call.  A product of two basis
     labels is an integer times a basis label (`dg_product_basis`), so the
     difference of the two sides is a sum of integer multiples of ∂'s
     entries, normal forms, by label: no ring product is taken."""
-    ring = F.K.ring
-    bd = functools.cache(
-        lambda lab: F.complex.differential(hom_degree(lab)).apply({lab: ring.one()}))
+    ring = F.ring
+    bd = functools.cache(lambda lab: F.differential(hom_degree(lab)).apply({lab: ring.one()}))
     failures = []
     for a, b in pairs:
         i, i2 = hom_degree(a), hom_degree(b)
-        if i + i2 > F.i_max:
+        if i + i2 > F.top:
             raise ValueError("pair beyond resolution range")
         c, ab = dg_product_basis(a, b)
         sign = (-1) ** i
@@ -166,5 +157,5 @@ def verify_leibniz(F: ResolutionF, pairs) -> dict:
     return check("graded Leibniz rule", not failures, witnesses=failures)
 
 
-def basis_labels(F: ResolutionF, i: int):
-    return [lab for lab, _ in F.complex.module(i).gens]
+def basis_labels(F: ChainComplex, i: int):
+    return [lab for lab, _ in F.module(i).gens]

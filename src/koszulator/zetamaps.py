@@ -70,49 +70,28 @@ def koszul_tuple_sum(K: KoszulComplex, Z: CycleBasis, k: int) -> ChainComplex:
         K.ring, [tuple_sum_gens(Z, K.n, k, i) for i in range(K.n + 1)], K.column, check=False)
 
 
-class ZetaMap:
+def build_zeta(K: KoszulComplex, Z: CycleBasis, k: int) -> ChainMap:
     """ζ^k as a chain map ΣK^{⊕C(k+c,c−1)} → K^{⊕C(k+c−1,c−1)}."""
-
-    def __init__(self, K: KoszulComplex, Z: CycleBasis, k: int, check: bool = True):
-        self.K = K
-        self.Z = Z
-        self.k = k
-        self.target = koszul_tuple_sum(K, Z, k)
-        self.source = koszul_tuple_sum(K, Z, k + 1).shift(1)
-        self.chain_map = ChainMap.from_columns(
-            self.source, self.target, lambda label: zeta_terms(Z, *label), check)
-
-    def component(self, u: int) -> GradedMap:
-        return self.chain_map.component(u)
-
-    def matrix_strings(self, u: int):
-        """Dense entry strings of ζ_u^k, for goldens and exports."""
-        from .render import matrix_strings  # render loads only when asked for
-        return matrix_strings(self.component(u))
+    return ChainMap.from_columns(koszul_tuple_sum(K, Z, k + 1).shift(1), koszul_tuple_sum(K, Z, k),
+                                 lambda label: zeta_terms(Z, *label))
 
 
-def build_zeta(K: KoszulComplex, Z: CycleBasis, k: int) -> ZetaMap:
-    return ZetaMap(K, Z, k)
-
-
-def verify_zeta_chain(zeta: ZetaMap) -> dict:
+def verify_zeta_chain(zeta: ChainMap, k: int) -> dict:
     """∂^{⊕}∘ζ_u = −ζ_{u−1}∘∂^{⊕} for all u (the source carries −∂)."""
-    witnesses = zeta.chain_map.chain_defect()
-    return check(f"zeta^{zeta.k} chain map", not witnesses, witnesses=witnesses)
+    witnesses = zeta.chain_defect()
+    return check(f"zeta^{k} chain map", not witnesses, witnesses=witnesses)
 
 
-def verify_zeta_square_zero(zeta_k: ZetaMap, zeta_k1: ZetaMap) -> dict:
-    """ζ^k ∘ Σζ^{k+1} = 0."""
-    if zeta_k1.k != zeta_k.k + 1:
-        raise ValueError("need consecutive k")
+def verify_zeta_square_zero(zeta_k: ChainMap, zeta_k1: ChainMap, k: int) -> dict:
+    """ζ^k ∘ Σζ^{k+1} = 0; composing maps that are not consecutive raises
+    ComplexError, as their modules differ."""
     witnesses = []
-    for u in range(1, zeta_k.K.n + 1):
+    for u in range(1, zeta_k.target.top + 1):
         inner = zeta_k1.component(u - 1)
         outer = zeta_k.component(u)
         if not outer.compose(inner).is_zero():
             witnesses.append(u)
-    return check(f"zeta^{zeta_k.k} ∘ Σ zeta^{zeta_k1.k} = 0", not witnesses,
-                 witnesses=witnesses)
+    return check(f"zeta^{k} ∘ Σ zeta^{k + 1} = 0", not witnesses, witnesses=witnesses)
 
 
 # -- homology level ----------------------------------------------------------

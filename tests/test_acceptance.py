@@ -6,7 +6,7 @@ import random
 from koszulator.complexes import ComplexError, GradedMap
 from koszulator.fields import RationalField
 from koszulator.koszul import CycleBasis, hom_degree, tuples
-from koszulator.render import render_blocks
+from koszulator.render import matrix_strings, render_blocks
 from koszulator.resolution import (
     assemble_f,
     basis_labels,
@@ -17,7 +17,6 @@ from koszulator.resolution import (
 )
 from koszulator.zetamaps import (
     ChainMap,
-    ZetaMap,
     build_zeta,
     homology_zeta_matrix,
     kernel_preimage,
@@ -64,10 +63,10 @@ def _golden_example(ex, F, zeta_golden, layout_golden, cycles_golden):
         return False, f"cycles {cycles}"
     zeta = build_zeta(ex.K, ex.Z, 0)
     for u in (1, 2, 3):
-        if zeta.matrix_strings(u) != zeta_golden[u]:
+        if matrix_strings(zeta.component(u)) != zeta_golden[u]:
             return False, f"zeta_{u}^0"
     for i in range(1, 7):
-        layout = render_blocks(F.complex.differential(i))
+        layout = render_blocks(F.differential(i))
         if golden_grid(layout_golden[i], layout.nrows, layout.ncols) != layout_grid(layout):
             return False, f"dF_{i} layout"
     return True, ""
@@ -94,12 +93,12 @@ def test_criterion_03_chain_maps_and_composites(both):
     for ex in both:
         zetas = [build_zeta(ex.K, ex.Z, k) for k in range(6)]
         for k in range(5):
-            res = verify_zeta_chain(zetas[k])
+            res = verify_zeta_chain(zetas[k], k)
             if not res["pass"]:
                 ok, detail = False, f"c={ex.ring.codepth} chain k={k}"
                 break
             if k <= 4:
-                res = verify_zeta_square_zero(zetas[k], zetas[k + 1])
+                res = verify_zeta_square_zero(zetas[k], zetas[k + 1], k)
                 if not res["pass"]:
                     ok, detail = False, f"c={ex.ring.codepth} composite k={k}"
                     break
@@ -133,7 +132,7 @@ def test_criterion_05_cone_homology(both, tower2, tower3):
         for k in (1, 2):
             if not verify_homology_theorem(tower, k, MAX_D[c][k])["pass"]:
                 ok, detail = False, f"c={c} level {k}"
-        M0 = tower.level(0)
+        M0 = tower[0]
         totals = [
             sum(M0.strand_homology_dim(i, d) for d in range(MAX_D[c][0] + 1))
             for i in range(c + 1)
@@ -161,7 +160,7 @@ def test_criterion_07_resolution(F2, F3):
         res = verify_minimal_and_exact(F, 16)
         if not res["pass"]:
             ok, detail = False, f"c={c}: {res['checks']}"
-        expected = poincare_coefficients(3, c, F.i_max)
+        expected = poincare_coefficients(3, c, F.top)
         if betti_numbers(F) != expected:
             ok, detail = False, f"c={c} betti {betti_numbers(F)}"
     # the expanded series coefficients, independently pinned
@@ -176,7 +175,7 @@ def test_criterion_07_resolution(F2, F3):
 def test_criterion_08_cross_construction(F2, F3, tower2, tower3):
     ok, detail = True, ""
     for F, tower, c in ((F2, tower2, 2), (F3, tower3, 3)):
-        res = verify_cross_construction(F, tower, 2 * tower.height + 1)
+        res = verify_cross_construction(F, tower, 2 * len(tower) - 1)
         if not res["pass"]:
             ok, detail = False, f"c={c} witnesses {res['witnesses']}"
     conclude(8, "resolution equals stabilized cone tower label-for-label",
@@ -194,11 +193,11 @@ def test_criterion_09_dg_structure(F2, F3):
             for a in basis_labels(F, i)
             for b in basis_labels(F, j)
         ]
-        labels = [lab for i in range(F.i_max + 1) for lab in basis_labels(F, i)]
+        labels = [lab for i in range(F.top + 1) for lab in basis_labels(F, i)]
         higher = []
         while len(higher) < 200:
             a, b = rng.choice(labels), rng.choice(labels)
-            if 6 < hom_degree(a) + hom_degree(b) <= F.i_max:
+            if 6 < hom_degree(a) + hom_degree(b) <= F.top:
                 higher.append((a, b))
         res = verify_leibniz(F, pairs + higher)
         if not res["pass"]:
@@ -206,11 +205,11 @@ def test_criterion_09_dg_structure(F2, F3):
         comm_pairs, triples = [], []
         while len(comm_pairs) < 100:
             a, b = rng.choice(labels), rng.choice(labels)
-            if hom_degree(a) + hom_degree(b) <= F.i_max:
+            if hom_degree(a) + hom_degree(b) <= F.top:
                 comm_pairs.append((a, b))
         while len(triples) < 100:
             a, b, c = (rng.choice(labels) for _ in range(3))
-            if hom_degree(a) + hom_degree(b) + hom_degree(c) <= F.i_max:
+            if hom_degree(a) + hom_degree(b) + hom_degree(c) <= F.top:
                 triples.append((a, b, c))
         if not verify_graded_commutativity(F, comm_pairs)["pass"]:
             ok, detail = False, "commutativity"
@@ -271,9 +270,12 @@ def test_criterion_12_negative_controls(ex2):
     bad_cycles = [list(z) for z in ex2.Z.cycles]
     bad_cycles[0][1] = bad_cycles[0][1] + ring.variable(1)
     bad_Z = CycleBasis(K, bad_cycles, list(ex2.Z.degrees))
-    witnesses = ZetaMap(K, bad_Z, 0, check=False).chain_map.chain_defect()
-    if not witnesses:
+    try:
+        build_zeta(K, bad_Z, 0)
         ok, detail = False, "perturbed cycle not detected by chain check"
+    except ComplexError as exc:
+        if "not a chain map" not in str(exc):
+            ok, detail = False, f"unexpected witness {exc}"
     # the resolution differential no longer squares to zero
     try:
         assemble_f(K, bad_Z, 4)

@@ -278,8 +278,8 @@ def test_verify_all_releases_each_group_before_the_next(monkeypatch, capsys):
             if dead:
                 alive_at[name] = sum(ref() is not None for ref in built[dead])
             out = original(*args)
-            if kind:
-                built[kind].append(weakref.ref(out))
+            if kind:  # a tower is a list of levels: its top level dies with it
+                built[kind].append(weakref.ref(out[-1] if isinstance(out, list) else out))
             return out
 
         monkeypatch.setattr(module, name, wrapper)

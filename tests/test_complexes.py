@@ -16,7 +16,7 @@ from koszulator.polyring import parse_polynomial
 from koszulator.koszul import build_koszul, cycles_from_generators
 from koszulator.conetower import build_tower, mapping_cone
 from koszulator.resolution import assemble_f, verify_minimal_and_exact
-from koszulator.zetamaps import ChainMap, ZetaMap, verify_zeta_chain, verify_zeta_square_zero
+from koszulator.zetamaps import ChainMap, build_zeta, verify_zeta_chain, verify_zeta_square_zero
 
 from oracles import entry, identity, rank as oracle_rank, ring_from_strings
 
@@ -38,9 +38,14 @@ def test_graded_map_rejects_inhomogeneous_entry(ring):
     src = FreeModule(ring, [("a", 1)])
     tgt = FreeModule(ring, [("b", 0)])
     GradedMap(src, tgt, {(0, 0): P(ring, "x")})  # degree 1 entry, twist gap 1
-    with pytest.raises(ComplexError):
-        # nf(x + y^2) = x - z^2 is a nonzero inhomogeneous entry
-        GradedMap(src, tgt, {(0, 0): P(ring, "x + y^2")})
+    with pytest.raises(ComplexError, match=r"entry \(0,0\) = y\^2 \+ x .* degree 1$"):
+        GradedMap(src, tgt, {(0, 0): P(ring, "x + y^2")})  # a nonzero inhomogeneous entry
+    with pytest.raises(ComplexError, match=r"entry \(0,0\) = 0 "):
+        GradedMap(src, tgt, {(0, 0): P(ring, "0")})  # a caller leaves zero entries out
+    # a column rule that places x across a twist gap of 2 is refused too
+    far = FreeModule(ring, [("a", 2)])
+    with pytest.raises(ComplexError, match=r"entry \(0,0\) = x .* degree 2$"):
+        GradedMap.from_columns(far, tgt, lambda lab: [("b", P(ring, "x"))])
 
 
 def test_graded_map_compose_and_minimality(ring):
@@ -181,14 +186,13 @@ def test_repeated_strands_are_ranked_once(monkeypatch):
 
     monkeypatch.setattr(complexes, "rank", counting)
     assert verify_minimal_and_exact(F, 14)["pass"]
-    C = F.complex
-    ranked = _map_ranks(C)
+    ranked = _map_ranks(F)
     nonempty = [(i, d) for i, d, _ in ranked
-                if C.module(i).strand_dim(d) and C.module(i - 1).strand_dim(d)]
+                if F.module(i).strand_dim(d) and F.module(i - 1).strand_dim(d)]
     assert 0 < len(calls) < len(nonempty)
     assert {field for _, _, field in ranked} == {fp}
     for (i, d, field), r in ranked.items():
-        assert r == _oracle_rank(C.differential(i), d, field)
+        assert r == _oracle_rank(F.differential(i), d, field)
 
 
 def test_rank_memo_keeps_equal_dims_with_different_blocks_apart():
@@ -221,11 +225,11 @@ def test_rank_memo_keeps_fields_apart(exact_first):
     fp = complexes.MODULAR_FIELD
     strands = [(i, d) for i in range(1, 5) for d in range(7)]
     order = [None, fp] if exact_first else [fp, None]
-    ranks = {field: [F.complex.differential(i).strand_rank(d, field) for i, d in strands]
+    ranks = {field: [F.differential(i).strand_rank(d, field) for i, d in strands]
              for field in order}
     assert ranks[None] == ranks[fp]
-    assert ranks[None] == [_oracle_rank(F.complex.differential(i), d) for i, d in strands]
-    assert ranks[fp] == [_oracle_rank(F.complex.differential(i), d, fp) for i, d in strands]
+    assert ranks[None] == [_oracle_rank(F.differential(i), d) for i, d in strands]
+    assert ranks[fp] == [_oracle_rank(F.differential(i), d, fp) for i, d in strands]
     assert {key[0] for key in ring.rank_memo} == {ring.field, fp}
     # the same strands over a fresh ℚ ring that never saw the prime
     fresh = ring_from_strings(VARS, gens, RationalField())
@@ -233,9 +237,9 @@ def test_rank_memo_keeps_fields_apart(exact_first):
     F2 = assemble_f(K2, cycles_from_generators(K2), 4)
     negatives = 0
     for i, d in strands:
-        g = F.complex.differential(i)
+        g = F.differential(i)
         rows, _, _ = g.strand_matrix(d)
-        assert rows == F2.complex.differential(i).strand_matrix(d)[0]
+        assert rows == F2.differential(i).strand_matrix(d)[0]
         negatives += sum(a < 0 for row in rows for a in row.values())
         mod_rows, _, _ = g.strand_matrix(d, fp)
         assert mod_rows == [{j: fp.of(a) for j, a in row.items()} for row in rows]
@@ -302,13 +306,12 @@ def test_capped_ranks_are_true_ranks(field):
     K = build_koszul(ring)
     F = assemble_f(K, cycles_from_generators(K), 8)
     assert verify_minimal_and_exact(F, 12)["pass"]
-    C = F.complex
     # over ℚ the exactness strands are ranked mod p, over 𝔽_p in the ring's field
     fields = {field} if field.is_prime else {field, complexes.MODULAR_FIELD}
-    ranked = _map_ranks(C)
+    ranked = _map_ranks(F)
     assert {f for _, _, f in ranked} == fields
     for (i, d, f), r in ranked.items():
-        assert r == _oracle_rank(C.differential(i), d, f)
+        assert r == _oracle_rank(F.differential(i), d, f)
     # the memo also holds K's ranks and the cycle certificate's stacked strands
     assert {key[0] for key in ring.rank_memo} == fields
     for key, r in ring.rank_memo.items():
@@ -332,7 +335,7 @@ def test_exactness_ranks_stop_at_their_ceiling(field, ceilings):
 
 def test_each_chain_map_is_composed_once(ex3, monkeypatch):
     """A chain map's defect is composed when it is checked and never again:
-    not by verify_zeta_chain after ZetaMap, nor by mapping_cone on the ψ
+    not by verify_zeta_chain after build_zeta, nor by mapping_cone on the ψ
     that build_tower has just checked.  The splitting composes nothing."""
     calls = []
     original = GradedMap.compose
@@ -342,10 +345,10 @@ def test_each_chain_map_is_composed_once(ex3, monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(GradedMap, "compose", counting)
-    zeta = ZetaMap(ex3.K, ex3.Z, 1)
+    zeta = build_zeta(ex3.K, ex3.Z, 1)
     assert calls
     calls.clear()
-    assert verify_zeta_chain(zeta)["pass"]
+    assert verify_zeta_chain(zeta, 1)["pass"]
     assert not calls
 
     cone_calls = []
@@ -398,26 +401,26 @@ def test_a_square_defect_in_the_last_column_only_is_found(ex3):
 
 
 def _tampered_zeta(K, Z, k):
-    """ζ^k, unchecked, with x added to row 0 of the last column of its
-    component 1 when k = 1: ∂∘ζ^1_1 and ζ^0_2∘ζ^1_1 are then nonzero in that
+    """ζ^k, with x added to row 0 of the last column of its component 1,
+    unchecked, when k = 1: ∂∘ζ^1_1 and ζ^0_2∘ζ^1_1 are then nonzero in that
     column only."""
-    zeta = ZetaMap(K, Z, k, check=False)
-    if k == 1:
-        zeta.chain_map.components[1] = _add_to_last_column(zeta.component(1), 0,
-                                                           K.ring.variable(0))
-    return zeta
+    zeta = build_zeta(K, Z, k)
+    if k != 1:
+        return zeta
+    bad = _add_to_last_column(zeta.component(1), 0, K.ring.variable(0))
+    return ChainMap(zeta.source, zeta.target, {**zeta.components, 1: bad}, check=False)
 
 
 def test_a_zeta_defect_in_the_last_column_only_is_found(ex3):
     K, Z = ex3.K, ex3.Z
-    zeta0, zeta1 = ZetaMap(K, Z, 0), _tampered_zeta(K, Z, 1)
+    zeta0, zeta1 = build_zeta(K, Z, 0), _tampered_zeta(K, Z, 1)
     bad = zeta1.component(1)
     last = bad.source.rank - 1
     assert _nonzero_columns(zeta0.component(2), bad) == {last}
     delta = GradedMap(bad.source, bad.target, {(0, last): K.ring.variable(0)})
     assert _nonzero_columns(zeta1.target.differential(1), delta) == {last}
-    assert verify_zeta_square_zero(zeta0, zeta1)["witnesses"] == [2]
-    assert 1 in zeta1.chain_map.chain_defect()
+    assert verify_zeta_square_zero(zeta0, zeta1, 0)["witnesses"] == [2]
+    assert 1 in zeta1.chain_defect()
 
 
 GOLDEN3_Q_FILE = os.path.join(os.path.dirname(__file__), "..", "bench", "rings",

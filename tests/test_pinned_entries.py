@@ -106,7 +106,7 @@ def test_exported_entries_match_pinned_hashes(ring_name, field_name):
     K = build_koszul(ring)
     Z = cycles_from_generators(K)
     F = assemble_f(K, Z, 6)
-    got = {f"dF_{i}": _sha(F.complex.differential(i)) for i in range(1, 7)}
+    got = {f"dF_{i}": _sha(F.differential(i)) for i in range(1, 7)}
     for k in range(3):
         zeta = build_zeta(K, Z, k)
         got.update({f"zeta^{k}_{u}": _sha(zeta.component(u)) for u in range(1, 4)})

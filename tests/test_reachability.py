@@ -96,13 +96,12 @@ def test_every_function_is_reached_from_a_command():
 def test_every_allowed_name_is_an_unreached_function():
     """The allow-lists hold no name that a command already reaches, and
     none that is gone.  The other names listed are reached only from the
-    allow-listed ones: `_spread` from `spread_zeta` and `ConeTower.height`
-    from `verify_cross_construction`.  Each lies in the module of the
-    construction it checks."""
+    allow-listed ones: `_spread` from `spread_zeta`.  Each lies in the
+    module of the construction it checks."""
     assert sorted(name.partition(".")[2] for name in unreached()) == sorted(
-        ALLOWED | TEST_ONLY_METHODS | {"_spread", "ConeTower.height"})
+        ALLOWED | TEST_ONLY_METHODS | {"_spread"})
     assert unreached() == [
-        "conetower.ConeTower.height", "conetower.level_rank_prediction",
+        "conetower.level_rank_prediction",
         "conetower.verify_cross_construction", "dividedpowers.verify_associativity",
         "dividedpowers.verify_graded_commutativity",
         "zetamaps._spread", "zetamaps.kernel_preimage", "zetamaps.spread_zeta"]

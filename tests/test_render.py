@@ -31,17 +31,17 @@ def F6s(ex2, ex3):
 def test_layouts_match_published_figures(F6s, c, table):
     F = F6s[c]
     for i in range(1, 7):
-        layout = render_blocks(F.complex.differential(i))
+        layout = render_blocks(F.differential(i))
         assert golden_grid(table[i], layout.nrows, layout.ncols) == layout_grid(layout)
 
 
 def test_layouts_tile_exactly(F6s):
     for F in F6s.values():
         for i in range(1, 7):
-            layout = render_blocks(F.complex.differential(i))
+            layout = render_blocks(F.differential(i))
             assert tiles_exactly(layout)
-            assert layout.nrows == F.complex.module(i - 1).rank
-            assert layout.ncols == F.complex.module(i).rank
+            assert layout.nrows == F.module(i - 1).rank
+            assert layout.ncols == F.module(i).rank
 
 
 def test_even_odd_style_pattern(F6s):
@@ -49,12 +49,12 @@ def test_even_odd_style_pattern(F6s):
     odd = {"koszul1", "koszul3", "zeta2"}
     for F in F6s.values():
         for i in range(1, 7):
-            styles = set(styles_used(render_blocks(F.complex.differential(i))))
+            styles = set(styles_used(render_blocks(F.differential(i))))
             assert styles <= (even if i % 2 == 0 else odd)
 
 
 def test_text_rendering_uses_distinct_fill_chars(F6s):
-    layout = render_blocks(F6s[2].complex.differential(4))
+    layout = render_blocks(F6s[2].differential(4))
     text = render_text(layout)
     lines = text.strip().split("\n")
     assert len(lines) == layout.nrows
@@ -64,14 +64,14 @@ def test_text_rendering_uses_distinct_fill_chars(F6s):
 
 
 def test_svg_rendering_has_patterns(F6s):
-    svg = render_svg(render_blocks(F6s[2].complex.differential(4)))
+    svg = render_svg(render_blocks(F6s[2].differential(4)))
     assert svg.startswith("<svg")
     assert 'fill="url(#dots)"' in svg
     assert 'fill="url(#crosshatch)"' in svg
 
 
 def test_json_export_round_trip(F6s, ex2):
-    d = F6s[2].complex.differential(3)
+    d = F6s[2].differential(3)
     text = export_map_json(d)
     back = import_map_json(text, ex2.ring)
     assert back.source.gens == d.source.gens
@@ -88,7 +88,7 @@ def test_six_variable_blocks_all_have_a_glyph_and_fill():
     K = build_koszul(ring)
     F = assemble_f(K, cycles_from_generators(K), 6)
     for i in range(1, 7):
-        layout = render_blocks(F.complex.differential(i))
+        layout = render_blocks(F.differential(i))
         text, svg = render_text(layout), render_svg(layout)
         assert "other" not in styles_used(layout)
         assert "?" not in text and "#ff0000" not in svg

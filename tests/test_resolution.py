@@ -43,7 +43,7 @@ def test_betti_numbers_match_series(F2, F3):
 def test_generator_twists(F2):
     # generator ((w,S)): twist = |S| + sum of relation degrees over w
     for i in (3, 4):
-        for (w, S), twist in F2.complex.module(i).gens:
+        for (w, S), twist in F2.module(i).gens:
             assert twist == len(S) + 2 * len(w)
             assert len(S) + 2 * len(w) == i
 
@@ -95,7 +95,7 @@ def test_prime_dividing_a_denominator_is_rejected(monkeypatch, modular_primes):
     # the 1/7 sits on x*y, so it survives in F̄ = F/z·F as well as in F
     gens = ["x^2", "y^2+1/7*x*y+z^2"]
     F = _fresh_f(gens)
-    assert any(c.denominator == 7 and not m[2] for dmap in F.complex.differentials.values()
+    assert any(c.denominator == 7 and not m[2] for dmap in F.differentials.values()
                for p in dmap.entries.values() for m, c in p.terms.items())
     expected = verify_minimal_and_exact(F, 8)
     assert expected["pass"] and 7 not in modular_primes
@@ -120,10 +120,10 @@ def test_tampered_differential_fails_with_exact_witnesses():
     # ∂_3 = 0 keeps ∂² = 0 but leaves homology at i = 2 and 3
     F, G = _fresh_f(["x^2", "y^2+z^2"]), _fresh_f(["x^2", "y^2+z^2"])
     for H in (F, G):
-        H.complex.differential(3).entries.clear()
+        H.differential(3).entries.clear()
     res = verify_minimal_and_exact(F, 8)
-    exact = [(i, d) for i in range(1, G.i_max) for d in range(9)
-             if G.complex.strand_homology_dim(i, d) != 0]
+    exact = [(i, d) for i in range(1, G.top) for d in range(9)
+             if G.strand_homology_dim(i, d) != 0]
     assert not res["pass"] and exact
     assert res["checks"][2]["witnesses"] == exact
 
@@ -154,10 +154,8 @@ def _tampered(gens, tamper):
     """F over ℚ[x,y,z]/(gens) with tamper(differentials) applied and ∂²
     composed again."""
     F = _fresh_f(gens)
-    C = F.complex
-    tamper(C.differentials)
-    F.complex = complexes.ChainComplex(C.ring, C.modules, C.differentials, check=False)
-    return F
+    tamper(F.differentials)
+    return complexes.ChainComplex(F.ring, F.modules, F.differentials, check=False)
 
 
 def _double_first_entry(diffs):
@@ -192,7 +190,7 @@ def test_reduction_by_a_variable_is_used(strand_builds, reductions):
     strand_builds.clear()
     assert verify_minimal_and_exact(F, 8)["pass"]
     assert reductions == [["x", "y"]]
-    higher = {id(F.complex.differential(i)) for i in range(2, F.i_max + 1)}
+    higher = {id(F.differential(i)) for i in range(2, F.top + 1)}
     assert not [key for key, _, _ in strand_builds if key in higher]
 
 
@@ -202,7 +200,7 @@ def test_artinian_ring_takes_the_full_check(strand_builds, reductions):
     strand_builds.clear()
     assert verify_minimal_and_exact(F, 8)["pass"]
     assert reductions == []
-    assert {id(F.complex.differential(3))} & {key for key, _, _ in strand_builds}
+    assert {id(F.differential(3))} & {key for key, _, _ in strand_builds}
 
 
 def test_zero_divisor_variable_is_skipped(reductions):
@@ -212,9 +210,9 @@ def test_zero_divisor_variable_is_skipped(reductions):
     res = verify_minimal_and_exact(F, 12)
     assert reductions == [["x", "y"], ["x", "z"]]
     assert res["pass"] and res == _full_check(_fresh_f(gens, 8), 12)
-    Fb = resolution._mod_variable(F.complex, 12)
+    Fb = resolution._mod_variable(F, 12)
     assert Fb.ring.var_names == ["x", "z"]
-    assert [Fb.module(i).gens for i in range(9)] == [F.complex.module(i).gens for i in range(9)]
+    assert [Fb.module(i).gens for i in range(9)] == [F.module(i).gens for i in range(9)]
 
 
 def test_cross_construction(F2, F3, tower2, tower3):
@@ -284,11 +282,11 @@ def test_leibniz_exhaustive_low_degrees(F2):
 def _leibniz_defect(F, a, b):
     """∂(ab) − ∂(a)b − (−1)^{|a|} a∂(b) ≠ 0, with every product taken
     through the ring by `dg_product_elements`."""
-    ring, one = F.K.ring, F.K.ring.one()
+    ring, one = F.ring, F.ring.one()
     i, j = hom_degree(a), hom_degree(b)
-    lhs = F.complex.differential(i + j).apply(dg_product_elements(ring, {a: one}, {b: one}))
-    da = F.complex.differential(i).apply({a: one})
-    db = F.complex.differential(j).apply({b: one})
+    lhs = F.differential(i + j).apply(dg_product_elements(ring, {a: one}, {b: one}))
+    da = F.differential(i).apply({a: one})
+    db = F.differential(j).apply({b: one})
     rhs = {}
     for lab, p in [*dg_product_elements(ring, da, {b: one}).items(),
                    *((lab, -p if i % 2 else p)
