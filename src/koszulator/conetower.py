@@ -6,9 +6,9 @@ level.  Each ψ is verified to be a chain map when built, and each cone is
 assembled by the generic mapping cone (`mapping_cone`), so this is an
 independent code path from the direct block assembly of the resolution;
 `verify_cross_construction` compares the two label for label.  M^k sits
-in M^{k+1} as a split subcomplex, its back generators, so the splitting
-is read off the exact sequence 0 → M^k → M^{k+1} → Q → 0,
-Q = M^{k+1}/M^k.
+in M^{k+1} as a split subcomplex, its back generators, and the quotient
+Q = M^{k+1}/M^k is a sum of shifted, twisted copies of K, so the splitting
+is read off the exact sequence 0 → M^k → M^{k+1} → Q → 0 and K's homology.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .complexes import ChainComplex, ComplexError, FreeModule, GradedMap
-from .koszul import CycleBasis, KoszulComplex, check, compare, verdict, zeta_terms
+from .koszul import CycleBasis, KoszulComplex, check, compare, degree_window, verdict, zeta_terms
 from .zetamaps import ChainMap, homology_zeta_matrix, int_rank, koszul_tuple_sum
 
 
@@ -69,14 +69,15 @@ def level_rank_prediction(n: int, c: int, J: int, i: int) -> int:
     return total
 
 
-def verify_homology_theorem(tower, k: int, max_d: int) -> dict:
-    """The three homology clauses for M^k = tower[k]: agreement with M^{k−1}
-    outside the window, vanishing at 2k−1 and 2k, and dim H_{2k+u} = rank
-    [ζ_u^k]."""
+def verify_homology_theorem(tower, k: int) -> dict:
+    """The homology clauses for M^k = tower[k] on d ≤ `degree_window(ring, k)`,
+    where H(M^k) and H(M^{k−1}) lie: agreement with M^{k−1} outside the
+    window, vanishing at 2k−1 and 2k, and dim H_{2k+u} = rank [ζ_u^k]."""
     Mk, Mk1 = tower[k], tower[k - 1]
     ring = Mk.ring
     c = ring.codepth
     i_top = 2 * k + c + 2
+    max_d = degree_window(ring, k)
     cur = Mk.homology_table(i_top, max_d)
     prev = Mk1.homology_table(i_top, max_d)
     checks = []
@@ -93,48 +94,60 @@ def verify_homology_theorem(tower, k: int, max_d: int) -> dict:
     return verdict(checks)
 
 
-def _quotient(C: ChainComplex, D: ChainComplex) -> ChainComplex:
-    """Q = D/C: D's front generators with the front block of ∂ᴰ.  Raises
-    ComplexError unless each C_i is the back of D_i and ∂ᴰ_i's entries in
-    C's columns, re-indexed into C, are ∂ᶜ_i's (one in Q's rows re-indexes
-    to a negative row): exactly when the split inclusion is a chain map."""
-    degrees = sorted(set(C.modules) | set(D.modules))
-    cut = {i: D.module(i).rank - C.module(i).rank for i in degrees}
-    for i, n in cut.items():
-        if C.module(i).gens != D.module(i).gens[n:]:
+def _labelled(gmap: GradedMap, rows: int = None, cols: int = None) -> dict:
+    """gmap's entries in its first `rows` rows and `cols` columns (all of
+    them by default), keyed by (target label, source label)."""
+    tgt, src = gmap.target.gens[:rows], gmap.source.gens[:cols]
+    return {(tgt[r][0], src[c][0]): p for (r, c), p in gmap.entries.items()
+            if r < len(tgt) and c < len(src)}
+
+
+def _copies_of_k(C: ChainComplex, D: ChainComplex, K: ChainComplex):
+    """(s, {w: t_w}) with Q = D/C = ⊕_w Σ^s K(−t_w), read off Q's lowest
+    generators, the copies of K_0.  Raises ComplexError naming the degree
+    unless C_i is the back of D_i and the split inclusion is a chain map
+    (∂ᴰ_i's entries in C's columns, re-indexed into C, are ∂ᶜ_i's), and
+    unless, label for label, Q_i is K_{i−s} twisted by t_w on each copy w
+    and Q's block of ∂ᴰ_i is ∂ᴷ_{i−s} on each copy, with no other entry."""
+    top = max(C.top, D.top) + K.top
+    cut = {i: D.module(i).rank - C.module(i).rank for i in range(-1, top + 1)}
+    s = min((i for i, n in cut.items() if n), default=0)
+    twists = {w: t for (w, _), t in D.module(s).gens[:cut[s]]}
+    for i in range(top + 1):
+        gens, dmap, n = D.module(i).gens, D.differential(i), cut[i]
+        if C.module(i).gens != gens[n:]:
             raise ComplexError(f"inclusion misaligned at degree {i}")
-    modules = {i: FreeModule(D.ring, D.module(i).gens[:n]) for i, n in cut.items()}
-    empty = FreeModule(D.ring, [])
-    diffs = {}
-    for i in sorted(set(C.differentials) | set(D.differentials)):
-        col, row = cut.get(i, 0), cut.get(i - 1, 0)
-        entries = D.differential(i).entries.items()
-        if {(r - row, c - col): p for (r, c), p in entries if c >= col} != C.differential(i).entries:
+        if {(r - cut[i - 1], c - n): p for (r, c), p in dmap.entries.items()
+                if c >= n} != C.differential(i).entries:
             raise ComplexError(f"inclusion is not a chain map at homological degree {i}")
-        diffs[i] = GradedMap(modules.get(i, empty), modules.get(i - 1, empty),
-                             {(r, c): p for (r, c), p in entries if r < row and c < col})
-    return ChainComplex(D.ring, modules, diffs, check=False)
+        copies = [((w, S), t + tw) for w, tw in twists.items()
+                  for (_, S), t in K.module(i - s).gens]
+        if sorted(gens[:n]) != sorted(copies) or _labelled(dmap, cut[i - 1], n) != {
+                ((w, T), (w, S)): p for w in twists
+                for ((_, T), (_, S)), p in _labelled(K.differential(i - s)).items()}:
+            raise ComplexError(f"quotient is not a sum of copies of K at homological degree {i}")
+    return s, twists
 
 
-def verify_splitting(tower, k: int, max_i: int, max_d: int) -> dict:
-    """H(f^k) = 0 on every strand with i ≥ 1 (and d ≥ 1 at i = 0), for the
-    split inclusion f : C = M^k → D = M^{k+1}, read off the long exact
-    sequence of 0 → C → D → Q = D/C → 0.  On each strand d,
+def verify_splitting(tower, k: int) -> dict:
+    """H(f^k) = 0 on the strands i ≥ 1 (and d ≥ 1 at i = 0), i ≤ C.top and
+    d ≤ `degree_window(ring, k + 1)`, where H(C) and H(D) lie, for the split
+    inclusion f : C = M^k → D = M^{k+1}.  On each strand of 0 → C → D → Q → 0,
     rank H_i(f) + rank H_{i−1}(f) = dim H_i(D) + dim H_{i−1}(C) − dim H_i(Q),
-    so rank H_i(f) follows by working up from i = 0; only Q's strands are
-    new.  The (0,0) strand is exceptional: H_0 of every level is the residue
-    field in internal degree 0 and the inclusion induces the identity there,
-    so we check it is an isomorphism instead."""
-    C, D = tower[k], tower[k + 1]
-    Q = _quotient(C, D)
+    worked up from i = 0, with dim H_i(Q)_d = Σ_w dim H_{i−s}(K)_{d−t_w}
+    (`_copies_of_k`): no strand of Q is laid out.  At (0,0), where f induces
+    the identity of the residue field, it checks an isomorphism."""
+    C, D, K = tower[k], tower[k + 1], tower[0]
+    s, twists = _copies_of_k(C, D, K)
+    max_i, max_d = C.top, degree_window(C.ring, k + 1)
     ranks = {}  # (i, d) -> rank H_i(f)_d, by i, then by d
     for i in range(max_i + 1):
         for d in range(max_d + 1):
+            q = sum(K.strand_homology_dim(i - s, d - t) for t in twists.values())
             ranks[(i, d)] = (D.strand_homology_dim(i, d) + C.strand_homology_dim(i - 1, d)
-                             - Q.strand_homology_dim(i, d) - ranks.get((i - 1, d), 0))
-    failures = [s for s, r in ranks.items() if r and s != (0, 0)]
-    corner_iso = (C.strand_homology_dim(0, 0) == D.strand_homology_dim(0, 0)
-                  == ranks[(0, 0)] == 1)
+                             - q - ranks.get((i - 1, d), 0))
+    failures = [key for key, r in ranks.items() if r and key != (0, 0)]
+    corner_iso = C.strand_homology_dim(0, 0) == D.strand_homology_dim(0, 0) == ranks[(0, 0)] == 1
     return check(f"H(f^{k}) = 0 on strands i ≤ {max_i}, d ≤ {max_d}",
                  not failures and corner_iso, witnesses=failures, degree_zero_iso=corner_iso)
 
@@ -142,25 +155,11 @@ def verify_splitting(tower, k: int, max_i: int, max_d: int) -> dict:
 def verify_cross_construction(F, tower, i_top: int) -> dict:
     """The resolution F (`resolution.assemble_f`) and the top tower level
     agree label-for-label for i ≤ i_top."""
-    level = tower[-1]
-    mismatches = []
+    level, mismatches = tower[-1], []
     for i in range(i_top + 1):
-        fm = F.module(i)
-        tm = level.module(i)
-        if sorted(fm.gens) != sorted(tm.gens):
+        if sorted(F.module(i).gens) != sorted(level.module(i).gens):
             mismatches.append(("generators", i))
-            continue
-        fd = F.differential(i)
-        td = level.differential(i)
-        f_by_label = {
-            (fd.target.gens[r][0], fd.source.gens[c][0]): p
-            for (r, c), p in fd.entries.items()
-        }
-        t_by_label = {
-            (td.target.gens[r][0], td.source.gens[c][0]): p
-            for (r, c), p in td.entries.items()
-        }
-        if f_by_label != t_by_label:
+        elif _labelled(F.differential(i)) != _labelled(level.differential(i)):
             mismatches.append(("differential", i))
     return check(f"resolution equals stabilized tower level for i ≤ {i_top}", not mismatches,
                  witnesses=mismatches)

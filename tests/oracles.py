@@ -4,7 +4,8 @@ Each recomputes something the program computes by another route: a second
 extraction of the cycles (a reduced-echelon kernel basis modulo
 boundaries), dense-matrix helpers over `koszulator.linalg`, the lex rank of
 a multi-index, the inverse of the divided-power bijection, a ring built
-from strings, and the term-by-term product of polynomials with the sums of
+from strings, the splitting's quotient M^{k+1}/M^k ranked on its own
+strands, and the term-by-term product of polynomials with the sums of
 products that the program reads off its blocks of multiplication.  The
 small conveniences that only tests read (a map's entry, the identity map,
 a degree's standard basis and coordinates, the styles and tiling of a
@@ -18,8 +19,16 @@ import json
 from collections import Counter
 
 from koszulator import linalg
-from koszulator.complexes import FreeModule, GradedMap
-from koszulator.koszul import CycleBasis, CycleError, KoszulComplex, tuple_count, validate_cycles
+from koszulator.complexes import ChainComplex, FreeModule, GradedMap
+from koszulator.koszul import (
+    CycleBasis,
+    CycleError,
+    KoszulComplex,
+    check,
+    degree_window,
+    tuple_count,
+    validate_cycles,
+)
 from koszulator.polyring import GradedQuotientRing, Polynomial, parse_polynomial
 
 
@@ -94,6 +103,39 @@ def import_map_json(text: str, ring: GradedQuotientRing) -> GradedMap:
     for r, c, s in data["entries"]:
         entries[(r, c)] = parse_polynomial(s, ring.var_names, ring.field)
     return GradedMap(src, tgt, entries)
+
+
+# -- the splitting's quotient, ranked on its own strands --------------------------
+
+
+def quotient_complex(C, D) -> ChainComplex:
+    """Q = D/C for a subcomplex C that is the back of each D_i: D's front
+    generators, with the block of ∂ᴰ in their rows and columns."""
+    cut = {i: D.module(i).rank - C.module(i).rank for i in D.modules}
+    modules = {i: FreeModule(D.ring, D.module(i).gens[:n]) for i, n in cut.items()}
+    empty = FreeModule(D.ring, [])
+    diffs = {i: GradedMap(modules.get(i, empty), modules.get(i - 1, empty),
+                          {(r, c): p for (r, c), p in dmap.entries.items()
+                           if r < cut.get(i - 1, 0) and c < cut.get(i, 0)})
+             for i, dmap in D.differentials.items()}
+    return ChainComplex(D.ring, modules, diffs, check=False)
+
+
+def splitting_by_quotient(tower, k: int, Q) -> dict:
+    """`conetower.verify_splitting`'s record, with dim H_i(Q)_d ranked on
+    the strands of Q = `quotient_complex(tower[k], tower[k + 1])`."""
+    C, D = tower[k], tower[k + 1]
+    max_i, max_d = C.top, degree_window(C.ring, k + 1)
+    ranks = {}
+    for i in range(max_i + 1):
+        for d in range(max_d + 1):
+            ranks[(i, d)] = (D.strand_homology_dim(i, d) + C.strand_homology_dim(i - 1, d)
+                             - Q.strand_homology_dim(i, d) - ranks.get((i - 1, d), 0))
+    failures = [key for key, r in ranks.items() if r and key != (0, 0)]
+    corner_iso = (C.strand_homology_dim(0, 0) == D.strand_homology_dim(0, 0)
+                  == ranks[(0, 0)] == 1)
+    return check(f"H(f^{k}) = 0 on strands i ≤ {max_i}, d ≤ {max_d}",
+                 not failures and corner_iso, witnesses=failures, degree_zero_iso=corner_iso)
 
 
 # -- the term-by-term product ---------------------------------------------------

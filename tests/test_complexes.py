@@ -363,7 +363,7 @@ def test_each_chain_map_is_composed_once(ex3, monkeypatch):
     tower = build_tower(ex3.K, ex3.Z, 2)
     assert cone_calls == [0, 0]
     calls.clear()
-    assert conetower.verify_splitting(tower, 1, 5, 8)["pass"]
+    assert conetower.verify_splitting(tower, 1)["pass"]
     assert not calls
 
 

@@ -1,12 +1,24 @@
+from pathlib import Path
+
 import pytest
 
+from koszulator import cli, complexes, conetower
 from koszulator.complexes import ChainComplex, ComplexError, FreeModule, GradedMap
 from koszulator.conetower import (
+    build_tower,
     level_rank_prediction,
     verify_homology_theorem,
     verify_splitting,
 )
-from koszulator.koszul import degree_window
+from koszulator.fields import PrimeField, RationalField
+from koszulator.koszul import build_koszul, cycles_from_generators, degree_window, tuples
+from koszulator.polyring import load_ring_file
+
+from oracles import quotient_complex, ring_from_strings, splitting_by_quotient
+
+RINGS = Path(__file__).resolve().parents[1] / "bench" / "rings"
+GOLDEN3_Q = RINGS / "golden3-q.ring"
+GOLDEN2_P = RINGS / "golden2-p.ring"
 
 
 def test_level_zero_is_koszul(tower2, ex2):
@@ -31,8 +43,8 @@ def test_tower_levels_are_complexes(tower2):
 
 
 def test_homology_theorem_level_one(tower2, tower3):
-    assert verify_homology_theorem(tower2, 1, 6)["pass"]
-    assert verify_homology_theorem(tower3, 1, 10)["pass"]
+    assert verify_homology_theorem(tower2, 1)["pass"]
+    assert verify_homology_theorem(tower3, 1)["pass"]
 
 
 def test_level_zero_homology_is_exterior_algebra(tower2, tower3):
@@ -46,7 +58,7 @@ def test_level_zero_homology_is_exterior_algebra(tower2, tower3):
 
 
 def test_inclusion_vanishes_in_homology(tower2):
-    res = verify_splitting(tower2, 0, 4, 6)
+    res = verify_splitting(tower2, 0)
     assert res["pass"]
     assert res["degree_zero_iso"]
 
@@ -55,37 +67,94 @@ def test_inclusion_vanishes_in_homology(tower2):
 def test_splitting_fails_when_inclusion_is_identity(ex2, tower2, level):
     # negative control: the identity M → M induces the identity on H(M),
     # so it vanishes nowhere that H(M) ≠ 0 and the check must name those
-    # strands; Q = 0 here, so Q is read off the two complexes, not the tower
+    # strands; Q = 0 here, a sum of no copies of K, so H(Q) = 0
     M = tower2[level]
-    res = verify_splitting([M, M], 0, 4, 6)
+    res = verify_splitting([M, M], 0)
     assert not res["pass"]
     assert res["degree_zero_iso"]
     expected = [
         (i, d)
-        for i in range(5)
-        for d in range(7)
+        for i in range(M.top + 1)
+        for d in range(degree_window(M.ring, 1) + 1)
         if (i, d) != (0, 0) and M.strand_homology_dim(i, d) != 0
     ]
     assert res["witnesses"] == expected == [[(1, 2), (2, 4)], [(3, 4), (4, 6)]][level]
 
 
-def test_splitting_ranks_only_the_quotient(tower3, monkeypatch):
-    # H(M^1) and H(M^2) are ranked by the theorem checks; the splitting lays
-    # out strands only of Q = M^2/M^1, whose modules are front slices of M^2's
-    for k in (1, 2):
-        verify_homology_theorem(tower3, k, 10)
-    M2 = tower3[2]
-    sources = []
+def test_splitting_ranks_nothing_once_both_levels_are_ranked(monkeypatch):
+    # the splitting reads H(M^1) and H(M^2) off their strands and H(Q) off
+    # K's: once those tables are built, it ranks no strand, and lays out
+    # none of a nonzero map, so none of Q = M^2/M^1 (a level's ∂_0 is a zero
+    # map made on each call).  The ring is loaded afresh, so that no other
+    # test's ranks are reused.
+    K = build_koszul(load_ring_file(GOLDEN3_Q))
+    tower = build_tower(K, cycles_from_generators(K), 2)
+    window = degree_window(K.ring, 2)
+    for level in tower:
+        level.homology_table(tower[1].top, window)
+    calls = []
     original = GradedMap._strand_blocks
 
     def laying_out(self, d, field):
-        sources.append(self.source.gens)
+        if not self.is_zero():
+            calls.append(("strand", self.source.gens, d))
         return original(self, d, field)
 
     monkeypatch.setattr(GradedMap, "_strand_blocks", laying_out)
-    assert verify_splitting(tower3, 1, 5, 10)["pass"]
-    assert sources
-    assert all(any(gens == m.gens[:len(gens)] for m in M2.modules.values()) for gens in sources)
+    monkeypatch.setattr(complexes, "rank", lambda *args: calls.append(("rank", args)))
+    assert verify_splitting(tower, 1)["pass"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("field, names, gens", [
+    (RationalField(), "x,y,z", ["x^2+y^2", "x*z", "z^2+x*y"]),
+    (RationalField(), "x,y,z", ["x^2", "y^3+z^3"]),
+    (PrimeField(32003), "x,y,z,w", ["x^2+y*z", "y^3+w^3", "z^4+x*w^3"]),
+], ids=["golden3-q", "mixed-q", "mixed-p"])
+def test_quotient_homology_is_the_sum_over_copies_of_k(field, names, gens):
+    # Q = M^{k+1}/M^k, cut from M^{k+1} and ranked on its own strands,
+    # against H(Q) = ⊕_w H(K) shifted by 2k + 2 and twisted by Σ deg z_{w_t};
+    # on the mixed-degree rings the copies carry different twists
+    ring = ring_from_strings(names.split(","), gens, field)
+    K = build_koszul(ring)
+    Z = cycles_from_generators(K)
+    tower = build_tower(K, Z, 2)
+    for k in (0, 1):
+        Q = quotient_complex(tower[k], tower[k + 1])
+        twists = [sum(Z.degrees[t - 1] for t in w) for w in tuples(ring.codepth, k + 1)]
+        assert (len(set(twists)) > 1) == (len(set(Z.degrees)) > 1)
+        for i in range(tower[k].top + 1):
+            for d in range(degree_window(ring, k + 1) + 1):
+                assert Q.strand_homology_dim(i, d) == sum(
+                    K.complex.strand_homology_dim(i - 2 * k - 2, d - t) for t in twists), (k, i, d)
+        assert verify_splitting(tower, k) == splitting_by_quotient(tower, k, Q)
+
+
+def _negated_in_quotient(tower, k: int):
+    """The tower with one entry of Q = M^{k+1}/M^k's block of ∂_i negated,
+    at i = M^k's top degree; and that i."""
+    C, D = tower[k], tower[k + 1]
+    i = C.top
+    dmap = D.differential(i)
+    row, col = D.module(i - 1).rank - C.module(i - 1).rank, D.module(i).rank - C.module(i).rank
+    pos = max(key for key in dmap.entries if key[0] < row and key[1] < col)
+    tampered = GradedMap(dmap.source, dmap.target, {**dmap.entries, pos: -dmap.entries[pos]})
+    level = ChainComplex(D.ring, D.modules, {**D.differentials, i: tampered}, check=False)
+    return [*tower[:k + 1], level, *tower[k + 2:]], i
+
+
+def test_a_tampered_quotient_is_refused(tower3, monkeypatch, capsys):
+    # negative control: Q's block is ∂ᴷ on each copy of K, label for label;
+    # one negated entry is refused, from the library and through the CLI
+    tampered, i = _negated_in_quotient(tower3, 1)
+    with pytest.raises(ComplexError, match=f"at homological degree {i}$"):
+        verify_splitting(tampered, 1)
+    original = conetower.build_tower
+    monkeypatch.setattr(conetower, "build_tower",
+                        lambda K, Z, J: _negated_in_quotient(original(K, Z, J), 1)[0])
+    assert cli.main(["verify-all", "--ring", str(GOLDEN2_P)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: quotient is not a sum of copies of K at homological degree 5\n")
 
 
 def test_splitting_refuses_a_non_split_inclusion(ex2, tower2):
@@ -98,25 +167,24 @@ def test_splitting_refuses_a_non_split_inclusion(ex2, tower2):
     leak.entries = {**M1.differential(2).entries, (front - 1, col): ring.one()}
     into_q = ChainComplex(ring, M1.modules, {**M1.differentials, 2: leak}, check=False)
     with pytest.raises(ComplexError, match="not a chain map"):
-        verify_splitting([K, into_q], 0, 4, 6)
+        verify_splitting([K, into_q], 0)
     gens = M1.module(1).gens
     rotated = FreeModule(ring, gens[1:] + gens[:1])
     misaligned = ChainComplex(ring, {**M1.modules, 1: rotated}, M1.differentials, check=False)
     with pytest.raises(ComplexError, match="misaligned"):
-        verify_splitting([K, misaligned], 0, 4, 6)
+        verify_splitting([K, misaligned], 0)
 
 
 def test_stabilization(tower2, tower3):
     # the tower stabilizes from below: the first homology clause at level
     # j + 1 equates H_i(M^{j+1}) with H_i(M^j) for every i ≤ 2j.  The rank
-    # clauses need the whole window of level j + 1, as `tower` uses
+    # clauses need the whole window of level j + 1, which they take
     for tower in (tower2, tower3):
         for j in (1, 2):
-            max_d = degree_window(tower[0].ring, j + 1)
-            assert verify_homology_theorem(tower, j + 1, max_d)["pass"]
+            assert verify_homology_theorem(tower, j + 1)["pass"]
 
 
-def test_homology_lies_in_the_derived_window(tower2, tower3):
+def test_homology_lies_in_the_derived_window(tower2, tower3, monkeypatch):
     # by the cone's long exact sequence, H(M^k) of a complete intersection
     # lies in internal degrees ≤ degree_window(ring, k), so `tower --verify`
     # and `verify-all` check no more than that window: the eight degrees
@@ -130,5 +198,7 @@ def test_homology_lies_in_the_derived_window(tower2, tower3):
                 for d in range(window + 1, window + 9):
                     assert level.strand_homology_dim(i, d) == 0, (k, i, d)
             if k:
-                assert (verify_homology_theorem(tower, k, window)
-                        == verify_homology_theorem(tower, k, window + 6))
+                derived = verify_homology_theorem(tower, k)
+                with monkeypatch.context() as m:
+                    m.setattr(conetower, "degree_window", lambda ring, k: degree_window(ring, k) + 6)
+                    assert verify_homology_theorem(tower, k) == derived
