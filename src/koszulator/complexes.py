@@ -28,8 +28,8 @@ from .polynomial import monomial_degree
 from .polyring import GradedQuotientRing
 
 # The prime field of the exactness certificate over ℚ.  It can mislead only
-# by dividing a denominator (then it is rejected) or a nonzero minor (then a
-# rank drops and the exact ranks are taken); a large p makes both rare.
+# by dividing a denominator or a nonzero minor (a rank drops); either way the
+# exact ranks are taken, and a large p makes both rare.
 MODULAR_FIELD = PrimeField(2**31 - 1)
 
 
@@ -270,6 +270,8 @@ class ChainComplex:
         self.differentials = dict(differentials)
         self._square_defect = None
         self._mod_p = None
+        self._empty = FreeModule(ring, [])
+        self._zero = {}  # the zero map at each degree past the stored ones
         if check:
             bad = self.square_defect()
             if bad:
@@ -287,14 +289,14 @@ class ChainComplex:
         return self._square_defect
 
     def module(self, i) -> FreeModule:
-        m = self.modules.get(i)
-        return m if m is not None else FreeModule(self.ring, [])
+        return self.modules.get(i, self._empty)
 
     def differential(self, i) -> GradedMap:
-        d = self.differentials.get(i)
-        if d is not None:
-            return d
-        return GradedMap(self.module(i), self.module(i - 1))
+        if i in self.differentials:
+            return self.differentials[i]
+        if i not in self._zero:
+            self._zero[i] = GradedMap(self.module(i), self.module(i - 1))
+        return self._zero[i]
 
     @classmethod
     def from_columns(cls, ring, gens, column, check: bool = True):
@@ -352,16 +354,20 @@ class ChainComplex:
         matrix with no denominator divisible by p has rank_p ≤ rank_ℚ, and
         H ≥ 0 where ∂² = 0, so dim = r_p(i+1) + r_p(i) proves H_i(C)_d = 0
         (the modular argument of Wang 1981 and Monagan 2004).  A prime
-        dividing a denominator of the complex, or H ≠ 0 mod p, falls back to
-        the exact ranks, so the value never differs.  ∂² = 0 holds mod p
-        too, so dim − r_p(i) bounds r_p(i+1): ∂_{i+1} is ranked mod p with
-        that ceiling, as in `strand_homology_dim`."""
+        dividing a denominator of the complex or of R's normal forms, or
+        H ≠ 0 mod p, falls back to the exact ranks, so the value never
+        differs.  ∂² = 0 holds mod p too, so dim − r_p(i) bounds r_p(i+1):
+        ∂_{i+1} is ranked mod p with that ceiling, as in
+        `strand_homology_dim`."""
         dim = self.module(i).strand_dim(d)
         if (dim and not self.ring.field.is_prime and i + 1 not in self.square_defect()
                 and self._reduces_mod_p()):
-            r = self.differential(i).strand_rank(d, MODULAR_FIELD)
-            if r + self.differential(i + 1).strand_rank(d, MODULAR_FIELD, dim - r) == dim:
-                return 0
+            try:
+                r = self.differential(i).strand_rank(d, MODULAR_FIELD)
+                if r + self.differential(i + 1).strand_rank(d, MODULAR_FIELD, dim - r) == dim:
+                    return 0
+            except FieldError:  # p divides a denominator of R's normal forms
+                self._mod_p = False
         return self.strand_homology_dim(i, d)
 
     def homology_table(self, max_i: int, max_d: int):

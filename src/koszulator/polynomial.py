@@ -10,6 +10,7 @@ imports `fractions`.
 
 from __future__ import annotations
 
+import re
 from operator import add
 
 from . import fields
@@ -132,110 +133,76 @@ class Polynomial:
 
 
 # -- parser --------------------------------------------------------------
+# The text is cut into tokens: blanks (skipped), runs of ASCII digits, names
+# and single characters.  A token's kind is "num", "name", "" at the end of
+# the text, or the character itself.  `_GRAMMAR` maps each state to the kinds
+# that may come next and the state each leads to.  A term may end in the
+# states of `_TERM_ENDS`; a token they do not take ends it.
+
+_NAME = re.compile(r"[^\W\d]\w*")
+_TOKEN = re.compile(rf"(?P<blank>\s+)|(?P<num>[0-9]+)|(?P<name>{_NAME.pattern})|.|\Z", re.S)
+_GRAMMAR = {
+    "start": {"+": "term", "-": "term", "num": "coeff", "name": "factor"},
+    "sign": {"+": "term", "-": "term", "": "sign"},
+    "term": {"num": "coeff", "name": "factor"},
+    "coeff": {"/": "den", "*": "star", "name": "factor"},
+    "den": {"num": "frac"},
+    "frac": {"*": "star", "name": "factor"},
+    "star": {"name": "factor"},
+    "factor": {"^": "exp", "*": "star"},
+    "exp": {"num": "power"},
+    "power": {"*": "star"},
+}
+_TERM_ENDS = {"coeff", "frac", "factor", "power"}
+_EXPECTED = {"start": "expected a term", "sign": "expected '+' or '-', got {!r}",
+             "term": "expected a term", "den": "expected a number",
+             "star": "expected a variable after '*'", "exp": "expected a number"}
 
 
 def _is_name(text: str) -> bool:
     """Whether `parse_polynomial` reads all of text as one variable name."""
-    return (text[:1].isalpha() or text[:1] == "_") and all(
-        ch.isalnum() or ch == "_" for ch in text)
+    return _NAME.fullmatch(text) is not None
 
 
 def parse_polynomial(text: str, var_names, field) -> Polynomial:
-    """Parse signed sums of terms like '2*x^2*y - 1/3*z + 5'."""
+    """Parse signed sums of terms like '2*x^2*y - 1/3*z + 5'.  A term is an
+    optional coefficient n or n/d, then variable powers joined by '*'; the
+    first variable may follow the coefficient without one, as in '2x'."""
+    if not text.strip():
+        raise ParseError("empty input", len(text))
     nvars = len(var_names)
     var_index = {name: i for i, name in enumerate(var_names)}
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def read_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError("expected a number", start)
-        return int(text[start:pos])
-
-    def read_name() -> str:
-        nonlocal pos
-        start = pos
-        while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        return text[start:pos]
-
-    result = Polynomial(nvars, field)
-    skip_ws()
-    if pos >= n:
-        raise ParseError("empty input", pos)
-    first = True
-    while pos < n:
-        skip_ws()
-        if pos >= n:
-            break
-        sign = 1
-        if text[pos] in "+-":
-            if text[pos] == "-":
-                sign = -1
-            pos += 1
-            skip_ws()
-        elif not first:
-            raise ParseError(f"expected '+' or '-', got {text[pos]!r}", pos)
-        first = False
-        # one term: optional coefficient, then *-separated variable powers
-        coeff = sign
-        exps = [0] * nvars
-        saw_factor = False
-        if pos < n and text[pos].isdigit():
-            num = read_int()
-            skip_ws()
-            if pos < n and text[pos] == "/":
-                pos += 1
-                skip_ws()
-                den_pos = pos
-                den = read_int()
-                if den == 0:
-                    raise ParseError("zero denominator", den_pos)
-                coeff = fields.fraction(sign * num, den)
-            else:
-                coeff *= num
-            saw_factor = True
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-        while pos < n and (text[pos].isalpha() or text[pos] == "_"):
-            name_pos = pos
-            name = read_name()
-            if name not in var_index:
-                raise ParseError(f"unknown variable {name!r}", name_pos)
-            e = 1
-            skip_ws()
-            if pos < n and text[pos] == "^":
-                pos += 1
-                skip_ws()
-                e = read_int()
-            exps[var_index[name]] += e
-            saw_factor = True
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-            else:
-                break
-        if not saw_factor:
-            raise ParseError("expected a term", pos)
-        try:
-            c = field.of(coeff)
-        except FieldError as exc:
-            raise ParseError(str(exc), pos) from exc
-        result = result + Polynomial(nvars, field, {tuple(exps): c})
-        skip_ws()
-    return result
+    terms, state, coeff, exps = {}, "start", 1, [0] * nvars
+    for m in _TOKEN.finditer(text):
+        pos, tok, kind = m.start(), m.group(), m.lastgroup or m.group()
+        if kind == "blank":
+            continue
+        if state in _TERM_ENDS and kind not in _GRAMMAR[state]:
+            try:
+                c = field.of(coeff)
+            except FieldError as exc:
+                raise ParseError(str(exc), pos) from exc
+            terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
+            state = "sign"
+        if kind not in _GRAMMAR[state]:
+            raise ParseError(_EXPECTED[state].format(tok[:1]), pos)
+        if kind in ("+", "-"):
+            coeff, exps = (-1 if kind == "-" else 1), [0] * nvars
+        elif kind == "name":
+            if tok not in var_index:
+                raise ParseError(f"unknown variable {tok!r}", pos)
+            j = var_index[tok]
+            exps[j] += 1
+        elif state == "exp":
+            exps[j] += int(tok) - 1  # the name counted 1
+        elif state == "den":
+            if int(tok) == 0:
+                raise ParseError("zero denominator", pos)
+            coeff = fields.fraction(coeff, int(tok))
+        elif kind == "num":
+            coeff *= int(tok)
+        state = _GRAMMAR[state][kind]
+    return Polynomial(nvars, field, terms)
 
 
 def _check_generator(g: Polynomial, var_names):

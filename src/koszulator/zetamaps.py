@@ -28,6 +28,7 @@ class ChainMap:
         self.target = target
         self.components = dict(components)
         self._chain_defect = None
+        self._zero = {}  # the zero component at each degree past the stored ones
         if check:
             errs = self.chain_defect()
             if errs:
@@ -42,10 +43,11 @@ class ChainMap:
                                     for i, m in source.modules.items()}, check)
 
     def component(self, i) -> GradedMap:
-        c = self.components.get(i)
-        if c is not None:
-            return c
-        return GradedMap(self.source.module(i), self.target.module(i))
+        if i in self.components:
+            return self.components[i]
+        if i not in self._zero:
+            self._zero[i] = GradedMap(self.source.module(i), self.target.module(i))
+        return self._zero[i]
 
     def chain_defect(self):
         """Homological degrees where d_D f != f d_C, composed once: by the

@@ -369,11 +369,15 @@ def test_unreadable_variable_name_exits_2(tmp_path, capsys, names, bad, command)
     ("field rational\nvars x,y\ngen x^2 y^2\n",
      "line 3: expected '+' or '-', got 'y' (at position 4)"),
     ("field rational\nvars x,y\ngen 1/0*x^2\n", "line 3: zero denominator (at position 2)"),
+    ("field rational\nvars x,y\ngen x^2*-y^2\n",
+     "line 3: expected a variable after '*' (at position 4)"),
+    ("field rational\nvars x,y\ngen x^²+y^2\n", "line 3: expected a number (at position 2)"),
 ], ids=["repeated-name", "zero", "inhomogeneous", "linear", "no-field", "no-vars",
-        "unknown-directive", "missing-exponent", "missing-operator", "zero-denominator"])
+        "unknown-directive", "missing-exponent", "missing-operator", "zero-denominator",
+        "dangling-star", "superscript-exponent"])
 def test_ring_errors_name_their_line(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ring"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(["cycles", "--ring", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -387,6 +391,17 @@ def test_bad_z_coordinate_names_its_line(ring2_file, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "input error: line 3, coordinate 4: empty input (at position 0)\n"
+
+
+def test_dangling_star_in_a_z_coordinate_names_its_line(ring2_file, tmp_path, capsys):
+    # 'x*' used to be read as x
+    z = tmp_path / "z.txt"
+    z.write_text("x, 0, 0\n0, x*, 0\n")
+    assert main(["cycles", "--ring", ring2_file, "--z", str(z)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("input error: line 2, coordinate 2: expected a variable after '*' "
+                   "(at position 2)\n")
 
 
 def test_missing_ring_file_exits_2(capsys):

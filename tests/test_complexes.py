@@ -140,6 +140,20 @@ def test_chain_map_constructor_rejects_non_chain_map(ring):
         ChainMap(K, K, comps)
 
 
+def test_zero_maps_past_the_stored_degrees_are_built_once(ring):
+    # so their rank memos hold, and the stored dicts and top stay as they were
+    K = build_koszul(ring).complex
+    f = ChainMap(K, K, {i: identity(K.module(i)) for i in range(4)})
+    stored, top = (dict(K.modules), dict(K.differentials), dict(f.components)), K.top
+    assert K.differential(0) is K.differential(0)
+    assert K.differential(5) is K.differential(5) is not K.differential(4)
+    assert K.module(7) is K.module(7) and not K.module(7).gens
+    assert f.component(4) is f.component(4)
+    assert K.differential(0).source is K.module(0) and K.differential(4).target is K.module(3)
+    assert (dict(K.modules), dict(K.differentials), dict(f.components)) == stored
+    assert K.top == top and not K.square_defect()
+
+
 def test_homology_table_of_koszul(ring):
     K = build_koszul(ring).complex
     table = K.homology_table(3, 5)

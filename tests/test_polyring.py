@@ -83,6 +83,17 @@ def test_parse_error_reports_position():
     assert exc.value.position == 6
 
 
+@pytest.mark.parametrize("text,position", [
+    ("x^2*-y^2", 4), ("x*+y", 2), ("2*-x", 2), ("x^2*", 4), ("2*", 2), ("x * ", 4), ("x*2", 2),
+])
+def test_a_star_must_be_followed_by_a_variable(text, position):
+    # all but 'x*2' were once read as if the '*' were not there
+    with pytest.raises(ParseError) as exc:
+        P(text)
+    assert str(exc.value) == f"expected a variable after '*' (at position {position})"
+    assert exc.value.position == position
+
+
 def test_parse_unknown_variable():
     with pytest.raises(ParseError):
         P("x + w")

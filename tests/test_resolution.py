@@ -104,6 +104,18 @@ def test_prime_dividing_a_denominator_is_rejected(monkeypatch, modular_primes):
     assert 7 not in modular_primes  # no rank mod 7 was taken, let alone trusted
 
 
+def test_prime_dividing_a_normal_form_denominator_falls_back(monkeypatch, modular_primes):
+    # no entry of F has a 5 below the line, but R's normal forms do
+    # (x^2 = -yz/5), so only a strand's blocks meet it, after the pre-pass
+    gens = ["5*x^2+y*z", "y^2+z^2"]
+    expected = verify_minimal_and_exact(_fresh_f(gens), 8)
+    monkeypatch.setattr(complexes, "MODULAR_FIELD", PrimeField(5))
+    F = _fresh_f(gens)
+    assert F._reduces_mod_p()
+    assert verify_minimal_and_exact(F, 8) == expected
+    assert expected["pass"] and not F._reduces_mod_p()
+
+
 def test_unlucky_prime_falls_back(monkeypatch, modular_primes, strand_builds):
     # (x^2, xy) is no complete intersection, so mod 5 some ranks of F drop
     gens = ["x^2", "x*y+5*y^2"]
