@@ -12,7 +12,8 @@ column rule.  A generator with twist a spans (Q/I)_{d-a} in the internal
 degree d strand.  A strand's rank belongs to its map
 (`GradedMap.strand_rank`): one layout of the strand serves the rank memo's
 key and the matrix, and as R's degrees settle the same blocks recur, so
-ranks are memoised per ring by that exact key.  A chain complex holds only
+ranks are memoised per ring by that exact key.  The ring computes in its
+own field only: a strand mod p is the ring's strand, reduced.  A chain complex holds only
 structure: modules, differentials, its ∂² defect and homology dims.  Chain
 maps (`zetamaps.ChainMap`) and mapping cones (`conetower.mapping_cone`)
 live with their only users, the ζ maps and the cone tower.
@@ -47,7 +48,7 @@ def collect(terms, ring, found=None) -> dict:
             e = monomial_degree(next(iter(q.terms)))
             hit = found.get((id(p), e))
             if hit is None:
-                hit = found[(id(p), e)] = (p, ring.mul_block(p, e, ring.field)[1],
+                hit = found[(id(p), e)] = (p, ring.mul_block(p, e)[1],
                                            e + monomial_degree(next(iter(p.terms))))
             ring.mul_add(sums.setdefault(key, {}).setdefault(hit[2], {}), hit[1], q, e, *c)
     out = ((key, ring.polynomial(by_degree)) for key, by_degree in sums.items())
@@ -88,13 +89,12 @@ class GradedMap:
 
     entries[(i, j)] is the coefficient of target gen i in the image of
     source gen j; absent keys are zero.  `_layout` keeps the entries grouped
-    by polynomial, `_blocks` their block tables in each field the
-    coefficients were reduced into (`_entry_polys`), `_strand` the last
-    strand laid out, and `_ranks` the rank of each (degree, field) strand;
-    a map never changes once laid out.
+    by polynomial with each one's block table (`_entry_polys`), `_strand`
+    the last strand laid out, and `_ranks` the rank of each (degree, field)
+    strand; a map never changes once laid out.
     """
 
-    __slots__ = ("source", "target", "entries", "_layout", "_blocks", "_strand", "_ranks")
+    __slots__ = ("source", "target", "entries", "_layout", "_strand", "_ranks")
 
     def __init__(self, source: FreeModule, target: FreeModule, entries=None):
         """The map on `entries`, kept as given: each must be a nonzero form
@@ -104,7 +104,6 @@ class GradedMap:
         self.target = target
         self.entries = {} if entries is None else entries
         self._layout = None
-        self._blocks = {}
         self._strand = (None, None)
         self._ranks = {}
         for (i, j), p in self.entries.items():
@@ -120,11 +119,15 @@ class GradedMap:
         normal form, as ±x_i and the cycle coordinates are, so no product is
         taken: NF is linear, terms at one position are summed with +, and a
         zero sum is dropped.  Equal entries share one Polynomial, as a map
-        built from columns has few distinct ones."""
+        built from columns has few distinct ones.  A term at a label that is
+        no target generator raises ComplexError."""
         row = {lab: r for r, (lab, _) in enumerate(target.gens)}
         entries = {}
         for j, (lab, _) in enumerate(source.gens):
             for key, p in column(lab):
+                if key not in row:
+                    raise ComplexError(f"the column of {lab!r} has a term at {key!r}, "
+                                       "which is not a target generator")
                 pos = (row[key], j)
                 entries[pos] = entries[pos] + p if pos in entries else p
         shared = {}
@@ -177,41 +180,32 @@ class GradedMap:
         return all(p.degree() >= 1 for p in self.entries.values())
 
     # -- strand matrices -------------------------------------------------------
-    def _entry_polys(self, field):
+    def _entry_polys(self):
         """(distinct entry polynomials, the sorted entry positions (i, j),
-        the index of each position's polynomial), worked out once.  Over a
-        prime field that a ℚ map is reduced into, every coefficient of the
-        map is reduced first, once per field, so a denominator divisible by
-        p raises FieldError before any block is built, whichever strand is
-        asked for."""
+        the index of each position's polynomial, each polynomial's block
+        table in the ring), worked out once."""
         if self._layout is None:
             positions = tuple(sorted(self.entries))
             index = {}
             kinds = tuple(index.setdefault(self.entries[key], len(index))
                           for key in positions)
-            self._layout = (list(index), positions, kinds)
-        if field not in self._blocks:
-            ring = self.source.ring
-            if field != ring.field:
-                for p in self._layout[0]:
-                    for c in p.terms.values():
-                        field.of(c)
-            self._blocks[field] = [ring.mul_blocks(p, field) for p in self._layout[0]]
+            self._layout = (list(index), positions, kinds,
+                            [self.source.ring.mul_blocks(p) for p in index])
         return self._layout
 
-    def _strand_blocks(self, d: int, field):
+    def _strand_blocks(self, d: int):
         """(target dims, source dims, [(i, j, (block id, block))], block ids)
         of the degree-d strand: the generators' `strand_dims`, and each
         nonempty entry's block off its polynomial's table.  The last strand
         is kept for the rank memo's key and then `strand_matrix`."""
-        if self._strand[0] != (d, field):
-            polys, positions, kinds = self._entry_polys(field)
-            tables, gens = self._blocks[field], self.source.gens
+        if self._strand[0] != d:
+            polys, positions, kinds, tables = self._entry_polys()
+            gens = self.source.gens
             tdims, sdims = self.target.strand_dims(d), self.source.strand_dims(d)
             placed = [(i, j, tables[k].get(d - gens[j][1])
-                       or self.source.ring.mul_block(polys[k], d - gens[j][1], field))
+                       or self.source.ring.mul_block(polys[k], d - gens[j][1]))
                       for (i, j), k in zip(positions, kinds) if tdims[i] and sdims[j]]
-            self._strand = ((d, field), (tdims, sdims, placed, tuple(b for _, _, (b, _) in placed)))
+            self._strand = (d, (tdims, sdims, placed, tuple(b for _, _, (b, _) in placed)))
         return self._strand[1]
 
     def strand_matrix(self, d: int, field=None):
@@ -221,9 +215,10 @@ class GradedMap:
         nonzero entries.  Entry (i, j) places its multiplication block
         (`GradedQuotientRing.mul_block`) at the offsets of target gen i and
         source gen j; no two entries overlap, so nothing is summed here.
-        The field is the ring's own, or a prime field that a ℚ map is
-        reduced into; a denominator divisible by p raises FieldError."""
-        tdims, sdims, placed, _ = self._strand_blocks(d, field or self.source.ring.field)
+        Over another `field`, a prime field that a ℚ map is reduced into,
+        each entry of the ring's strand is reduced and dropped if it
+        vanishes; a denominator divisible by p raises FieldError."""
+        tdims, sdims, placed, _ = self._strand_blocks(d)
         row_at = list(accumulate(tdims, initial=0))
         col_at = list(accumulate(sdims, initial=0))
         by_col = {}
@@ -236,6 +231,9 @@ class GradedMap:
                 for off, block in by_col[j]:
                     for s, a in block[k]:
                         rows[off + s][col] = a
+        if field and field != self.source.ring.field:
+            rows = [{c: a for c, a in ((c, field.of(a)) for c, a in row.items()) if a}
+                    for row in rows]
         return rows, row_at[-1], col_at[-1]
 
     def strand_rank(self, d: int, field=None, ceiling=None) -> int:
@@ -243,14 +241,14 @@ class GradedMap:
         `field` (see `strand_matrix`), kept per (d, field).  The ring's
         `rank_memo` is keyed by the field, the sorted entry positions, the
         strand dims (which fix the entries placed, in that order) and their
-        block ids.  These fix the matrix exactly: an equal strand, of any map
-        over the ring, is built and ranked once.  The elimination stops at
+        block ids in the ring.  These fix the matrix exactly: an equal strand,
+        of any map over the ring, is built and ranked once.  The elimination stops at
         `ceiling` pivots; a caller passes only a bound on the rank, so both
         caches hold true ranks whichever ceiling the first caller had."""
         ring = self.source.ring
         field = field or ring.field
         if (d, field) not in self._ranks:
-            tdims, sdims, _, ids = self._strand_blocks(d, field)
+            tdims, sdims, _, ids = self._strand_blocks(d)
             key = (field, self._layout[1], tdims, sdims, ids)
             memo = ring.rank_memo
             if key not in memo:
@@ -326,7 +324,9 @@ class ChainComplex:
         if self._mod_p is None:
             try:
                 for dmap in self.differentials.values():
-                    dmap._entry_polys(MODULAR_FIELD)
+                    for p in dmap._entry_polys()[0]:
+                        for c in p.terms.values():
+                            MODULAR_FIELD.of(c)
                 self._mod_p = True
             except FieldError:
                 self._mod_p = False

@@ -160,8 +160,11 @@ _EXPECTED = {"start": "expected a term", "sign": "expected '+' or '-', got {!r}"
 
 
 def _is_name(text: str) -> bool:
-    """Whether `parse_polynomial` reads all of text as one variable name."""
-    return _NAME.fullmatch(text) is not None
+    """Whether text is a variable name: one `_NAME` token, so that
+    `parse_polynomial` reads it whole, and an identifier, so that it holds
+    no numeric character other than a digit, such as ² or ½ (`\\w` admits
+    them)."""
+    return text.isidentifier() and _NAME.fullmatch(text) is not None
 
 
 def parse_polynomial(text: str, var_names, field) -> Polynomial:

@@ -11,9 +11,11 @@ asked for.
 Products go through one rule, blocks of multiplication (`mul_block`): the
 block of p from degree e is every row NF(p·m_k), m_k the standard monomials
 of degree e, built in one pass (off the border when p is a variable, else
-summed from p's terms) and kept per (p, e, field), its rows interned.  A
-strand matrix places whole blocks, and a product of ring elements p·q is
-q's coordinates times p's block (`mul_add`).
+summed from p's terms) and kept per (p, e), its rows interned.  A strand
+matrix places whole blocks, and a product of ring elements p·q is q's
+coordinates times p's block (`mul_add`).  Everything here is over the
+ring's own field; a strand reduced into another field is reduced from
+these blocks (`complexes.GradedMap.strand_matrix`).
 """
 
 from __future__ import annotations
@@ -60,12 +62,10 @@ class GradedQuotientRing:
         one = ((0, field.one()),)
         self._degrees = [_DegreeData([(0,) * self.nvars], {(0,) * self.nvars: one})]
         # normal-form rows and multiplication rows repeat few distinct values:
-        # each is stored once per field (1 is the int 1 over ℚ and 𝔽_p alike,
-        # so only the field tells a ℚ row from an equal 𝔽_p one)
-        self._rows = {field: {one: one}}
-        # (poly, field) -> {e: (id, block)} of `mul_block`, each row one of
-        # `_rows`, and (field, block) -> (id, block), which gives equal blocks
-        # one id and one copy
+        # each is stored once
+        self._rows = {one: one}
+        # poly -> {e: (id, block)} of `mul_block`, each row one of `_rows`,
+        # and block -> (id, block), which gives equal blocks one id and one copy
         self._blocks = {}
         self._block_ids = {}
         # strand ranks by a key that fixes the strand matrix exactly, shared
@@ -166,8 +166,7 @@ class GradedQuotientRing:
             # a reduced row is 1 at its pivot and 0 at the other pivots
             nf[border[k]] = tuple((free_index[c], f.neg(a)) for c, a in sorted(row.items())
                                   if c != k)
-        rows = self._rows[f]
-        return _DegreeData(standard, {m: rows.setdefault(r, r) for m, r in nf.items()})
+        return _DegreeData(standard, {m: self._rows.setdefault(r, r) for m, r in nf.items()})
 
     def _nf_row(self, m, d: int):
         """NF(m) of a degree-d monomial as (standard index, coefficient)
@@ -188,7 +187,7 @@ class GradedQuotientRing:
             chain.append((m, d, j))
             m, d = _shift(m, j, -1), d - 1
             row = self._degrees[d].nf.get(m)
-        f, rows = self.field, self._rows[self.field]
+        f, rows = self.field, self._rows
         for m, d, j in reversed(chain):
             standard, nf = self._degrees[d - 1].standard, self._degrees[d].nf
             acc = {}
@@ -205,9 +204,9 @@ class GradedQuotientRing:
 
     def mul_add(self, acc: dict, block, q: Polynomial, e: int, c=1):
         """acc[t] += c·NF(poly·q)_t for homogeneous poly and q, q of degree e
-        and block = `mul_block(poly, e, self.field)[1]`: NF(q)'s coordinates
-        times the block's rows, summed with + and *; the caller brings acc
-        into the field."""
+        and block = `mul_block(poly, e)[1]`: NF(q)'s coordinates times the
+        block's rows, summed with + and *; the caller brings acc into the
+        field."""
         nf = self._degrees[e].nf  # built by `mul_block`
         for m, a in q.terms.items():
             for s, b in nf.get(m) or self._nf_row(m, e):
@@ -215,29 +214,25 @@ class GradedQuotientRing:
                 for t, v in block[s]:
                     acc[t] = acc.get(t, 0) + cab * v
 
-    def mul_blocks(self, poly: Polynomial, field) -> dict:
-        """The ring's table {e: `mul_block(poly, e, field)`} so far, to keep."""
-        return self._blocks.setdefault((poly, field), {})
+    def mul_blocks(self, poly: Polynomial) -> dict:
+        """The ring's table {e: `mul_block(poly, e)`} so far, to keep."""
+        return self._blocks.setdefault(poly, {})
 
-    def mul_block(self, poly: Polynomial, e: int, field):
+    def mul_block(self, poly: Polynomial, e: int):
         """(id, block) of multiplication by the homogeneous `poly` from degree
-        e over `field` (the ring's own, or a prime field a ℚ ring is reduced
-        into), built in one pass and kept: block[k] is NF(poly·m_k) for the
-        k-th standard monomial m_k, as (standard index, scalar) pairs.  For a
+        e, built in one pass and kept: block[k] is NF(poly·m_k) for the k-th
+        standard monomial m_k, as (standard index, scalar) pairs.  For a
         variable x_v the rows are the border rows of x_v·m_k; else row k is
-        Σ c·NF(μ·m_k) over poly's terms c·μ, brought into `field` once
-        (FieldError if p divides a denominator) and interned.  Equal blocks
-        over one field share one id and one copy; the field is part of that
-        key, as 1 is the int 1 over ℚ and 𝔽_p alike, and an integer matrix
-        can have another rank mod p."""
-        blocks = self.mul_blocks(poly, field)
+        Σ c·NF(μ·m_k) over poly's terms c·μ, brought into the field once and
+        interned.  Equal blocks share one id and one copy."""
+        blocks = self.mul_blocks(poly)
         if e in blocks:
             return blocks[e]
         standard, terms = self._degree_data(e).standard, poly.terms.items()
         mu, c = next(iter(terms))
         d = e + monomial_degree(mu)
-        nf, p, interned = self._degree_data(d).nf, self.field.p, self._rows.setdefault(field, {})
-        if d == e + 1 and c == 1 and len(terms) == 1 and field is self.field:
+        f, p, nf, interned = self.field, self.field.p, self._degree_data(d).nf, self._rows
+        if d == e + 1 and c == 1 and len(terms) == 1:
             block = tuple(nf[monomial_mul(mu, m)] for m in standard)  # interned by `_build_degree`
         else:
             rows = []
@@ -249,12 +244,12 @@ class GradedQuotientRing:
                         acc[s] = acc.get(s, 0) + c * a
                 row = []
                 for s, a in sorted(acc.items()):
-                    a = a % p if p else field.of(a)  # over 𝔽_p the sums are ints
+                    a = a % p if p else f.of(a)  # over 𝔽_p the sums are ints
                     if a:
                         row.append((s, a))
                 rows.append(interned.setdefault(tuple(row), tuple(row)))
             block = tuple(rows)
-        blocks[e] = self._block_ids.setdefault((field, block), (len(self._block_ids), block))
+        blocks[e] = self._block_ids.setdefault(block, (len(self._block_ids), block))
         return blocks[e]
 
     def polynomial(self, sums: dict) -> Polynomial:

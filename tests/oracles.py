@@ -173,18 +173,20 @@ def compose(f, g):
 
 
 def _sparse(rows, field):
-    """{column: scalar} rows of a matrix given by such rows or by dense rows
-    (taken into the field), and the column count the rows reach."""
+    """{column: scalar} rows of a matrix given by such rows or by dense rows,
+    each scalar taken into the field and dropped if zero there, and the
+    column count the rows reach."""
     out = []
     ncols = 0
     for row in rows:
         if isinstance(row, dict):
             if row:
                 ncols = max(ncols, max(row) + 1)
+            items = row.items()
         else:
             ncols = max(ncols, len(row))
-            row = {j: a for j, a in enumerate(map(field.of, row)) if a}
-        out.append(row)
+            items = enumerate(row)
+        out.append({j: a for j, a in ((j, field.of(a)) for j, a in items) if a})
     return out, ncols
 
 

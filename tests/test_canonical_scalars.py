@@ -37,7 +37,7 @@ def _stored_scalars(ring):
     normal-form rows, interned or not, and its multiplication blocks."""
     for g in ring.generators:
         yield from g.terms.values()
-    rows = [row for interned in ring._rows.values() for row in interned]
+    rows = list(ring._rows)
     rows += [row for data in ring._degrees for row in data.nf.values()]
     rows += [row for table in ring._blocks.values() for _, block in table.values()
              for row in block]

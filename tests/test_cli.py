@@ -372,9 +372,15 @@ def test_unreadable_variable_name_exits_2(tmp_path, capsys, names, bad, command)
     ("field rational\nvars x,y\ngen x^2*-y^2\n",
      "line 3: expected a variable after '*' (at position 4)"),
     ("field rational\nvars x,y\ngen x^²+y^2\n", "line 3: expected a number (at position 2)"),
+    # numeric characters that are not digits: a name of them would print
+    # entries like [½, 0], or [0, ²], which reads as a square
+    ("field rational\nvars ½,y\ngen ½^2\ngen y^2\n",
+     "line 2: variable name '½' must be a letter or '_' followed by letters, digits or '_'"),
+    ("field rational\nvars x,²\ngen x^2\ngen ²^2\n",
+     "line 2: variable name '²' must be a letter or '_' followed by letters, digits or '_'"),
 ], ids=["repeated-name", "zero", "inhomogeneous", "linear", "no-field", "no-vars",
         "unknown-directive", "missing-exponent", "missing-operator", "zero-denominator",
-        "dangling-star", "superscript-exponent"])
+        "dangling-star", "superscript-exponent", "fraction-name", "superscript-name"])
 def test_ring_errors_name_their_line(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ring"
     path.write_text(text, encoding="utf-8")

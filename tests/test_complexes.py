@@ -48,6 +48,21 @@ def test_graded_map_rejects_inhomogeneous_entry(ring):
         GradedMap.from_columns(far, tgt, lambda lab: [("b", P(ring, "x"))])
 
 
+def test_a_column_term_at_an_unknown_label_is_refused(ring):
+    # a column rule that names a label with no target generator, as ζ does
+    # if it drops every copy of j from w, is an input error naming both
+    # labels, not a KeyError
+    src = FreeModule(ring, [(((1, 1), ()), 2)])
+    tgt = FreeModule(ring, [(((1,), ()), 0)])
+    with pytest.raises(ComplexError) as info:
+        GradedMap.from_columns(src, tgt, lambda lab: [(((), (1,)), P(ring, "x^2"))])
+    assert str(info.value) == ("the column of ((1, 1), ()) has a term at ((), (1,)), "
+                               "which is not a target generator")
+    with pytest.raises(ComplexError, match=r"column of \(\(\), \(1,\)\) has a term at 'e'"):
+        ChainComplex.from_columns(ring, [[(((), ()), 0)], [(((), (1,)), 1)]],
+                                  lambda lab: [("e", P(ring, "x"))])
+
+
 def test_graded_map_compose_and_minimality(ring):
     a = FreeModule(ring, [("a", 2)])
     b = FreeModule(ring, [("b", 1)])
@@ -299,7 +314,8 @@ def test_ranks_without_square_zero_get_no_ceiling(composed, ceilings):
 
 def _memo_matrix(ring, key):
     """The strand matrix that a `rank_memo` key fixes, laid out again from
-    the key: the blocks of its ids placed at the offsets of its dims."""
+    the key: the ring's blocks of its ids placed at the offsets of its dims
+    (`oracle_rank` brings them into the key's field)."""
     field, positions, tdims, sdims, ids = key
     blocks = {b: block for b, block in ring._block_ids.values()}
     row_at = list(accumulate(tdims, initial=0))

@@ -95,10 +95,10 @@ def test_splitting_ranks_nothing_once_both_levels_are_ranked(monkeypatch):
     calls = []
     original = GradedMap._strand_blocks
 
-    def laying_out(self, d, field):
+    def laying_out(self, d):
         if not self.is_zero():
             calls.append(("strand", self.source.gens, d))
-        return original(self, d, field)
+        return original(self, d)
 
     monkeypatch.setattr(GradedMap, "_strand_blocks", laying_out)
     monkeypatch.setattr(complexes, "rank", lambda *args: calls.append(("rank", args)))

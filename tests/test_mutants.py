@@ -8,6 +8,11 @@ fails here instead of testing nothing.  It is applied to a copy of src/
 under tmp_path, and each command runs on that copy in a subprocess: it must
 exit 1 with the named FAIL lines or 2 with the named message, never 0 and
 never with a traceback.
+
+One rule is not here yet: ζ negated in F's column rule only (`assemble_f`)
+still exits 0 on both golden rings, as F with −ζ is a resolution too and
+no verifier compares F's ζ block with the ζ maps.  It waits for a check
+that compares the two constructions entry by entry.
 """
 
 from __future__ import annotations
@@ -50,12 +55,57 @@ MUTANTS = [
         "pass", "golden2-p", [["verify-all"]],
         1, ["homology clauses at level 1", "homology clauses at level 2",
             "inclusion vanishes in homology (k=1)"], id="cone-psi"),
+    # K's ∂ without its sign (−1)^t: ∂² ≠ 0 from K_2 on
+    pytest.param(
+        "koszul.py", "KoszulComplex.column", "-x if t % 2 else x", "x",
+        "golden2-p", [["verify-all"]],
+        2, r"input error: differential does not square to zero at 2\n", id="koszul-sign"),
+    # e_i ∧ e_S always +e_{i∪S}: z ∧ e_S no longer commutes with ∂, so ζ is
+    # no chain map
+    pytest.param(
+        "koszul.py", "wedge_sign", "return (-1) ** below, merged", "return 1, merged",
+        "golden2-p", [["verify-all"]],
+        2, r"input error: not a chain map at homological degree 2\n", id="wedge-sign"),
+    # e_S ∧ e_T without the parity of |out|: the DG product breaks Leibniz
+    pytest.param(
+        "koszul.py", "merge_wedge", "sign *= -s if len(out) % 2 else s", "sign *= s",
+        "golden2-p", [["verify-all"]], 1, ["graded Leibniz rule"], id="merge-parity"),
+    # the divided-power multiplicity C(a + b, a) taken as 1
+    pytest.param(
+        "koszul.py", "dg_product_basis", "mult *= math.comb(ca[val] + cb[val], ca[val])",
+        "mult *= 1", "golden2-p", [["verify-all"]], 1, ["graded Leibniz rule"],
+        id="divided-multiplicity"),
+    # ζ drops each copy of a repeated j, not only its first
+    pytest.param(
+        "koszul.py", "zeta_terms", "if j not in w[:pos]:", "if True:",
+        "golden2-p", [["verify-all"]], 1, ["graded Leibniz rule", "mu equals zeta"],
+        id="zeta-repeats"),
+    # ζ negated wherever it is read: F still resolves k, but μ, built by
+    # contraction, is the ζ of the paper
+    pytest.param(
+        "koszul.py", "zeta_terms", "yield (v, T), p", "yield (v, T), -p",
+        "golden2-p", [["verify-all"]], 1, ["mu equals zeta"], id="zeta-sign"),
+    # F's column rule without ζ: F is a sum of copies of K, not exact
+    pytest.param(
+        "resolution.py", "assemble_f",
+        "lambda lab: itertools.chain(K.column(lab), zeta_terms(Z, *lab))", "K.column",
+        "golden2-p", [["verify-all"]], 1, ["resolution minimal and exact"], id="zeta-dropped"),
+    # ζ drops every j from w: its terms land on labels that are no generators
+    pytest.param(
+        "koszul.py", "zeta_terms", "v = w[:pos] + w[pos + 1:]",
+        "v = tuple(x for x in w if x != j)", "golden2-p", [["verify-all"]],
+        2, r"input error: the column of .+ has a term at .+, which is not a target generator\n",
+        id="zeta-label"),
 ]
 
 
 def _function_source(text: str, name: str) -> str:
-    tree = ast.parse(text)
-    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    """The source of the function or method (Class.method) `name`."""
+    nodes = ast.parse(text).body
+    for part in name.split("."):
+        node = next(n for n in nodes
+                    if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part)
+        nodes = node.body
     return ast.get_source_segment(text, node)
 
 

@@ -149,7 +149,7 @@ def test_products_match_the_term_by_term_oracle(name, field, checked):
     if name == "quintic2":
         # the cycle coordinates x^4, y^4, z^4 are multiplied through blocks
         # built term by term, not read off the border
-        assert any(p.degree() == 4 for p, _ in ring._blocks)
+        assert any(p.degree() == 4 for p in ring._blocks)
 
 
 # -- maps built from columns: placed, not multiplied ------------------------------
@@ -249,39 +249,39 @@ def test_compose_matches_the_oracle_on_zeta_maps():
 
 @pytest.mark.parametrize("modular_first", [False, True])
 def test_rows_over_q_and_mod_p_are_never_shared(modular_first):
-    """A ℚ map's rows and its rows reduced mod 2³¹−1 are kept apart, whichever
-    is built first: 1 is the int 1 in both fields, and Fraction(1) == 1 hash
-    equal, so only the field in every key tells them apart."""
+    """The ring keeps rows over ℚ only, whichever field a strand is built in
+    first: a strand mod 2³¹−1 is the ℚ strand reduced entry by entry, with
+    the entries that vanish mod p dropped, and the ℚ strands stay those of
+    a ring that never saw the prime.  (1 is the int 1 in both fields, and
+    Fraction(1) == 1 hash equal, so a table shared by both would mix them.)"""
     names, gens = RINGS["nonmonic"]
     ring = ring_from_strings(names.split(","), gens, Q)
-    K = build_koszul(ring)
-    F = assemble_f(K, cycles_from_generators(K), 3)
-    one = ring.one()
+    fresh = ring_from_strings(names.split(","), gens, Q)
+    F, F_fresh = (assemble_f(K, cycles_from_generators(K), 3)
+                  for K in (build_koszul(ring), build_koszul(fresh)))
     fields = (MODULAR_FIELD, Q) if modular_first else (Q, MODULAR_FIELD)
-    ids = {f: ring.mul_block(one, 0, f) for f in fields}
-    assert ids[Q][1] == ids[MODULAR_FIELD][1] == (((0, 1),),)
-    assert ids[Q][0] != ids[MODULAR_FIELD][0]
     proper = False
     for i in (2, 3):
         dmap = F.differential(i)
         for d in range(2, 7):
             matrices = {f: dmap.strand_matrix(d, f) for f in fields}
             rows_q, nrows, ncols = matrices[Q]
+            assert matrices[Q] == F_fresh.differential(i).strand_matrix(d)
             assert matrices[MODULAR_FIELD][1:] == (nrows, ncols)
             reduced = [{j: MODULAR_FIELD.of(a) for j, a in row.items()
                         if MODULAR_FIELD.of(a)} for row in rows_q]
             assert matrices[MODULAR_FIELD][0] == reduced
             proper |= any(type(a) is Fraction for row in rows_q for a in row.values())
     assert proper
-    assert {f for _, f in ring._blocks} == {Q, MODULAR_FIELD}
-    # each field's rows are the products over ℚ brought into that field
-    for (p, f), table in ring._blocks.items():
+    # every stored block is keyed by its polynomial and holds the ℚ products
+    assert ring._blocks and all(isinstance(p, Polynomial) for p in ring._blocks)
+    for p, table in ring._blocks.items():
         for e, (_, block) in table.items():
             for k, row in enumerate(block):
                 m = oracles.degree_piece_basis(ring, e)[k]
                 vec = oracles.nf_coeff_vector(
                     ring, oracles.multiply(p, Polynomial(ring.nvars, Q, {m: 1})), e + p.degree())
-                assert row == tuple((s, f.of(a)) for s, a in enumerate(vec) if f.of(a))
+                assert row == tuple((s, a) for s, a in enumerate(vec) if a)
 
 
 # -- the mechanism, pinned ------------------------------------------------------
@@ -311,7 +311,7 @@ def test_commands_never_multiply_polynomials_term_by_term(argv, monkeypatch, cap
 def test_each_strand_is_laid_out_once(tmp_path, monkeypatch, capsys):
     """On `resolve --imax 6 --verify-all` over the benchmark's seed-1
     4-variable ring, the dims of each (module, d) and the placed blocks of
-    each (map, d, field) are worked out once: every later call returns the
+    each (map, d) are worked out once: every later call returns the
     very object the first one built."""
     generic_ci_ring = runpy.run_path(str(BENCH / "workloads.py"))["generic_ci_ring"]
     path = tmp_path / "generic4-seed1.ring"
@@ -319,10 +319,10 @@ def test_each_strand_is_laid_out_once(tmp_path, monkeypatch, capsys):
     results = {}
 
     def recording(name, original):
-        def wrapper(self, d, *field):
-            out = original(self, d, *field)
+        def wrapper(self, d):
+            out = original(self, d)
             # the owner and the result stay alive, so their ids stay their own
-            results.setdefault((name, id(self), d) + field, [self]).append(out)
+            results.setdefault((name, id(self), d), [self]).append(out)
             return out
         return wrapper
 
