@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: cycles, zeta, tower, resolve, divided, verify-all, export-map.
-Exit status 0 on success, 1 when a requested verification fails (a report
-file is written when --out is given), 2 on malformed input, including a
-ring whose complete-intersection certificate fails at load, and 141 (the
-shell's status for SIGPIPE) when stdout is closed before the output is
-written, as `| head` does.
+Exit status 0 on success, also when a verdict line reads partial, 1 when a
+requested verification fails (a report file is written when --out is
+given), 2 on malformed input, including a ring whose complete-intersection
+certificate fails at load, and 141 (the shell's status for SIGPIPE) when
+stdout is closed before the output is written, as `| head` does.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ def _deferred(name: str):
 zetamaps, conetower, resolution, dividedpowers, render = map(
     _deferred, ["zetamaps", "conetower", "resolution", "dividedpowers", "render"])
 
-
-DEFAULT_MAX_D = 16  # resolve's --max-d and verify-all's exactness window; never refused
 
 # no window may reach a degree where dim R_d exceeds this (see _window)
 MAX_QUOTIENT_DIM = 5000
@@ -98,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-all", action="store_true",
                    help="verify minimality and strand exactness")
     p.add_argument("--betti", action="store_true", help="print the Betti table")
-    p.add_argument("--max-d", type=_int_at_least(0), default=DEFAULT_MAX_D)
+    # ignored, as exactness covers every internal degree; kept for scripts
+    p.add_argument("--max-d", type=_int_at_least(0), help=argparse.SUPPRESS)
     p.add_argument("--out", help="output directory for matrices and report")
     p.add_argument("--z", help="cycle override file")
 
@@ -152,10 +151,12 @@ def _coordinate(ring, text: str, lineno: int, j: int):
         raise RingError(f"line {lineno}, coordinate {j}: {exc}") from exc
 
 
-def _verdict(name: str, passed: bool) -> bool:
-    """Print the verdict line of one check or group of checks; returns it."""
-    print(f"{name}: {'pass' if passed else 'FAIL'}")
-    return passed
+def _verdict(name: str, res: dict) -> bool:
+    """Print the verdict line of a check or group of checks res: FAIL, else
+    partial if a check in it says so, else pass; returns res["pass"]."""
+    partial = any(ch.get("partial") for ch in res.get("checks", ()))
+    print(f"{name}: {'FAIL' if not res['pass'] else 'partial' if partial else 'pass'}")
+    return res["pass"]
 
 
 def _write_report(out_dir, report) -> None:
@@ -174,7 +175,7 @@ def _cmd_cycles(args) -> int:
     for j, (z, deg) in enumerate(zip(Z.cycles, Z.degrees), start=1):
         coords = ", ".join(p.to_string(ring.var_names) for p in z)
         print(f"z_{j} (degree {deg}): [{coords}]")
-    _verdict("complete intersection certificate", cert["pass"])
+    _verdict("complete intersection certificate", cert)
     return 0
 
 
@@ -203,17 +204,17 @@ def _cmd_zeta(args) -> int:
     return 0
 
 
-def _window(ring, max_d: int, certified: bool = True) -> int:
-    """Check the internal-degree window max_d; returns max_d.  Above
-    DEFAULT_MAX_D, max_d may not pass max(the limit, Σ deg), past which the
-    CI prediction of dim R_d is constant or more than d, nor may that
-    prediction pass the limit.  It is exact for a CI, so on a ring not yet
-    `certified` the degrees are built in turn and each must match it."""
+def _window(ring, max_d: int, certified: bool = True) -> None:
+    """Check the internal-degree window max_d.  It may not
+    pass max(the limit, Σ deg), past which the CI prediction of dim R_d is
+    constant or more than d, nor may that prediction pass the limit.  It is
+    exact for a CI, so on a ring not yet `certified` the degrees are built
+    in turn and each must match it."""
     top = max(MAX_QUOTIENT_DIM, sum(g.degree() for g in ring.generators))
     if max_d > top:
         raise RingError(f"degree window {max_d} is above {top}, the largest accepted: "
                         f"max({MAX_QUOTIENT_DIM}, the sum of the generator degrees)")
-    dims = ring.ci_hilbert_coefficients(max_d) if max_d > DEFAULT_MAX_D else []
+    dims = ring.ci_hilbert_coefficients(max_d)
     for d, dim in enumerate(dims):
         if dim > MAX_QUOTIENT_DIM:
             raise RingError(f"degree window {max_d} reaches degree {d}, where dim R_{d} "
@@ -222,7 +223,6 @@ def _window(ring, max_d: int, certified: bool = True) -> int:
         if ring.dim_quotient(d) != dim:
             raise RingError(f"not a complete intersection: dim R_{d} is "
                             f"{ring.dim_quotient(d)}, not the predicted {dim}")
-    return max_d
 
 
 def _exactness_imax(imax: int) -> None:
@@ -248,7 +248,7 @@ def _cmd_tower(args) -> int:
     ok = True
     for k in range(1, args.levels + 1):
         ok &= _verdict(f"homology clauses at level {k}",
-                       conetower.verify_homology_theorem(tower, k)["pass"])
+                       conetower.verify_homology_theorem(tower, k))
     return 0 if ok else 1
 
 
@@ -278,8 +278,6 @@ def _cmd_resolve(args) -> int:
     if args.verify_all:
         _exactness_imax(args.imax)
     ring, K, Z, _ = _load(args)
-    if args.verify_all:
-        _window(ring, args.max_d)
     F = resolution.assemble_f(K, Z, args.imax)
     betti = resolution.betti_numbers(F)
     expected = resolution.poincare_coefficients(ring.nvars, ring.codepth, args.imax)
@@ -293,9 +291,9 @@ def _cmd_resolve(args) -> int:
     }
     ok = report["betti_match_series"]
     if args.verify_all:
-        res = resolution.verify_minimal_and_exact(F, args.max_d)
+        res = resolution.verify_minimal_and_exact(F)
         report["minimal_and_exact"] = res
-        ok &= _verdict("minimality and exactness", res["pass"])
+        ok &= _verdict("minimality and exactness", res)
     if args.out:
         _resolution_outputs(ring, F, args.out)
         report["pass"] = ok
@@ -308,12 +306,12 @@ def _cmd_divided(args) -> int:
     ok = True
     for k in range(1, args.k + 1):
         ok &= _verdict(f"mu^{k} square-zero",
-                       dividedpowers.verify_mu_square_zero(K, Z, k)["pass"])
+                       dividedpowers.verify_mu_square_zero(K, Z, k))
     if args.compare_zeta:
         ok &= _verdict(f"mu equals zeta (k <= {args.k})",
-                       dividedpowers.verify_mu_equals_zeta(K, Z, range(args.k + 1))["pass"])
+                       dividedpowers.verify_mu_equals_zeta(K, Z, range(args.k + 1)))
     ok &= _verdict("acyclic-closure differential squares to zero",
-                   dividedpowers.acyclic_closure_square_zero(K, Z)["pass"])
+                   dividedpowers.acyclic_closure_square_zero(K, Z))
     return 0 if ok else 1
 
 
@@ -326,7 +324,7 @@ def _cmd_verify_all(args) -> int:
 
     def record(name, res):
         report["checks"][name] = res
-        return _verdict(name, res["pass"])
+        return _verdict(name, res)
 
     ok = record("complete intersection certificate", cert)
     zetas = [zetamaps.build_zeta(K, Z, k) for k in range(3)]
@@ -346,7 +344,7 @@ def _cmd_verify_all(args) -> int:
     del tower
     F = resolution.assemble_f(K, Z, args.imax)
     ok &= record("resolution minimal and exact",
-                 resolution.verify_minimal_and_exact(F, DEFAULT_MAX_D))
+                 resolution.verify_minimal_and_exact(F))
     ok &= record("betti numbers match series", compare(
         "betti numbers match series",
         resolution.poincare_coefficients(ring.nvars, c, args.imax),
@@ -366,7 +364,8 @@ def _cmd_verify_all(args) -> int:
                  dividedpowers.acyclic_closure_square_zero(K, Z))
     report["pass"] = bool(ok)
     _write_report(args.out, report)
-    return 0 if _verdict("overall", ok) else 1
+    checks = [ch for res in report["checks"].values() for ch in res.get("checks", ())]
+    return 0 if _verdict("overall", {"pass": ok, "checks": checks}) else 1
 
 
 def _cmd_export_map(args) -> int:

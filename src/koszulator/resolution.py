@@ -8,9 +8,12 @@ Koszul blocks on the diagonal and zeta blocks one level down
 mapping-cone tower, and `conetower.verify_cross_construction` compares
 the two label for label.
 
-Also here: minimality and exactness of F, its Betti numbers, and the
-Leibniz rule of its DG product, which lives in `koszul` as it is K's
-wedge on the empty tuple.  The product multiplies tuple parts with
+Also here: minimality of F and its exactness in every internal degree,
+certified over an Artinian reduction R/(ℓ) by linear forms ℓ or, if no
+ℓ is found, checked on F up to a derived window and called partial
+(`verify_minimal_and_exact`); its Betti numbers; and the Leibniz rule of
+its DG product, which lives in `koszul` as it is K's wedge on the empty
+tuple.  The product multiplies tuple parts with
 divided-power multiplicity coefficients (multinomials of the merged
 multiplicities); plain concatenation with coefficient 1 would break the
 Leibniz rule whenever the tuples share a value, since the differential
@@ -27,7 +30,7 @@ import math
 from .complexes import ChainComplex, FreeModule, GradedMap
 from .koszul import (CycleBasis, KoszulComplex, check, dg_product_basis, hom_degree,
                      tuple_sum_gens, verdict, zeta_terms)
-from .polynomial import Polynomial, RingError
+from .polynomial import Polynomial
 from .polyring import GradedQuotientRing
 
 
@@ -59,68 +62,84 @@ def poincare_coefficients(n: int, c: int, up_to: int):
     return out
 
 
-def _mod_variable(C: ChainComplex, max_d: int):
-    """F̄ = C/x_v·C over R̄ = R/x_v·R for the last x_v at which no generator
-    vanishes and dim R̄_e = dim R_e − dim R_{e−1} (x_v injective on R_{e−1})
-    for 1 ≤ e ≤ max_d, else None: C's generators, each entry's x_v-free part
-    over R̄, and ∂² = 0, which a ring map keeps once the caller has checked C."""
-    R = C.ring
-    for v in reversed(range(R.nvars)):
-        def cut(p, v=v):
-            return Polynomial(R.nvars - 1, R.field,
-                              {m[:v] + m[v + 1:]: c for m, c in p.terms.items() if not m[v]})
-        try:
-            Rb = GradedQuotientRing(R.var_names[:v] + R.var_names[v + 1:],
-                                    [cut(g) for g in R.generators], R.field)
-        except RingError:
-            continue
-        if all(Rb.dim_quotient(e) == R.dim_quotient(e) - R.dim_quotient(e - 1)
-               for e in range(1, max_d + 1)):
-            bar = functools.cache(lambda p: Rb.normal_form(cut(p)))  # entries repeat
-            mods = {i: FreeModule(Rb, m.gens) for i, m in C.modules.items()}
-            diffs = {i: GradedMap(mods[i], mods[i - 1], {
-                pos: q for pos, p in dmap.entries.items() if (q := bar(p)).terms})
-                for i, dmap in C.differentials.items()}
-            Fb = ChainComplex(Rb, mods, diffs, check=False)
-            Fb._square_defect = C.square_defect()
-            return Fb
-    return None
+def _artinian_cut(R: GradedQuotientRing):
+    """(R̄, names): R̄ = R/(ℓ_1..ℓ_m) Artinian, m = n − c, each ℓ_j named
+    "x_v ↦ λ·x_w"; or None.  ℓ_j is the first of x_v (the last v first),
+    then x_v − λ·x_w for λ = 1, −1, 2, −2 nonzero in the field, that leaves
+    the CI Hilbert function Π(1 − t^{deg g})·(1 − t)^j/(1 − t)^n up to
+    degree s + 1, s = Σ (deg g − 1), which R must have and a regular ℓ_j
+    keeps.  At j = m it is 0 at s + 1: R̄ is Artinian, so (g, ℓ) is a system
+    of parameters of k[x] and ℓ is regular on R.  The search is greedy, at
+    most m·|candidates| rings, so None means that none was found."""
+    n, f, s = R.nvars, R.field, sum(g.degree() - 1 for g in R.generators)
+    unit = [tuple(int(i == v) for i in range(n)) for v in range(n)]
+    lams = [lam for lam in dict.fromkeys(map(f.of, (1, -1, 2, -2))) if not f.is_zero(lam)]
+    candidates = [(v, v, 0) for v in reversed(range(n))] + [
+        (v, w, lam) for v in reversed(range(n)) for w in range(n) if w != v for lam in lams]
+
+    def cut_by(cut):
+        Rb = R
+        if cut:  # linear relations, which no ring file holds, are read at d = 1
+            Rb = GradedQuotientRing(R.var_names, R.generators, f)
+            Rb.generators += [Polynomial(n, f, {unit[v]: 1} | ({unit[w]: -lam} if lam else {}))
+                              for v, w, lam in cut]
+        return Rb if Rb.hilbert_coefficients(s + 1) == Rb.ci_hilbert_coefficients(s + 1) else None
+
+    Rb, cut = cut_by([]), []
+    while Rb and len(cut) < n - R.codepth:
+        Rb, step = next(((Rc, c) for c in candidates
+                         if c not in cut and (Rc := cut_by(cut + [c]))), (None, None))
+        cut.append(step)
+    return Rb and (Rb, [f"{R.var_names[v]} ↦ "
+                        f"{Polynomial(n, f, {unit[w]: lam}).to_string(R.var_names)}"
+                        for v, w, lam in cut])
 
 
-def verify_minimal_and_exact(F: ChainComplex, max_d: int) -> dict:
-    """Minimality, ∂² = 0 (as the constructor composed it), exactness at
-    1 ≤ i < i_max = F.top and H_0 = k, in internal degrees ≤ max_d.  The homology
-    expected to vanish is certified by ranks mod p over ℚ, falling back to
-    exact ranks (`ChainComplex.vanishing_homology_dim`).  If R is not
-    Artinian, exactness is read first off F̄ = F/x_v·F over R/x_v·R
-    (`_mod_variable`), given three conditions: ∂² = 0, H_0(F)_d = [d = 0],
-    and x_v injective on R, for d ≤ max_d.  Then 0 → F(−1) → F → F̄ → 0 is
-    exact there, and its long exact sequence gives dim H_i(F̄)_d = dim
-    coker(x_v on H_i(F))_d + dim ker(x_v on H_{i−1}(F))_{d−1}, the kernel
-    term being [d = 1] at i = 1 as H_0(F) = k.  So dim H_i(F̄)_d = [(i, d) =
-    (1, 1)] gives H_i(F)_d = x_v·H_i(F)_{d−1}, which is 0 by induction from
-    d < 0.  Otherwise, or if F̄ has other homology, every strand of F is checked."""
-    i_max = F.top
+def _reduce(F: ChainComplex, Rb: GradedQuotientRing) -> ChainComplex:
+    """F̄ = F ⊗ R̄: F's generators and each entry's normal form in R̄; ∂² = 0
+    is kept by a ring map, so F̄ takes F's ∂² defect."""
+    bar = functools.cache(Rb.normal_form)  # entries repeat
+    mods = {i: FreeModule(Rb, m.gens) for i, m in F.modules.items()}
+    diffs = {i: GradedMap(mods[i], mods[i - 1], {
+        pos: q for pos, p in dmap.entries.items() if (q := bar(p)).terms})
+        for i, dmap in F.differentials.items()}
+    Fb = ChainComplex(Rb, mods, diffs, check=False)
+    Fb._square_defect = F.square_defect()
+    return Fb
+
+
+def verify_minimal_and_exact(F: ChainComplex) -> dict:
+    """Minimality, ∂² = 0 (as the constructor composed it), H_0 = k and
+    exactness at 1 ≤ i < i_max = F.top in every internal degree, vanishing
+    homology certified mod p over ℚ (`ChainComplex.vanishing_homology_dim`).
+    With R̄ = R/(ℓ) Artinian (`_artinian_cut`), F̄ = F ⊗ R̄ (F if m = 0) and
+    W = s + the largest twist of F_i, 1 ≤ i < i_max, past which F̄'s strands
+    vanish, F is exact there if (a) H_0(F)_d = [d = 0] for d ≤ 1; (b)
+    H_i(F)_{i+1} = 0 for 1 ≤ i < min(m, i_max); (c) dim H_i(F̄)_d = C(m, i)·
+    [d = i] for d ≤ W, Tor^R(k, R̄) = Λ(k^m).  In the double complex K(ℓ) ⊗ F
+    the rows give H(F̄), ℓ being regular, and the columns E¹_{p,q} =
+    H_q(F)^{C(m,p)}(−p) (Weibel §5.6).  A lowest H_q(F)_{d0} ≠ 0 (least d0,
+    then q) can be hit only from E_{q+1,0} = k^{C(m,q+1)} when d0 = q + 1,
+    which (b) rules out, so it survives into H_q(F̄)_{d0}, against (c).  With
+    no cut the loop runs on F, as for m = 0, and says `partial`: degrees
+    ≤ W only.  Witnesses are the (i, d) where (b) or (c) fails."""
+    i_max, R = F.top, F.ring
     minimal = all(F.differential(i).is_minimal() for i in range(1, i_max + 1))
     checks = [check("all differential entries in the maximal ideal", minimal),
               check("differential squares to zero", not F.square_defect())]
-    h0 = [F.strand_homology_dim(0, 0)] + [
-        F.vanishing_homology_dim(0, d) for d in range(1, max_d + 1)]
-    h0_is_k = h0[0] == 1 and all(v == 0 for v in h0[1:])
-    Fb = (_mod_variable(F, max_d) if F.ring.nvars > F.ring.codepth
-          and not F.square_defect() and h0_is_k else None)
-    certified = Fb is not None and all(
-        Fb.vanishing_homology_dim(i, d) == ((i, d) == (1, 1))
-        for i in range(1, i_max) for d in range(max_d + 1))
-    bad = [] if certified else [
-        (i, d)
-        for i in range(1, i_max)
-        for d in range(max_d + 1)
-        if F.vanishing_homology_dim(i, d) != 0
-    ]
-    checks.append(check(f"exact in homological degrees 1..{i_max - 1}, "
-                        f"internal degrees ≤ {max_d}", not bad, witnesses=bad))
-    checks.append(check("H_0 is the residue field in internal degree 0", h0_is_k, actual=h0))
+    h0 = [F.strand_homology_dim(0, 0), F.vanishing_homology_dim(0, 1)]
+    window = max((t for i in range(1, i_max) for _, t in F.module(i).gens), default=0) + sum(
+        g.degree() - 1 for g in R.generators)
+    Rb, cut = _artinian_cut(R) or (R, None)
+    m = len(cut or ())
+    Fb = _reduce(F, Rb) if m else F
+    bad = {(i, i + 1) for i in range(1, min(m, i_max)) if F.vanishing_homology_dim(i, i + 1)}
+    bad.update((i, d) for i in range(1, i_max) for d in range(window + 1)
+               if Fb.vanishing_homology_dim(i, d) != math.comb(m, i) * (d == i))
+    covered = "every internal degree" if cut is not None else f"internal degrees ≤ {window}"
+    checks.append(check(f"exact in homological degrees 1..{i_max - 1}, {covered}", not bad,
+                        witnesses=sorted(bad), cut=cut, window=window, partial=cut is None))
+    checks.append(check("H_0 is the residue field in internal degree 0", h0 == [1, 0], actual=h0))
     return verdict(checks)
 
 

@@ -153,7 +153,7 @@ def test_criterion_06_inclusions_vanish(both, tower2, tower3):
 def test_criterion_07_resolution(F2, F3):
     ok, detail = True, ""
     for F, c in ((F2, 2), (F3, 3)):
-        res = verify_minimal_and_exact(F, 16)
+        res = verify_minimal_and_exact(F)
         if not res["pass"]:
             ok, detail = False, f"c={c}: {res['checks']}"
         expected = poincare_coefficients(3, c, F.top)

@@ -139,26 +139,69 @@ def test_resolve_deterministic_output(ring3_file, tmp_path):
         assert p.read_bytes() == (dirs[1] / p.name).read_bytes()
 
 
-def test_resolve_explicit_window_above_16(ring3_file, tmp_path, capsys):
-    # a window above the default 16 runs in full
-    out_dir = tmp_path / "out"
-    assert main(["resolve", "--ring", ring3_file, "--imax", "4", "--verify-all",
-                 "--max-d", "20", "--out", str(out_dir)]) == 0
-    assert "minimality and exactness: pass" in capsys.readouterr().out
+def _exactness_record(out_dir):
     report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
-    checks = report["minimal_and_exact"]["checks"]
-    assert any("internal degrees ≤ 20" in ch["check"] for ch in checks)
+    return report["minimal_and_exact"]["checks"][2]
 
 
-def test_resolve_artinian_window_of_200_runs(ring3_file, tmp_path, capsys):
-    # R = 0 above degree 3, so the quotient limit refuses no window
+def test_resolve_explicit_window_above_16(ring3_file, tmp_path, capsys):
+    # --max-d is accepted and ignored: the check covers every internal
+    # degree through the window it derives, whatever window is asked for
+    records = []
+    for max_d in ("20", "0"):
+        out_dir = tmp_path / max_d
+        assert main(["resolve", "--ring", ring3_file, "--imax", "4", "--verify-all",
+                     "--max-d", max_d, "--out", str(out_dir)]) == 0
+        assert "minimality and exactness: pass" in capsys.readouterr().out
+        records.append(_exactness_record(out_dir))
+    assert records[0] == records[1]
+    assert records[0]["check"] == "exact in homological degrees 1..3, every internal degree"
+
+
+def test_resolve_artinian_window_of_200_runs(ring3_file, tmp_path, capsys, strand_builds):
+    # R = 0 above degree s = 3 and F_1..F_3 have twists ≤ 3, so no window
+    # such as 200 is walked: no strand above W = 6 is built, of F or of K
     out_dir = tmp_path / "out"
     assert main(["resolve", "--ring", ring3_file, "--imax", "4", "--verify-all",
                  "--max-d", "200", "--out", str(out_dir)]) == 0
     assert "minimality and exactness: pass" in capsys.readouterr().out
-    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
-    checks = report["minimal_and_exact"]["checks"]
-    assert any("internal degrees ≤ 200" in ch["check"] and ch["pass"] for ch in checks)
+    record = _exactness_record(out_dir)
+    assert (record["cut"], record["window"], record["partial"]) == ([], 6, False)
+    assert max(d for _, d, _ in strand_builds) == 6
+
+
+def test_no_regular_variable_is_cut_by_a_linear_form(tmp_path, capsys):
+    # ℚ[x,y]/(xy): cutting either variable kills the generator, y ↦ x
+    # leaves ℚ[x]/(x²); F_5's twist is 5 and s = 1
+    path = tmp_path / "xy.ring"
+    path.write_text("field rational\nvars x,y\ngen x*y\n")
+    assert main(["resolve", "--ring", str(path), "--imax", "6", "--verify-all",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "minimality and exactness: pass" in capsys.readouterr().out
+    record = _exactness_record(tmp_path / "out")
+    assert record["check"] == "exact in homological degrees 1..5, every internal degree"
+    assert (record["cut"], record["window"], record["partial"]) == (["y ↦ x"], 6, False)
+
+
+@pytest.mark.parametrize("command, line", [
+    (["resolve", "--imax", "6", "--verify-all"], "minimality and exactness: partial"),
+    (["verify-all", "--imax", "6"], "overall: partial"),
+], ids=["resolve", "verify-all"])
+def test_no_regular_linear_form_is_partial(tmp_path, capsys, command, line):
+    # over 𝔽₂ each linear form x, y, x + y divides x²y + xy², so no cut
+    # exists: F's own strands are checked up to W = 7 + 2, and the run
+    # passes, saying partial
+    path = tmp_path / "cubic.ring"
+    path.write_text("field prime 2\nvars x,y\ngen x^2*y+x*y^2\n")
+    assert main([command[0], "--ring", str(path), *command[1:], "--out",
+                 str(tmp_path / "out")]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    group = report.get("minimal_and_exact") or report["checks"]["resolution minimal and exact"]
+    record = group["checks"][2]
+    assert record["check"] == "exact in homological degrees 1..5, internal degrees ≤ 9"
+    assert (record["cut"], record["window"], record["partial"], group["pass"]) == (
+        None, 9, True, True)
 
 
 @pytest.mark.parametrize("argv", [
@@ -658,15 +701,18 @@ def test_cycles_on_six_cubes(tmp_path, capsys):
 
 
 def test_default_window_on_a_six_variable_hypersurface(tmp_path, capsys):
-    # dim R_14 = 5440 on ℚ[a..f]/(a²), but a window ≤ 16 is never refused,
-    # and plain resolve uses no window at all
+    # dim R_14 = 5440 on ℚ[a..f]/(a²), so a window of 16, once the default,
+    # is refused; exactness cuts f..b and works over ℚ[a]/(a²) up to W = 4
     path = tmp_path / "hyp.ring"
     path.write_text("field rational\nvars a,b,c,d,e,f\ngen a^2\n")
-    assert main(["resolve", "--ring", str(path), "--imax", "4", "--betti"]) == 0
-    assert "betti:" in capsys.readouterr().out
+    assert main(["resolve", "--ring", str(path), "--imax", "4", "--verify-all",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "minimality and exactness: pass" in capsys.readouterr().out
+    record = _exactness_record(tmp_path / "out")
+    assert record["cut"] == [f"{v} ↦ 0" for v in "fedcb"] and record["window"] == 4
     ring = load_ring_file(str(path))
-    assert _window(ring, 16) == 16
-    assert len(ring._degrees) == 1  # decided without building a degree
+    with pytest.raises(RingError, match="where dim R_14 is predicted to be 5440"):
+        _window(ring, 16)
 
 
 def test_ring_leaving_the_prediction_exits_2(tmp_path, capsys):
@@ -690,15 +736,20 @@ def test_ring_leaving_the_prediction_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["resolve", "--imax", "4", "--verify-all"],
 ], ids=["resolve"])
-def test_window_above_the_largest_exits_2(ring3_file, capsys, argv):
+def test_window_above_the_largest_exits_2(ring3_file, capsys, monkeypatch, argv):
     # an Artinian ring passes the quotient limit at every degree, but the
-    # checks walk each degree of a window: none above max(5000, Σ deg) runs
-    assert main([argv[0], "--ring", ring3_file, *argv[1:], "--max-d", "1000000000"]) == 2
+    # checks walk each degree of a window: none above max(5000, Σ deg) runs,
+    # the certificate's at load included
+    from koszulator import cli
+
+    monkeypatch.setattr(cli, "degree_window", lambda ring, k: 10 ** 9)
+    assert main([argv[0], "--ring", ring3_file, *argv[1:]]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert ("input error: degree window 1000000000 is above 5000, the largest "
             "accepted: max(5000, the sum of the generator degrees)") in err
-    assert main([argv[0], "--ring", ring3_file, *argv[1:], "--max-d", "5000"]) == 0
+    monkeypatch.setattr(cli, "degree_window", lambda ring, k: 5000)
+    assert main([argv[0], "--ring", ring3_file, *argv[1:]]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,11 @@ One rule is not here yet: ζ negated in F's column rule only (`assemble_f`)
 still exits 0 on both golden rings, as F with −ζ is a resolution too and
 no verifier compares F's ζ block with the ζ maps.  It waits for a check
 that compares the two constructions entry by entry.
+
+A verifier's rules have a floor too (`VERIFIER_MUTANTS`): a broken verifier
+rule gives a silent pass, not a failure.  Each row is an exact-once edit
+and the one tier-1 test, its negative control, that must fail on it; only
+that test runs, on the mutated copy, in a subprocess.
 """
 
 from __future__ import annotations
@@ -99,6 +104,58 @@ MUTANTS = [
 ]
 
 
+# (module, function, rule, mutant, control): the control is a test node id
+VERIFIER_MUTANTS = [
+    # the first candidate is kept whatever it leaves: z on (x² + yz, xy + z²),
+    # leaving (x², xy), which is not Artinian, and the check still passes
+    pytest.param(
+        "resolution.py", "_artinian_cut", "Rb.ci_hilbert_coefficients(s + 1) else None",
+        "Rb.ci_hilbert_coefficients(s + 1) or True else None",
+        "tests/test_resolution.py::test_the_cut_leaves_an_artinian_ring", id="premise-dropped"),
+    # Tor_1(k, R̄) expected to vanish: golden2's H_1(F̄)_1 = 1 then fails
+    pytest.param(
+        "resolution.py", "verify_minimal_and_exact", "!= math.comb(m, i) * (d == i)", "!= 0",
+        "tests/test_resolution.py::test_reduction_by_a_variable_is_used", id="tor-dropped"),
+    # one extra class in F̄ let through
+    pytest.param(
+        "resolution.py", "verify_minimal_and_exact",
+        "Fb.vanishing_homology_dim(i, d) != math.comb(m, i) * (d == i)",
+        "Fb.vanishing_homology_dim(i, d) > math.comb(m, i) * (d == i) + 1",
+        "tests/test_resolution.py::test_one_extra_class_in_the_cut_fails", id="c-loosened"),
+    # W one short: F̄'s top strands are never ranked
+    pytest.param(
+        "resolution.py", "verify_minimal_and_exact", "default=0)", "default=0) - 1",
+        "tests/test_resolution.py::test_certified_in_every_degree[quintic2-q]", id="window-short"),
+    # (b) dropped: a class of H_1(F) that the cut hides passes
+    pytest.param(
+        "resolution.py", "verify_minimal_and_exact",
+        "bad = {(i, i + 1) for i in range(1, min(m, i_max)) "
+        "if F.vanishing_homology_dim(i, i + 1)}", "bad = set()",
+        "tests/test_resolution.py::test_a_class_the_cut_hides_fails_by_b", id="b-dropped"),
+    # a group passes when any of its checks does
+    pytest.param(
+        "koszul.py", "verdict", 'all(ch["pass"] for ch in checks)',
+        'any(ch["pass"] for ch in checks)',
+        "tests/test_resolution.py::test_one_extra_class_in_the_cut_fails", id="verdict-any"),
+    # a partial pass printed as a pass
+    pytest.param(
+        "cli.py", "_verdict", "'partial' if partial else 'pass'", "'pass'",
+        "tests/test_cli.py::test_no_regular_linear_form_is_partial[resolve]", id="partial-hidden"),
+]
+
+
+def _mutated_src(tmp_path, module, function, rule, mutant):
+    """A copy of src/ under tmp_path with `rule` made `mutant`, once."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "koszulator" / module
+    text = path.read_text(encoding="utf-8")
+    assert _function_source(text, function).count(rule) == 1
+    assert text.count(rule) == 1
+    path.write_text(text.replace(rule, mutant), encoding="utf-8")
+    return src
+
+
 def _function_source(text: str, name: str) -> str:
     """The source of the function or method (Class.method) `name`."""
     nodes = ast.parse(text).body
@@ -112,13 +169,7 @@ def _function_source(text: str, name: str) -> str:
 @pytest.mark.parametrize("module, function, rule, mutant, ring, commands, code, expected", MUTANTS)
 def test_a_broken_rule_fails_loudly(tmp_path, module, function, rule, mutant, ring, commands,
                                     code, expected):
-    src = tmp_path / "src"
-    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-    path = src / "koszulator" / module
-    text = path.read_text(encoding="utf-8")
-    assert _function_source(text, function).count(rule) == 1
-    assert text.count(rule) == 1
-    path.write_text(text.replace(rule, mutant), encoding="utf-8")
+    src = _mutated_src(tmp_path, module, function, rule, mutant)
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     for argv in commands:
         proc = subprocess.run(
@@ -132,3 +183,16 @@ def test_a_broken_rule_fails_loudly(tmp_path, module, function, rule, mutant, ri
         else:
             failed = re.findall(r"^(.+): FAIL$", proc.stdout, re.MULTILINE)
             assert (failed, proc.stderr) == ([*expected, "overall"], ""), argv
+
+
+@pytest.mark.parametrize("module, function, rule, mutant, control", VERIFIER_MUTANTS)
+def test_a_broken_verifier_rule_fails_its_control(tmp_path, module, function, rule, mutant,
+                                                  control):
+    src = _mutated_src(tmp_path, module, function, rule, mutant)
+    # plugins add a second to each start and the controls use none
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", control],
+        capture_output=True, cwd=ROOT, env=env, text=True, timeout=120)
+    assert proc.returncode == 1 and "1 failed" in proc.stdout, proc.stdout[-2000:]

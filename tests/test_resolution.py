@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -49,12 +50,12 @@ def test_generator_twists(F2):
 
 
 def test_minimal_and_exact_small(F2):
-    assert verify_minimal_and_exact(F2, 8)["pass"]
+    assert verify_minimal_and_exact(F2)["pass"]
 
 
-def _fresh_f(gens, i_max=6):
-    """F over ℚ[x,y,z]/(gens) with empty rank memos."""
-    ring = ring_from_strings(["x", "y", "z"], gens, RationalField())
+def _fresh_f(gens, i_max=6, names=("x", "y", "z"), field=RationalField()):
+    """F over field[names]/(gens) with empty rank memos."""
+    ring = ring_from_strings(list(names), gens, field)
     K = build_koszul(ring)
     return assemble_f(K, cycles_from_generators(K), i_max)
 
@@ -79,16 +80,18 @@ def test_exactness_certified_mod_p(monkeypatch):
     # the homology is k: H_0(F) in degree 0 and H_1(F̄) in degree 1
     built = []
     original = GradedMap.strand_matrix
+    F = _fresh_f(["x^2", "y^2+z^2"])
 
     def recording(self, d, field=None):
-        built.append((self.source.ring.nvars, d, field or self.source.ring.field))
+        over = "F" if self.source.ring is F.ring else "F̄"
+        built.append((over, d, field or self.source.ring.field))
         return original(self, d, field)
 
-    F = _fresh_f(["x^2", "y^2+z^2"])
     monkeypatch.setattr(GradedMap, "strand_matrix", recording)
-    assert verify_minimal_and_exact(F, 8)["pass"]
+    assert verify_minimal_and_exact(F)["pass"]
     assert {field for _, _, field in built} == {RationalField(), complexes.MODULAR_FIELD}
-    assert {(n, d) for n, d, field in built if field == RationalField()} == {(3, 0), (2, 1)}
+    assert {(over, d) for over, d, field in built if field == RationalField()} == {
+        ("F", 0), ("F̄", 1)}
 
 
 def test_prime_dividing_a_denominator_is_rejected(monkeypatch, modular_primes):
@@ -97,69 +100,75 @@ def test_prime_dividing_a_denominator_is_rejected(monkeypatch, modular_primes):
     F = _fresh_f(gens)
     assert any(c.denominator == 7 and not m[2] for dmap in F.differentials.values()
                for p in dmap.entries.values() for m, c in p.terms.items())
-    expected = verify_minimal_and_exact(F, 8)
+    expected = verify_minimal_and_exact(F)
     assert expected["pass"] and 7 not in modular_primes
     monkeypatch.setattr(complexes, "MODULAR_FIELD", PrimeField(7))
-    assert verify_minimal_and_exact(_fresh_f(gens), 8) == expected
+    assert verify_minimal_and_exact(_fresh_f(gens)) == expected
     assert 7 not in modular_primes  # no rank mod 7 was taken, let alone trusted
 
 
 def test_prime_dividing_a_normal_form_denominator_falls_back(monkeypatch, modular_primes):
     # no entry of F has a 5 below the line, but R's normal forms do
-    # (x^2 = -yz/5), so only a strand's blocks meet it, after the pre-pass
-    gens = ["5*x^2+y*z", "y^2+z^2"]
-    expected = verify_minimal_and_exact(_fresh_f(gens), 8)
+    # (x^2 = -yz/5), so only a strand's blocks meet it, after the pre-pass;
+    # R is Artinian, so these are F's own strands
+    gens = ["5*x^2+y*z", "y^2", "z^2"]
+    expected = verify_minimal_and_exact(_fresh_f(gens))
     monkeypatch.setattr(complexes, "MODULAR_FIELD", PrimeField(5))
     F = _fresh_f(gens)
     assert F._reduces_mod_p()
-    assert verify_minimal_and_exact(F, 8) == expected
+    assert verify_minimal_and_exact(F) == expected
     assert expected["pass"] and not F._reduces_mod_p()
 
 
 def test_unlucky_prime_falls_back(monkeypatch, modular_primes, strand_builds):
     # (x^2, xy) is no complete intersection, so mod 5 some ranks of F drop
     gens = ["x^2", "x*y+5*y^2"]
-    expected = verify_minimal_and_exact(_fresh_f(gens), 8)
+    expected = verify_minimal_and_exact(_fresh_f(gens))
     monkeypatch.setattr(complexes, "MODULAR_FIELD", PrimeField(5))
     F = _fresh_f(gens)
     strand_builds.clear()
-    assert verify_minimal_and_exact(F, 8) == expected
+    assert verify_minimal_and_exact(F) == expected
     assert expected["pass"] and 5 in modular_primes
     assert any(d and field == RationalField() for _, d, field in strand_builds)
 
 
+def _reduced(F):
+    """F̄ = F/(ℓ)·F for the cut the certificate finds on F's ring."""
+    return resolution._reduce(F, resolution._artinian_cut(F.ring)[0])
+
+
 def test_tampered_differential_fails_with_exact_witnesses():
-    # ∂_3 = 0 keeps ∂² = 0 but leaves homology at i = 2 and 3
+    # ∂_3 = 0 keeps ∂² = 0 but leaves homology at i = 2 and 3; the witnesses
+    # are the strands of F̄ = F/z·F off Tor(k, R̄), by exact ranks
     F, G = _fresh_f(["x^2", "y^2+z^2"]), _fresh_f(["x^2", "y^2+z^2"])
     for H in (F, G):
         H.differential(3).entries.clear()
-    res = verify_minimal_and_exact(F, 8)
-    exact = [(i, d) for i in range(1, G.top) for d in range(9)
-             if G.strand_homology_dim(i, d) != 0]
+    res = verify_minimal_and_exact(F)
+    Gb, window = _reduced(G), res["checks"][2]["window"]
+    exact = [(i, d) for i in range(1, G.top) for d in range(window + 1)
+             if Gb.strand_homology_dim(i, d) != ((i, d) == (1, 1))]
     assert not res["pass"] and exact
     assert res["checks"][2]["witnesses"] == exact
 
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """The variable names of every ring R/x_v·R that the exactness check
-    tries to build while the test runs, whether or not it gives a ring."""
+    """Every ring R/(ℓ) that the exactness check builds while the test
+    runs, whether or not it keeps it; `_forms` reads their ℓ."""
     tried = []
     original = resolution.GradedQuotientRing
 
     def recording(var_names, generators, field):
-        tried.append(var_names)
-        return original(var_names, generators, field)
+        tried.append(original(var_names, generators, field))
+        return tried[-1]
 
     monkeypatch.setattr(resolution, "GradedQuotientRing", recording)
     return tried
 
 
-def _full_check(F, max_d):
-    """verify_minimal_and_exact with every strand of F checked."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resolution, "_mod_variable", lambda *args: None)
-        return verify_minimal_and_exact(F, max_d)
+def _forms(rings):
+    """The linear relations ℓ of each ring, as strings."""
+    return [[g.to_string(r.var_names) for g in r.generators if g.degree() == 1] for r in rings]
 
 
 def _tampered(gens, tamper):
@@ -176,32 +185,30 @@ def _double_first_entry(diffs):
     diffs[2].entries[pos] = diffs[2].entries[pos] + diffs[2].entries[pos]
 
 
-@pytest.mark.parametrize("tamper, failing, tried", [
-    # ∂_3 = 0 keeps ∂² = 0 and H_0 = k: F/z·F is built, shows the homology
-    # at i = 2 and 3, and every strand of F is checked
+@pytest.mark.parametrize("tamper, failing", [
+    # ∂_3 = 0 keeps ∂² = 0 and H_0 = k: F/z·F shows the homology at i = 2, 3
     (lambda diffs: diffs[3].entries.clear(), "exact in homological degrees 1..5, "
-     "internal degrees ≤ 8", [["x", "y"]]),
+     "every internal degree"),
     # with ∂² ≠ 0, or with ∂_1 = 0 and so H_0 = R, the argument through
-    # F/z·F does not hold, and no R/x_v·R is tried
-    (_double_first_entry, "differential squares to zero", []),
-    (lambda diffs: diffs[1].entries.clear(), "H_0 is the residue field in internal degree 0", []),
+    # F/z·F does not hold, and the check that fails says so
+    (_double_first_entry, "differential squares to zero"),
+    (lambda diffs: diffs[1].entries.clear(), "H_0 is the residue field in internal degree 0"),
 ], ids=["cleared-d3", "d-squared-nonzero", "cleared-d1"])
-def test_negative_controls_give_the_full_checks_witnesses(tamper, failing, tried, reductions):
-    gens = ["x^2", "y^2+z^2"]
-    res = verify_minimal_and_exact(_tampered(gens, tamper), 8)
+def test_negative_controls_fail_on_the_same_cut(tamper, failing, reductions):
+    # the cut depends on R alone: z, whatever F is
+    res = verify_minimal_and_exact(_tampered(["x^2", "y^2+z^2"], tamper))
     assert failing in [ch["check"] for ch in res["checks"] if not ch["pass"]]
-    assert res["checks"][2]["witnesses"]
-    assert reductions == tried
-    assert res == _full_check(_tampered(gens, tamper), 8)
+    assert res["checks"][2]["cut"] == ["z ↦ 0"]
+    assert _forms(reductions) == [["z"]]
 
 
 def test_reduction_by_a_variable_is_used(strand_builds, reductions):
     # golden2 = ℚ[x,y,z]/(x^2, y^2+z^2): z is regular, so F/z·F over
-    # ℚ[x,y]/(x^2, y^2) proves F exact; of F only ∂_1 is ranked, for H_0
+    # R/(z) ≅ ℚ[x,y]/(x^2, y^2) proves F exact; of F only ∂_1 is ranked, for H_0
     F = _fresh_f(["x^2", "y^2+z^2"])
     strand_builds.clear()
-    assert verify_minimal_and_exact(F, 8)["pass"]
-    assert reductions == [["x", "y"]]
+    assert verify_minimal_and_exact(F)["pass"]
+    assert _forms(reductions) == [["z"]]
     higher = {id(F.differential(i)) for i in range(2, F.top + 1)}
     assert not [key for key, _, _ in strand_builds if key in higher]
 
@@ -210,21 +217,80 @@ def test_artinian_ring_takes_the_full_check(strand_builds, reductions):
     # golden3 has codepth 3 in 3 variables: no variable is regular
     F = _fresh_f(["x^2+y^2", "x*z", "z^2+x*y"])
     strand_builds.clear()
-    assert verify_minimal_and_exact(F, 8)["pass"]
-    assert reductions == []
+    assert verify_minimal_and_exact(F)["pass"]
+    assert _forms(reductions) == []
     assert {id(F.differential(3))} & {key for key, _, _ in strand_builds}
 
 
 def test_zero_divisor_variable_is_skipped(reductions):
-    # z^2 = 0 at z = 0, so z is a zero divisor and is passed over; y is taken
-    gens = ["z^2", "x^2+y^2"]
-    F = _fresh_f(gens, 8)
-    res = verify_minimal_and_exact(F, 12)
-    assert reductions == [["x", "y"], ["x", "z"]]
-    assert res["pass"] and res == _full_check(_fresh_f(gens, 8), 12)
-    Fb = resolution._mod_variable(F, 12)
-    assert Fb.ring.var_names == ["x", "z"]
+    # z·z = 0, so z is a zero divisor: R/(z) has too large a Hilbert
+    # function and is passed over; y is taken
+    F = _fresh_f(["z^2", "x^2+y^2"], 8)
+    res = verify_minimal_and_exact(F)
+    assert _forms(reductions) == [["z"], ["y"]]
+    assert res["pass"] and res["checks"][2]["cut"] == ["y ↦ 0"]
+    Fb = _reduced(F)
+    assert _forms([Fb.ring]) == [["y"]]
     assert [Fb.module(i).gens for i in range(9)] == [F.module(i).gens for i in range(9)]
+
+
+def test_the_cut_leaves_an_artinian_ring(reductions):
+    # cutting z leaves (x², xy), which is not Artinian (y^d survives), so
+    # z is passed over although no generator vanishes; y leaves (x², z²)
+    res = verify_minimal_and_exact(_fresh_f(["x^2+y*z", "x*y+z^2"], 4))
+    assert _forms(reductions) == [["z"], ["y"]]
+    assert res["pass"] and res["checks"][2]["cut"] == ["y ↦ 0"]
+
+
+@pytest.mark.parametrize("gens, names, field, i_max, cut, window", [
+    # quintic2-q: F_5's twists reach 11 and s = 8
+    (["x^5", "y^5+z^5"], "xyz", RationalField(), 6, ["z ↦ 0"], 19),
+    # m = 2 and m = 3: Tor(k, R̄) = Λ(k^m) sits on the diagonal, and (b)
+    # ranks F itself at (i, i + 1) for i < m
+    (["x^2+y*z", "y^2+z*w"], "xyzw", RationalField(), 5, ["w ↦ 0", "z ↦ 0"], 6),
+    (["x^3", "y^2+z*w"], "xyzwv", PrimeField(32003), 5, ["v ↦ 0", "w ↦ 0", "z ↦ 0"], 9),
+], ids=["quintic2-q", "m2-q", "m3-p"])
+def test_certified_in_every_degree(gens, names, field, i_max, cut, window, monkeypatch):
+    res = verify_minimal_and_exact(_fresh_f(gens, i_max, names, field))
+    exact = res["checks"][2]
+    assert res["pass"] and exact["check"].endswith("every internal degree")
+    assert (exact["cut"], exact["window"], exact["partial"]) == (cut, window, False)
+    # without ζ, F is a sum of copies of K, and F̄ has the homology it keeps
+    monkeypatch.setattr(resolution, "zeta_terms", lambda Z, w, S: ())
+    res = verify_minimal_and_exact(_fresh_f(gens, i_max, names, field))
+    assert not res["pass"] and res["checks"][2]["witnesses"]
+
+
+def _without(gens, label, names="xyz"):
+    """F up to i_max = 2 over ℚ[names]/(gens), without the generator
+    `label` of F_2: ∂² stays 0 and one class of H_1(F) in degree 2 is left
+    unbounded."""
+    ring = ring_from_strings(list(names), gens, RationalField())
+    K = build_koszul(ring)
+    Z = cycles_from_generators(K)
+    F = assemble_f(K, Z, 2)
+    return complexes.ChainComplex.from_columns(
+        ring, [[g for g in F.module(i).gens if g[0] != label] for i in range(3)],
+        lambda lab: itertools.chain(K.column(lab), resolution.zeta_terms(Z, *lab)))
+
+
+def test_one_extra_class_in_the_cut_fails():
+    # golden2 without e_xy: xe_y − ye_x is a cycle no boundary reaches, and
+    # it is F̄'s one extra class, in H_1(F̄)_2
+    res = verify_minimal_and_exact(_without(["x^2", "y^2+z^2"], ((), (1, 2))))
+    assert not res["pass"] and res["checks"][2]["witnesses"] == [(1, 2)]
+
+
+def test_a_class_the_cut_hides_fails_by_b():
+    # ℚ[x,y,z]/(x²), m = 2, without e_yz: ye_z − ze_y gives H_1(F)_2 ≠ 0,
+    # which d² from E_{2,0} = k kills in the double complex, so F̄ shows
+    # nothing at i = 1; only (b), on F itself, sees it
+    F = _without(["x^2"], ((), (2, 3)))
+    res = verify_minimal_and_exact(F)
+    assert res["checks"][2]["cut"] == ["z ↦ 0", "y ↦ 0"]
+    assert not res["pass"] and res["checks"][2]["witnesses"] == [(1, 2)]
+    Fb = _reduced(F)
+    assert [Fb.strand_homology_dim(1, d) for d in range(3)] == [0, 2, 0]
 
 
 def test_cross_construction(F2, F3, tower2, tower3):
