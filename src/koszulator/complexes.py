@@ -13,10 +13,13 @@ degree d strand.  A strand's rank belongs to its map
 (`GradedMap.strand_rank`): one layout of the strand serves the rank memo's
 key and the matrix, and as R's degrees settle the same blocks recur, so
 ranks are memoised per ring by that exact key.  The ring computes in its
-own field only: a strand mod p is the ring's strand, reduced.  A chain complex holds only
-structure: modules, differentials, its ∂² defect and homology dims.  Chain
-maps (`zetamaps.ChainMap`) and mapping cones (`conetower.mapping_cone`)
-live with their only users, the ζ maps and the cone tower.
+own field only: a strand mod p is the ring's strand, reduced.  A chain
+complex holds only structure: modules, differentials, its ∂² defect, which
+it carries from its parts or composes once when built, and homology dims
+from one method, which picks the ∂² ceiling and, over ℚ, the modular
+certificate itself wherever ∂² = 0 is known.  Chain maps
+(`zetamaps.ChainMap`) and mapping cones (`conetower.mapping_cone`) live
+with their only users, the ζ maps and the cone tower.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .linalg import rank
 from .polynomial import monomial_degree
 from .polyring import GradedQuotientRing
 
-# The prime field of the exactness certificate over ℚ.  It can mislead only
+# The prime field of the modular certificate over ℚ.  It can mislead only
 # by dividing a denominator or a nonzero minor (a rank drops); either way the
 # exact ranks are taken, and a large p makes both rare.
 MODULAR_FIELD = PrimeField(2**31 - 1)
@@ -217,13 +220,19 @@ class GradedMap:
         source gen j; no two entries overlap, so nothing is summed here.
         Over another `field`, a prime field that a ℚ map is reduced into,
         each entry of the ring's strand is reduced and dropped if it
-        vanishes; a denominator divisible by p raises FieldError."""
+        vanishes, each distinct block once; a denominator divisible by p
+        raises FieldError."""
         tdims, sdims, placed, _ = self._strand_blocks(d)
         row_at = list(accumulate(tdims, initial=0))
         col_at = list(accumulate(sdims, initial=0))
+        reduced = {}
+        if field and field != self.source.ring.field:
+            of = field.of
+            for b, block in {b: block for _, _, (b, block) in placed}.items():
+                reduced[b] = [[(s, y) for s, x in row if (y := of(x))] for row in block]
         by_col = {}
-        for i, j, (_, block) in placed:
-            by_col.setdefault(j, []).append((row_at[i], block))
+        for i, j, (b, block) in placed:
+            by_col.setdefault(j, []).append((row_at[i], reduced.get(b, block)))
         rows = [{} for _ in range(row_at[-1])]
         for j in sorted(by_col):
             for k in range(sdims[j]):
@@ -231,9 +240,6 @@ class GradedMap:
                 for off, block in by_col[j]:
                     for s, a in block[k]:
                         rows[off + s][col] = a
-        if field and field != self.source.ring.field:
-            rows = [{c: a for c, a in ((c, field.of(a)) for c, a in row.items()) if a}
-                    for row in rows]
         return rows, row_at[-1], col_at[-1]
 
     def strand_rank(self, d: int, field=None, ceiling=None) -> int:
@@ -262,29 +268,33 @@ class ChainComplex:
     """Non-negatively indexed complex of free modules; modules[i], and
     differentials[i] : modules[i] -> modules[i-1]."""
 
-    def __init__(self, ring, modules, differentials, check: bool = True):
+    def __init__(self, ring, modules, differentials, defect="compose"):
+        """`defect` says how ∂² is known, from how the complex is built: the
+        degrees i where ∂_{i−1}∂_i ≠ 0 as its parts fix them (`shift`,
+        `conetower.mapping_cone`, F̄); "compose", composed here and refused
+        unless empty; or None, unknown until `square_defect` composes it."""
         self.ring = ring
         self.modules = dict(modules)
         self.differentials = dict(differentials)
-        self._square_defect = None
-        self._mod_p = None
+        self.defect = None if defect == "compose" else defect
+        self._mod_p = not ring.field.is_prime  # off at the first FieldError
         self._empty = FreeModule(ring, [])
         self._zero = {}  # the zero map at each degree past the stored ones
-        if check:
+        if defect == "compose":
             bad = self.square_defect()
             if bad:
                 raise ComplexError(f"differential does not square to zero at {bad[0]}")
 
     def square_defect(self):
-        """Homological degrees i where ∂_{i-1}∂_i ≠ 0, composed once: by the
-        constructor when it checks, else on the first call."""
-        if self._square_defect is None:
-            self._square_defect = [
+        """Homological degrees i where ∂_{i-1}∂_i ≠ 0: as the constructor
+        was given or composed them, else composed on the first call."""
+        if self.defect is None:
+            self.defect = [
                 i for i, dmap in sorted(self.differentials.items())
                 if i - 1 in self.differentials
                 and not self.differentials[i - 1].compose(dmap).is_zero()
             ]
-        return self._square_defect
+        return self.defect
 
     def module(self, i) -> FreeModule:
         return self.modules.get(i, self._empty)
@@ -297,78 +307,53 @@ class ChainComplex:
         return self._zero[i]
 
     @classmethod
-    def from_columns(cls, ring, gens, column, check: bool = True):
+    def from_columns(cls, ring, gens, column, defect="compose"):
         """The complex free on the generators gens[i] in each degree i, with
         ∂_i : C_i → C_{i−1} built by `GradedMap.from_columns` from one column
-        rule for every degree."""
+        rule for every degree; `defect` as in the constructor."""
         modules = {i: FreeModule(ring, g) for i, g in enumerate(gens)}
         diffs = {i: GradedMap.from_columns(modules[i], modules[i - 1], column)
                  for i in range(1, len(modules))}
-        return cls(ring, modules, diffs, check)
+        return cls(ring, modules, diffs, defect)
 
     @property
     def top(self) -> int:
         return max(self.modules) if self.modules else 0
 
     def shift(self, s: int = 1) -> "ChainComplex":
-        """Suspension: (Σ^s C)_i = C_{i-s} with differential times (-1)^s."""
+        """Suspension: (Σ^s C)_i = C_{i-s} with differential times (-1)^s,
+        and C's ∂² defect, if known, moved up by s."""
         modules = {i + s: m for i, m in self.modules.items()}
         diffs = {i + s: -dmap if s % 2 else dmap for i, dmap in self.differentials.items()}
-        return ChainComplex(self.ring, modules, diffs, check=False)
-
-    def _reduces_mod_p(self) -> bool:
-        """Do all coefficients of every differential reduce into
-        MODULAR_FIELD?  Worked out once, before the first rank mod p, so a
-        prime dividing a denominator anywhere in the complex is rejected
-        before any rank is taken in it."""
-        if self._mod_p is None:
-            try:
-                for dmap in self.differentials.values():
-                    for p in dmap._entry_polys()[0]:
-                        for c in p.terms.values():
-                            MODULAR_FIELD.of(c)
-                self._mod_p = True
-            except FieldError:
-                self._mod_p = False
-        return self._mod_p
+        return ChainComplex(self.ring, modules, diffs, self.defect and [i + s for i in self.defect])
 
     # -- homology ---------------------------------------------------------------
     def strand_homology_dim(self, i: int, d: int) -> int:
-        """dim H_i(C)_d = dim C_{i,d} − rank ∂_{i+1} − rank ∂_i.  ∂_i is
-        ranked first.  Where ∂_i∂_{i+1} = 0, im ∂_{i+1} ⊆ ker ∂_i, so
-        ∂_{i+1}'s elimination stops at dim C_{i,d} − rank ∂_i pivots, which
-        is then its rank; that needs ∂² already composed and found zero
-        there, and ∂² is never composed just for the ceiling."""
+        """dim H_i(C)_d = dim C_{i,d} − rank ∂_{i+1} − rank ∂_i, ∂_i ranked
+        first.  Where ∂_i∂_{i+1} = 0 is known (∂² is never composed for this),
+        im ∂_{i+1} ⊆ ker ∂_i, so ∂_{i+1}'s elimination stops at dim − rank ∂_i
+        pivots; and over ℚ both ranks are first taken in MODULAR_FIELD = 𝔽_p,
+        unless dim > dim C_{i+1,d} + dim C_{i−1,d} shows homology anyway.  A
+        strand with no denominator divisible by p has rank_p ≤ rank_ℚ, and
+        H ≥ 0, so dim = r_p(i+1) + r_p(i) proves H_i(C)_d = 0 (Wang 1981;
+        Monagan 2004).  Homology left mod p is ranked again exactly, and the
+        first denominator that p divides (FieldError) turns the complex's
+        modular path off, so the value is always the exact one."""
         dim = self.module(i).strand_dim(d)
         if dim == 0:
             return 0
-        r = self.differential(i).strand_rank(d)
-        defect = self._square_defect
-        ceiling = dim - r if defect is not None and i + 1 not in defect else None
-        return dim - self.differential(i + 1).strand_rank(d, ceiling=ceiling) - r
-
-    def vanishing_homology_dim(self, i: int, d: int) -> int:
-        """strand_homology_dim(i, d), for a strand whose homology should be 0.
-
-        Over ℚ both ranks are first taken in MODULAR_FIELD = 𝔽_p.  A strand
-        matrix with no denominator divisible by p has rank_p ≤ rank_ℚ, and
-        H ≥ 0 where ∂² = 0, so dim = r_p(i+1) + r_p(i) proves H_i(C)_d = 0
-        (the modular argument of Wang 1981 and Monagan 2004).  A prime
-        dividing a denominator of the complex or of R's normal forms, or
-        H ≠ 0 mod p, falls back to the exact ranks, so the value never
-        differs.  ∂² = 0 holds mod p too, so dim − r_p(i) bounds r_p(i+1):
-        ∂_{i+1} is ranked mod p with that ceiling, as in
-        `strand_homology_dim`."""
-        dim = self.module(i).strand_dim(d)
-        if (dim and not self.ring.field.is_prime and i + 1 not in self.square_defect()
-                and self._reduces_mod_p()):
+        square = self.defect is not None and i + 1 not in self.defect
+        if square and self._mod_p and dim <= (self.module(i + 1).strand_dim(d)
+                                              + self.module(i - 1).strand_dim(d)):
             try:
                 r = self.differential(i).strand_rank(d, MODULAR_FIELD)
                 if r + self.differential(i + 1).strand_rank(d, MODULAR_FIELD, dim - r) == dim:
                     return 0
-            except FieldError:  # p divides a denominator of R's normal forms
+            except FieldError:
                 self._mod_p = False
-        return self.strand_homology_dim(i, d)
+        r = self.differential(i).strand_rank(d)
+        ceiling = dim - r if square else None
+        return dim - self.differential(i + 1).strand_rank(d, ceiling=ceiling) - r
 
     def homology_table(self, max_i: int, max_d: int):
         """{(i, d): dim H_i(C)_d} over 0..max_i, 0..max_d."""

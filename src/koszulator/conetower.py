@@ -3,12 +3,16 @@
 M^0 = K and M^j = Cone(ψ^j) where ψ^j : Σ^{2j−1}K^{⊕C(j+c−1,c−1)} → M^{j−1}
 includes the (shifted) zeta map into the newest summand of the previous
 level.  Each ψ is verified to be a chain map when built, and each cone is
-assembled by the generic mapping cone (`mapping_cone`), so this is an
-independent code path from the direct block assembly of the resolution;
-`verify_cross_construction` compares the two label for label.  M^k sits
-in M^{k+1} as a split subcomplex, its back generators, and the quotient
-Q = M^{k+1}/M^k is a sum of shifted, twisted copies of K, so the splitting
-is read off the exact sequence 0 → M^k → M^{k+1} → Q → 0 and K's homology.
+assembled by the generic mapping cone (`mapping_cone`), which carries its
+parts' ∂² defect, so a level's strands are ranked as those of a complex:
+with the ∂² ceiling and, over ℚ, mod p first.  The homology clauses
+therefore check each level against the one below before ranking it, as
+the splitting check does.  The cones are an independent code path from
+the direct block assembly of the resolution; `verify_cross_construction`
+compares the two label for label.  M^k sits in M^{k+1} as a split
+subcomplex, its back generators, and the quotient Q = M^{k+1}/M^k is a sum
+of shifted, twisted copies of K, so the splitting is read off the exact
+sequence 0 → M^k → M^{k+1} → Q → 0 and K's homology.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone of f : C -> D, cone_i = C_{i-1} ⊕ D_i with
     ∂(c, d) = (-∂_C c, f(c) + ∂_D d).  f's chain defect, composed once
     per chain map, must be empty.  The −∂_C, f and ∂_D blocks fill disjoint
-    (row, column) ranges, so each entry is kept as it is."""
+    (row, column) ranges, so each entry is kept as it is, and ∂² is
+    (∂_C², ∂_D f − f ∂_C + ∂_D²) block for block: the cone carries C's ∂²
+    defect moved up by one and D's, unknown if either is."""
     if f.chain_defect():
         raise ComplexError("mapping cone of a non-chain map")
     C, D = f.source, f.target
@@ -45,7 +51,9 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         entries.update(((ct + r, c), p) for (r, c), p in f.component(i - 1).entries.items())
         entries.update(((ct + r, cs + c), p) for (r, c), p in D.differential(i).entries.items())
         diffs[i] = GradedMap(src, modules.get(i - 1) or FreeModule(ring, []), entries)
-    return ChainComplex(ring, modules, diffs, check=False)
+    defects = C.defect, D.defect
+    defect = None if None in defects else sorted({i + 1 for i in defects[0]} | set(defects[1]))
+    return ChainComplex(ring, modules, diffs, defect)
 
 
 def build_tower(K: KoszulComplex, Z: CycleBasis, J: int) -> list:
@@ -72,8 +80,12 @@ def level_rank_prediction(n: int, c: int, J: int, i: int) -> int:
 def verify_homology_theorem(tower, k: int) -> dict:
     """The homology clauses for M^k = tower[k] on d ≤ `degree_window(ring, k)`,
     where H(M^k) and H(M^{k−1}) lie: agreement with M^{k−1} outside the
-    window, vanishing at 2k−1 and 2k, and dim H_{2k+u} = rank [ζ_u^k]."""
+    window, vanishing at 2k−1 and 2k, and dim H_{2k+u} = rank [ζ_u^k].
+    M^k's strands are ranked with the ∂² defect its cone carries, so M^k is
+    first checked against M^{k−1} (`_copies_of_k`): a cone that is not
+    M^{k−1} extended by copies of K raises ComplexError."""
     Mk, Mk1 = tower[k], tower[k - 1]
+    _copies_of_k(Mk1, Mk, tower[0])
     ring = Mk.ring
     c = ring.codepth
     i_top = 2 * k + c + 2

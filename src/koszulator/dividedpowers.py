@@ -108,7 +108,7 @@ def acyclic_closure_square_zero(K: KoszulComplex, Z: CycleBasis, max_k: int = 3)
             for i in range(K.n + 2 * max_k + 1)]
     defect = ChainComplex.from_columns(
         K.ring, gens, lambda lab: itertools.chain(K.column(lab), mu_terms(Z, *lab)),
-        check=False).square_defect()
+        defect=None).square_defect()
     return check("acyclic-closure differential squares to zero", not defect,
                  witnesses=defect)
 

@@ -103,15 +103,14 @@ def _reduce(F: ChainComplex, Rb: GradedQuotientRing) -> ChainComplex:
     diffs = {i: GradedMap(mods[i], mods[i - 1], {
         pos: q for pos, p in dmap.entries.items() if (q := bar(p)).terms})
         for i, dmap in F.differentials.items()}
-    Fb = ChainComplex(Rb, mods, diffs, check=False)
-    Fb._square_defect = F.square_defect()
-    return Fb
+    return ChainComplex(Rb, mods, diffs, defect=F.square_defect())
 
 
 def verify_minimal_and_exact(F: ChainComplex) -> dict:
     """Minimality, ∂² = 0 (as the constructor composed it), H_0 = k and
-    exactness at 1 ≤ i < i_max = F.top in every internal degree, vanishing
-    homology certified mod p over ℚ (`ChainComplex.vanishing_homology_dim`).
+    exactness at 1 ≤ i < i_max = F.top in every internal degree, each strand
+    ranked by `ChainComplex.strand_homology_dim`: F and F̄ are known square
+    zero, so over ℚ vanishing homology is certified mod p.
     With R̄ = R/(ℓ) Artinian (`_artinian_cut`), F̄ = F ⊗ R̄ (F if m = 0) and
     W = s + the largest twist of F_i, 1 ≤ i < i_max, past which F̄'s strands
     vanish, F is exact there if (a) H_0(F)_d = [d = 0] for d ≤ 1; (b)
@@ -127,15 +126,15 @@ def verify_minimal_and_exact(F: ChainComplex) -> dict:
     minimal = all(F.differential(i).is_minimal() for i in range(1, i_max + 1))
     checks = [check("all differential entries in the maximal ideal", minimal),
               check("differential squares to zero", not F.square_defect())]
-    h0 = [F.strand_homology_dim(0, 0), F.vanishing_homology_dim(0, 1)]
+    h0 = [F.strand_homology_dim(0, 0), F.strand_homology_dim(0, 1)]
     window = max((t for i in range(1, i_max) for _, t in F.module(i).gens), default=0) + sum(
         g.degree() - 1 for g in R.generators)
     Rb, cut = _artinian_cut(R) or (R, None)
     m = len(cut or ())
     Fb = _reduce(F, Rb) if m else F
-    bad = {(i, i + 1) for i in range(1, min(m, i_max)) if F.vanishing_homology_dim(i, i + 1)}
+    bad = {(i, i + 1) for i in range(1, min(m, i_max)) if F.strand_homology_dim(i, i + 1)}
     bad.update((i, d) for i in range(1, i_max) for d in range(window + 1)
-               if Fb.vanishing_homology_dim(i, d) != math.comb(m, i) * (d == i))
+               if Fb.strand_homology_dim(i, d) != math.comb(m, i) * (d == i))
     covered = "every internal degree" if cut is not None else f"internal degrees ≤ {window}"
     checks.append(check(f"exact in homological degrees 1..{i_max - 1}, {covered}", not bad,
                         witnesses=sorted(bad), cut=cut, window=window, partial=cut is None))

@@ -67,9 +67,11 @@ class ChainMap:
 
 
 def koszul_tuple_sum(K: KoszulComplex, Z: CycleBasis, k: int) -> ChainComplex:
-    """K^{⊕ tuples(c,k)} on the generators `tuple_sum_gens`."""
+    """K^{⊕ tuples(c,k)} on the generators `tuple_sum_gens`, with K's ∂²
+    defect, as each copy has K's column rule."""
     return ChainComplex.from_columns(
-        K.ring, [tuple_sum_gens(Z, K.n, k, i) for i in range(K.n + 1)], K.column, check=False)
+        K.ring, [tuple_sum_gens(Z, K.n, k, i) for i in range(K.n + 1)], K.column,
+        defect=K.complex.square_defect())
 
 
 def build_zeta(K: KoszulComplex, Z: CycleBasis, k: int) -> ChainMap:

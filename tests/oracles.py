@@ -118,7 +118,7 @@ def quotient_complex(C, D) -> ChainComplex:
                           {(r, c): p for (r, c), p in dmap.entries.items()
                            if r < cut.get(i - 1, 0) and c < cut.get(i, 0)})
              for i, dmap in D.differentials.items()}
-    return ChainComplex(D.ring, modules, diffs, check=False)
+    return ChainComplex(D.ring, modules, diffs, defect=None)
 
 
 def splitting_by_quotient(tower, k: int, Q) -> dict:

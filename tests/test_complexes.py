@@ -107,18 +107,25 @@ def test_chain_complex_enforces_square_zero(ring):
         ChainComplex(ring, mods, bad)
 
 
-def test_vanishing_homology_needs_square_zero(ring, monkeypatch):
+@pytest.mark.parametrize("known", ["carried", "composed", "unknown"])
+def test_a_non_square_complex_gets_neither_ceiling_nor_modular_path(known, ceilings,
+                                                                   monkeypatch):
     # ∂_1∂_2 = 5 ≠ 0: mod 5 the strand looks exact, but over ℚ both ranks
-    # are 1 and the rank formula gives -1
+    # are 1 and the rank formula gives -1, whether the defect was carried
+    # from the parts, composed, or is not known yet
     monkeypatch.setattr(complexes, "MODULAR_FIELD", PrimeField(5))
+    ring = ring_from_strings(VARS, ["x^2", "y^2+z^2"], RationalField())
     mods = {i: FreeModule(ring, [(f"g{i}", 0)]) for i in range(3)}
     diffs = {
         1: GradedMap(mods[1], mods[0], {(0, 0): P(ring, "1")}),
         2: GradedMap(mods[2], mods[1], {(0, 0): P(ring, "5")}),
     }
-    C = ChainComplex(ring, mods, diffs, check=False)
-    assert C.square_defect() == [2]
-    assert C.vanishing_homology_dim(1, 0) == -1
+    C = ChainComplex(ring, mods, diffs, defect=[2] if known == "carried" else None)
+    if known == "composed":
+        assert C.square_defect() == [2]
+    assert C.strand_homology_dim(1, 0) == -1
+    assert ceilings and all(c is None for c, *_ in ceilings)
+    assert {field for _, _, field in _map_ranks(C)} == {ring.field}
 
 
 def test_shift_negates_differential(ring):
@@ -215,7 +222,7 @@ def test_repeated_strands_are_ranked_once(monkeypatch):
 
     monkeypatch.setattr(complexes, "rank", counting)
     # F's own strands: the exactness certificate ranks F̄ = F/z·F instead
-    assert all(F.vanishing_homology_dim(i, d) == 0 for i in range(1, 5) for d in range(15))
+    assert all(F.strand_homology_dim(i, d) == 0 for i in range(1, 5) for d in range(15))
     ranked = _map_ranks(F)
     nonempty = [(i, d) for i, d, _ in ranked
                 if F.module(i).strand_dim(d) and F.module(i - 1).strand_dim(d)]
@@ -303,7 +310,7 @@ def test_ranks_without_square_zero_get_no_ceiling(composed, ceilings):
         1: GradedMap(mods[1], mods[0], {(0, 0): P(ring, "1")}),
         2: GradedMap(mods[2], mods[1], {(0, 0): P(ring, "5")}),
     }
-    C = ChainComplex(ring, mods, diffs, check=False)
+    C = ChainComplex(ring, mods, diffs, defect=None)
     if composed:
         assert C.square_defect() == [2]
     for d in range(5):
@@ -426,7 +433,7 @@ def test_a_square_defect_in_the_last_column_only_is_found(ex3):
     assert _nonzero_columns(C.differential(1), bad) == {bad.source.rank - 1}
     expected = [2] + ([3] if _nonzero_columns(bad, C.differential(3)) else [])
     diffs = {**C.differentials, 2: bad}
-    assert ChainComplex(C.ring, C.modules, diffs, check=False).square_defect() == expected
+    assert ChainComplex(C.ring, C.modules, diffs, defect=None).square_defect() == expected
     with pytest.raises(ComplexError, match="at 2"):
         ChainComplex(C.ring, C.modules, diffs)
 

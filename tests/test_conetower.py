@@ -7,14 +7,16 @@ from koszulator.complexes import ChainComplex, ComplexError, FreeModule, GradedM
 from koszulator.conetower import (
     build_tower,
     level_rank_prediction,
+    mapping_cone,
     verify_homology_theorem,
     verify_splitting,
 )
 from koszulator.fields import PrimeField, RationalField
 from koszulator.koszul import build_koszul, cycles_from_generators, degree_window, tuples
 from koszulator.polyring import load_ring_file
+from koszulator.zetamaps import ChainMap, koszul_tuple_sum
 
-from oracles import quotient_complex, ring_from_strings, splitting_by_quotient
+from oracles import identity, quotient_complex, rank, ring_from_strings, splitting_by_quotient
 
 RINGS = Path(__file__).resolve().parents[1] / "bench" / "rings"
 GOLDEN3_Q = RINGS / "golden3-q.ring"
@@ -139,7 +141,7 @@ def _negated_in_quotient(tower, k: int):
     row, col = D.module(i - 1).rank - C.module(i - 1).rank, D.module(i).rank - C.module(i).rank
     pos = max(key for key in dmap.entries if key[0] < row and key[1] < col)
     tampered = GradedMap(dmap.source, dmap.target, {**dmap.entries, pos: -dmap.entries[pos]})
-    level = ChainComplex(D.ring, D.modules, {**D.differentials, i: tampered}, check=False)
+    level = ChainComplex(D.ring, D.modules, {**D.differentials, i: tampered}, defect=None)
     return [*tower[:k + 1], level, *tower[k + 2:]], i
 
 
@@ -157,6 +159,81 @@ def test_a_tampered_quotient_is_refused(tower3, monkeypatch, capsys):
         "input error: quotient is not a sum of copies of K at homological degree 5\n")
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_the_theorem_refuses_a_level_that_is_no_extension_by_copies_of_k(tower3, k):
+    # M^k is ranked with the ∂² defect its cone carries, so the theorem first
+    # checks it against M^{k−1}: Q's block with one entry negated is refused
+    # before any strand is ranked
+    tampered, i = _negated_in_quotient(tower3, k - 1)
+    with pytest.raises(ComplexError,
+                       match=f"quotient is not a sum of copies of K at homological degree {i}$"):
+        verify_homology_theorem(tampered, k)
+
+
+def _composed(C):
+    """C's ∂² defect, composed afresh."""
+    return ChainComplex(C.ring, C.modules, C.differentials, defect=None).square_defect()
+
+
+def test_carried_defects_are_the_composed_ones(both, tower2, tower3):
+    # a shift, a tuple sum and a cone carry their parts' ∂² defect, which
+    # composing ∂² again finds: on a complete intersection, none
+    for ex, tower in zip(both, (tower2, tower3)):
+        built = [ex.K.complex.shift(s) for s in (1, 2)]
+        for k in range(3):
+            S = koszul_tuple_sum(ex.K, ex.Z, k)
+            built += [S, S.shift(2 * k + 1)]
+        for C in built + tower[1:]:
+            assert C.defect == _composed(C) == []
+
+
+def test_a_cone_carries_its_parts_defect():
+    # ∂ = y twice on R, R(−1), R(−2) over (x², y² + z²): ∂² = y² ≠ 0 at 2.
+    # Cone(id) has C's defect moved up by one and D's, [3] ∪ [2]; parts whose
+    # ∂² is not known give a cone whose ∂² is not known
+    ring = ring_from_strings(["x", "y", "z"], ["x^2", "y^2+z^2"], RationalField())
+    mods = {i: FreeModule(ring, [(f"g{i}", i)]) for i in range(3)}
+    diffs = {i: GradedMap(mods[i], mods[i - 1], {(0, 0): ring.variable(1)}) for i in (1, 2)}
+    ident = {i: identity(m) for i, m in mods.items()}
+    C = ChainComplex(ring, mods, diffs, defect=None)
+    assert mapping_cone(ChainMap(C, C, ident)).defect is None
+    assert C.square_defect() == [2]
+    cone = mapping_cone(ChainMap(C, C, ident))
+    assert cone.defect == _composed(cone) == [2, 3]
+    assert cone.shift(1).defect == _composed(cone.shift(1)) == [3, 4]
+
+
+def test_nonmonic_levels_are_ranked_mod_p(monkeypatch):
+    # ℚ[x,y,z]/(2x² + 3yz, 5y² − 7xz) has fractions in its normal forms; M¹
+    # and M² carry ∂² = 0 from their parts, so their strands are ranked mod
+    # p first, and their homology is that of the exact ranks
+    ring = ring_from_strings(["x", "y", "z"], ["2*x^2+3*y*z", "5*y^2-7*x*z"], RationalField())
+    K = build_koszul(ring)
+    tower = build_tower(K, cycles_from_generators(K), 2)
+    ranked = []
+    original = GradedMap.strand_rank
+
+    def recording(self, d, field=None, ceiling=None):
+        ranked.append((self, field))
+        return original(self, d, field, ceiling)
+
+    monkeypatch.setattr(GradedMap, "strand_rank", recording)
+    for k in (1, 2):
+        level, i_top = tower[k], 2 * k + ring.codepth + 2
+        ranked.clear()
+        table = level.homology_table(i_top, degree_window(ring, k))
+        assert any(field == complexes.MODULAR_FIELD and gmap is level.differential(i)
+                   for gmap, field in ranked for i in range(i_top + 2))
+
+        def exact(i, d):
+            rows, nrows, ncols = level.differential(i).strand_matrix(d)
+            return rank(rows, ring.field) if nrows and ncols else 0
+
+        assert table == {(i, d): level.module(i).strand_dim(d) - exact(i + 1, d) - exact(i, d)
+                         for i, d in table}
+        assert verify_homology_theorem(tower, k)["pass"]
+
+
 def test_splitting_refuses_a_non_split_inclusion(ex2, tower2):
     # C = K must be the back of D = M^1, and ∂ᴰ must restrict to ∂ᶜ there
     K, M1 = tower2[0], tower2[1]
@@ -165,12 +242,12 @@ def test_splitting_refuses_a_non_split_inclusion(ex2, tower2):
     col = M1.module(2).rank - K.module(2).rank
     leak = GradedMap(M1.module(2), M1.module(1))
     leak.entries = {**M1.differential(2).entries, (front - 1, col): ring.one()}
-    into_q = ChainComplex(ring, M1.modules, {**M1.differentials, 2: leak}, check=False)
+    into_q = ChainComplex(ring, M1.modules, {**M1.differentials, 2: leak}, defect=None)
     with pytest.raises(ComplexError, match="not a chain map"):
         verify_splitting([K, into_q], 0)
     gens = M1.module(1).gens
     rotated = FreeModule(ring, gens[1:] + gens[:1])
-    misaligned = ChainComplex(ring, {**M1.modules, 1: rotated}, M1.differentials, check=False)
+    misaligned = ChainComplex(ring, {**M1.modules, 1: rotated}, M1.differentials, defect=None)
     with pytest.raises(ComplexError, match="misaligned"):
         verify_splitting([K, misaligned], 0)
 

@@ -53,6 +53,16 @@ MUTANTS = [
         "{(r, c): p for (r, c), p in C.differential(i - 1).entries.items()}",
         "golden2-p", [["verify-all"], ["tower", "--levels", "2", "--verify"]],
         2, r"input error: not a chain map at homological degree 4\n", id="cone-sign"),
+    # the same edit with the top level verified: M^1's cone carries ∂² = 0
+    # from its parts, so the theorem first checks M^1 against K, whose copies
+    # Q's block no longer is
+    pytest.param(
+        "conetower.py", "mapping_cone",
+        "{(r, c): -p for (r, c), p in C.differential(i - 1).entries.items()}",
+        "{(r, c): p for (r, c), p in C.differential(i - 1).entries.items()}",
+        "golden3-q", [["tower", "--levels", "1", "--verify"]],
+        2, r"input error: quotient is not a sum of copies of K at homological degree 3\n",
+        id="cone-sign-top"),
     # ψ's block dropped from the cone: each level splits off the one below
     pytest.param(
         "conetower.py", "mapping_cone",
@@ -119,8 +129,8 @@ VERIFIER_MUTANTS = [
     # one extra class in F̄ let through
     pytest.param(
         "resolution.py", "verify_minimal_and_exact",
-        "Fb.vanishing_homology_dim(i, d) != math.comb(m, i) * (d == i)",
-        "Fb.vanishing_homology_dim(i, d) > math.comb(m, i) * (d == i) + 1",
+        "Fb.strand_homology_dim(i, d) != math.comb(m, i) * (d == i)",
+        "Fb.strand_homology_dim(i, d) > math.comb(m, i) * (d == i) + 1",
         "tests/test_resolution.py::test_one_extra_class_in_the_cut_fails", id="c-loosened"),
     # W one short: F̄'s top strands are never ranked
     pytest.param(
@@ -130,8 +140,26 @@ VERIFIER_MUTANTS = [
     pytest.param(
         "resolution.py", "verify_minimal_and_exact",
         "bad = {(i, i + 1) for i in range(1, min(m, i_max)) "
-        "if F.vanishing_homology_dim(i, i + 1)}", "bad = set()",
+        "if F.strand_homology_dim(i, i + 1)}", "bad = set()",
         "tests/test_resolution.py::test_a_class_the_cut_hides_fails_by_b", id="b-dropped"),
+    # mod p ranks trusted where ∂² = 0 is not known: ∂_1 = 1, ∂_2 = 5 looks
+    # exact mod 5
+    pytest.param(
+        "complexes.py", "ChainComplex.strand_homology_dim", "if square and self._mod_p and",
+        "if self._mod_p and",
+        "tests/test_complexes.py::test_a_non_square_complex_gets_neither_ceiling_nor_modular_path"
+        "[carried]", id="modular-unguarded"),
+    # every cone claims ∂² = 0, whatever its parts carry
+    pytest.param(
+        "conetower.py", "mapping_cone",
+        "None if None in defects else sorted({i + 1 for i in defects[0]} | set(defects[1]))",
+        "[]", "tests/test_conetower.py::test_a_cone_carries_its_parts_defect",
+        id="cone-claims-square"),
+    # the theorem ranks a level it has not checked against the one below
+    pytest.param(
+        "conetower.py", "verify_homology_theorem", "_copies_of_k(Mk1, Mk, tower[0])", "None",
+        "tests/test_conetower.py::test_the_theorem_refuses_a_level_that_is_no_extension_by"
+        "_copies_of_k[1]", id="theorem-unguarded"),
     # a group passes when any of its checks does
     pytest.param(
         "koszul.py", "verdict", 'all(ch["pass"] for ch in checks)',

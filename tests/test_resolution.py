@@ -5,7 +5,7 @@ import pytest
 
 from koszulator import complexes, resolution
 from koszulator.complexes import GradedMap
-from koszulator.fields import PrimeField, RationalField
+from koszulator.fields import FieldError, PrimeField, RationalField
 from koszulator.conetower import verify_cross_construction
 from koszulator.dividedpowers import verify_associativity, verify_graded_commutativity
 from koszulator.koszul import (build_koszul, cycles_from_generators, dg_product_basis,
@@ -94,30 +94,44 @@ def test_exactness_certified_mod_p(monkeypatch):
         ("F", 0), ("F̄", 1)}
 
 
-def test_prime_dividing_a_denominator_is_rejected(monkeypatch, modular_primes):
+@pytest.mark.parametrize("gens, p", [
     # the 1/7 sits on x*y, so it survives in F̄ = F/z·F as well as in F
-    gens = ["x^2", "y^2+1/7*x*y+z^2"]
-    F = _fresh_f(gens)
-    assert any(c.denominator == 7 and not m[2] for dmap in F.differentials.values()
-               for p in dmap.entries.values() for m, c in p.terms.items())
-    expected = verify_minimal_and_exact(F)
-    assert expected["pass"] and 7 not in modular_primes
-    monkeypatch.setattr(complexes, "MODULAR_FIELD", PrimeField(7))
-    assert verify_minimal_and_exact(_fresh_f(gens)) == expected
-    assert 7 not in modular_primes  # no rank mod 7 was taken, let alone trusted
-
-
-def test_prime_dividing_a_normal_form_denominator_falls_back(monkeypatch, modular_primes):
+    (["x^2", "y^2+1/7*x*y+z^2"], 7),
     # no entry of F has a 5 below the line, but R's normal forms do
-    # (x^2 = -yz/5), so only a strand's blocks meet it, after the pre-pass;
-    # R is Artinian, so these are F's own strands
-    gens = ["5*x^2+y*z", "y^2", "z^2"]
+    # (x^2 = -yz/5), so only a strand's blocks meet it; R is Artinian, so
+    # these are F's own strands
+    (["5*x^2+y*z", "y^2", "z^2"], 5)], ids=["entry", "normal-form"])
+def test_prime_dividing_a_denominator_falls_back(monkeypatch, modular_primes, gens, p):
     expected = verify_minimal_and_exact(_fresh_f(gens))
-    monkeypatch.setattr(complexes, "MODULAR_FIELD", PrimeField(5))
-    F = _fresh_f(gens)
-    assert F._reduces_mod_p()
-    assert verify_minimal_and_exact(F) == expected
-    assert expected["pass"] and not F._reduces_mod_p()
+    assert expected["pass"] and p not in modular_primes
+    monkeypatch.setattr(complexes, "MODULAR_FIELD", PrimeField(p))
+    builds = []  # (ring, map, d, reduced) of each strand mod p, in order
+    original = GradedMap.strand_matrix
+
+    def recording(self, d, field=None):
+        if field != PrimeField(p):
+            return original(self, d, field)
+        try:
+            out = original(self, d, field)
+        except FieldError:
+            builds.append((self.source.ring, self, d, False))
+            raise
+        builds.append((self.source.ring, self, d, True))
+        return out
+
+    monkeypatch.setattr(GradedMap, "strand_matrix", recording)
+    assert verify_minimal_and_exact(_fresh_f(gens)) == expected
+    # a strand is reduced mod p, and its rank mod p taken, only if none of
+    # its denominators is divisible by p
+    for _, gmap, d, reduced in builds:
+        rows = original(gmap, d)[0]
+        assert reduced == all(a.denominator % p for row in rows for a in row.values())
+    # the first FieldError on a complex turns its modular path off
+    failed = {ring for ring, *_, reduced in builds if not reduced}
+    assert failed
+    for ring in failed:
+        attempts = [reduced for r, *_, reduced in builds if r is ring]
+        assert attempts.index(False) == len(attempts) - 1
 
 
 def test_unlucky_prime_falls_back(monkeypatch, modular_primes, strand_builds):
@@ -176,7 +190,7 @@ def _tampered(gens, tamper):
     composed again."""
     F = _fresh_f(gens)
     tamper(F.differentials)
-    return complexes.ChainComplex(F.ring, F.modules, F.differentials, check=False)
+    return complexes.ChainComplex(F.ring, F.modules, F.differentials, defect=None)
 
 
 def _double_first_entry(diffs):
