@@ -48,10 +48,6 @@ zetamaps, conetower, resolution, dividedpowers, render = map(
     _deferred, ["zetamaps", "conetower", "resolution", "dividedpowers", "render"])
 
 
-# no window may reach a degree where dim R_d exceeds this (see _window)
-MAX_QUOTIENT_DIM = 5000
-
-
 def _int_at_least(low: int):
     """argparse type: an integer >= low."""
     def parse(text):
@@ -123,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     ring = load_ring_file(args.ring)
-    _window(ring, degree_window(ring, 1), certified=False)  # the certificate's window
+    ring.window(degree_window(ring, 1))  # the certificate's window
     K = build_koszul(ring)
     z_path = getattr(args, "z", None)
     if z_path:
@@ -204,27 +200,6 @@ def _cmd_zeta(args) -> int:
     return 0
 
 
-def _window(ring, max_d: int, certified: bool = True) -> None:
-    """Check the internal-degree window max_d.  It may not
-    pass max(the limit, Σ deg), past which the CI prediction of dim R_d is
-    constant or more than d, nor may that prediction pass the limit.  It is
-    exact for a CI, so on a ring not yet `certified` the degrees are built
-    in turn and each must match it."""
-    top = max(MAX_QUOTIENT_DIM, sum(g.degree() for g in ring.generators))
-    if max_d > top:
-        raise RingError(f"degree window {max_d} is above {top}, the largest accepted: "
-                        f"max({MAX_QUOTIENT_DIM}, the sum of the generator degrees)")
-    dims = ring.ci_hilbert_coefficients(max_d)
-    for d, dim in enumerate(dims):
-        if dim > MAX_QUOTIENT_DIM:
-            raise RingError(f"degree window {max_d} reaches degree {d}, where dim R_{d} "
-                            f"is predicted to be {dim}, more than {MAX_QUOTIENT_DIM}")
-    for d, dim in enumerate([] if certified else dims):
-        if ring.dim_quotient(d) != dim:
-            raise RingError(f"not a complete intersection: dim R_{d} is "
-                            f"{ring.dim_quotient(d)}, not the predicted {dim}")
-
-
 def _exactness_imax(imax: int) -> None:
     """Exactness is checked at 1 ≤ i < i_max: refuse the empty range."""
     if imax < 2:
@@ -236,9 +211,8 @@ def _cmd_tower(args) -> int:
         raise ValueError(f"--levels {args.levels}: --verify checks the homology clauses "
                          "at levels 1 ≤ k ≤ levels, which needs levels ≥ 1")
     ring, K, Z, _ = _load(args)
-    if args.verify:  # each level's window, refused before any level is built
-        for k in range(1, args.levels + 1):
-            _window(ring, degree_window(ring, k))
+    if args.verify:  # the top level's window, the largest, before any level is built
+        ring.window(degree_window(ring, args.levels))
     tower = conetower.build_tower(K, Z, args.levels)
     for j, level in enumerate(tower):
         ranks = [level.module(i).rank for i in range(2 * j + ring.nvars + 1)]
@@ -318,7 +292,7 @@ def _cmd_divided(args) -> int:
 def _cmd_verify_all(args) -> int:
     _exactness_imax(args.imax)
     ring, K, Z, cert = _load(args)
-    _window(ring, degree_window(ring, 2))  # both levels and the splitting
+    ring.window(degree_window(ring, 2))  # both levels and the splitting
     c = ring.codepth
     report = {"ring": args.ring, "checks": {}}
 

@@ -6,8 +6,8 @@ leading monomial of an element of the ideal) and normal forms over them.
 Degree d is built from degrees d-1 and d-2 by a small elimination on the
 border, the monomials that have a standard parent; any other normal form is
 computed from its parent on first use.  The degree cache has no cap: it
-grows as far as a computation asks, and the CLI bounds the windows it is
-asked for.
+grows as far as a computation asks, and every window a check reads passes
+`GradedQuotientRing.window` first, in the ring whose degrees it reads.
 Products go through one rule, blocks of multiplication (`mul_block`): the
 block of p from degree e is every row NF(p·m_k), m_k the standard monomials
 of degree e, built in one pass (off the border when p is a variable, else
@@ -26,6 +26,9 @@ from .fields import field_from_spec
 from .linalg import rref
 from .polynomial import (ParseError, Polynomial, RingError, _check_generator, _first_var,
                          _is_name, _shift, monomial_degree, monomial_mul, parse_polynomial)
+
+# no window may reach a degree where dim R_d exceeds this (see `window`)
+MAX_QUOTIENT_DIM = 5000
 
 
 class _DegreeData:
@@ -281,6 +284,26 @@ class GradedQuotientRing:
             for m, c in p.terms.items():
                 by_degree.setdefault(monomial_degree(m), []).append((m, c))
         return self.polynomial({d: self._nf_sum(terms, d) for d, terms in by_degree.items()})
+
+    def window(self, max_d: int) -> int:
+        """The internal-degree window max_d, checked: it may not pass max(the
+        limit, Σ deg), past which the CI prediction of dim R_d is constant or
+        more than d, nor may that prediction pass the limit.  It is exact for a
+        CI, so the degrees are built in turn and each must match it."""
+        top = max(MAX_QUOTIENT_DIM, sum(g.degree() for g in self.generators))
+        if max_d > top:
+            raise RingError(f"degree window {max_d} is above {top}, the largest accepted: "
+                            f"max({MAX_QUOTIENT_DIM}, the sum of the generator degrees)")
+        dims = self.ci_hilbert_coefficients(max_d)
+        for d, dim in enumerate(dims):
+            if dim > MAX_QUOTIENT_DIM:
+                raise RingError(f"degree window {max_d} reaches degree {d}, where dim R_{d} "
+                                f"is predicted to be {dim}, more than {MAX_QUOTIENT_DIM}")
+        for d, dim in enumerate(dims):
+            if self.dim_quotient(d) != dim:
+                raise RingError(f"not a complete intersection: dim R_{d} is "
+                                f"{self.dim_quotient(d)}, not the predicted {dim}")
+        return max_d
 
     def hilbert_coefficients(self, up_to: int):
         """dim_k (Q/I)_d for d = 0..up_to (inclusive)."""

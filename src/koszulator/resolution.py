@@ -121,15 +121,16 @@ def verify_minimal_and_exact(F: ChainComplex) -> dict:
     then q) can be hit only from E_{q+1,0} = k^{C(m,q+1)} when d0 = q + 1,
     which (b) rules out, so it survives into H_q(F̄)_{d0}, against (c).  With
     no cut the loop runs on F, as for m = 0, and says `partial`: degrees
-    ≤ W only.  Witnesses are the (i, d) where (b) or (c) fails."""
+    ≤ W only.  W passes `window` in the ring it ranks, R̄ or R, before any
+    strand is ranked.  Witnesses are the (i, d) where (b) or (c) fails."""
     i_max, R = F.top, F.ring
     minimal = all(F.differential(i).is_minimal() for i in range(1, i_max + 1))
     checks = [check("all differential entries in the maximal ideal", minimal),
               check("differential squares to zero", not F.square_defect())]
-    h0 = [F.strand_homology_dim(0, 0), F.strand_homology_dim(0, 1)]
-    window = max((t for i in range(1, i_max) for _, t in F.module(i).gens), default=0) + sum(
-        g.degree() - 1 for g in R.generators)
     Rb, cut = _artinian_cut(R) or (R, None)
+    window = Rb.window(max((t for i in range(1, i_max) for _, t in F.module(i).gens),
+                           default=0) + sum(g.degree() - 1 for g in R.generators))
+    h0 = [F.strand_homology_dim(0, 0), F.strand_homology_dim(0, 1)]
     m = len(cut or ())
     Fb = _reduce(F, Rb) if m else F
     bad = {(i, i + 1) for i in range(1, min(m, i_max)) if F.strand_homology_dim(i, i + 1)}

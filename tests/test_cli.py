@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from koszulator.cli import _window, main
+from koszulator.cli import main
 from koszulator.polyring import RingError, load_ring_file
 
 RING2 = """field rational
@@ -202,6 +202,30 @@ def test_no_regular_linear_form_is_partial(tmp_path, capsys, command, line):
     assert record["check"] == "exact in homological degrees 1..5, internal degrees ≤ 9"
     assert (record["cut"], record["window"], record["partial"], group["pass"]) == (
         None, 9, True, True)
+
+
+@pytest.mark.parametrize("limit, code, line", [
+    (80, 2, ""),
+    (None, 0, "minimality and exactness: partial\n"),
+], ids=["limit-80", "default-limit"])
+def test_partial_window_passes_the_quotient_limit(tmp_path, capsys, monkeypatch, limit, code,
+                                                  line):
+    # over 𝔽₂ the sextic x·y·z·(x + y)(x + z)(y + z) is divisible by every
+    # linear form, so no cut exists and F's own strands are ranked up to
+    # W = 18 in R, whose dim R_15 is 81: W goes through the ring's window
+    # guard like every other window, here with the limit lowered to 80
+    from koszulator import polyring
+
+    if limit:
+        monkeypatch.setattr(polyring, "MAX_QUOTIENT_DIM", limit)
+    path = tmp_path / "sextic.ring"
+    path.write_text("field prime 2\nvars x,y,z\ngen x^3*y^2*z + x^3*y*z^2 + x^2*y^3*z"
+                    " + x^2*y*z^3 + x*y^3*z^2 + x*y^2*z^3\n")
+    assert main(["resolve", "--ring", str(path), "--imax", "6", "--verify-all"]) == code
+    out, err = capsys.readouterr()
+    assert out == line
+    assert err == ("input error: degree window 18 reaches degree 15, where dim R_15 is "
+                   "predicted to be 81, more than 80\n" if code else "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -712,7 +736,7 @@ def test_default_window_on_a_six_variable_hypersurface(tmp_path, capsys):
     assert record["cut"] == [f"{v} ↦ 0" for v in "fedcb"] and record["window"] == 4
     ring = load_ring_file(str(path))
     with pytest.raises(RingError, match="where dim R_14 is predicted to be 5440"):
-        _window(ring, 16)
+        ring.window(16)
 
 
 def test_ring_leaving_the_prediction_exits_2(tmp_path, capsys):
@@ -729,7 +753,7 @@ def test_ring_leaving_the_prediction_exits_2(tmp_path, capsys):
             "not the predicted 90") in err
     ring = load_ring_file(str(path))
     with pytest.raises(RingError):
-        _window(ring, 21, certified=False)
+        ring.window(21)
     assert len(ring._degrees) == 5  # nothing above degree 4
 
 
@@ -757,8 +781,9 @@ def test_window_above_the_largest_exits_2(ring3_file, capsys, monkeypatch, argv)
     ["tower", "--levels", "2", "--verify"],
 ], ids=["verify-all", "tower"])
 def test_derived_window_above_the_largest_exits_2(ring3_file, capsys, monkeypatch, argv):
-    # a level's derived window goes through the same refusal as resolve's --max-d,
-    # before any level is built; the certificate's window stays as it is
+    # a level's derived window goes through the ring's window guard, as the
+    # certificate's does, before any level is built; the certificate's window
+    # stays as it is
     from koszulator import cli
 
     derived = cli.degree_window

@@ -83,6 +83,27 @@ def test_splitting_fails_when_inclusion_is_identity(ex2, tower2, level):
     assert res["witnesses"] == expected == [[(1, 2), (2, 4)], [(3, 4), (4, 6)]][level]
 
 
+def test_splitting_fails_when_the_corner_is_no_isomorphism(tower2):
+    # negative control: D_i = Q_i ⊕ K_i with Q_i = K_{i−1} on the copy
+    # (1,) at twist 0 and ∂ = [[∂ᴷ, 0], [(−1)^i·id, ∂ᴷ]], the cone of K's
+    # identity, so D is acyclic and K → D induces 0 everywhere; at (0, 0)
+    # it kills the residue field, which only the corner's isomorphism sees
+    K = tower2[0]
+    ring = K.ring
+    mods = {i: FreeModule(ring, [(((1,), S), t) for (_, S), t in K.module(i - 1).gens]
+                          + K.module(i).gens) for i in range(K.top + 2)}
+    diffs = {}
+    for i in range(1, K.top + 2):
+        q, q1 = K.module(i - 1).rank, K.module(i - 2).rank
+        sign = ring.one() if i % 2 == 0 else -ring.one()
+        diffs[i] = GradedMap(mods[i], mods[i - 1], {
+            **K.differential(i - 1).entries, **{(q1 + j, j): sign for j in range(q)},
+            **{(q1 + r, q + c): p for (r, c), p in K.differential(i).entries.items()}})
+    D = ChainComplex(ring, mods, diffs)
+    res = verify_splitting([K, D], 0)
+    assert (res["pass"], res["witnesses"], res["degree_zero_iso"]) == (False, [], False)
+
+
 def test_splitting_ranks_nothing_once_both_levels_are_ranked(monkeypatch):
     # the splitting reads H(M^1) and H(M^2) off their strands and H(Q) off
     # K's: once those tables are built, it ranks no strand, and lays out

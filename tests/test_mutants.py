@@ -165,6 +165,38 @@ VERIFIER_MUTANTS = [
         "koszul.py", "verdict", 'all(ch["pass"] for ch in checks)',
         'any(ch["pass"] for ch in checks)',
         "tests/test_resolution.py::test_one_extra_class_in_the_cut_fails", id="verdict-any"),
+    # the splitting's (0, 0) corner taken on trust: K into the acyclic cone
+    # of its identity induces 0 on every strand, the residue field included
+    pytest.param(
+        "conetower.py", "verify_splitting",
+        "corner_iso = C.strand_homology_dim(0, 0) == D.strand_homology_dim(0, 0) "
+        "== ranks[(0, 0)] == 1", "corner_iso = True",
+        "tests/test_conetower.py::test_splitting_fails_when_the_corner_is_no_isomorphism",
+        id="corner-trusted"),
+    # wedge classes never tested for independence: z_1 ∧ z_1 = 0 passes
+    pytest.param(
+        "koszul.py", "_wedge_classes_independent",
+        "if not all(_independent_mod_boundaries(K, elems, u, d)",
+        "if False and not all(_independent_mod_boundaries(K, elems, u, d)",
+        "tests/test_koszul.py::test_certification_rejects_a_repeated_cycle",
+        id="wedge-independence-dropped"),
+    # every comparison passes: (x², xy)'s H_1 of dimension 3 included
+    pytest.param(
+        "koszul.py", "compare", "actual == expected", "True",
+        "tests/test_koszul.py::test_certification_rejects_non_complete_intersection",
+        id="compare-true"),
+    # W unguarded: with no cut, F's strands are ranked in R up to W, where
+    # dim R_d may pass the quotient limit
+    pytest.param(
+        "resolution.py", "verify_minimal_and_exact", "Rb.window(", "(",
+        "tests/test_cli.py::test_partial_window_passes_the_quotient_limit[limit-80]",
+        id="w-unguarded"),
+    # a window taken on the CI prediction alone: (a³, a²b, …, a²f) is let
+    # past its degree 4 and refused later, by the certificate
+    pytest.param(
+        "polyring.py", "GradedQuotientRing.window", "if self.dim_quotient(d) != dim:",
+        "if False:", "tests/test_cli.py::test_ring_leaving_the_prediction_exits_2",
+        id="window-uncompared"),
     # a partial pass printed as a pass
     pytest.param(
         "cli.py", "_verdict", "'partial' if partial else 'pass'", "'pass'",
