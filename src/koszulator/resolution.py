@@ -28,8 +28,8 @@ import itertools
 import math
 
 from .complexes import ChainComplex, FreeModule, GradedMap
-from .koszul import (CycleBasis, KoszulComplex, check, dg_product_basis, hom_degree,
-                     tuple_sum_gens, verdict, zeta_terms)
+from .koszul import (CycleBasis, KoszulComplex, check, compare, dg_product_basis,
+                     hom_degree, tuple_sum_gens, verdict, zeta_terms)
 from .polynomial import Polynomial
 from .polyring import GradedQuotientRing
 
@@ -38,9 +38,14 @@ def assemble_f(K: KoszulComplex, Z: CycleBasis, i_max: int) -> ChainComplex:
     """Minimal free resolution F of k over R up to homological degree
     i_max = F.top."""
     return ChainComplex.from_columns(
-        K.ring, [[g for j in range(i // 2 + 1) for g in tuple_sum_gens(Z, K.n, j, i - 2 * j)]
-                 for i in range(i_max + 1)],
+        K.ring, f_generators(Z, i_max),
         lambda lab: itertools.chain(K.column(lab), zeta_terms(Z, *lab)))
+
+
+def f_generators(Z: CycleBasis, i_max: int):
+    """The generators of F_0..F_{i_max}: F_i's are the tuple sums', by j."""
+    return [[g for j in range(i // 2 + 1) for g in tuple_sum_gens(Z, Z.K.n, j, i - 2 * j)]
+            for i in range(i_max + 1)]
 
 
 def betti_numbers(F: ChainComplex):
@@ -106,14 +111,23 @@ def _reduce(F: ChainComplex, Rb: GradedQuotientRing) -> ChainComplex:
     return ChainComplex(Rb, mods, diffs, defect=F.square_defect())
 
 
+def exactness_window(R: GradedQuotientRing, gens):
+    """(R̄, names of ℓ, W), or (R, None, W), for F over R free on gens[i] in
+    each degree i ≤ i_max (`verify_minimal_and_exact`); W passes `window` in
+    the ring that ranks F̄ up to it."""
+    Rb, cut = _artinian_cut(R) or (R, None)
+    return Rb, cut, Rb.window(max((t for g in gens[1:-1] for _, t in g), default=0)
+                              + sum(g.degree() - 1 for g in R.generators))
+
+
 def verify_minimal_and_exact(F: ChainComplex) -> dict:
-    """Minimality, ∂² = 0 (as the constructor composed it), H_0 = k and
-    exactness at 1 ≤ i < i_max = F.top in every internal degree, each strand
-    ranked by `ChainComplex.strand_homology_dim`: F and F̄ are known square
-    zero, so over ℚ vanishing homology is certified mod p.
-    With R̄ = R/(ℓ) Artinian (`_artinian_cut`), F̄ = F ⊗ R̄ (F if m = 0) and
-    W = s + the largest twist of F_i, 1 ≤ i < i_max, past which F̄'s strands
-    vanish, F is exact there if (a) H_0(F)_d = [d = 0] for d ≤ 1; (b)
+    """Minimality, ∂² = 0 (as the constructor composed it), H_0 = k, F's
+    ranks against (1 + t)^n/(1 − t²)^c and exactness at 1 ≤ i < i_max = F.top
+    in every internal degree, each strand ranked by `strand_homology_dim`: F
+    and F̄ are known square zero, so over ℚ vanishing homology is certified
+    mod p.  With R̄ = R/(ℓ) Artinian (`_artinian_cut`), F̄ = F ⊗ R̄ (F if m = 0)
+    and W = s + the largest twist of F_i, 1 ≤ i < i_max, past which F̄'s
+    strands vanish, F is exact there if (a) H_0(F)_d = [d = 0] for d ≤ 1; (b)
     H_i(F)_{i+1} = 0 for 1 ≤ i < min(m, i_max); (c) dim H_i(F̄)_d = C(m, i)·
     [d = i] for d ≤ W, Tor^R(k, R̄) = Λ(k^m).  In the double complex K(ℓ) ⊗ F
     the rows give H(F̄), ℓ being regular, and the columns E¹_{p,q} =
@@ -121,15 +135,13 @@ def verify_minimal_and_exact(F: ChainComplex) -> dict:
     then q) can be hit only from E_{q+1,0} = k^{C(m,q+1)} when d0 = q + 1,
     which (b) rules out, so it survives into H_q(F̄)_{d0}, against (c).  With
     no cut the loop runs on F, as for m = 0, and says `partial`: degrees
-    ≤ W only.  W passes `window` in the ring it ranks, R̄ or R, before any
-    strand is ranked.  Witnesses are the (i, d) where (b) or (c) fails."""
+    ≤ W only.  W passes `window` (`exactness_window`) before any strand is
+    ranked.  Witnesses are the (i, d) where (b) or (c) fails."""
     i_max, R = F.top, F.ring
     minimal = all(F.differential(i).is_minimal() for i in range(1, i_max + 1))
     checks = [check("all differential entries in the maximal ideal", minimal),
               check("differential squares to zero", not F.square_defect())]
-    Rb, cut = _artinian_cut(R) or (R, None)
-    window = Rb.window(max((t for i in range(1, i_max) for _, t in F.module(i).gens),
-                           default=0) + sum(g.degree() - 1 for g in R.generators))
+    Rb, cut, window = exactness_window(R, [F.module(i).gens for i in range(i_max + 1)])
     h0 = [F.strand_homology_dim(0, 0), F.strand_homology_dim(0, 1)]
     m = len(cut or ())
     Fb = _reduce(F, Rb) if m else F
@@ -140,6 +152,8 @@ def verify_minimal_and_exact(F: ChainComplex) -> dict:
     checks.append(check(f"exact in homological degrees 1..{i_max - 1}, {covered}", not bad,
                         witnesses=sorted(bad), cut=cut, window=window, partial=cut is None))
     checks.append(check("H_0 is the residue field in internal degree 0", h0 == [1, 0], actual=h0))
+    checks.append(compare("betti numbers match series",
+                          poincare_coefficients(R.nvars, R.codepth, i_max), betti_numbers(F)))
     return verdict(checks)
 
 

@@ -27,6 +27,12 @@ gen z^2+x*y
 """
 
 
+# over 𝔽₂ the sextic x·y·z·(x + y)(x + z)(y + z) is divisible by every
+# linear form, so the exactness certificate finds no cut
+SEXTIC_F2 = ("field prime 2\nvars x,y,z\ngen x^3*y^2*z + x^3*y*z^2 + x^2*y^3*z"
+             " + x^2*y*z^3 + x*y^3*z^2 + x*y^2*z^3\n")
+
+
 @pytest.fixture
 def ring2_file(tmp_path):
     path = tmp_path / "ex2.ring"
@@ -210,8 +216,7 @@ def test_no_regular_linear_form_is_partial(tmp_path, capsys, command, line):
 ], ids=["limit-80", "default-limit"])
 def test_partial_window_passes_the_quotient_limit(tmp_path, capsys, monkeypatch, limit, code,
                                                   line):
-    # over 𝔽₂ the sextic x·y·z·(x + y)(x + z)(y + z) is divisible by every
-    # linear form, so no cut exists and F's own strands are ranked up to
+    # no cut exists for the sextic, so F's own strands are ranked up to
     # W = 18 in R, whose dim R_15 is 81: W goes through the ring's window
     # guard like every other window, here with the limit lowered to 80
     from koszulator import polyring
@@ -219,13 +224,28 @@ def test_partial_window_passes_the_quotient_limit(tmp_path, capsys, monkeypatch,
     if limit:
         monkeypatch.setattr(polyring, "MAX_QUOTIENT_DIM", limit)
     path = tmp_path / "sextic.ring"
-    path.write_text("field prime 2\nvars x,y,z\ngen x^3*y^2*z + x^3*y*z^2 + x^2*y^3*z"
-                    " + x^2*y*z^3 + x*y^3*z^2 + x*y^2*z^3\n")
+    path.write_text(SEXTIC_F2)
     assert main(["resolve", "--ring", str(path), "--imax", "6", "--verify-all"]) == code
     out, err = capsys.readouterr()
     assert out == line
     assert err == ("input error: degree window 18 reaches degree 15, where dim R_15 is "
                    "predicted to be 81, more than 80\n" if code else "")
+
+
+def test_verify_all_guards_the_exactness_window_first(tmp_path, capsys, monkeypatch):
+    # the sextic at --imax 7: W = 23 reaches dim R_19 = 105, past the
+    # limit 100, while the tower's window 18 stays within it (dim R_18 = 99);
+    # W is refused before the certificate line and any level is ranked
+    from koszulator import polyring
+
+    monkeypatch.setattr(polyring, "MAX_QUOTIENT_DIM", 100)
+    path = tmp_path / "sextic.ring"
+    path.write_text(SEXTIC_F2)
+    assert main(["verify-all", "--ring", str(path), "--imax", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no homology clauses line, nor the certificate's
+    assert err == ("input error: degree window 23 reaches degree 19, where dim R_19 is "
+                   "predicted to be 105, more than 100\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -330,9 +350,9 @@ def test_verify_all_command(ring2_file, tmp_path, capsys):
 
 
 def test_verify_all_releases_each_group_before_the_next(monkeypatch, capsys):
-    # the ζ maps die once their last check is recorded, the cone tower after
-    # the splitting, and F after the Leibniz rule: each is gone, with no
-    # garbage collection, when the next group starts building
+    # the ζ maps die once their last check is recorded, the cone tower once
+    # F is compared with it, and F after the Leibniz rule: each is gone, with
+    # no garbage collection, when the next group starts
     from koszulator import conetower, dividedpowers, resolution, zetamaps
 
     built = {"zeta": [], "tower": [], "F": []}
@@ -353,7 +373,8 @@ def test_verify_all_releases_each_group_before_the_next(monkeypatch, capsys):
 
     keeping(zetamaps, "build_zeta", kind="zeta")
     keeping(conetower, "build_tower", kind="tower", dead="zeta")
-    keeping(resolution, "assemble_f", kind="F", dead="tower")
+    keeping(resolution, "assemble_f", kind="F")
+    keeping(resolution, "verify_minimal_and_exact", dead="tower")
     keeping(dividedpowers, "verify_mu_equals_zeta", dead="F")
     ring = os.path.join(os.path.dirname(__file__), "..", "bench", "rings", "golden3-p.ring")
     gc.disable()
@@ -363,7 +384,8 @@ def test_verify_all_releases_each_group_before_the_next(monkeypatch, capsys):
         gc.enable()
     assert "overall: pass" in capsys.readouterr().out
     assert [len(built[kind]) for kind in ("zeta", "tower", "F")] == [3, 1, 1]
-    assert alive_at == {"build_tower": 0, "assemble_f": 0, "verify_mu_equals_zeta": 0}
+    assert alive_at == {"build_tower": 0, "verify_minimal_and_exact": 0,
+                        "verify_mu_equals_zeta": 0}
 
 
 def test_export_map_round_trip(ring2_file, capsys):

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from koszulator.fields import PrimeField, RationalField
@@ -10,7 +12,6 @@ from koszulator.koszul import (
     cycles_from_generators,
     cycles_from_user,
     dg_product_elements,
-    homology_dims,
     merge_wedge,
     subsets,
     validate_cycles,
@@ -81,13 +82,13 @@ def test_echelon_extraction_spans_the_same_classes(both):
         assert as_strings(Z2) == as_strings(ex.Z)
 
 
-def test_koszul_homology_dims(both):
+def test_certificate_records_koszul_homology_totals(both):
+    # each H_i(K) summed over the certificate's window, against C(c, i)
     for ex in both:
         c = ex.ring.codepth
-        dims = homology_dims(ex.K, 8)
-        from math import comb
-
-        assert dims == [comb(c, i) for i in range(4)]
+        records = certify_complete_intersection(ex.K)["checks"][:4]
+        assert [(r["check"], r["actual"], r["pass"]) for r in records] == [
+            (f"dim H_{i}(K) == C({c},{i})", comb(c, i), True) for i in range(4)]
 
 
 def test_certification(both):

@@ -9,11 +9,6 @@ under tmp_path, and each command runs on that copy in a subprocess: it must
 exit 1 with the named FAIL lines or 2 with the named message, never 0 and
 never with a traceback.
 
-One rule is not here yet: ζ negated in F's column rule only (`assemble_f`)
-still exits 0 on both golden rings, as F with −ζ is a resolution too and
-no verifier compares F's ζ block with the ζ maps.  It waits for a check
-that compares the two constructions entry by entry.
-
 A verifier's rules have a floor too (`VERIFIER_MUTANTS`): a broken verifier
 rule gives a silent pass, not a failure.  Each row is an exact-once edit
 and the one tier-1 test, its negative control, that must fail on it; only
@@ -63,13 +58,15 @@ MUTANTS = [
         "golden3-q", [["tower", "--levels", "1", "--verify"]],
         2, r"input error: quotient is not a sum of copies of K at homological degree 3\n",
         id="cone-sign-top"),
-    # ψ's block dropped from the cone: each level splits off the one below
+    # ψ's block dropped from the cone: each level splits off the one below,
+    # and the top level is no longer F
     pytest.param(
         "conetower.py", "mapping_cone",
         "entries.update(((ct + r, c), p) for (r, c), p in f.component(i - 1).entries.items())",
         "pass", "golden2-p", [["verify-all"]],
         1, ["homology clauses at level 1", "homology clauses at level 2",
-            "inclusion vanishes in homology (k=1)"], id="cone-psi"),
+            "inclusion vanishes in homology (k=1)", "resolution equals stabilized tower level"],
+        id="cone-psi"),
     # K's ∂ without its sign (−1)^t: ∂² ≠ 0 from K_2 on
     pytest.param(
         "koszul.py", "KoszulComplex.column", "-x if t % 2 else x", "x",
@@ -100,11 +97,22 @@ MUTANTS = [
     pytest.param(
         "koszul.py", "zeta_terms", "yield (v, T), p", "yield (v, T), -p",
         "golden2-p", [["verify-all"]], 1, ["mu equals zeta"], id="zeta-sign"),
-    # F's column rule without ζ: F is a sum of copies of K, not exact
+    # F's column rule without ζ: F is a sum of copies of K, not exact, and
+    # not the tower's top level
     pytest.param(
         "resolution.py", "assemble_f",
         "lambda lab: itertools.chain(K.column(lab), zeta_terms(Z, *lab))", "K.column",
-        "golden2-p", [["verify-all"]], 1, ["resolution minimal and exact"], id="zeta-dropped"),
+        "golden2-p", [["verify-all"]], 1,
+        ["resolution equals stabilized tower level", "resolution minimal and exact"],
+        id="zeta-dropped"),
+    # ζ negated in F's column rule only: F is still a minimal resolution,
+    # isomorphic to the paper's, but no longer the tower's top level
+    pytest.param(
+        "resolution.py", "assemble_f",
+        "lambda lab: itertools.chain(K.column(lab), zeta_terms(Z, *lab))",
+        "lambda lab: itertools.chain(K.column(lab), ((t, -p) for t, p in zeta_terms(Z, *lab)))",
+        "golden3-q", [["verify-all"]], 1, ["resolution equals stabilized tower level"],
+        id="f-zeta-sign"),
     # ζ drops every j from w: its terms land on labels that are no generators
     pytest.param(
         "koszul.py", "zeta_terms", "v = w[:pos] + w[pos + 1:]",
@@ -134,7 +142,7 @@ VERIFIER_MUTANTS = [
         "tests/test_resolution.py::test_one_extra_class_in_the_cut_fails", id="c-loosened"),
     # W one short: F̄'s top strands are never ranked
     pytest.param(
-        "resolution.py", "verify_minimal_and_exact", "default=0)", "default=0) - 1",
+        "resolution.py", "exactness_window", "default=0)", "default=0) - 1",
         "tests/test_resolution.py::test_certified_in_every_degree[quintic2-q]", id="window-short"),
     # (b) dropped: a class of H_1(F) that the cut hides passes
     pytest.param(
@@ -188,7 +196,7 @@ VERIFIER_MUTANTS = [
     # W unguarded: with no cut, F's strands are ranked in R up to W, where
     # dim R_d may pass the quotient limit
     pytest.param(
-        "resolution.py", "verify_minimal_and_exact", "Rb.window(", "(",
+        "resolution.py", "exactness_window", "Rb.window(", "(",
         "tests/test_cli.py::test_partial_window_passes_the_quotient_limit[limit-80]",
         id="w-unguarded"),
     # a window taken on the CI prediction alone: (a³, a²b, …, a²f) is let
@@ -197,6 +205,11 @@ VERIFIER_MUTANTS = [
         "polyring.py", "GradedQuotientRing.window", "if self.dim_quotient(d) != dim:",
         "if False:", "tests/test_cli.py::test_ring_leaving_the_prediction_exits_2",
         id="window-uncompared"),
+    # F's ranks compared with themselves, not with the series
+    pytest.param(
+        "resolution.py", "verify_minimal_and_exact",
+        "poincare_coefficients(R.nvars, R.codepth, i_max)", "betti_numbers(F)",
+        "tests/test_resolution.py::test_betti_numbers_off_the_series_fail", id="betti-unchecked"),
     # a partial pass printed as a pass
     pytest.param(
         "cli.py", "_verdict", "'partial' if partial else 'pass'", "'pass'",

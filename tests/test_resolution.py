@@ -307,6 +307,25 @@ def test_a_class_the_cut_hides_fails_by_b():
     assert [Fb.strand_homology_dim(1, d) for d in range(3)] == [0, 2, 0]
 
 
+def test_betti_numbers_off_the_series_fail():
+    # golden2's F with one more generator in its top module and a zero
+    # column there: ∂ stays minimal, ∂² = 0 and F exact below its top, so
+    # only the ranks, against (1 + t)^3/(1 − t²)^2, show it
+    ring = ring_from_strings(["x", "y", "z"], ["x^2", "y^2+z^2"], RationalField())
+    K = build_koszul(ring)
+    Z = cycles_from_generators(K)
+    extra = (("extra",), ())
+    F = complexes.ChainComplex.from_columns(
+        ring, [assemble_f(K, Z, 4).module(i).gens + [(extra, 4)] * (i == 4) for i in range(5)],
+        lambda lab: () if lab == extra else itertools.chain(
+            K.column(lab), resolution.zeta_terms(Z, *lab)))
+    res = verify_minimal_and_exact(F)
+    assert [ch for ch in res["checks"] if not ch["pass"]] == [{
+        "check": "betti numbers match series", "pass": False,
+        "expected": [1, 3, 5, 7, 9], "actual": [1, 3, 5, 7, 10]}]
+    assert not res["pass"]
+
+
 def test_cross_construction(F2, F3, tower2, tower3):
     assert verify_cross_construction(F2, tower2, 7)["pass"]
     assert verify_cross_construction(F3, tower3, 7)["pass"]
